@@ -26,7 +26,7 @@ def simulate(trace, classifications, config):
 def main():
     print("emulating bfs once (the expensive step)...")
     run = get_workload("bfs", scale=SCALE).run()
-    path = os.path.join(tempfile.gettempdir(), "bfs.trace.gz")
+    path = os.path.join(tempfile.gettempdir(), "bfs.trace")
     save_run(run, path)
     size_kb = os.path.getsize(path) / 1024
     print("saved %d warp instructions to %s (%.0f KB)"

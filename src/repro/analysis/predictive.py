@@ -54,7 +54,6 @@ from ..emulator.columnar import (
     KIND_NONE,
     SPACE_CODES,
     decode_value,
-    to_columnar,
 )
 from ..obs import tracing
 from ..obs.metrics import get_registry
@@ -525,7 +524,6 @@ def analyze_trace_predictive(trace, classifications=None, app=None):
     suppressed = 0
     with tracing.span("races.predictive", app=name, launches=len(trace)):
         for index, launch in enumerate(trace):
-            launch = to_columnar(launch)
             with tracing.span("races.predictive.launch",
                               kernel=launch.kernel_name):
                 scan = _LaunchScan(launch, index, sink)

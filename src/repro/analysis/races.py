@@ -1,7 +1,7 @@
 """Barrier-interval happens-before race detection over emulator traces.
 
-The detector replays each kernel launch's memory events from the
-schema-v2 trace (per-lane addresses for every space, stored values for
+The detector replays each kernel launch's memory events from its
+columnar trace (per-lane addresses for every space, stored values for
 stores) and reports:
 
 * **shared-race** — two accesses to the same shared-memory element in
@@ -53,7 +53,6 @@ from ..emulator.columnar import (
 )
 from ..obs import tracing
 from ..obs.metrics import get_registry
-from ..ptx.isa import Space
 
 
 class RaceKind:
@@ -261,69 +260,6 @@ class _Access:
     value_key: object
 
 
-def _replay_warp(warp, sink, kernel_name, launch_index, shared_accesses,
-                 global_stores):
-    """Walk one warp's ops: barrier intervals, live mask, accesses.
-
-    Appends shared-space element accesses to ``shared_accesses`` and
-    plain global stores to ``global_stores``; reports divergent
-    barriers directly.  Returns the warp's barrier count and the pc of
-    its last barrier (for mismatch attribution).
-    """
-    live = 0
-    for op in warp.ops:
-        live |= op.active_mask
-    interval = 0
-    last_bar_pc = None
-    mem_ops = 0
-    for order, op in enumerate(warp.ops):
-        inst = op.inst
-        if inst.is_exit:
-            live &= ~op.active_mask
-            continue
-        if inst.is_barrier:
-            last_bar_pc = op.pc
-            if op.active_mask != live:
-                sink.add(
-                    RaceKind.DIVERGENT_BARRIER, kernel_name, op.pc, None,
-                    launch_index, warp.cta_id,
-                    None, _mask_lanes(warp.warp_id, live & ~op.active_mask),
-                    interval,
-                    "bar.sync mask %#010x but %d live lane(s) (%#010x) "
-                    "bypassed it" % (op.active_mask,
-                                     bin(live & ~op.active_mask).count("1"),
-                                     live))
-            interval += 1
-            continue
-        if op.addresses is None:
-            continue
-        mem_ops += 1
-        space = inst.space
-        if space is Space.SHARED:
-            kind = ("st" if inst.is_store
-                    else "at" if inst.is_atomic else "ld")
-            width = inst.dtype.nbytes
-            elems = _elements_per_lane(inst)
-            for lane, addr in op.addresses:
-                for k in range(elems):
-                    shared_accesses.append(_Access(
-                        addr + k * width, interval, warp.warp_id, lane,
-                        op.pc, kind, order, None))
-        elif space is Space.GLOBAL and inst.is_store:
-            width = inst.dtype.nbytes
-            elems = _elements_per_lane(inst)
-            values = op.values if op.values is not None else ()
-            for i, (lane, addr) in enumerate(op.addresses):
-                for k in range(elems):
-                    idx = i * elems + k
-                    vkey = (_value_key(values[idx], inst.dtype)
-                            if idx < len(values) else None)
-                    global_stores.append(_Access(
-                        addr + k * width, interval, warp.warp_id, lane,
-                        op.pc, "st", order, vkey))
-    return interval, last_bar_pc, mem_ops
-
-
 def _mask_lanes(warp_id, mask, limit=4):
     return tuple((warp_id, lane) for lane in lanes_of(mask)[:limit])
 
@@ -333,13 +269,19 @@ _GLOBAL_CODE = SPACE_CODES["global"]
 _KIND_ST = 1
 
 
-def _replay_warp_columns(warp, sink, kernel_name, launch_index,
-                         shared_accesses, global_stores, insts):
-    """Column-based :func:`_replay_warp`: identical findings and access
-    streams, computed from the warp's arrays.  Barrier intervals, the
-    live mask, and the interesting-row selections are vectorized; Python
-    touches only shared accesses, global stores, and flagged barriers —
-    never the (dominant) compute ops.
+def _replay_warp(warp, sink, kernel_name, launch_index, shared_accesses,
+                 global_stores, insts):
+    """Walk one warp's ops: barrier intervals, live mask, accesses.
+
+    Appends shared-space element accesses to ``shared_accesses`` and
+    plain global stores to ``global_stores``; reports divergent
+    barriers directly.  Returns the warp's barrier count, the pc of its
+    last barrier (for mismatch attribution) and its memory-op count.
+
+    Barrier intervals, the live mask, and the interesting-row
+    selections are vectorized over the warp's columns; Python touches
+    only shared accesses, global stores, and flagged barriers — never
+    the (dominant) compute ops.
     """
     warp.seal()
     masks = warp.mask
@@ -542,7 +484,8 @@ def _fmt_value(value_key):
 
 
 def analyze_launch(launch, launch_index, sink):
-    """Analyze one :class:`KernelLaunchTrace`; returns ops examined."""
+    """Analyze one :class:`~repro.emulator.columnar.ColumnarLaunchTrace`;
+    returns ops examined."""
     kernel_name = launch.kernel_name
     by_cta: Dict[int, list] = {}
     for warp in launch.warps:
@@ -554,14 +497,9 @@ def analyze_launch(launch, launch_index, sink):
         bar_counts: Dict[int, tuple] = {}
         for warp in sorted(warps, key=lambda w: w.warp_id):
             global_stores: List[_Access] = []
-            if hasattr(warp, "iter_chunks"):
-                bars, last_bar_pc, mem_ops = _replay_warp_columns(
-                    warp, sink, kernel_name, launch_index, shared_accesses,
-                    global_stores, launch.instructions)
-            else:
-                bars, last_bar_pc, mem_ops = _replay_warp(
-                    warp, sink, kernel_name, launch_index, shared_accesses,
-                    global_stores)
+            bars, last_bar_pc, mem_ops = _replay_warp(
+                warp, sink, kernel_name, launch_index, shared_accesses,
+                global_stores, launch.instructions)
             bar_counts[warp.warp_id] = (bars, last_bar_pc)
             ops_checked += mem_ops
             launch_stores.extend((cta_id, acc) for acc in global_stores)

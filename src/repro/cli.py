@@ -192,9 +192,8 @@ def _build_parser():
     p_serve.add_argument("--port", type=int, default=8077,
                          help="TCP port (0 picks an ephemeral port)")
     p_serve.add_argument("--store", default="service-data",
-                         help="artifact store location: a directory, "
-                              "file:// URL or s3:// URL "
-                              "(default: ./service-data)")
+                         help="artifact store location: a directory "
+                              "or file:// URL (default: ./service-data)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="worker threads draining the job queue")
     p_serve.add_argument("--quota", type=int, default=None,

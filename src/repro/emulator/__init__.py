@@ -27,14 +27,9 @@ from .memory import (
     SharedMemory,
     np_dtype_for,
 )
-from .columnar import (
-    ColumnarLaunchTrace,
-    ColumnarWarpTrace,
-    to_columnar,
-    to_records,
-)
+from .columnar import ColumnarLaunchTrace, ColumnarWarpTrace
 from .serialize import LoadedRun, load_run, save_run
-from .trace import ApplicationTrace, KernelLaunchTrace, TraceOp, WarpTrace
+from .trace import ApplicationTrace, TraceOp
 from . import trace_cache
 
 __all__ = [
@@ -66,9 +61,5 @@ __all__ = [
     "ApplicationTrace",
     "ColumnarLaunchTrace",
     "ColumnarWarpTrace",
-    "KernelLaunchTrace",
     "TraceOp",
-    "WarpTrace",
-    "to_columnar",
-    "to_records",
 ]

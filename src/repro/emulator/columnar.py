@@ -1,13 +1,11 @@
 """Columnar (structure-of-arrays) trace storage — schema v3 in memory.
 
-The legacy trace layout (:mod:`repro.emulator.trace`) materializes one
-:class:`~repro.emulator.trace.TraceOp` Python object per dynamic warp
-instruction.  At production scales that is hundreds of millions of
-objects, and every consumer — the timing simulator, the coalescer
-summary, the race detector, the locality analyses — pays Python
-attribute-access cost per record.
-
-This module stores the same information as typed NumPy columns:
+Traces are the one interface between the functional emulator and
+everything downstream: the timing simulator, the coalescer summary, the
+race detectors, the locality analyses and the trace transforms.  At
+production scales a launch executes hundreds of millions of warp
+instructions, so instead of one Python object per dynamic op this
+module stores them as typed NumPy columns:
 
 ========= ======= ====================================================
 column    dtype   meaning
@@ -27,17 +25,17 @@ chunk) so peak Python-list overhead is bounded and consumers can stream
 (:meth:`ColumnarWarpTrace.iter_chunks`); :meth:`ColumnarWarpTrace.seal`
 concatenates the chunks into the final per-warp columns.
 
-The record-view shim (:attr:`ColumnarWarpTrace.ops`) lazily
-materializes legacy :class:`TraceOp` objects from the columns, so any
-consumer that has not been ported keeps working unchanged — and the
-round trip is lossless (``tests/emulator/test_columnar.py``).
+The read-only record view (:attr:`ColumnarWarpTrace.ops`) lazily
+materializes :class:`~repro.emulator.trace.TraceOp` objects from the
+columns, for reference implementations and tests that want one object
+per op.
 
 Stored values are kept as 64-bit patterns and decoded through the
 instruction's dtype: floats are IEEE-754 binary64 bit images, signed
 integers two's-complement (sign-extended from bit 63 on decode),
 unsigned integers the raw pattern.  This reproduces exactly the Python
 values the engines traced (``_coerce_store`` yields only ``float`` and
-``int``), which keeps schema-v2 ⇄ columnar conversion byte-exact.
+``int``).
 """
 
 from __future__ import annotations
@@ -316,7 +314,7 @@ class ColumnarWarpTrace:
 
     @property
     def ops(self):
-        """Legacy record view: a list of :class:`TraceOp` (lazy)."""
+        """Read-only record view: a list of :class:`TraceOp` (lazy)."""
         if self._ops is None:
             self._ops = self._materialize()
         return self._ops
@@ -370,10 +368,10 @@ def _exclusive_offsets(counts):
 class ColumnarLaunchTrace:
     """The complete trace of one kernel launch, stored as columns.
 
-    Implements the :class:`~repro.emulator.trace.KernelLaunchTrace`
-    interface (same attributes and aggregate methods), so every
-    record-level consumer keeps working; ported consumers use the
-    column arrays directly.
+    ``warps`` holds one :class:`ColumnarWarpTrace` per traced warp in
+    (CTA, warp) launch order; the aggregate methods are the Table I
+    columns, and :meth:`memory_table` is the launch-wide view of its
+    memory ops.
     """
 
     def __init__(self, kernel_name, config: LaunchConfig, instructions,
@@ -468,20 +466,6 @@ class ColumnarLaunchTrace:
                 counts[p] = counts.get(p, 0) + c
         return counts
 
-    def iter_memory_ops(self, space=None, loads_only=False):
-        """Record-level view: yields ``(warp_trace, op)`` pairs, exactly
-        like the legacy launch (ported consumers use
-        :meth:`memory_table` instead)."""
-        for warp in self.warps:
-            for op in warp.ops:
-                if op.addresses is None:
-                    continue
-                if loads_only and not op.inst.is_load:
-                    continue
-                if space is not None and op.inst.space is not space:
-                    continue
-                yield warp, op
-
     def memory_table(self, space=None, loads_only=False):
         """Columnar view of the launch's memory ops, concatenated over
         warps.  Returns ``None`` when the launch recorded no matching op,
@@ -491,8 +475,7 @@ class ColumnarLaunchTrace:
         ``astart``/``acount`` pairs slice into.
 
         ``space`` is a :class:`repro.ptx.isa.Space` (or its string
-        value); ``loads_only`` keeps plain loads, like the record-level
-        iterator.
+        value); ``loads_only`` keeps plain loads (no stores/atomics).
         """
         space_code = None
         if space is not None:
@@ -532,58 +515,75 @@ class ColumnarLaunchTrace:
         return iter(self.warps)
 
 
-# ---------------------------------------------------------------------------
-# conversion (used by serialization and the round-trip property tests)
-# ---------------------------------------------------------------------------
+def rewrite_global_loads(launch, pcs, rewrite):
+    """A sealed copy of ``launch`` with its global loads at ``pcs``
+    rewritten.
 
-
-def to_columnar(launch, instructions=None):
-    """Convert a legacy :class:`KernelLaunchTrace` (or pass through a
-    columnar one) into a :class:`ColumnarLaunchTrace`.
-
-    ``instructions`` is the kernel's instruction list; when omitted it
-    is recovered from the ops themselves (requires every instruction the
-    trace references to carry its finalized pc).
+    Each row of such a load that recorded at least one access is handed
+    to ``rewrite`` as a :class:`TraceOp`; the ops it returns (same
+    instruction, new masks and addresses) take the row's place.  Every
+    other row is copied column-wise.  The :mod:`repro.optim` trace
+    transforms build on this.
     """
-    if isinstance(launch, ColumnarLaunchTrace):
-        return launch
-    if instructions is None:
-        by_idx: Dict[int, object] = {}
-        for warp in launch.warps:
-            for op in warp.ops:
-                by_idx.setdefault(op.pc >> _PC_SHIFT, op.inst)
-        if by_idx:
-            n = max(by_idx) + 1
-            missing = [i for i in range(n) if i not in by_idx]
-            if missing:
-                raise ValueError(
-                    "cannot infer the instruction table: no trace op "
-                    "references pc %#x" % (missing[0] * PC_STRIDE))
-            instructions = [by_idx[i] for i in range(n)]
-        else:
-            instructions = []
-    out = ColumnarLaunchTrace(
-        kernel_name=launch.kernel_name, config=launch.config,
-        instructions=instructions, shared_size=launch.shared_size)
+    out = ColumnarLaunchTrace(launch.kernel_name, launch.config,
+                              launch.instructions,
+                              shared_size=launch.shared_size)
+    insts = out.instructions
+    target = np.asarray(
+        [inst.is_global_load and inst.pc in pcs for inst in insts]
+        or [False], dtype=np.bool_)
     for warp in launch.warps:
-        cw = out.new_warp(warp.cta_id, warp.warp_id)
-        out.warps.append(cw)
-        for op in warp.ops:
-            cw.append(op.inst, op.active_mask, op.addresses, op.values)
-        cw.seal()
+        warp.seal()
+        rows = np.flatnonzero(target[warp.pc >> _PC_SHIFT]
+                              & (warp.acount > 0))
+        parts_per_row = []
+        masks, acounts, lanes, addrs = [], [], [], []
+        for row in rows.tolist():
+            pc = int(warp.pc[row])
+            a0, a1 = int(warp.astart[row]), int(warp.astart[row + 1])
+            parts = rewrite(TraceOp(
+                insts[pc >> _PC_SHIFT], int(warp.mask[row]),
+                tuple(zip(warp.lanes[a0:a1].tolist(),
+                          warp.addrs[a0:a1].tolist()))))
+            parts_per_row.append(len(parts))
+            for part in parts:
+                masks.append(part.active_mask)
+                acounts.append(len(part.addresses))
+                for lane, addr in part.addresses:
+                    lanes.append(lane)
+                    addrs.append(addr)
+        new = out.new_warp(warp.cta_id, warp.warp_id)
+        new.seal(_columns=_splice_rows(warp, rows, parts_per_row, masks,
+                                       acounts, lanes, addrs))
+        out.warps.append(new)
     return out
 
 
-def to_records(launch):
-    """Convert a columnar launch back into a plain
-    :class:`~repro.emulator.trace.KernelLaunchTrace` of materialized
-    records (the inverse of :func:`to_columnar`)."""
-    from .trace import KernelLaunchTrace, WarpTrace
-
-    out = KernelLaunchTrace(kernel_name=launch.kernel_name,
-                            config=launch.config,
-                            shared_size=launch.shared_size)
-    for warp in launch.warps:
-        out.warps.append(WarpTrace(cta_id=warp.cta_id, warp_id=warp.warp_id,
-                                   ops=list(warp.ops)))
-    return out
+def _splice_rows(warp, rows, parts_per_row, masks, acounts, lanes, addrs):
+    """``warp``'s columns with each of ``rows`` replaced by
+    ``parts_per_row[i]`` new load rows (``masks``/``acounts`` per new
+    row, ``lanes``/``addrs`` concatenated); every other row is copied.
+    Loads carry no stored values, so the value column is unchanged."""
+    n = len(warp.pc)
+    per_row = np.ones(n, dtype=np.int64)
+    per_row[rows] = parts_per_row
+    replaced = np.zeros(n, dtype=np.bool_)
+    replaced[rows] = True
+    src = np.repeat(np.arange(n, dtype=np.int64), per_row)
+    fresh = np.repeat(replaced, per_row)
+    mask = warp.mask[src]
+    mask[fresh] = masks
+    acount = warp.acount[src]
+    acount[fresh] = acounts
+    # gather each output row's accesses from the old tables followed by
+    # the new ones
+    start = warp.astart[:-1][src].astype(np.int64)
+    start[fresh] = len(warp.lanes) + _exclusive_offsets(
+        np.asarray(acounts, dtype=np.int64))[:-1].astype(np.int64)
+    pool_lanes = np.concatenate([warp.lanes,
+                                 np.asarray(lanes, dtype=np.uint8)])
+    pool_addrs = np.concatenate([warp.addrs,
+                                 np.asarray(addrs, dtype=np.uint64)])
+    return (warp.pc[src], mask, warp.kind[src], acount,
+            take_ragged(pool_lanes, start, acount),
+            take_ragged(pool_addrs, start, acount), warp.vals)

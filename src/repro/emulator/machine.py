@@ -7,7 +7,8 @@ Executes a kernel launch the way an SM would, minus timing:
   stack, reconverging at the immediate post-dominator of the branch
   (the scheme GPGPU-Sim models),
 * ``bar.sync`` synchronizes the warps of a CTA,
-* every executed warp instruction is appended to a :class:`WarpTrace`,
+* every executed warp instruction is appended to a
+  :class:`~repro.emulator.columnar.ColumnarWarpTrace`,
   with per-lane effective addresses for memory operations.
 
 The emulator is *functionally correct* — workload tests compare its memory

@@ -22,20 +22,17 @@ printer/parser roundtrip is classification-preserving, see
 ``tests/ptx/test_printer.py``), so a loaded file is fully
 self-contained: kernels, classifications and traces.
 
-The schema-v2 gzip-JSON format remains readable: :func:`load_run`
-sniffs the gzip magic and falls back to the legacy decoder (same
-integrity checks as before).  :func:`save_run_legacy` still writes it,
-for migration tests and older tooling.
+v3 is the only format: a file that does not start with the magic and
+a v3 header is rejected as corrupt (the trace cache quarantines it and
+re-emulates).
 
-Both formats are byte-deterministic — identical runs serialize to
-identical files (the v2 gzip stream carries no mtime; the v3 container
-has no timestamps at all).  The trace cache and the engine differential
-tests rely on this.
+The container is byte-deterministic — it has no timestamps, so
+identical runs serialize to identical files.  The trace cache and the
+engine differential tests rely on this.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import mmap
 import os
@@ -50,21 +47,16 @@ from ..resilience.artifacts import compute_checksum, verify_checksum
 from .columnar import (
     COLUMNS,
     KIND_NONE,
+    _KIND_STORE,
     _PC_SHIFT,
     ColumnarLaunchTrace,
-    op_kind,
-    to_columnar,
 )
 from .grid import Dim3, LaunchConfig
 from .trace import ApplicationTrace
 
 #: Schema v3 stores traces as typed columns in a memory-mappable
-#: container (see module docstring).  Schema v2 (gzip JSON) added the
-#: access-kind codes and store values; v3 keeps exactly those fields.
+#: container (see module docstring).
 FORMAT_VERSION = 3
-
-#: The last schema written as gzip JSON; still readable.
-LEGACY_FORMAT_VERSION = 2
 
 MAGIC = b"REPROTRC"
 ALIGN = 64
@@ -73,26 +65,17 @@ ALIGN = 64
 #: extra hash pass over the mapped file; on by default).
 ENV_TRACE_VERIFY = "REPRO_TRACE_VERIFY"
 
-_KIND_LOAD, _KIND_STORE, _KIND_ATOMIC = 0, 1, 2
-
-# retained names: the v2 wire codes are the columnar ones
-from .columnar import SPACE_CODES as _SPACE_CODES  # noqa: E402,F401
-from .columnar import SPACE_NAMES as _SPACE_NAMES  # noqa: E402,F401
-
-_op_kind = op_kind
-
 
 def _align(n):
     return (n + ALIGN - 1) // ALIGN * ALIGN
 
 
-def _launch_header_and_columns(launch, module):
+def _launch_header_and_columns(launch):
     """Flatten one launch into header metadata + concatenated columns."""
-    kernel = module[launch.kernel_name]
-    col = to_columnar(launch, kernel.instructions).seal()
+    launch.seal()
     warps_meta = []
     per_col = {name: [] for name, _ in COLUMNS}
-    for warp in col.warps:
+    for warp in launch.warps:
         warps_meta.append([warp.cta_id, warp.warp_id, len(warp)])
         for name, _ in COLUMNS:
             per_col[name].append(getattr(warp, name))
@@ -147,7 +130,7 @@ def save_run(run, path):
     launches = []
     blobs = []
     for launch in run.trace:
-        header, arrays = _launch_header_and_columns(launch, module)
+        header, arrays = _launch_header_and_columns(launch)
         launches.append(header)
         for name, dt in COLUMNS:
             blobs.append(np.ascontiguousarray(arrays[name], dtype=dt))
@@ -177,52 +160,6 @@ def save_run(run, path):
     return path
 
 
-def save_run_legacy(run, path):
-    """Serialize in the schema-v2 gzip-JSON format (migration tooling
-    and format-compatibility tests)."""
-    payload = {
-        "version": LEGACY_FORMAT_VERSION,
-        "name": run.trace.name,
-        "ptx": print_module(run.module),
-        "lines": _source_lines(run.module),
-        "launches": [_encode_launch_v2(launch) for launch in run.trace],
-    }
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        # filename="" and mtime=0 keep the gzip header content-only.
-        with gzip.GzipFile(filename="", fileobj=fh, mode="wb",
-                           mtime=0) as gz:
-            gz.write(data)
-    return path
-
-
-def _encode_op_v2(op):
-    if op.addresses is None:
-        return [op.pc, op.active_mask]
-    flat = []
-    for lane, addr in op.addresses:
-        flat.append(lane)
-        flat.append(addr)
-    encoded = [op.pc, op.active_mask, flat, _op_kind(op.inst)]
-    if op.inst.is_store:
-        encoded.append(list(op.values if op.values is not None else ()))
-    return encoded
-
-
-def _encode_launch_v2(launch):
-    return {
-        "kernel": launch.kernel_name,
-        "grid": list(launch.config.grid),
-        "block": list(launch.config.block),
-        "shared_size": launch.shared_size,
-        "warps": [
-            {"cta": warp.cta_id, "warp": warp.warp_id,
-             "ops": [_encode_op_v2(op) for op in warp.ops]}
-            for warp in launch.warps
-        ],
-    }
-
-
 @dataclass
 class LoadedRun:
     """A deserialized run: kernels, classifications and traces."""
@@ -231,27 +168,20 @@ class LoadedRun:
     module: Module
     trace: ApplicationTrace
     classifications: Dict[str, ClassificationResult]
-    #: schema version the file on disk used (legacy entries trigger
-    #: trace-cache migration).
-    format_version: int = FORMAT_VERSION
 
 
 def load_run(path):
-    """Load a file written by :func:`save_run` (or the legacy v2
-    :func:`save_run_legacy` format, auto-detected)."""
+    """Load a file written by :func:`save_run`."""
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
-        if head[:2] == b"\x1f\x8b":
-            return _load_run_v2(path)
         if len(head) < len(MAGIC):
             # EOFError, not ValueError: a near-empty file is a torn
             # write, which the trace cache retries before quarantining
             raise EOFError("truncated trace file: short magic")
         if head != MAGIC:
             raise ValueError(
-                "unsupported trace-file version: %r is neither a v%d "
-                "container nor a legacy gzip trace"
-                % (head[:8], FORMAT_VERSION))
+                "unsupported trace-file version: %r is not a v%d "
+                "container" % (head[:8], FORMAT_VERSION))
         length_bytes = fh.read(4)
         if len(length_bytes) < 4:
             # EOFError: short streams are possibly a racing reader and
@@ -326,8 +256,7 @@ def load_run(path):
                 "columns of launch %r" % kernel.name)
         app.add(launch)
     return LoadedRun(name=payload["name"], module=module,
-                     trace=app, classifications=classifications,
-                     format_version=FORMAT_VERSION)
+                     trace=app, classifications=classifications)
 
 
 def _verify_container(buf, payload, hlen, path):
@@ -372,8 +301,7 @@ def _value_counts(launch, arrays):
 
 def _validate_columns(launch, arrays):
     """Schema-v3 integrity: the kind column is redundant with the
-    instructions, so a mismatch means corruption (same invariant the v2
-    loader enforces per record)."""
+    instructions, so a mismatch means corruption."""
     pc = arrays["pc"]
     if not len(pc):
         return
@@ -402,58 +330,3 @@ def _validate_columns(launch, arrays):
         raise ValueError(
             "corrupt trace: access kind missing at pc %#x"
             % int(pc[i]))
-
-
-def _load_run_v2(path):
-    """Decode the legacy gzip-JSON format (schema v2), then convert the
-    records into columnar launches so every consumer sees one layout."""
-    from .trace import KernelLaunchTrace, TraceOp, WarpTrace
-
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != LEGACY_FORMAT_VERSION:
-        raise ValueError("unsupported trace-file version: %r"
-                         % payload.get("version"))
-    module = parse_module(payload["ptx"])
-    _restamp_lines(module, payload)
-    classifications = {k.name: classify_kernel(k) for k in module}
-    app = ApplicationTrace(name=payload["name"])
-    for launch_data in payload["launches"]:
-        kernel = module[launch_data["kernel"]]
-        config = LaunchConfig(grid=Dim3(*launch_data["grid"]),
-                              block=Dim3(*launch_data["block"]))
-        launch = KernelLaunchTrace(
-            kernel_name=kernel.name, config=config,
-            shared_size=launch_data["shared_size"])
-        for warp_data in launch_data["warps"]:
-            warp = WarpTrace(cta_id=warp_data["cta"],
-                             warp_id=warp_data["warp"])
-            for encoded in warp_data["ops"]:
-                pc, mask = encoded[0], encoded[1]
-                inst = kernel.instruction_at(pc)
-                addresses = values = None
-                if len(encoded) > 2:
-                    flat = encoded[2]
-                    addresses = tuple(
-                        (flat[i], flat[i + 1])
-                        for i in range(0, len(flat), 2))
-                    # integrity check: the kind code is redundant with
-                    # the instruction, so a mismatch means corruption.
-                    if len(encoded) < 4 or encoded[3] != _op_kind(inst):
-                        raise ValueError(
-                            "corrupt trace: access kind %r at pc %#x does "
-                            "not match instruction %s"
-                            % (encoded[3] if len(encoded) > 3 else None,
-                               pc, inst.mnemonic()))
-                    if inst.is_store:
-                        if len(encoded) < 5:
-                            raise ValueError(
-                                "corrupt trace: store at pc %#x carries "
-                                "no values" % pc)
-                        values = tuple(encoded[4])
-                warp.ops.append(TraceOp(inst, mask, addresses, values))
-            launch.warps.append(warp)
-        app.add(to_columnar(launch, kernel.instructions))
-    return LoadedRun(name=payload["name"], module=module,
-                     trace=app, classifications=classifications,
-                     format_version=LEGACY_FORMAT_VERSION)

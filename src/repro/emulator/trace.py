@@ -7,16 +7,23 @@ the interface between the functional emulator and both:
 * the timing simulator (:mod:`repro.sim`), which replays them through the
   modeled memory hierarchy, and
 * the trace-level locality analyses (:mod:`repro.profiling.locality`).
+
+Each launch is a :class:`~repro.emulator.columnar.ColumnarLaunchTrace`;
+this module holds the application-level container and :class:`TraceOp`,
+the one-object-per-op record that the columnar traces' read-only
+``ops`` view yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .._bits import popcount
 from ..ptx.isa import Instruction
-from .grid import LaunchConfig
+
+if TYPE_CHECKING:
+    from .columnar import ColumnarLaunchTrace
 
 
 class TraceOp:
@@ -26,10 +33,10 @@ class TraceOp:
     instructions it is a tuple of ``(lane, byte_address)`` pairs covering
     the lanes that actually issued an access.
 
-    ``values`` (schema v2) is ``None`` except for stores, where it holds
-    the stored values flattened lane-major (for ``st.v2``/``st.v4`` each
-    lane contributes ``vector`` consecutive elements).  Store events are
-    part of the serialized format so the correctness analyzer
+    ``values`` is ``None`` except for stores, where it holds the stored
+    values flattened lane-major (for ``st.v2``/``st.v4`` each lane
+    contributes ``vector`` consecutive elements).  Store events are part
+    of the serialized format so the correctness analyzer
     (:mod:`repro.analysis`) can distinguish benign same-value write
     sharing from genuinely conflicting inter-CTA writes.
     """
@@ -61,81 +68,6 @@ class TraceOp:
 
 
 @dataclass
-class WarpTrace:
-    """All ops executed by one warp of one CTA."""
-
-    cta_id: int           # linearized CTA id
-    warp_id: int          # warp index within the CTA
-    ops: List[TraceOp] = field(default_factory=list)
-
-    @property
-    def global_warp_key(self):
-        return (self.cta_id, self.warp_id)
-
-    def __len__(self):
-        return len(self.ops)
-
-    def __iter__(self):
-        return iter(self.ops)
-
-
-@dataclass
-class KernelLaunchTrace:
-    """The complete trace of one kernel launch."""
-
-    kernel_name: str
-    config: LaunchConfig
-    warps: List[WarpTrace] = field(default_factory=list)
-    #: bytes of static shared memory per CTA (limits SM occupancy).
-    shared_size: int = 0
-
-    # -- aggregate statistics (Table I columns) -------------------------------
-
-    def total_warp_instructions(self):
-        return sum(len(w) for w in self.warps)
-
-    def total_thread_instructions(self):
-        """Thread-level dynamic instruction count (sums active lanes)."""
-        return sum(op.active_count for w in self.warps for op in w.ops)
-
-    def count_ops(self, predicate):
-        return sum(1 for w in self.warps for op in w.ops
-                   if predicate(op))
-
-    def global_load_warp_count(self):
-        """Number of executed global-load warp instructions."""
-        return self.count_ops(lambda op: op.inst.is_global_load)
-
-    def shared_load_warp_count(self):
-        return self.count_ops(lambda op: op.inst.is_shared_load)
-
-    def dynamic_counts_by_pc(self, only_global_loads=True):
-        """``{pc: executed warp count}`` — the weights for Figure 1."""
-        counts: Dict[int, int] = {}
-        for warp in self.warps:
-            for op in warp.ops:
-                if only_global_loads and not op.inst.is_global_load:
-                    continue
-                counts[op.pc] = counts.get(op.pc, 0) + 1
-        return counts
-
-    def iter_memory_ops(self, space=None, loads_only=False):
-        """Yields ``(warp_trace, op)`` for memory operations."""
-        for warp in self.warps:
-            for op in warp.ops:
-                if op.addresses is None:
-                    continue
-                if loads_only and not op.inst.is_load:
-                    continue
-                if space is not None and op.inst.space is not space:
-                    continue
-                yield warp, op
-
-    def __iter__(self):
-        return iter(self.warps)
-
-
-@dataclass
 class ApplicationTrace:
     """Every launch an application performed, in order.
 
@@ -145,7 +77,7 @@ class ApplicationTrace:
     """
 
     name: str
-    launches: List[KernelLaunchTrace] = field(default_factory=list)
+    launches: List[ColumnarLaunchTrace] = field(default_factory=list)
 
     def add(self, launch_trace):
         self.launches.append(launch_trace)

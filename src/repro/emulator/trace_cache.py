@@ -13,32 +13,22 @@ the *content* that determines the trace:
 * the emulator's :data:`~.machine.EMULATOR_VERSION` (bumped whenever a
   semantic change could alter emitted traces).
 
-The serialization format version is *not* part of the key: the trace
-file itself records which schema it uses, and :func:`lookup` migrates
-*in place* — an entry written in an older format (or under the legacy
-``.trace.gz`` naming) still loads, is immediately rewritten at the
-current schema, counted under ``trace_cache.migrated``, and returned
-as a **hit** (no re-emulation).  A migration whose rewrite fails still
-returns the loaded run but counts under ``trace_cache.corrupt`` so the
-stale entry is visible.  ``trace_cache.corrupt`` otherwise stays
-reserved for genuinely damaged entries.
+The serialization format version is *not* part of the key: a format
+bump leaves keys alone, and an entry the current loader cannot read is
+handled like any other damaged entry (quarantined, then regenerated).
 
-Entries live in an :class:`~repro.service.store.ArtifactStore` under
+Entries live in a :class:`~repro.service.store.LocalDirStore` under
 ``<key>.trace`` names (the exact :func:`save_run` byte format, so a
-cache entry is also a normal trace file).  The default backend is a
-:class:`~repro.service.store.LocalDirStore` over
+cache entry is also a normal trace file, memory-mapped on load).  The
+directory is
 
 * ``$REPRO_TRACE_CACHE_DIR`` if set, else
-* ``~/.cache/repro-traces``;
-
-:func:`set_store` swaps in any other backend (the analysis service
-shares its store this way; a backend without local paths stages trace
-bytes through a temporary file for the mmap loader).
+* ``~/.cache/repro-traces``.
 
 ``REPRO_TRACE_CACHE=0`` disables the cache entirely.  A corrupted or
 truncated entry (including a checksum mismatch detected on mmap load)
-is quarantined through the store (the local backend's ``.corrupt/``
-sidecar), counted under ``trace_cache.quarantined``, and treated as a
+is quarantined into the directory's ``.corrupt/`` sidecar, counted
+under ``trace_cache.quarantined``, and treated as a
 miss — the caller re-emulates and the following store heals the cache,
 while the damaged bytes stay inspectable.  Writes are atomic
 (temporary file + rename via the store), so concurrent experiment
@@ -49,31 +39,22 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import time
 from pathlib import Path
-from typing import Optional
 
 from ..obs.metrics import get_registry
 from ..resilience.quarantine import quarantined_entries
 from .machine import EMULATOR_VERSION
-from .serialize import FORMAT_VERSION, load_run, save_run
+from .serialize import load_run, save_run
 
 _ENV_DIR = "REPRO_TRACE_CACHE_DIR"
 _ENV_SWITCH = "REPRO_TRACE_CACHE"
 _SUFFIX = ".trace"
-#: Entry naming used while the cache stored gzip-JSON (schema v2)
-#: traces; such files are migrated (rewritten + deleted) on lookup.
-_LEGACY_SUFFIX = ".trace.gz"
 
 #: Back-off delays (seconds) between retries of transient cache I/O
 #: failures.  Short: the cache is best-effort and the fallback — a
 #: re-emulation — is always correct.
 _RETRY_DELAYS = (0.05, 0.2)
-
-#: backend override installed by :func:`set_store` (``None`` = the
-#: environment-selected local directory).
-_store_override = None
 
 
 def _count(result):
@@ -89,14 +70,6 @@ def _count_corrupt():
     get_registry().counter(
         "trace_cache.corrupt",
         "corrupt or truncated cache entries evicted on lookup").inc(1)
-
-
-def _count_migrated():
-    """Tally one old-format entry rewritten at the current schema — a
-    healthy file in an outdated format, *not* corruption."""
-    get_registry().counter(
-        "trace_cache.migrated",
-        "old-format cache entries migrated in place").inc(1)
 
 
 def _count_quarantined():
@@ -133,24 +106,12 @@ def cache_dir():
 
 
 def cache_store():
-    """The :class:`~repro.service.store.ArtifactStore` entries live in
-    (the :func:`set_store` override, else a local-directory store over
-    :func:`cache_dir` — rebuilt per call so env changes in tests take
+    """The :class:`~repro.service.store.LocalDirStore` over
+    :func:`cache_dir` (rebuilt per call so env changes in tests take
     effect immediately)."""
-    if _store_override is not None:
-        return _store_override
     from ..service.store import LocalDirStore
 
     return LocalDirStore(cache_dir(), fsync=False)
-
-
-def set_store(store):
-    """Install (or with ``None`` remove) a cache backend override;
-    returns the previous override."""
-    global _store_override
-    previous = _store_override
-    _store_override = store
-    return previous
 
 
 def trace_key(name, ptx, seed, scale):
@@ -174,90 +135,32 @@ def trace_key(name, ptx, seed, scale):
     return h.hexdigest()
 
 
-def entry_path(key) -> Optional[Path]:
-    """The local path of ``key``'s entry (``None`` on a backend
-    without local paths)."""
+def entry_path(key) -> Path:
+    """The local path of ``key``'s entry."""
     return cache_store().path_of(key + _SUFFIX)
-
-
-def _legacy_entry_path(key) -> Optional[Path]:
-    """The local path a legacy-named (``.trace.gz``) entry would have."""
-    return cache_store().path_of(key + _LEGACY_SUFFIX)
-
-
-def _load_entry(backend, name):
-    """Load one entry by store name: straight off the file for
-    path-backed stores (the mmap fast path), else staged through a
-    temporary file.  Raises ``KeyError`` when absent."""
-    path = backend.path_of(name)
-    if path is not None:
-        if not path.is_file():
-            raise KeyError(name)
-        return load_run(path)
-    data = backend.get_bytes(name)
-    fd, tmp = tempfile.mkstemp(prefix=".trace-stage-", suffix=_SUFFIX)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        return load_run(tmp)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _migrate(key, run, old_name):
-    """Rewrite an outdated-but-healthy entry at the current schema.
-
-    The loaded run is returned to the caller either way (it *is* the
-    requested trace); a failed rewrite counts under
-    ``trace_cache.corrupt`` so the stale file is visible in metrics.
-    """
-    stored = store(key, run)
-    if stored is None:
-        _count_corrupt()
-    elif old_name != key + _SUFFIX:
-        # legacy-named entry replaced by a fresh <key>.trace
-        try:
-            cache_store().delete(old_name)
-        except Exception:  # noqa: BLE001 — cleanup is best-effort
-            pass
-    _count_migrated()
-    return run
 
 
 def lookup(key):
     """Load the cached :class:`LoadedRun` for ``key``, or ``None``.
 
     A cache problem is never fatal: transient I/O errors (``OSError``,
-    truncated reads of either format, ``BufferError`` from a dying
-    mmap) are retried once after a short delay, then treated as a miss;
-    corrupt entries (persistently truncated streams, bad JSON, column
-    checksum mismatches, unparsable PTX) are quarantined so the next
-    store can heal the cache while the evidence survives.  Entries in
-    an outdated serialization format are healthy files: they are
-    migrated in place and returned as hits.
+    truncated reads, ``BufferError`` from a dying mmap) are retried
+    once after a short delay, then treated as a miss; corrupt entries
+    (persistently truncated streams, bad JSON, a foreign or outdated
+    format, column checksum mismatches, unparsable PTX) are quarantined
+    so the next store can heal the cache while the evidence survives.
     """
     if not cache_enabled():
         return None
     backend = cache_store()
     name = key + _SUFFIX
-    legacy = key + _LEGACY_SUFFIX
+    path = backend.path_of(name)
     for delay in (_RETRY_DELAYS[0], None):
-        target = name
         try:
-            try:
-                run = _load_entry(backend, target)
-            except KeyError:
-                target = legacy
-                try:
-                    run = _load_entry(backend, target)
-                except KeyError:
-                    _count("miss")
-                    return None
-            if run.format_version != FORMAT_VERSION or target == legacy:
-                run = _migrate(key, run, target)
+            if not path.is_file():
+                _count("miss")
+                return None
+            run = load_run(path)
             _count("hit")
             return run
         except (OSError, EOFError, BufferError) as exc:
@@ -270,14 +173,14 @@ def lookup(key):
             if not isinstance(exc, OSError):
                 # stores are atomic (tempfile + rename), so a short
                 # stream that survives the retry is real corruption
-                _quarantine(target)
+                _quarantine(name)
                 _count_corrupt()
             _count("error")
             return None
         except Exception:
             # structurally corrupt: quarantine so a later store heals
             # the entry and the damaged bytes stay inspectable
-            _quarantine(target)
+            _quarantine(name)
             _count_corrupt()
             _count("error")
             return None
@@ -287,10 +190,9 @@ def lookup(key):
 def store(key, run):
     """Serialize ``run`` into the cache under ``key`` (atomic).
 
-    Returns the entry path (or store name for path-less backends), or
-    ``None`` when the cache is disabled or the backend is unwritable
-    (caching is best-effort; emulation results are never lost to a
-    cache failure).
+    Returns the entry path, or ``None`` when the cache is disabled or
+    the directory is unwritable (caching is best-effort; emulation
+    results are never lost to a cache failure).
     """
     if not cache_enabled():
         return None
@@ -298,8 +200,7 @@ def store(key, run):
     name = key + _SUFFIX
     for delay in _RETRY_DELAYS + (None,):
         try:
-            result = backend.put_file(name,
-                                      lambda tmp: save_run(run, tmp))
+            path = backend.put_file(name, lambda tmp: save_run(run, tmp))
         except OSError:
             if delay is not None:
                 time.sleep(delay)
@@ -307,13 +208,12 @@ def store(key, run):
             _count("store_error")
             return None
         _count("store")
-        return result if result is not None else name
+        return path
     return None
 
 
 def _entry_names(backend):
-    return [name for name in backend.keys()
-            if name.endswith((_SUFFIX, _LEGACY_SUFFIX))]
+    return [name for name in backend.keys() if name.endswith(_SUFFIX)]
 
 
 def clear():
@@ -329,9 +229,8 @@ def clear():
                 removed += 1
         except OSError:
             pass
-    root = backend.path_of("probe")
-    if root is not None and root.parent.is_dir():
-        removed += clear_quarantine(root.parent)
+    if backend.root.is_dir():
+        removed += clear_quarantine(backend.root)
     return removed
 
 
@@ -339,10 +238,7 @@ def quarantine_stats():
     """``(entry_count, total_bytes)`` for the quarantine sidecar."""
     count = 0
     total = 0
-    root = cache_store().path_of("probe")
-    if root is None:
-        return count, total
-    for entry in quarantined_entries(root.parent):
+    for entry in quarantined_entries(cache_store().root):
         try:
             total += entry.stat().st_size
             count += 1
@@ -352,16 +248,14 @@ def quarantine_stats():
 
 
 def stats():
-    """``(entry_count, total_bytes)`` for the current cache backend."""
+    """``(entry_count, total_bytes)`` for the cache directory."""
     backend = cache_store()
     count = 0
     total = 0
     for name in _entry_names(backend):
         try:
-            path = backend.path_of(name)
-            total += (path.stat().st_size if path is not None
-                      else len(backend.get_bytes(name)))
+            total += backend.path_of(name).stat().st_size
             count += 1
-        except (KeyError, OSError):
+        except OSError:
             pass
     return count, total

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..emulator.trace import KernelLaunchTrace, TraceOp, WarpTrace
+from ..emulator.columnar import rewrite_global_loads
+from ..emulator.trace import TraceOp
 from ..sim.config import LINE_BYTES
 from ..sim.gpu import GPU
 
@@ -58,25 +59,17 @@ def split_op(op, max_requests, line_bytes=LINE_BYTES):
 def split_launch(launch_trace, classification, max_requests=4,
                  line_bytes=LINE_BYTES):
     """Transformed copy of a launch trace with N loads sub-warp split."""
-    nondet_pcs = set()
-    if classification is not None:
-        nondet_pcs = {ld.pc for ld in classification
-                      if not ld.is_deterministic}
-    new_launch = KernelLaunchTrace(
-        kernel_name=launch_trace.kernel_name,
-        config=launch_trace.config,
-        shared_size=launch_trace.shared_size,
-    )
-    for warp in launch_trace.warps:
-        new_warp = WarpTrace(cta_id=warp.cta_id, warp_id=warp.warp_id)
-        for op in warp.ops:
-            if (op.addresses and op.inst.is_global_load
-                    and op.pc in nondet_pcs):
-                new_warp.ops.extend(split_op(op, max_requests, line_bytes))
-            else:
-                new_warp.ops.append(op)
-        new_launch.warps.append(new_warp)
-    return new_launch
+    return rewrite_global_loads(
+        launch_trace, nondet_pcs(classification),
+        lambda op: split_op(op, max_requests, line_bytes))
+
+
+def nondet_pcs(classification):
+    """The PCs of a kernel's non-deterministic loads (none without a
+    classification)."""
+    if classification is None:
+        return set()
+    return {ld.pc for ld in classification if not ld.is_deterministic}
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ Aggregation is streaming: columnar launches are consumed chunk by chunk
 through :meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`
 (never materializing record objects, same discipline as
 :mod:`repro.analysis.predictive`), with the per-chunk NumPy dedup of
-:meth:`~repro.profiling.locality.LocalityAnalyzer._analyze_columnar`;
+:meth:`~repro.profiling.locality.LocalityAnalyzer.analyze_launch`;
 Python-level state is touched once per *distinct (op, line) pair*, not
-per lane access.  Legacy record traces fall back to the record path.
+per lane access.  :meth:`HeatMapAggregator._analyze_record_warp` is the
+one-op-at-a-time reference the streaming path is tested against.
 """
 
 from __future__ import annotations
@@ -248,10 +249,7 @@ class HeatMapAggregator:
     def analyze_launch(self, launch):
         kernel = launch.kernel_name
         for warp in launch.warps:
-            if hasattr(warp, "iter_chunks"):
-                self._analyze_columnar_warp(kernel, warp)
-            else:
-                self._analyze_record_warp(kernel, warp)
+            self._analyze_columnar_warp(kernel, warp)
 
     def _keep_kinds(self, kinds):
         kinds3 = kinds & 3
@@ -294,6 +292,8 @@ class HeatMapAggregator:
                          r_u.tolist(), ln_u.tolist())
 
     def _analyze_record_warp(self, kernel, warp):
+        """Reference implementation of :meth:`_analyze_columnar_warp`
+        over the warp's record view, one op at a time."""
         cta = warp.cta_id
         for op in warp.ops:
             if op.addresses is None:

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..emulator.columnar import _PC_SHIFT, take_ragged
 from ..emulator.grid import WARP_SIZE
 from ..ptx.isa import Space
-from ..sim.coalescer import coalescing_degree
+from ..sim.coalescer import table_degrees
 
 
 @dataclass(frozen=True)
@@ -52,20 +55,31 @@ def measure_irregularity(app_trace, access_size=4, line_size=128):
     total_active = 0
     accesses = 0
     coalescing_sum = 0.0
+    per_line = line_size // access_size
     for launch in app_trace:
-        for warp in launch:
-            for op in warp.ops:
-                total_insts += 1
-                total_active += op.active_count
-                if (op.addresses and op.inst.space is Space.GLOBAL
-                        and (op.inst.is_load or op.inst.is_store)):
-                    n_requests, n_lanes = coalescing_degree(
-                        op.addresses, line_size=line_size,
-                        access_size=access_size)
-                    per_line = line_size // access_size
-                    minimal = max(1, -(-n_lanes // per_line))
-                    accesses += 1
-                    coalescing_sum += minimal / n_requests
+        total_insts += launch.total_warp_instructions()
+        total_active += launch.total_thread_instructions()
+        table = launch.memory_table()
+        if table is None:
+            continue
+        # global loads and stores that recorded at least one access
+        counted = np.asarray(
+            [inst.space is Space.GLOBAL and (inst.is_load or inst.is_store)
+             for inst in launch.instructions], dtype=np.bool_)
+        rows = np.flatnonzero(counted[table["pc"] >> _PC_SHIFT]
+                              & (table["acount"] > 0))
+        acount = table["acount"][rows]
+        n_req, n_lanes = table_degrees(
+            {"acount": acount,
+             "addrs": take_ragged(table["addrs"], table["astart"][rows],
+                                  acount)},
+            access_size, line_size=line_size)
+        minimal = np.maximum(1, -(-n_lanes // per_line))
+        accesses += len(rows)
+        # plain op-order accumulation: NumPy's pairwise sum and 3.12's
+        # compensated builtin sum would both round differently
+        for m, r in zip(minimal.tolist(), n_req.tolist()):
+            coalescing_sum += m / r
 
     mean_active = total_active / total_insts if total_insts else 0.0
     cfi = 1.0 - mean_active / WARP_SIZE if total_insts else 0.0

@@ -162,31 +162,22 @@ class LocalityAnalyzer:
                    accesses=report.total_accesses)
         return report
 
-    def analyze_launch(self, launch_trace, pc_classes=None):
-        pc_classes = pc_classes or {}
-        if hasattr(launch_trace, "memory_table"):
-            self._analyze_columnar(launch_trace, pc_classes)
-            return
-        for warp, op in launch_trace.iter_memory_ops(space=Space.GLOBAL):
-            if op.inst.is_store and not self.include_stores:
-                continue
-            if not op.inst.is_load and not op.inst.is_store:
-                continue  # atomics excluded, as in the paper's load focus
-            load_class = pc_classes.get(op.pc)
-            self._record(op, warp.cta_id, load_class)
-
-    def _analyze_columnar(self, launch, pc_classes):
+    def analyze_launch(self, launch, pc_classes=None):
         """Vectorized per-launch pass over the columnar memory table.
 
-        Reproduces :meth:`_record` exactly: per-op touched-block dedup,
-        then a per-block access sequence in op order, with the carried
-        per-block state (:class:`BlockInfo`) supplying the launch-entry
-        ``last_cta``.  Python touches only the launch's *unique blocks*,
-        not its accesses.
+        Global loads (and stores with ``include_stores``; atomics are
+        always excluded, as in the paper's load focus) count once per
+        distinct block they touch.  Each block's accesses are taken in
+        op order; a touch from a CTA other than the block's previous
+        toucher records their CTA distance.  The carried per-block state
+        (:class:`BlockInfo`) supplies the launch-entry ``last_cta``.
+        Python touches only the launch's *unique blocks*, not its
+        accesses.
         """
         from ..emulator.columnar import _PC_SHIFT, take_ragged
         from ..sim.coalescer import class_codes
 
+        pc_classes = pc_classes or {}
         table = launch.memory_table(space=Space.GLOBAL)
         if table is None:
             return
@@ -246,28 +237,6 @@ class LocalityAnalyzer:
             hist = report.distance_hist_by_class[name]
             for d, c in zip(*_dist_hist(c2, prev, changed & (k2 == code))):
                 hist[d] += c
-
-    def _record(self, op, cta_id, load_class):
-        report = self._report
-        blocks = self._blocks
-        size = self.block_size
-        touched = set()
-        for _lane, addr in op.addresses:
-            touched.add(addr // size)
-        for block_id in touched:
-            info = blocks.get(block_id)
-            if info is None:
-                info = blocks[block_id] = BlockInfo()
-                report.cold_misses += 1
-            report.total_accesses += 1
-            info.accesses += 1
-            if info.last_cta >= 0 and info.last_cta != cta_id:
-                distance = abs(cta_id - info.last_cta)
-                report.distance_hist[distance] += 1
-                if load_class in report.distance_hist_by_class:
-                    report.distance_hist_by_class[load_class][distance] += 1
-            info.last_cta = cta_id
-            info.ctas.add(cta_id)
 
     def report(self):
         """Finalize the per-block aggregates and return the report."""

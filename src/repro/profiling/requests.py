@@ -16,13 +16,9 @@ from typing import Dict
 
 import numpy as np
 
+from ..emulator.columnar import _PC_SHIFT
 from ..ptx.isa import Space
-from ..sim.coalescer import (
-    _CLASS_LABELS,
-    class_codes,
-    coalescing_degree,
-    table_degrees,
-)
+from ..sim.coalescer import _CLASS_LABELS, class_codes, table_degrees
 
 
 @dataclass
@@ -73,22 +69,9 @@ def request_histogram(app_trace, classifications=None, access_size=4,
             result = classifications.get(launch.kernel_name)
             if result is not None:
                 pc_classes = {ld.pc: str(ld.load_class) for ld in result}
-        if not hasattr(launch, "memory_table"):
-            # legacy record-trace path
-            for _warp, op in launch.iter_memory_ops(space=Space.GLOBAL,
-                                                    loads_only=True):
-                if not op.addresses:
-                    continue
-                n_requests, _lanes = coalescing_degree(
-                    op.addresses, line_size=line_size,
-                    access_size=access_size)
-                hist.record(pc_classes.get(op.pc), n_requests)
-            continue
         table = launch.memory_table(space=Space.GLOBAL, loads_only=True)
         if table is None:
             continue
-        from ..emulator.columnar import _PC_SHIFT
-
         n_req, n_lanes = table_degrees(table, access_size,
                                        line_size=line_size)
         labels = class_codes(launch, pc_classes)[table["pc"] >> _PC_SHIFT]

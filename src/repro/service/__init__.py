@@ -2,10 +2,9 @@
 
 The layers, bottom up (DESIGN.md section 16):
 
-* :mod:`repro.service.store` — pluggable :class:`ArtifactStore`
-  (local directory today, object-store stub for later) shared by the
-  trace cache, the sweep engine's point files and the service's
-  job/result records;
+* :mod:`repro.service.store` — the :class:`LocalDirStore` artifact
+  store shared by the trace cache, the sweep engine's point files and
+  the service's job/result records;
 * :mod:`repro.service.jobs` — the job model: validated requests with
   content keys, durable records;
 * :mod:`repro.service.queue` — priority queue with per-tenant quotas
@@ -30,16 +29,13 @@ from __future__ import annotations
 
 _EXPORTS = {
     "AnalysisService": "app",
-    "ArtifactStore": "store",
     "JobError": "jobs",
     "JobQueue": "queue",
     "JobRequest": "jobs",
     "LocalDirStore": "store",
-    "ObjectStore": "store",
     "QuotaExceededError": "queue",
     "ServiceServer": "http",
     "StoreError": "store",
-    "StoreUnavailableError": "store",
     "WorkerPool": "worker",
     "execute_job": "pipeline",
     "open_store": "store",

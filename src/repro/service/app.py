@@ -12,14 +12,14 @@ from typing import Optional
 
 from .jobs import STATUS_DONE, JobError, JobRequest
 from .queue import JobQueue, QuotaExceededError
-from .store import ArtifactStore, open_store
+from .store import LocalDirStore, open_store
 from .worker import WorkerPool, drain, result_key_for
 
 
 class AnalysisService:
     """Analysis-as-a-service over one artifact store.
 
-    ``store`` is an :class:`~repro.service.store.ArtifactStore` or a
+    ``store`` is a :class:`~repro.service.store.LocalDirStore` or a
     location string for :func:`~repro.service.store.open_store`.
     ``quota`` bounds outstanding jobs per tenant; ``workers`` sizes the
     pool (0 = no background threads; call :meth:`drain` to process
@@ -27,7 +27,7 @@ class AnalysisService:
     """
 
     def __init__(self, store, quota=None, workers=2, use_trace_cache=True):
-        if not isinstance(store, ArtifactStore):
+        if not isinstance(store, LocalDirStore):
             store = open_store(store)
         self.store = store
         self.queue = JobQueue(store, quota=quota)

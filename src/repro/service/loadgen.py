@@ -23,6 +23,7 @@ exact-zero ``totals.lost``/``totals.duplicated``).
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import urllib.error
@@ -116,10 +117,11 @@ class ServiceClient:
 
 
 def _percentile(sorted_values, fraction):
-    """Nearest-rank percentile (deterministic, no interpolation)."""
+    """Nearest-rank percentile: the ``ceil(fraction * n)``-th smallest
+    value (deterministic, no interpolation)."""
     if not sorted_values:
         return 0.0
-    rank = max(1, int(round(fraction * len(sorted_values) + 0.5)))
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 

@@ -69,7 +69,7 @@ def _count(name, help_text, **labels):
 
 class JobQueue:
     """Thread-safe priority queue of :class:`JobRecord` objects, backed
-    by an :class:`~repro.service.store.ArtifactStore`.
+    by a :class:`~repro.service.store.LocalDirStore`.
 
     ``quota`` bounds outstanding jobs per tenant (``None`` = unlimited).
     Construction immediately recovers whatever the store holds; the

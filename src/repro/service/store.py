@@ -1,47 +1,28 @@
-"""Pluggable artifact stores: one interface over every durable byte.
+"""The artifact store: one interface over every durable byte.
 
 The pipeline produces four families of durable artifacts — cached
-traces, sweep point results, job records and job results — and before
-this module each family carried its own file-handling code.  An
-:class:`ArtifactStore` is the shared abstraction: a flat namespace of
-``/``-separated keys over immutable-ish blobs, with the
+traces, sweep point results, job records and job results.  A
+:class:`LocalDirStore` holds each of them: a flat namespace of
+``/``-separated keys over blobs in one directory tree, with the
 crash-consistency guarantees of :mod:`repro.resilience.artifacts`
-(atomic tempfile+rename publication, JSON payload self-checksums) built
-into every backend rather than re-implemented per caller.
+(atomic tempfile+rename publication, JSON payload self-checksums)
+built in rather than re-implemented per caller.  Keys map to relative
+paths, and damaged entries can be quarantined into the directory's
+``.corrupt/`` sidecar.
 
-Backends
---------
-:class:`LocalDirStore`
-    A directory tree.  This is the production backend today: the trace
-    cache, the sweep engine's point files and the analysis service's
-    job/result records all sit on one of these.  Keys map to relative
-    paths, writes are atomic, damaged entries can be quarantined into
-    the directory's ``.corrupt/`` sidecar.
-
-:class:`ObjectStore`
-    The object-store (S3/MinIO-style) backend **stub**.  The interface
-    is final — ``put``/``get``/``delete``/``list`` against a
-    bucket+prefix through an injected client — but no real client
-    ships yet: constructing one without a ``client`` raises
-    :class:`StoreUnavailableError` with a pointer at the local backend.
-    Tests inject an in-memory fake client to pin the contract down so
-    a future ``boto3``/``minio`` adapter only has to satisfy four
-    methods.
-
-:func:`open_store` turns a URL (``/path``, ``file:///path``,
-``s3://bucket/prefix``) into a backend, so every consumer — the trace
-cache's ``REPRO_TRACE_CACHE_DIR``, ``repro serve --store`` — selects
-its storage the same way.
+:func:`open_store` turns a location (``/path`` or ``file:///path``)
+into a store, so every consumer — the trace cache's
+``REPRO_TRACE_CACHE_DIR``, ``repro serve --store`` — selects its
+storage the same way.
 """
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional
+from typing import List
 
 from ..resilience.artifacts import (
     atomic_write_bytes,
@@ -50,23 +31,15 @@ from ..resilience.artifacts import (
 from ..resilience.quarantine import quarantine_file
 
 __all__ = [
-    "ArtifactStore",
     "LocalDirStore",
-    "ObjectStore",
     "StoreError",
-    "StoreUnavailableError",
     "open_store",
 ]
 
 
 class StoreError(RuntimeError):
     """An artifact store operation failed structurally (bad key,
-    unusable backend) — distinct from a missing key (``KeyError``)."""
-
-
-class StoreUnavailableError(StoreError):
-    """The requested backend exists as an interface but cannot run in
-    this environment (e.g. the object-store stub without a client)."""
+    unusable location) — distinct from a missing key (``KeyError``)."""
 
 
 def _json_bytes(payload):
@@ -77,97 +50,13 @@ def _json_bytes(payload):
     return (text + "\n").encode("utf-8")
 
 
-class ArtifactStore(abc.ABC):
-    """A flat namespace of ``/``-separated keys over byte blobs.
+class LocalDirStore:
+    """Artifacts as files under one root directory.
 
     Keys are relative POSIX-style paths (``jobs/j000003.json``,
     ``<sha>.trace``).  Reads of missing keys raise ``KeyError`` so
-    "absent" and "unreadable" stay distinguishable; transient backend
-    errors surface as ``OSError`` and structural misuse as
-    :class:`StoreError`.
-    """
-
-    #: URL scheme this backend answers to in :func:`open_store`.
-    scheme = "abstract"
-
-    # -- required primitives ----------------------------------------------
-
-    @abc.abstractmethod
-    def put_bytes(self, key, data):
-        """Atomically publish ``data`` under ``key`` (overwrites)."""
-
-    @abc.abstractmethod
-    def get_bytes(self, key):
-        """The blob at ``key``; raises ``KeyError`` when absent."""
-
-    @abc.abstractmethod
-    def exists(self, key):
-        """True when ``key`` currently resolves to a blob."""
-
-    @abc.abstractmethod
-    def delete(self, key):
-        """Remove ``key``; returns True when something was removed."""
-
-    @abc.abstractmethod
-    def keys(self, prefix=""):
-        """Sorted keys under ``prefix`` (deterministic order)."""
-
-    # -- JSON layer (shared across backends) ------------------------------
-
-    def put_json(self, key, payload):
-        """Store a JSON payload in the canonical artifact encoding."""
-        self.put_bytes(key, _json_bytes(payload))
-
-    def get_json(self, key, verify=True):
-        """Load a JSON payload; with ``verify`` the payload's
-        self-checksum (when present) is validated —
-        :class:`~repro.resilience.artifacts.ChecksumError` on mismatch.
-        """
-        payload = json.loads(self.get_bytes(key).decode("utf-8"))
-        if verify:
-            verify_payload_checksum(payload, path=key)
-        return payload
-
-    # -- optional capabilities --------------------------------------------
-
-    def path_of(self, key) -> Optional[Path]:
-        """The local filesystem path behind ``key``, for backends that
-        have one (memory-mapped trace loads need a real file); ``None``
-        otherwise."""
-        return None
-
-    def put_file(self, key, producer: Callable[[str], None]):
-        """Publish a file-shaped artifact written by ``producer(path)``.
-
-        The producer writes into a private temporary path; publication
-        is atomic.  Backends without local paths stage through a
-        temporary file and upload its bytes.
-        """
-        fd, tmp = tempfile.mkstemp(prefix=".store-put-")
-        os.close(fd)
-        try:
-            producer(tmp)
-            with open(tmp, "rb") as fh:
-                self.put_bytes(key, fh.read())
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def quarantine(self, key, kind="artifact", reason="corrupt"):
-        """Move a damaged entry out of the lookup path, keeping the
-        bytes inspectable.  Backends without a sidecar just delete."""
-        self.delete(key)
-        return None
-
-    def describe(self):
-        """Human-readable location string (for logs and manifests)."""
-        return "%s:" % self.scheme
-
-
-class LocalDirStore(ArtifactStore):
-    """Artifacts as files under one root directory.
+    "absent" and "unreadable" stay distinguishable; I/O errors surface
+    as ``OSError`` and structural misuse as :class:`StoreError`.
 
     All writes go through the crash-consistent
     :func:`~repro.resilience.artifacts.atomic_write_bytes` path, so a
@@ -175,8 +64,6 @@ class LocalDirStore(ArtifactStore):
     Quarantine delegates to the ``.corrupt/`` sidecar convention shared
     with the trace cache and sweep points.
     """
-
-    scheme = "file"
 
     def __init__(self, root, fsync=True):
         self.root = Path(root)
@@ -194,9 +81,11 @@ class LocalDirStore(ArtifactStore):
     # -- primitives -------------------------------------------------------
 
     def put_bytes(self, key, data):
+        """Atomically publish ``data`` under ``key`` (overwrites)."""
         atomic_write_bytes(self._path(key), data, fsync=self.fsync)
 
     def get_bytes(self, key):
+        """The blob at ``key``; raises ``KeyError`` when absent."""
         path = self._path(key)
         try:
             return path.read_bytes()
@@ -204,9 +93,11 @@ class LocalDirStore(ArtifactStore):
             raise KeyError(key) from None
 
     def exists(self, key):
+        """True when ``key`` currently resolves to a blob."""
         return self._path(key).is_file()
 
     def delete(self, key):
+        """Remove ``key``; returns True when something was removed."""
         try:
             self._path(key).unlink()
             return True
@@ -214,6 +105,7 @@ class LocalDirStore(ArtifactStore):
             return False
 
     def keys(self, prefix=""):
+        """Sorted keys under ``prefix`` (deterministic order)."""
         base = self.root
         if not base.is_dir():
             return []
@@ -226,16 +118,34 @@ class LocalDirStore(ArtifactStore):
             # published artifacts
             if "/.corrupt/" in "/" + rel or rel.startswith(".corrupt/"):
                 continue
-            if path.name.startswith((".tmp-", ".store-put-")):
+            if path.name.startswith(".tmp-"):
                 continue
             if prefix and not rel.startswith(prefix):
                 continue
             out.append(rel)
         return sorted(out)
 
-    # -- capabilities -----------------------------------------------------
+    # -- JSON layer -------------------------------------------------------
+
+    def put_json(self, key, payload):
+        """Store a JSON payload in the canonical artifact encoding."""
+        self.put_bytes(key, _json_bytes(payload))
+
+    def get_json(self, key, verify=True):
+        """Load a JSON payload; with ``verify`` the payload's
+        self-checksum (when present) is validated —
+        :class:`~repro.resilience.artifacts.ChecksumError` on mismatch.
+        """
+        payload = json.loads(self.get_bytes(key).decode("utf-8"))
+        if verify:
+            verify_payload_checksum(payload, path=key)
+        return payload
+
+    # -- files --------------------------------------------------------------
 
     def path_of(self, key):
+        """The filesystem path behind ``key`` (memory-mapped trace
+        loads read it directly)."""
         return self._path(key)
 
     def put_file(self, key, producer):
@@ -259,94 +169,19 @@ class LocalDirStore(ArtifactStore):
         return path
 
     def quarantine(self, key, kind="artifact", reason="corrupt"):
+        """Move a damaged entry out of the lookup path, keeping the
+        bytes inspectable."""
         return quarantine_file(self._path(key), kind=kind, reason=reason)
 
     def describe(self):
+        """Human-readable location string (for logs and manifests)."""
         return str(self.root)
 
 
-class ObjectStore(ArtifactStore):
-    """Object-store backend **stub** (S3/MinIO layout, DESIGN.md §16).
-
-    The contract an adapter client must satisfy (all paths are
-    ``<prefix>/<key>`` object names inside ``bucket``):
-
-    ``put_object(bucket, name, data: bytes)``
-        store, overwriting;
-    ``get_object(bucket, name) -> bytes | None``
-        fetch, ``None`` when absent;
-    ``delete_object(bucket, name) -> bool``
-        remove, report whether anything existed;
-    ``list_objects(bucket, prefix) -> Iterable[str]``
-        object names under a prefix.
-
-    No real client ships yet — constructing without one raises
-    :class:`StoreUnavailableError` so callers fail with a clear message
-    instead of a deep ``ImportError`` — but the in-memory fake used by
-    the test suite pins the interface for the eventual adapter.
-    """
-
-    scheme = "s3"
-
-    def __init__(self, bucket, prefix="", client=None):
-        if client is None:
-            raise StoreUnavailableError(
-                "the object-store backend is a stub: no client is "
-                "available in this environment (use a local directory "
-                "store, or inject a client implementing put_object/"
-                "get_object/delete_object/list_objects)")
-        if not bucket:
-            raise StoreError("object store needs a bucket name")
-        self.bucket = bucket
-        self.prefix = prefix.strip("/")
-        self.client = client
-
-    def _name(self, key):
-        key = str(key).lstrip("/")
-        if not key or ".." in Path(key).parts:
-            raise StoreError("bad artifact key %r" % key)
-        return "%s/%s" % (self.prefix, key) if self.prefix else key
-
-    def put_bytes(self, key, data):
-        self.client.put_object(self.bucket, self._name(key), bytes(data))
-
-    def get_bytes(self, key):
-        data = self.client.get_object(self.bucket, self._name(key))
-        if data is None:
-            raise KeyError(key)
-        return data
-
-    def exists(self, key):
-        return self.client.get_object(self.bucket, self._name(key)) \
-            is not None
-
-    def delete(self, key):
-        return bool(self.client.delete_object(self.bucket, self._name(key)))
-
-    def keys(self, prefix=""):
-        base = self._name(prefix) if prefix else (
-            self.prefix + "/" if self.prefix else "")
-        names: Iterable[str] = self.client.list_objects(self.bucket, base)
-        strip = len(self.prefix) + 1 if self.prefix else 0
-        return sorted(name[strip:] for name in names)
-
-    def describe(self):
-        return "s3://%s/%s" % (self.bucket, self.prefix)
-
-
-def open_store(url, client=None):
-    """Build the store behind a location string.
-
-    * ``s3://bucket/prefix`` → :class:`ObjectStore` (stub today:
-      raises :class:`StoreUnavailableError` unless ``client`` is
-      injected);
-    * ``file:///abs/path`` or a plain path → :class:`LocalDirStore`.
-    """
+def open_store(url):
+    """The :class:`LocalDirStore` behind a location string: a plain
+    path or a ``file:///abs/path`` URL."""
     url = str(url)
-    if url.startswith("s3://"):
-        rest = url[len("s3://"):]
-        bucket, _, prefix = rest.partition("/")
-        return ObjectStore(bucket, prefix, client=client)
     if url.startswith("file://"):
         url = url[len("file://"):]
     if not url:

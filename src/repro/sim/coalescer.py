@@ -175,17 +175,6 @@ def summarize_trace(app_trace, classifications=None, line_size=LINE_BYTES):
                     pc_classes = dict(result)
                 else:
                     pc_classes = {ld.pc: str(ld.load_class) for ld in result}
-        if not hasattr(launch, "memory_table"):
-            # legacy record-trace path
-            for _warp, op in launch.iter_memory_ops(space=Space.GLOBAL,
-                                                    loads_only=True):
-                if not op.addresses:
-                    continue
-                n_requests, n_lanes = coalescing_degree(
-                    op.addresses, line_size=line_size,
-                    access_size=op.inst.access_bytes)
-                summary.record(pc_classes.get(op.pc), n_requests, n_lanes)
-            continue
         table = launch.memory_table(space=Space.GLOBAL, loads_only=True)
         if table is None:
             continue
@@ -195,7 +184,7 @@ def summarize_trace(app_trace, classifications=None, line_size=LINE_BYTES):
                             dtype=np.int64)[idx]
         n_req, n_lanes = table_degrees(table, access, line_size=line_size)
         labels = class_codes(launch, pc_classes)[idx]
-        sel = n_lanes > 0  # the record path skips empty-address ops
+        sel = n_lanes > 0  # ops that recorded no access issue nothing
         for code, name in _CLASS_LABELS:
             m = sel & (labels == code)
             count = int(m.sum())

@@ -107,15 +107,14 @@ class _OpView:
 class _WarpRun:
     """One resident warp replaying its trace.
 
-    Columnar warp traces are replayed straight off their column arrays:
-    each issued op materializes one transient :class:`_OpView` (cached
-    while the issue pointer sits on it) instead of the legacy path's
-    up-front list of per-op record objects.  Legacy record traces fall
-    back to that list.
+    The warp's columnar trace is replayed straight off its column
+    arrays: each issued op materializes one transient :class:`_OpView`
+    (cached while the issue pointer sits on it), never a per-op record
+    list.
     """
 
     __slots__ = ("trace", "ptr", "n", "pending_regs", "at_barrier",
-                 "cta", "trace_done", "age", "_ops", "_insts", "_pc",
+                 "cta", "trace_done", "age", "_insts", "_pc",
                  "_kind", "_astart", "_lanes", "_addrs",
                  "_cur_idx", "_cur_op")
 
@@ -128,25 +127,18 @@ class _WarpRun:
         self.age = age
         self._cur_idx = -1
         self._cur_op = None
-        if hasattr(trace, "iter_chunks"):  # ColumnarWarpTrace
-            trace.seal()
-            self._ops = None
-            self._insts = trace._launch.instructions
-            self._pc = trace.pc
-            self._kind = trace.kind
-            self._astart = trace.astart
-            self._lanes = trace.lanes
-            self._addrs = trace.addrs
-            self.n = len(trace.pc)
-        else:
-            self._ops = trace.ops
-            self.n = len(self._ops)
+        trace.seal()
+        self._insts = trace._launch.instructions
+        self._pc = trace.pc
+        self._kind = trace.kind
+        self._astart = trace.astart
+        self._lanes = trace.lanes
+        self._addrs = trace.addrs
+        self.n = len(trace.pc)
         self.trace_done = not self.n
 
     def op_at(self, idx):
         """The op view at trace position ``idx`` (uncached)."""
-        if self._ops is not None:
-            return self._ops[idx]
         pc = int(self._pc[idx])
         inst = self._insts[pc >> _PC_SHIFT]
         addresses = None

@@ -138,7 +138,7 @@ class GPU:
         Parameters
         ----------
         launch_trace:
-            A :class:`repro.emulator.trace.KernelLaunchTrace`.
+            A :class:`repro.emulator.columnar.ColumnarLaunchTrace`.
         classification:
             The kernel's :class:`ClassificationResult` (or a plain
             ``{pc: "D"/"N"}`` mapping); loads without a classification are

@@ -118,7 +118,8 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def host(self, emu, module):
         """The host program: performs kernel launches via ``emu.launch``
-        and yields each :class:`KernelLaunchTrace` in order."""
+        and yields each
+        :class:`~repro.emulator.columnar.ColumnarLaunchTrace` in order."""
 
     @abc.abstractmethod
     def verify(self, mem):

@@ -1,12 +1,11 @@
 """Columnar (schema-v3) trace storage: round-trip and streaming tests.
 
-The record-view shim must make schema-v2 record traces and columnar
-traces interchangeable: ``to_columnar`` then ``to_records`` is the
-identity on every field the schema carries (instruction identity,
-active mask, per-lane addresses, stored values — byte-exact, including
-negative signed values, float bit patterns, and ``.v2``/``.v4`` vector
-stores).  Chunked production must be invisible to consumers, and
-``memory_table`` must agree with the record-level iterator.
+Appending ops, sealing, and reading them back through the read-only
+``ops`` view is the identity on every field the schema carries
+(instruction identity, active mask, per-lane addresses, stored values —
+byte-exact, including negative signed values, float bit patterns, and
+``.v2``/``.v4`` vector stores).  Chunked production must be invisible
+to consumers, and ``memory_table`` must agree with the record view.
 """
 
 import math
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.emulator import MemoryImage, Emulator, to_columnar
+from repro.emulator import MemoryImage, Emulator
 from repro.emulator.columnar import (
     CHUNK_OPS,
     KIND_NONE,
@@ -24,12 +23,13 @@ from repro.emulator.columnar import (
     decode_value,
     encode_value,
     take_ragged,
-    to_records,
 )
 from repro.emulator.grid import LaunchConfig, as_dim3
-from repro.emulator.trace import KernelLaunchTrace, TraceOp, WarpTrace
+from repro.emulator.trace import TraceOp
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import Space
+
+from tests.traces import build_launch
 
 
 def _test_kernel():
@@ -82,22 +82,29 @@ def _assert_ops_equal(a, b):
                     assert va == vb and type(va) is type(vb)
 
 
-def _assert_launches_equal(rec, col):
-    assert rec.kernel_name == col.kernel_name
-    assert rec.shared_size == col.shared_size
-    assert len(rec.warps) == len(col.warps)
-    for wr, wc in zip(rec.warps, col.warps):
-        assert (wr.cta_id, wr.warp_id) == (wc.cta_id, wc.warp_id)
-        _assert_ops_equal(wr.ops, list(wc.ops))
+def _assert_launches_equal(a, b):
+    assert a.kernel_name == b.kernel_name
+    assert a.shared_size == b.shared_size
+    assert len(a.warps) == len(b.warps)
+    for wa, wb in zip(a.warps, b.warps):
+        assert (wa.cta_id, wa.warp_id) == (wb.cta_id, wb.warp_id)
+        _assert_ops_equal(list(wa.ops), list(wb.ops))
+
+
+def _rebuilt(launch):
+    """``launch`` re-appended op by op from its record view."""
+    return build_launch([(w.cta_id, w.warp_id, w.ops) for w in launch.warps],
+                        config=launch.config,
+                        kernel_name=launch.kernel_name,
+                        shared_size=launch.shared_size,
+                        instructions=launch.instructions)
 
 
 class TestRoundTrip:
     def test_emulated_launch_round_trips(self):
         col = _emulated_launch()
-        rec = to_records(col)
-        _assert_launches_equal(rec, col)
-        back = to_columnar(rec, col.instructions)
-        _assert_launches_equal(rec, back)
+        back = _rebuilt(col)
+        _assert_launches_equal(col, back)
         # the columns themselves agree, not just the record views
         for wa, wb in zip(col.warps, back.warps):
             wa.seal(), wb.seal()
@@ -108,20 +115,22 @@ class TestRoundTrip:
 
     def test_aggregates_match_record_trace(self):
         col = _emulated_launch()
-        rec = to_records(col)
-        assert (col.total_warp_instructions()
-                == rec.total_warp_instructions())
+        ops = [op for w in col.warps for op in w.ops]
+        assert col.total_warp_instructions() == len(ops)
         assert (col.total_thread_instructions()
-                == rec.total_thread_instructions())
+                == sum(op.active_count for op in ops))
         assert (col.global_load_warp_count()
-                == rec.global_load_warp_count())
+                == sum(op.inst.is_global_load for op in ops))
         assert (col.shared_load_warp_count()
-                == rec.shared_load_warp_count())
-        assert (col.dynamic_counts_by_pc()
-                == rec.dynamic_counts_by_pc())
+                == sum(op.inst.is_shared_load for op in ops))
+        by_pc = {}
+        for op in ops:
+            if op.inst.is_global_load:
+                by_pc[op.pc] = by_pc.get(op.pc, 0) + 1
+        assert col.dynamic_counts_by_pc() == by_pc
 
 
-# hypothesis-driven schema-v2 <-> columnar property round-trip: random
+# hypothesis-driven append -> seal -> ops property round-trip: random
 # masks, ragged lane/address sets, and stored values across dtypes.
 
 _signed_vals = st.integers(min_value=-2**31, max_value=2**31 - 1)
@@ -160,19 +169,14 @@ def _random_ops(draw, insts):
 class TestPropertyRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_v2_columnar_v2_is_identity(self, data):
-        kernel = _test_kernel()
-        insts = kernel.instructions
-        config = LaunchConfig(grid=as_dim3((1, 1, 1)),
-                              block=as_dim3((32, 1, 1)))
-        rec = KernelLaunchTrace(kernel_name="colk", config=config,
-                                shared_size=128)
-        for warp_id in range(data.draw(st.integers(1, 3))):
-            ops = data.draw(_random_ops(insts))
-            rec.warps.append(WarpTrace(cta_id=0, warp_id=warp_id, ops=ops))
-        col = to_columnar(rec, insts)
-        back = to_records(col)
-        _assert_launches_equal(rec, back)
+    def test_append_seal_ops_is_identity(self, data):
+        insts = _test_kernel().instructions
+        warps = [(0, warp_id, data.draw(_random_ops(insts)))
+                 for warp_id in range(data.draw(st.integers(1, 3)))]
+        col = build_launch(warps, kernel_name="colk", shared_size=128,
+                           instructions=insts)
+        for (_cta, _warp, ops), warp in zip(warps, col.warps):
+            _assert_ops_equal(ops, list(warp.ops))
 
 
 class TestChunking:
@@ -183,7 +187,7 @@ class TestChunking:
         small = _emulated_launch()
         monkeypatch.undo()
         big = _emulated_launch()
-        _assert_launches_equal(to_records(big), small)
+        _assert_launches_equal(big, small)
 
     def test_iter_chunks_streams_all_ops(self, monkeypatch):
         monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 5)

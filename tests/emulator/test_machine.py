@@ -382,7 +382,8 @@ class TestTraceRecording:
     def test_memory_op_addresses(self):
         data = np.zeros(32, dtype=np.uint32)
         _, trace = run_kernel(INCR, 1, 32, {"data": data}, {"n": 32})
-        ops = [op for _w, op in trace.iter_memory_ops(loads_only=True)]
+        ops = [op for w in trace.warps for op in w.ops
+               if op.addresses is not None and op.inst.is_load]
         assert len(ops) == 1
         addrs = [a for _l, a in ops[0].addresses]
         assert addrs == sorted(addrs)

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.emulator.serialize import (
-    FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
-    load_run,
-    save_run,
-    save_run_legacy,
-)
+from repro.emulator.serialize import FORMAT_VERSION, MAGIC, load_run, save_run
 from repro.sim import GPU, TINY
 
 
@@ -21,7 +15,7 @@ def simulate(trace, classifications, config=TINY):
 
 class TestRoundtrip:
     def test_counts_preserved(self, bfs_run, tmp_path):
-        path = str(tmp_path / "bfs.trace.gz")
+        path = str(tmp_path / "bfs.trace")
         save_run(bfs_run, path)
         loaded = load_run(path)
         assert loaded.name == "bfs"
@@ -32,7 +26,7 @@ class TestRoundtrip:
         assert len(loaded.trace) == len(bfs_run.trace)
 
     def test_addresses_preserved(self, bfs_run, tmp_path):
-        path = str(tmp_path / "bfs.trace.gz")
+        path = str(tmp_path / "bfs.trace")
         save_run(bfs_run, path)
         loaded = load_run(path)
         orig_ops = [(op.pc, op.active_mask, op.addresses)
@@ -45,7 +39,7 @@ class TestRoundtrip:
 
     def test_classifications_recomputed_identically(self, bfs_run,
                                                     tmp_path):
-        path = str(tmp_path / "bfs.trace.gz")
+        path = str(tmp_path / "bfs.trace")
         save_run(bfs_run, path)
         loaded = load_run(path)
         for name, original in bfs_run.classifications.items():
@@ -53,8 +47,7 @@ class TestRoundtrip:
             assert [(ld.pc, str(ld.load_class)) for ld in original] == \
                 [(ld.pc, str(ld.load_class)) for ld in reloaded]
 
-    @pytest.mark.parametrize("writer", [save_run, save_run_legacy])
-    def test_source_lines_preserved(self, bfs_run, tmp_path, writer):
+    def test_source_lines_preserved(self, bfs_run, tmp_path):
         """Source-line numbers must survive the roundtrip verbatim.
 
         The payload carries canonical printed PTX, so a plain re-parse
@@ -62,8 +55,8 @@ class TestRoundtrip:
         advisor would localize the same load to different PTX lines on
         a cache hit vs. a fresh run.
         """
-        path = str(tmp_path / "bfs.trace.gz")
-        writer(bfs_run, path)
+        path = str(tmp_path / "bfs.trace")
+        save_run(bfs_run, path)
         loaded = load_run(path)
         for kernel in bfs_run.module:
             orig = [inst.line for inst in kernel.instructions]
@@ -78,7 +71,7 @@ class TestRoundtrip:
 
     def test_simulation_equivalence(self, spmv_run, tmp_path):
         """A loaded trace must simulate to the exact same statistics."""
-        path = str(tmp_path / "spmv.trace.gz")
+        path = str(tmp_path / "spmv.trace")
         save_run(spmv_run, path)
         loaded = load_run(path)
         original = simulate(spmv_run.trace, spmv_run.classifications)
@@ -89,8 +82,8 @@ class TestRoundtrip:
                 == replayed.classes["N"].turnaround_sum)
 
     def test_store_values_preserved(self, bfs_run, tmp_path):
-        """Schema v2: stored values survive the roundtrip exactly."""
-        path = str(tmp_path / "bfs.trace.gz")
+        """Stored values survive the roundtrip exactly."""
+        path = str(tmp_path / "bfs.trace")
         save_run(bfs_run, path)
         loaded = load_run(path)
         orig = [(op.pc, op.values)
@@ -105,33 +98,26 @@ class TestRoundtrip:
             assert values is not None
 
     def test_version_check(self, bfs_run, tmp_path):
-        import gzip
         import json
-        path = str(tmp_path / "bad.trace.gz")
-        with gzip.open(path, "wt") as fh:
-            json.dump({"version": 99}, fh)
+        path = str(tmp_path / "bad.trace")
+        head = json.dumps({"version": 99}).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + len(head).to_bytes(4, "little") + head)
         with pytest.raises(ValueError, match="version"):
             load_run(path)
 
 
 class TestFormatDetection:
-    """load_run dispatches on the on-disk format and reports it."""
+    """load_run accepts the v3 container and nothing else."""
 
-    def test_v3_reports_format_version(self, bfs_run, tmp_path):
-        path = str(tmp_path / "bfs.trace")
-        save_run(bfs_run, path)
-        assert load_run(path).format_version == FORMAT_VERSION
-
-    def test_legacy_gzip_still_loads(self, bfs_run, tmp_path):
-        path = str(tmp_path / "bfs.trace.gz")
-        save_run_legacy(bfs_run, path)
-        loaded = load_run(path)
-        assert loaded.format_version == LEGACY_FORMAT_VERSION
-        orig = [(op.pc, op.active_mask, op.addresses, op.values)
-                for launch in bfs_run.trace for w in launch for op in w.ops]
-        new = [(op.pc, op.active_mask, op.addresses, op.values)
-               for launch in loaded.trace for w in launch for op in w.ops]
-        assert orig == new
+    def test_gzip_payload_rejected(self, tmp_path):
+        import gzip
+        import json
+        path = str(tmp_path / "old.trace")
+        with gzip.open(path, "wt") as fh:
+            json.dump({"version": 2, "launches": []}, fh)
+        with pytest.raises(ValueError, match="not a v3 container"):
+            load_run(path)
 
     def test_byte_deterministic(self, bfs_run, tmp_path):
         a, b = str(tmp_path / "a.trace"), str(tmp_path / "b.trace")
@@ -162,13 +148,12 @@ class TestSchemaV3Integrity:
         from repro.emulator.columnar import COLUMNS
         from repro.emulator.serialize import (
             ALIGN,
-            MAGIC,
             _launch_header_and_columns,
         )
 
         launches, blobs = [], []
         for i, launch in enumerate(run.trace):
-            header, arrays = _launch_header_and_columns(launch, run.module)
+            header, arrays = _launch_header_and_columns(launch)
             launches.append(header)
             for name, dt in COLUMNS:
                 arr = np.ascontiguousarray(arrays[name], dtype=dt)
@@ -227,53 +212,3 @@ class TestSchemaV3Integrity:
 
         with pytest.raises(ValueError, match="corrupt trace"):
             load_run(self._tampered(bfs_run, tmp_path, inflate_acount))
-
-
-class TestSchemaV2Integrity:
-    """The v2 access-kind code is redundant with the instruction, so a
-    mismatch (or a store without values) means the file is corrupt."""
-
-    def _payload(self, run, tmp_path):
-        import gzip
-        import json
-        path = str(tmp_path / "bfs.trace.gz")
-        save_run_legacy(run, path)
-        with gzip.open(path, "rt") as fh:
-            return json.load(fh)
-
-    def _write(self, payload, tmp_path):
-        import gzip
-        import json
-        path = str(tmp_path / "tampered.trace.gz")
-        with gzip.open(path, "wt") as fh:
-            json.dump(payload, fh)
-        return path
-
-    def _memory_ops(self, payload):
-        for launch in payload["launches"]:
-            for warp in launch["warps"]:
-                for op in warp["ops"]:
-                    if len(op) > 2:
-                        yield op
-
-    def test_tampered_kind_rejected(self, bfs_run, tmp_path):
-        payload = self._payload(bfs_run, tmp_path)
-        op = next(self._memory_ops(payload))
-        op[3] ^= 1  # flip load<->store in the kind code
-        with pytest.raises(ValueError, match="access kind"):
-            load_run(self._write(payload, tmp_path))
-
-    def test_missing_kind_rejected(self, bfs_run, tmp_path):
-        payload = self._payload(bfs_run, tmp_path)
-        op = next(self._memory_ops(payload))
-        del op[3:]
-        with pytest.raises(ValueError, match="access kind"):
-            load_run(self._write(payload, tmp_path))
-
-    def test_store_without_values_rejected(self, bfs_run, tmp_path):
-        payload = self._payload(bfs_run, tmp_path)
-        store_op = next(op for op in self._memory_ops(payload)
-                        if len(op) > 4)
-        del store_op[4:]
-        with pytest.raises(ValueError, match="carries no values"):
-            load_run(self._write(payload, tmp_path))

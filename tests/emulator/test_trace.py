@@ -1,13 +1,10 @@
 """Unit tests for trace containers."""
 
 from repro.emulator.grid import make_launch
-from repro.emulator.trace import (
-    ApplicationTrace,
-    KernelLaunchTrace,
-    TraceOp,
-    WarpTrace,
-)
+from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
+
+from tests.traces import build_launch
 
 
 def make_load(pc_index=0, space=Space.GLOBAL):
@@ -27,13 +24,9 @@ def make_alu(pc_index=0):
 
 
 def launch_with_ops(ops_per_warp):
-    launch = KernelLaunchTrace("k", make_launch(2, 64))
-    for cta in range(2):
-        for warp in range(2):
-            wt = WarpTrace(cta_id=cta, warp_id=warp)
-            wt.ops = list(ops_per_warp)
-            launch.warps.append(wt)
-    return launch
+    return build_launch([(cta, warp, ops_per_warp)
+                         for cta in range(2) for warp in range(2)],
+                        config=make_launch(2, 64))
 
 
 class TestTraceOp:
@@ -48,7 +41,7 @@ class TestTraceOp:
         assert TraceOp(make_load(), 0, ()).is_memory
 
 
-class TestKernelLaunchTrace:
+class TestLaunchAggregates:
     def test_counts(self):
         ops = [TraceOp(make_alu(0), 0xFFFFFFFF),
                TraceOp(make_load(1), 0xF, ((0, 128),)),
@@ -64,14 +57,14 @@ class TestKernelLaunchTrace:
         launch = launch_with_ops(ops)
         assert launch.dynamic_counts_by_pc() == {8: 4}
 
-    def test_iter_memory_ops_space_filter(self):
+    def test_memory_table_space_filter(self):
         ops = [TraceOp(make_load(1), 1, ((0, 128),)),
                TraceOp(make_load(2, Space.SHARED), 1, ((0, 0),))]
         launch = launch_with_ops(ops)
-        glob = list(launch.iter_memory_ops(space=Space.GLOBAL))
-        shared = list(launch.iter_memory_ops(space=Space.SHARED))
-        assert len(glob) == 4
-        assert len(shared) == 4
+        glob = launch.memory_table(space=Space.GLOBAL)
+        shared = launch.memory_table(space=Space.SHARED)
+        assert len(glob["pc"]) == 4
+        assert len(shared["pc"]) == 4
 
 
 class TestApplicationTrace:
@@ -87,7 +80,7 @@ class TestApplicationTrace:
     def test_kernel_names_deduplicated_in_order(self):
         app = ApplicationTrace("demo")
         a = launch_with_ops([])
-        b = KernelLaunchTrace("other", make_launch(1, 32))
+        b = build_launch([], kernel_name="other")
         app.add(a)
         app.add(b)
         app.add(launch_with_ops([]))

@@ -4,9 +4,8 @@ import gzip
 
 import pytest
 
-from repro.emulator import trace_cache
+from repro.emulator import serialize, trace_cache
 from repro.emulator.machine import EMULATOR_VERSION
-from repro.emulator.serialize import FORMAT_VERSION
 from repro.ptx import parse_module, print_module
 from repro.workloads import get_workload
 
@@ -89,12 +88,13 @@ class TestKeying:
         assert _key(workload, ptx) != before
 
     def test_format_bump_keeps_key(self, bfs_small, monkeypatch):
-        """The serialization format is detected in-file and migrated,
-        not keyed — bumping it must not orphan every entry."""
+        """The serialization format is not keyed: bumping it leaves
+        every key alone (entries the new loader cannot read regenerate
+        through the corrupt-entry path)."""
         workload, _, ptx = bfs_small
         before = _key(workload, ptx)
-        monkeypatch.setattr(trace_cache, "FORMAT_VERSION",
-                            FORMAT_VERSION + 1)
+        monkeypatch.setattr(serialize, "FORMAT_VERSION",
+                            serialize.FORMAT_VERSION + 1)
         assert _key(workload, ptx) == before
 
 
@@ -171,85 +171,28 @@ class TestRobustness:
         with isolated_registry() as reg:
             assert trace_cache.lookup(_key(workload, ptx)) is None
             assert reg.get("trace_cache.corrupt") is None
-            assert reg.get("trace_cache.migrated") is None
 
 
-class TestMigration:
-    """Entries written in an older serialization format are healthy
-    files — migrated in place and returned as hits, never ``corrupt``."""
-
-    def test_old_format_entry_is_migrated_hit(self, bfs_small):
-        from repro.emulator.serialize import save_run_legacy
+class TestStorage:
+    def test_old_format_entry_is_quarantined(self, bfs_small):
+        """A file that is not a v3 container under a live key — such as
+        a gzip-JSON trace from an older writer — is a corrupt entry:
+        quarantined, reported as a miss, healed by the next store."""
         from repro.obs.metrics import isolated_registry
+        from repro.resilience.quarantine import quarantined_entries
         workload, run, ptx = bfs_small
         key = _key(workload, ptx)
         path = trace_cache.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_run_legacy(run, str(path))  # a v2 payload under the v3 name
+        with gzip.open(path, "wt") as fh:
+            fh.write('{"version": 2, "launches": []}')
         with isolated_registry() as reg:
-            loaded = trace_cache.lookup(key)
-            assert loaded is not None and loaded.name == "bfs"
-            migrated = reg.get("trace_cache.migrated")
-            assert migrated is not None and migrated.total() == 1
-            assert reg.get("trace_cache.corrupt") is None
-        # the entry was rewritten at the current schema in place
-        assert path.is_file()
-        healed = trace_cache.lookup(key)
-        assert healed is not None
-        assert healed.format_version == FORMAT_VERSION
-
-    def test_legacy_suffix_entry_is_migrated_hit(self, bfs_small):
-        from repro.emulator.serialize import save_run_legacy
-        from repro.obs.metrics import isolated_registry
-        workload, run, ptx = bfs_small
-        key = _key(workload, ptx)
-        legacy = trace_cache._legacy_entry_path(key)
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        save_run_legacy(run, str(legacy))
-        with isolated_registry() as reg:
-            loaded = trace_cache.lookup(key)
-            assert loaded is not None and loaded.name == "bfs"
-            migrated = reg.get("trace_cache.migrated")
-            assert migrated is not None and migrated.total() == 1
-            assert reg.get("trace_cache.corrupt") is None
-        # migrated to the current naming; the legacy file is gone
-        assert not legacy.exists()
-        assert trace_cache.entry_path(key).is_file()
-
-    def test_failed_migration_still_returns_run(self, bfs_small,
-                                                monkeypatch):
-        from repro.emulator.serialize import save_run_legacy
-        from repro.obs.metrics import isolated_registry
-        workload, run, ptx = bfs_small
-        key = _key(workload, ptx)
-        path = trace_cache.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_run_legacy(run, str(path))
-
-        def broken(run_, p):
-            raise OSError("read-only filesystem")
-
-        monkeypatch.setattr(trace_cache, "save_run", broken)
-        monkeypatch.setattr(trace_cache.time, "sleep", lambda s: None)
-        with isolated_registry() as reg:
-            loaded = trace_cache.lookup(key)
-            assert loaded is not None and loaded.name == "bfs"
-            corrupt = reg.get("trace_cache.corrupt")
-            assert corrupt is not None and corrupt.total() == 1
-            migrated = reg.get("trace_cache.migrated")
-            assert migrated is not None and migrated.total() == 1
-
-    def test_clear_and_stats_cover_legacy_entries(self, bfs_small):
-        from repro.emulator.serialize import save_run_legacy
-        workload, run, ptx = bfs_small
-        key = _key(workload, ptx)
+            assert trace_cache.lookup(key) is None
+            assert reg.get("trace_cache.corrupt").total() == 1
+        assert not path.exists()
+        assert len(list(quarantined_entries(path.parent))) == 1
         trace_cache.store(key, run)
-        legacy = trace_cache._legacy_entry_path("0" * 64)
-        save_run_legacy(run, str(legacy))
-        count, total = trace_cache.stats()
-        assert count == 2 and total > 0
-        assert trace_cache.clear() == 2
-        assert trace_cache.stats() == (0, 0)
+        assert trace_cache.lookup(key) is not None
 
     def test_store_is_byte_deterministic(self, bfs_small):
         workload, run, ptx = bfs_small

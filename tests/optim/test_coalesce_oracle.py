@@ -1,5 +1,7 @@
 """Tests for the perfect-coalescing what-if study."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,8 @@ from repro.optim.coalesce_oracle import (
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import coalescing_degree
 from repro.sim.config import TINY
+
+from tests.traces import build_launch
 
 
 def load_op(addrs, pc=0xD8):
@@ -54,6 +58,20 @@ class TestCoalesceOp:
         n_requests, lanes = coalescing_degree(new.addresses)
         minimal = max(1, -(-lanes // 32))
         assert n_requests == minimal
+
+
+class TestCoalescedLaunchColumns:
+    def test_only_n_rows_rewritten(self):
+        n_op = load_op([(lane, lane * 4096) for lane in range(8)])
+        d_op = load_op([(lane, lane * 4096) for lane in range(8)], pc=0x10)
+        launch = build_launch([(0, 0, [n_op, d_op, n_op])])
+        classification = [SimpleNamespace(pc=0xD8, is_deterministic=False)]
+        new = coalesced_launch(launch, classification)
+        got = new.warps[0].ops
+        packed = coalesce_op(n_op)
+        assert [op.addresses for op in got] == \
+            [packed.addresses, d_op.addresses, packed.addresses]
+        assert [op.active_mask for op in got] == [n_op.active_mask] * 3
 
 
 class TestComparison:

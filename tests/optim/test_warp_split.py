@@ -1,5 +1,7 @@
 """Tests for the Section X.A sub-warp-splitting ablation."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator.trace import TraceOp
@@ -7,11 +9,20 @@ from repro.optim.warp_split import compare_warp_splitting, split_launch, split_o
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.config import TINY
 
+from tests.traces import build_launch
+
 
 def nondet_load(pc=0xD8):
     inst = Instruction(opcode="ld", dtype=DType.U32, space=Space.GLOBAL,
                        dests=(Reg("%r1"),),
                        srcs=(MemRef(Reg("%rd1")),))
+    inst.pc = pc
+    return inst
+
+
+def signed_store(pc=0x18):
+    inst = Instruction(opcode="st", dtype=DType.S32, space=Space.GLOBAL,
+                       srcs=(MemRef(Reg("%rd1")), Reg("%r1")))
     inst.pc = pc
     return inst
 
@@ -104,6 +115,31 @@ class TestSplitLaunch:
             new_det = sum(1 for op in new_w.ops if op.pc in det_pcs)
             assert old_det == new_det
 
+
+class TestSplitLaunchColumns:
+    def test_only_n_rows_rewritten(self):
+        """N-load rows become sub-warp rows in place; the D load, the
+        store (values included) and an N load that recorded no access
+        are copied unchanged."""
+        n_op = op_with_blocks(8)
+        d_load = nondet_load(pc=0x10)
+        d_op = TraceOp(d_load, n_op.active_mask, n_op.addresses)
+        st_op = TraceOp(signed_store(), 0b11, ((0, 64), (1, 68)), (-5, 7))
+        empty = TraceOp(n_op.inst, 0, ())
+        ops = [n_op, d_op, st_op, empty]
+        launch = build_launch([(0, 0, ops), (0, 1, [d_op])])
+        classification = [SimpleNamespace(pc=0xD8, is_deterministic=False),
+                          SimpleNamespace(pc=0x10, is_deterministic=True)]
+        new = split_launch(launch, classification, max_requests=4)
+        got = new.warps[0].ops
+        want = split_op(n_op, 4) + ops[1:]
+        assert [op.pc for op in got] == [op.pc for op in want]
+        for a, b in zip(got, want):
+            assert (a.active_mask, a.addresses, a.values) == \
+                (b.active_mask, b.addresses, b.values)
+        assert [(op.pc, op.addresses) for op in new.warps[1].ops] == \
+            [(0x10, d_op.addresses)]
+        assert launch.warps[0].ops[0].addresses == n_op.addresses
 
 class TestComparison:
     def test_split_reduces_requests_per_warp(self, bfs_run):

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.emulator.columnar import to_columnar
 from repro.emulator.grid import make_launch
-from repro.emulator.trace import KernelLaunchTrace, TraceOp, WarpTrace
+from repro.emulator.trace import TraceOp
 from repro.profiling.heatmap import (
     HeatMapAggregator,
     heatmap_of_run,
     reuse_bucket,
 )
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
+
+from tests.traces import build_launch
 
 
 def load_inst(pc=8, space=Space.GLOBAL):
@@ -30,15 +31,11 @@ def store_inst(pc=16):
 
 def launch_from_accesses(accesses):
     """accesses: [(cta_id, pc, [addr, ...])] — one warp-load each."""
-    launch = KernelLaunchTrace("k", make_launch(8, 32))
-    for cta, pc, addrs in accesses:
-        warp = WarpTrace(cta_id=cta, warp_id=0)
-        mask = (1 << max(1, len(addrs))) - 1
-        warp.ops.append(TraceOp(load_inst(pc=pc), mask,
-                                tuple((lane, a)
-                                      for lane, a in enumerate(addrs))))
-        launch.warps.append(warp)
-    return launch
+    return build_launch(
+        [(cta, 0, [TraceOp(load_inst(pc=pc), (1 << max(1, len(addrs))) - 1,
+                           tuple((lane, a) for lane, a in enumerate(addrs)))])
+         for cta, pc, addrs in accesses],
+        config=make_launch(8, 32))
 
 
 def analyze(accesses):
@@ -96,22 +93,19 @@ class TestLineAggregation:
         assert report.pcs[("k", 8)].reuse_hist == {2: 1}
 
     def test_non_global_and_store_ops_ignored(self):
-        launch = KernelLaunchTrace("k", make_launch(8, 32))
-        warp = WarpTrace(cta_id=0, warp_id=0)
-        warp.ops.append(TraceOp(load_inst(space=Space.SHARED), 1,
-                                ((0, 0),)))
-        warp.ops.append(TraceOp(store_inst(), 1, ((0, 0),)))
-        warp.ops.append(TraceOp(load_inst(), 1, None))  # non-memory
-        launch.warps.append(warp)
+        launch = build_launch([(0, 0, [
+            TraceOp(load_inst(pc=24, space=Space.SHARED), 1, ((0, 0),)),
+            TraceOp(store_inst(), 1, ((0, 0),), (0,)),
+            TraceOp(load_inst(), 1, None),  # recorded no addresses
+        ])], config=make_launch(8, 32))
         aggregator = HeatMapAggregator()
         aggregator.analyze_launch(launch)
         assert aggregator.report().total_touches == 0
 
     def test_include_stores_widens(self):
-        launch = KernelLaunchTrace("k", make_launch(8, 32))
-        warp = WarpTrace(cta_id=0, warp_id=0)
-        warp.ops.append(TraceOp(store_inst(), 1, ((0, 0),)))
-        launch.warps.append(warp)
+        launch = build_launch([(0, 0, [
+            TraceOp(store_inst(), 1, ((0, 0),), (0,))])],
+            config=make_launch(8, 32))
         aggregator = HeatMapAggregator(include_stores=True)
         aggregator.analyze_launch(launch)
         assert aggregator.report().total_touches == 1
@@ -135,14 +129,14 @@ class TestLineAggregation:
 class TestColumnarParity:
     def test_columnar_matches_record_path(self, bfs_run):
         launch = bfs_run.trace.launches[0]
-        rec = HeatMapAggregator()
-        rec._analyze_record_warp = None  # fail loudly if fallback used
-        rec.analyze_launch(to_columnar(launch))
-        col_report = rec.report()
+        col = HeatMapAggregator()
+        col._analyze_record_warp = None  # fail loudly if it were used
+        col.analyze_launch(launch)
+        col_report = col.report()
 
-        from repro.emulator.columnar import to_records
         record = HeatMapAggregator()
-        record.analyze_launch(to_records(to_columnar(launch)))
+        for warp in launch.warps:
+            record._analyze_record_warp(launch.kernel_name, warp)
         rec_report = record.report()
 
         assert col_report.total_touches == rec_report.total_touches

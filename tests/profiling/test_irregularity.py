@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.emulator.grid import make_launch
-from repro.emulator.trace import ApplicationTrace, KernelLaunchTrace, TraceOp, WarpTrace
+from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.profiling.irregularity import measure_irregularity
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
+from repro.sim.coalescer import coalescing_degree
+
+from tests.traces import build_launch
 
 
 def alu(mask):
@@ -27,11 +29,7 @@ def load(addresses):
 
 def app_with(ops):
     app = ApplicationTrace("t")
-    launch = KernelLaunchTrace("k", make_launch(1, 32))
-    warp = WarpTrace(cta_id=0, warp_id=0)
-    warp.ops = list(ops)
-    launch.warps.append(warp)
-    app.add(launch)
+    app.add(build_launch([(0, 0, ops)]))
     return app
 
 
@@ -91,3 +89,28 @@ class TestWorkloadShapes:
         assert spmv.memory_access_irregularity > 0.1
         assert spmv.control_flow_irregularity < \
             bfs.control_flow_irregularity
+
+    def test_matches_per_op_reference(self, spmv_run):
+        """Bit-identical to the one-op-at-a-time definition, float
+        summation order included."""
+        insts = active = accesses = 0
+        coalescing_sum = 0.0
+        for launch in spmv_run.trace:
+            for warp in launch.warps:
+                for op in warp.ops:
+                    insts += 1
+                    active += op.active_count
+                    inst = op.inst
+                    if (op.addresses and inst.space is Space.GLOBAL
+                            and (inst.is_load or inst.is_store)):
+                        n_requests, n_lanes = coalescing_degree(
+                            op.addresses)
+                        accesses += 1
+                        coalescing_sum += max(1, -(-n_lanes // 32)) \
+                            / n_requests
+        report = measure_irregularity(spmv_run.trace)
+        assert report.warp_instructions == insts
+        assert report.mean_active_lanes == active / insts
+        assert report.memory_accesses == accesses
+        assert report.memory_access_irregularity == \
+            1.0 - coalescing_sum / accesses

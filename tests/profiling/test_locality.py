@@ -3,9 +3,11 @@
 import pytest
 
 from repro.emulator.grid import make_launch
-from repro.emulator.trace import KernelLaunchTrace, TraceOp, WarpTrace
+from repro.emulator.trace import TraceOp
 from repro.profiling.locality import LocalityAnalyzer, analyze_run
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
+
+from tests.traces import build_launch
 
 
 def load_inst(pc=8, space=Space.GLOBAL):
@@ -25,14 +27,11 @@ def store_inst(pc=16):
 
 def launch_from_accesses(accesses):
     """accesses: [(cta_id, [addr, ...])] — one warp-load per entry."""
-    launch = KernelLaunchTrace("k", make_launch(8, 32))
-    for i, (cta, addrs) in enumerate(accesses):
-        warp = WarpTrace(cta_id=cta, warp_id=0)
-        warp.ops.append(TraceOp(load_inst(), 1,
-                                tuple((lane, a)
-                                      for lane, a in enumerate(addrs))))
-        launch.warps.append(warp)
-    return launch
+    return build_launch(
+        [(cta, 0, [TraceOp(load_inst(), 1,
+                           tuple((lane, a) for lane, a in enumerate(addrs)))])
+         for cta, addrs in accesses],
+        config=make_launch(8, 32))
 
 
 def analyze(accesses):
@@ -110,12 +109,11 @@ class TestDistances:
 def mixed_class_report():
     """Block 0: N load shared by CTAs 0->1->2 (distances 1, 1);
     block 128: D load shared by CTAs 0->2 (distance 2)."""
-    launch = KernelLaunchTrace("k", make_launch(8, 32))
-    for cta, pc, addr in [(0, 8, 0), (1, 8, 0), (2, 8, 0),
-                          (0, 24, 128), (2, 24, 128)]:
-        warp = WarpTrace(cta_id=cta, warp_id=0)
-        warp.ops.append(TraceOp(load_inst(pc=pc), 1, ((0, addr),)))
-        launch.warps.append(warp)
+    launch = build_launch(
+        [(cta, 0, [TraceOp(load_inst(pc=pc), 1, ((0, addr),))])
+         for cta, pc, addr in [(0, 8, 0), (1, 8, 0), (2, 8, 0),
+                               (0, 24, 128), (2, 24, 128)]],
+        config=make_launch(8, 32))
     analyzer = LocalityAnalyzer()
     analyzer.analyze_launch(launch, pc_classes={8: "N", 24: "D"})
     return analyzer.report()
@@ -166,28 +164,22 @@ class TestDistanceFractionNormalization:
 
 class TestFiltering:
     def test_stores_excluded_by_default(self):
-        launch = KernelLaunchTrace("k", make_launch(1, 32))
-        warp = WarpTrace(cta_id=0, warp_id=0)
-        warp.ops.append(TraceOp(store_inst(), 1, ((0, 0),)))
-        launch.warps.append(warp)
+        launch = build_launch(
+            [(0, 0, [TraceOp(store_inst(), 1, ((0, 0),), (0,))])])
         analyzer = LocalityAnalyzer()
         analyzer.analyze_launch(launch)
         assert analyzer.report().total_accesses == 0
 
     def test_stores_included_when_asked(self):
-        launch = KernelLaunchTrace("k", make_launch(1, 32))
-        warp = WarpTrace(cta_id=0, warp_id=0)
-        warp.ops.append(TraceOp(store_inst(), 1, ((0, 0),)))
-        launch.warps.append(warp)
+        launch = build_launch(
+            [(0, 0, [TraceOp(store_inst(), 1, ((0, 0),), (0,))])])
         analyzer = LocalityAnalyzer(include_stores=True)
         analyzer.analyze_launch(launch)
         assert analyzer.report().total_accesses == 1
 
     def test_shared_space_ignored(self):
-        launch = KernelLaunchTrace("k", make_launch(1, 32))
-        warp = WarpTrace(cta_id=0, warp_id=0)
-        warp.ops.append(TraceOp(load_inst(space=Space.SHARED), 1, ((0, 0),)))
-        launch.warps.append(warp)
+        launch = build_launch(
+            [(0, 0, [TraceOp(load_inst(space=Space.SHARED), 1, ((0, 0),))])])
         analyzer = LocalityAnalyzer()
         analyzer.analyze_launch(launch)
         assert analyzer.report().total_accesses == 0

@@ -36,8 +36,8 @@ class TestPercentile:
     def test_nearest_rank(self):
         values = sorted(float(v) for v in range(1, 101))
         assert _percentile(values, 0.50) == 50.0
-        assert _percentile(values, 0.95) == 96.0
-        assert _percentile(values, 0.99) == 100.0
+        assert _percentile(values, 0.95) == 95.0
+        assert _percentile(values, 0.99) == 99.0
 
     def test_small_and_empty(self):
         assert _percentile([], 0.95) == 0.0

@@ -1,4 +1,4 @@
-"""Artifact-store backends: contract, atomicity, quarantine, stub."""
+"""The artifact store: contract, atomicity, quarantine, locations."""
 
 import json
 
@@ -9,46 +9,15 @@ from repro.resilience.artifacts import (
     atomic_write_json,
     attach_checksum,
 )
-from repro.service.store import (
-    ArtifactStore,
-    LocalDirStore,
-    ObjectStore,
-    StoreError,
-    StoreUnavailableError,
-    open_store,
-)
-
-
-class MemoryClient:
-    """In-memory fake of the object-store client contract — pins the
-    four methods a future boto3/minio adapter must provide."""
-
-    def __init__(self):
-        self.objects = {}
-
-    def put_object(self, bucket, name, data):
-        self.objects[(bucket, name)] = bytes(data)
-
-    def get_object(self, bucket, name):
-        return self.objects.get((bucket, name))
-
-    def delete_object(self, bucket, name):
-        return self.objects.pop((bucket, name), None) is not None
-
-    def list_objects(self, bucket, prefix):
-        return [name for (b, name) in self.objects
-                if b == bucket and name.startswith(prefix)]
+from repro.service.store import LocalDirStore, StoreError, open_store
 
 
 def _backends(tmp_path):
-    return [
-        LocalDirStore(tmp_path / "local"),
-        ObjectStore("bucket", "pre", client=MemoryClient()),
-    ]
+    return [LocalDirStore(tmp_path / "local")]
 
 
 class TestContract:
-    """Every backend satisfies the same observable behavior."""
+    """The observable behavior every store consumer relies on."""
 
     def test_put_get_roundtrip(self, tmp_path):
         for store in _backends(tmp_path):
@@ -147,50 +116,12 @@ class TestLocalDirStore:
         assert store.path_of("k.trace").read_bytes() == b"bytes"
 
 
-class TestObjectStoreStub:
-    def test_without_client_is_unavailable(self):
-        with pytest.raises(StoreUnavailableError):
-            ObjectStore("bucket")
-
-    def test_needs_bucket(self):
-        with pytest.raises(StoreError):
-            ObjectStore("", client=MemoryClient())
-
-    def test_no_local_paths(self):
-        store = ObjectStore("b", client=MemoryClient())
-        assert store.path_of("k") is None
-
-    def test_prefix_isolation(self):
-        client = MemoryClient()
-        one = ObjectStore("b", "one", client=client)
-        two = ObjectStore("b", "two", client=client)
-        one.put_bytes("k", b"1")
-        two.put_bytes("k", b"2")
-        assert one.get_bytes("k") == b"1"
-        assert two.get_bytes("k") == b"2"
-        assert one.keys() == ["k"]
-
-
 class TestOpenStore:
     def test_plain_path_and_file_url(self, tmp_path):
         for url in (str(tmp_path / "a"), "file://%s" % (tmp_path / "b")):
             store = open_store(url)
             assert isinstance(store, LocalDirStore)
 
-    def test_s3_url_parses_bucket_prefix(self):
-        store = open_store("s3://bucket/some/prefix",
-                           client=MemoryClient())
-        assert store.bucket == "bucket"
-        assert store.prefix == "some/prefix"
-
-    def test_s3_without_client_unavailable(self):
-        with pytest.raises(StoreUnavailableError):
-            open_store("s3://bucket/prefix")
-
     def test_empty_rejected(self):
         with pytest.raises(StoreError):
             open_store("")
-
-    def test_abstract_interface_is_abstract(self):
-        with pytest.raises(TypeError):
-            ArtifactStore()

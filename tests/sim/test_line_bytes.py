@@ -6,6 +6,7 @@ analyzer, the heat map and the trace transforms must all agree on the
 default *and* honor a non-default line size end to end.
 """
 
+from repro.emulator.grid import make_launch
 from repro.emulator.trace import TraceOp
 from repro.optim.coalesce_oracle import coalesce_op
 from repro.optim.warp_split import split_op
@@ -14,6 +15,8 @@ from repro.profiling.locality import BLOCK_SIZE, LocalityAnalyzer
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import coalesce_addresses, coalescing_degree
 from repro.sim.config import LINE_BYTES, TESLA_C2050, TINY
+
+from tests.traces import build_launch
 
 
 def load_op(addrs, pc=8):
@@ -53,14 +56,9 @@ class TestPropagation:
         assert coalescing_degree(pairs, line_size=32) == (4, 4)
 
     def test_locality_analyzer_honors_block_size(self):
-        from repro.emulator.grid import make_launch
-        from repro.emulator.trace import KernelLaunchTrace, WarpTrace
-
         def count_blocks(block_size):
-            launch = KernelLaunchTrace("k", make_launch(8, 32))
-            warp = WarpTrace(cta_id=0, warp_id=0)
-            warp.ops.append(load_op(self.ADDRS))
-            launch.warps.append(warp)
+            launch = build_launch([(0, 0, [load_op(self.ADDRS)])],
+                                  config=make_launch(8, 32))
             analyzer = LocalityAnalyzer(block_size=block_size)
             analyzer.analyze_launch(launch)
             return analyzer.report().num_blocks
@@ -69,13 +67,8 @@ class TestPropagation:
         assert count_blocks(32) == 4
 
     def test_heatmap_honors_line_bytes(self):
-        from repro.emulator.grid import make_launch
-        from repro.emulator.trace import KernelLaunchTrace, WarpTrace
-
-        launch = KernelLaunchTrace("k", make_launch(8, 32))
-        warp = WarpTrace(cta_id=0, warp_id=0)
-        warp.ops.append(load_op(self.ADDRS))
-        launch.warps.append(warp)
+        launch = build_launch([(0, 0, [load_op(self.ADDRS)])],
+                              config=make_launch(8, 32))
         narrow = HeatMapAggregator(line_bytes=32)
         narrow.analyze_launch(launch)
         assert narrow.report().num_lines == 4
