@@ -133,6 +133,89 @@ class TestFormatDetection:
         with pytest.raises(ValueError, match="version"):
             load_run(path)
 
+    def test_loaded_launches_are_columnar(self, bfs_run, tmp_path):
+        from repro.emulator.columnar import ColumnarLaunchTrace
+        path = str(tmp_path / "bfs.trace")
+        save_run(bfs_run, path)
+        loaded = load_run(path)
+        assert len(loaded.trace) > 0
+        assert all(isinstance(launch, ColumnarLaunchTrace)
+                   for launch in loaded.trace)
+
+
+class TestTruncation:
+    """A torn write surfaces as EOFError (retried by the trace cache),
+    not as a corrupt-file ValueError."""
+
+    def _saved(self, run, tmp_path):
+        path = tmp_path / "bfs.trace"
+        save_run(run, str(path))
+        return path
+
+    def _cut(self, path, size):
+        data = path.read_bytes()
+        path.write_bytes(data[:size])
+        return str(path)
+
+    def test_short_magic(self, bfs_run, tmp_path):
+        path = self._cut(self._saved(bfs_run, tmp_path), len(MAGIC) - 3)
+        with pytest.raises(EOFError, match="short magic"):
+            load_run(path)
+
+    def test_missing_header_length(self, bfs_run, tmp_path):
+        path = self._cut(self._saved(bfs_run, tmp_path), len(MAGIC) + 2)
+        with pytest.raises(EOFError, match="header length"):
+            load_run(path)
+
+    def test_short_header(self, bfs_run, tmp_path):
+        path = self._cut(self._saved(bfs_run, tmp_path), len(MAGIC) + 4 + 10)
+        with pytest.raises(EOFError, match="short header"):
+            load_run(path)
+
+    @pytest.mark.parametrize("verify", ["1", "0"])
+    def test_column_beyond_eof(self, bfs_run, tmp_path, monkeypatch,
+                               verify):
+        from repro.emulator.serialize import ENV_TRACE_VERIFY
+        monkeypatch.setenv(ENV_TRACE_VERIFY, verify)
+        saved = self._saved(bfs_run, tmp_path)
+        path = self._cut(saved, saved.stat().st_size - 8)
+        with pytest.raises(EOFError, match="beyond EOF"):
+            load_run(path)
+
+
+class TestChecksum:
+    """The header's column digest catches bit rot the structural checks
+    cannot see (an address byte flipped on disk)."""
+
+    def _flip_last_byte(self, run, tmp_path):
+        path = tmp_path / "bfs.trace"
+        save_run(run, str(path))
+        data = bytearray(path.read_bytes())
+        # no padding follows the last non-empty column: the final byte
+        # is payload (here the high byte of an address or a value)
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        return str(path)
+
+    def test_flipped_column_byte_rejected(self, bfs_run, tmp_path):
+        from repro.resilience.artifacts import ChecksumError
+        path = self._flip_last_byte(bfs_run, tmp_path)
+        with pytest.raises(ChecksumError):
+            load_run(path)
+
+    def test_verification_can_be_disabled(self, bfs_run, tmp_path,
+                                          monkeypatch):
+        from repro.emulator.serialize import ENV_TRACE_VERIFY
+        path = self._flip_last_byte(bfs_run, tmp_path)
+        monkeypatch.setenv(ENV_TRACE_VERIFY, "0")
+        loaded = load_run(path)
+        orig = [(op.pc, op.addresses, op.values)
+                for launch in bfs_run.trace for w in launch for op in w.ops]
+        new = [(op.pc, op.addresses, op.values)
+               for launch in loaded.trace for w in launch for op in w.ops]
+        assert len(orig) == len(new)
+        assert sum(a != b for a, b in zip(orig, new)) == 1
+
 
 class TestSchemaV3Integrity:
     """The v3 kind column is redundant with the instruction, so a
@@ -212,3 +295,36 @@ class TestSchemaV3Integrity:
 
         with pytest.raises(ValueError, match="corrupt trace"):
             load_run(self._tampered(bfs_run, tmp_path, inflate_acount))
+
+    def test_pc_beyond_kernel_rejected(self, bfs_run, tmp_path):
+        from repro.emulator.columnar import _PC_SHIFT
+
+        def overflow_pc(name, arr):
+            if name == "pc":
+                arr[0] = (1 << 20) << _PC_SHIFT
+            return arr
+
+        with pytest.raises(ValueError, match="beyond kernel"):
+            load_run(self._tampered(bfs_run, tmp_path, overflow_pc))
+
+    def test_short_op_counts_rejected(self, bfs_run, tmp_path):
+        """Per-warp op counts that stop short of the columns leave rows
+        no warp owns."""
+        import json
+
+        path = tmp_path / "bfs.trace"
+        save_run(bfs_run, str(path))
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[len(MAGIC):len(MAGIC) + 4], "little")
+        head = json.loads(data[len(MAGIC) + 4:len(MAGIC) + 4 + hlen])
+        warps = head["launches"][0]["warps"]
+        warps[-1][2] -= 1
+        new_head = json.dumps(head, separators=(",", ":"),
+                              sort_keys=True).encode("utf-8")
+        # same-length header keeps every column at its aligned offset
+        new_head = new_head.ljust(hlen)
+        assert len(new_head) == hlen
+        path.write_bytes(data[:len(MAGIC) + 4] + new_head
+                         + data[len(MAGIC) + 4 + hlen:])
+        with pytest.raises(ValueError, match="do not cover"):
+            load_run(str(path))

@@ -115,12 +115,39 @@ class TestLocalDirStore:
         store.put_bytes("k.trace", b"bytes")
         assert store.path_of("k.trace").read_bytes() == b"bytes"
 
+    def test_failed_producer_publishes_nothing(self, tmp_path):
+        store = LocalDirStore(tmp_path)
+
+        def producer(path):
+            open(path, "wb").write(b"half a tr")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            store.put_file("t.trace", producer)
+        assert not store.exists("t.trace")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sibling_roots_are_isolated(self, tmp_path):
+        one = LocalDirStore(tmp_path / "one")
+        two = LocalDirStore(tmp_path / "two")
+        one.put_bytes("k", b"1")
+        two.put_bytes("k", b"2")
+        assert one.get_bytes("k") == b"1"
+        assert two.get_bytes("k") == b"2"
+        assert one.keys() == ["k"]
+
 
 class TestOpenStore:
     def test_plain_path_and_file_url(self, tmp_path):
         for url in (str(tmp_path / "a"), "file://%s" % (tmp_path / "b")):
             store = open_store(url)
             assert isinstance(store, LocalDirStore)
+
+    def test_file_url_resolves_to_its_path(self, tmp_path):
+        store = open_store("file://%s" % (tmp_path / "s"))
+        assert store.describe() == str(tmp_path / "s")
+        store.put_bytes("k", b"x")
+        assert (tmp_path / "s" / "k").read_bytes() == b"x"
 
     def test_empty_rejected(self):
         with pytest.raises(StoreError):
