@@ -14,6 +14,13 @@ cycle-level model of one streaming multiprocessor:
 * a private L1 data cache (tags + MSHRs, write-through / write-evict),
 * CTA slots with ``bar.sync`` barrier tracking.
 
+The GPU ticks an SM only when it is due (:attr:`SMCore.wake_at`).  After
+a cycle in which the SM popped no event, issued nothing, ran no prefetch
+and its LD/ST head (if any) failed its L1 reservation, every following
+cycle would repeat that one until something external changes, so the SM
+sleeps: it records the stall reason and the retrying head's outcome once
+and adds the slept cycles to the statistics in bulk when it next ticks.
+
 Global stores and atomics bypass L1 (Fermi behaviour): they only need an
 interconnect credit, so their only reservation-failure mode is
 ``rsrv_fail_icnt``.
@@ -24,6 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
+from math import inf
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..emulator.columnar import _PC_SHIFT, KIND_NONE
@@ -220,6 +228,15 @@ class SMCore:
         self._sfu_busy_until = 0
         self._events: List = []
         self._seq = count()
+        #: the next cycle this SM must tick; ``inf`` while nothing but an
+        #: external event (a response, a credit, a new CTA) can change it
+        self.wake_at = inf
+        # sleep snapshot: first cycle not yet accounted for, the stall
+        # reason of those cycles (None without resident warps) and the
+        # retrying LD/ST head's (outcome, load class), if any
+        self._slept_from: Optional[int] = None
+        self._sleep_reason: Optional[str] = None
+        self._sleep_retry: Optional[Tuple[Outcome, Optional[str]]] = None
         # prefetcher state (Section X.A extension)
         self._pf_queue: deque = deque()
         self._pf_stride: Dict[int, Tuple[int, int]] = {}
@@ -233,10 +250,6 @@ class SMCore:
     def resident_ctas(self):
         return len(self.ctas)
 
-    @property
-    def has_work(self):
-        return bool(self.warps or self.ldst_queue or self._events)
-
     def assign_cta(self, cta_id, warp_traces):
         """Make a CTA resident; its warps join the scheduling pool."""
         slot = _CTASlot(cta_id)
@@ -247,6 +260,7 @@ class SMCore:
                 slot.warps_not_done += 1
             self.warps.append(run)
         self.ctas[cta_id] = slot
+        self.wake_at = 0  # due on the GPU's next cycle
         # a CTA with only empty warp traces finishes immediately
         if slot.finished:
             self._retire_cta(slot)
@@ -264,6 +278,8 @@ class SMCore:
 
     def receive_response(self, req, now):
         """A data response arrived over the response network."""
+        if self.wake_at > now:
+            self.wake_at = now
         if req.is_atomic:
             self._complete_request(req, now)
             return
@@ -315,33 +331,83 @@ class SMCore:
     # -- per-cycle work ----------------------------------------------------------------
 
     def cycle(self, now):
-        """Advance one cycle; returns True when the SM did any work."""
-        worked = self._pop_events(now)
-        demand = self._ldst_cycle(now)
-        worked |= demand
-        if not demand and self._pf_queue:
+        """Advance one cycle; returns True when the SM did any work.
+
+        Afterwards :attr:`wake_at` is the next cycle the SM must tick.
+        """
+        if self._slept_from is not None:
+            self.settle(now)
+        popped = self._pop_events(now)
+        head = self._ldst_cycle(now)
+        prefetched = False
+        if head is None and self._pf_queue:
             # the L1 port is free this cycle: spend it on a prefetch
-            worked |= self._prefetch_cycle(now)
+            prefetched = self._prefetch_cycle(now)
         issued = self._issue(now)
-        worked |= issued
+        reason = None
         if self.warps:
             self.stats.active_sm_cycles += 1
             if not issued:
-                self.stats.issue_stall[self.stall_reason()] += 1
-        return worked
+                reason = self.stall_reason()
+                self.stats.issue_stall[reason] += 1
+        if popped or issued or prefetched or head is True:
+            self.wake_at = now + 1
+            return True
+        self._sleep(now, reason, head)
+        return head is not None
+
+    def _sleep(self, now, reason, outcome):
+        """Nothing changed this cycle: sleep until the next internal
+        event.  ``outcome`` is the LD/ST head's failed reservation, or
+        None when the LD/ST queue is empty."""
+        wake = self._events[0][0] if self._events else inf
+        if reason == "unit_busy":
+            # a scoreboard-ready warp may be waiting on the SP or SFU
+            for busy_until in (self._sp_busy_until, self._sfu_busy_until):
+                if now < busy_until < wake:
+                    wake = busy_until
+        self.wake_at = wake
+        self._slept_from = now + 1
+        self._sleep_reason = reason
+        self._sleep_retry = None if outcome is None else (
+            outcome, self.ldst_queue[0].pending[0].load_class)
+
+    def settle(self, now):
+        """Account the cycles slept before ``now`` in bulk: each one
+        repeats the cycle the SM went to sleep after."""
+        if self._slept_from is None:
+            return
+        cycles = now - self._slept_from
+        self._slept_from = None
+        stats = self.stats
+        if self._sleep_reason is not None:
+            stats.active_sm_cycles += cycles
+            stats.issue_stall[self._sleep_reason] += cycles
+        if self._sleep_retry is not None:
+            stats.unit_busy["ldst"] += cycles
+            stats.record_l1_cycle(*self._sleep_retry, cycles=cycles)
+
+    def credit_returned(self, now):
+        """One of this SM's requests left the request network."""
+        if self._sleep_retry is not None and self.wake_at > now \
+                and self._sleep_retry[0] is Outcome.RSRV_FAIL_ICNT:
+            self.wake_at = now
 
     def stall_reason(self):
         """Why no instruction can issue right now (coarse, prioritized)."""
-        live = [w for w in self.warps if not w.trace_done]
-        if not live:
-            return "drained"
-        runnable = [w for w in live if not w.at_barrier]
-        if not runnable:
-            return "barrier"
-        for warp in runnable:
+        live = runnable = False
+        for warp in self.warps:
+            if warp.trace_done:
+                continue
+            live = True
+            if warp.at_barrier:
+                continue
+            runnable = True
             if self._scoreboard_ready(warp, warp.peek().inst):
                 return "unit_busy"
-        return "scoreboard"
+        if runnable:
+            return "scoreboard"
+        return "barrier" if live else "drained"
 
     def debug_state(self):
         """Scheduling-relevant state for deadlock reports."""
@@ -385,8 +451,11 @@ class SMCore:
     # -- LD/ST unit ---------------------------------------------------------------------
 
     def _ldst_cycle(self, now):
+        """Present the LD/ST head to its port.  Returns None when the
+        queue is empty, True when the head made progress, or the
+        reservation-fail :class:`Outcome` it retries on."""
         if not self.ldst_queue:
-            return False
+            return None
         self.stats.unit_busy["ldst"] += 1
         head = self.ldst_queue[0]
 
@@ -411,7 +480,7 @@ class SMCore:
         outcome = self._access_l1(req, now)
         self.stats.record_l1_cycle(outcome, req.load_class)
         if outcome.is_fail:
-            return True
+            return outcome
         if not req.is_write and not req.is_atomic:
             self.stats.record_l1_result(outcome, req.load_class)
         req.t_accept = now
@@ -694,23 +763,3 @@ class SMCore:
         self.req_icnt.inject(req, self.sm_id, req.partition, now)
         self.stats.prefetch_issued += 1
         return True
-
-    # -- idle-jump support ----------------------------------------------------------
-
-    def next_event_cycle(self, now):
-        """Earliest future cycle this SM can make progress on its own, or
-        ``None`` when it is waiting purely on external responses."""
-        times = []
-        if self.ldst_queue or self._pf_queue:
-            times.append(now + 1)
-        if self._events:
-            times.append(self._events[0][0])
-        runnable = any(not w.blocked for w in self.warps)
-        if runnable:
-            if self._sp_busy_until > now:
-                times.append(self._sp_busy_until)
-            if self._sfu_busy_until > now:
-                times.append(self._sfu_busy_until)
-        if not times:
-            return None
-        return max(now + 1, min(times))

@@ -2,18 +2,33 @@
 
 Wires the SMs, the two interconnect directions and the memory partitions
 together, assigns CTAs via a scheduling policy, and replays the warp
-traces of one or more kernel launches cycle by cycle.
+traces of one or more kernel launches.
 
-The main loop includes an *idle jump*: when no component can make
-progress in the current cycle (every warp stalled on the scoreboard, all
-queues drained, everything waiting on in-flight memory), the clock jumps
-to the next scheduled event.  Jumped cycles still count toward total and
-SM-active cycle statistics, so idle-fraction metrics (Figure 4) are
-unaffected.
+The main loop is driven by per-component wake times.  Every SM and
+every memory partition carries the next cycle it must tick
+(``wake_at``); each iteration jumps the clock to the earliest of those
+and of both networks' next deliveries, delivers what has arrived, and
+ticks only the components that are due.  The result is the same as
+ticking every component on every cycle:
+
+* a partition is a no-op between its internal events, except for
+  responses waiting on a network credit, and a returning credit wakes
+  it;
+* an SM whose cycle changed nothing (no event, no issue, no prefetch,
+  its LD/ST head absent or failing its L1 reservation) would repeat that
+  cycle until a response arrives, one of its own requests leaves the
+  request network (returning a credit), or its next event or functional
+  unit falls due.  It sleeps until then and adds the slept cycles to the
+  active-cycle, issue-stall, LD/ST-busy and L1-outcome counts in one
+  step when it next ticks, so Figures 3 and 4 see every cycle.
+
+When work is pending but no component has a wake time, nothing can ever
+change again: the loop raises a deadlock :class:`SimulationError`.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List
 
 from ..core.classifier import ClassificationResult
@@ -99,6 +114,7 @@ class GPU:
                            self._cta_finished,
                            partition_map=self.partition_of)
                     for i in range(config.num_sms)]
+        self._components = self.sms + self.partitions
         self._scheduler = None
         self._cta_traces: Dict[int, List] = {}
 
@@ -195,38 +211,55 @@ class GPU:
     # -- main loop ------------------------------------------------------------------
 
     def _work_pending(self):
-        if self._scheduler is not None and self._scheduler.remaining:
-            return True
-        if any(sm.ctas for sm in self.sms):
-            return True
-        return False
+        for sm in self.sms:
+            if sm.ctas:
+                return True
+        return bool(self._scheduler is not None and self._scheduler.remaining)
 
     def _run_until_drained(self):
         start = self.now
+        sms, partitions = self.sms, self.partitions
+        req_icnt, resp_icnt = self.req_icnt, self.resp_icnt
         while self._work_pending():
-            self.now += 1
-            if self.now - start > self.max_cycles:
+            now = self._next_cycle()
+            if now - start > self.max_cycles:
                 raise SimulationError(
                     "cycle budget exceeded (%d cycles)" % self.max_cycles,
                     state=self.debug_state())
-            worked = False
-            for req, dst in self.req_icnt.deliver_ready(self.now):
-                self.partitions[dst].receive(req, self.now)
-                worked = True
-            for req, dst in self.resp_icnt.deliver_ready(self.now):
-                self.sms[dst].receive_response(req, self.now)
-                worked = True
-            for partition in self.partitions:
-                worked |= partition.cycle(self.now, self.resp_icnt)
-            for sm in self.sms:
-                worked |= sm.cycle(self.now)
-            if not worked:
-                self._idle_jump()
+            for req, dst in req_icnt.deliver_ready(now):
+                partitions[dst].receive(req, now)
+                sms[req.sm_id].credit_returned(now)
+            for req, dst in resp_icnt.deliver_ready(now):
+                sms[dst].receive_response(req, now)
+                partitions[req.partition].credit_returned(now)
+            for partition in partitions:
+                if partition.wake_at <= now:
+                    partition.cycle(now, resp_icnt)
+            for sm in sms:
+                if sm.wake_at <= now:
+                    sm.cycle(now)
+        for sm in sms:
+            sm.settle(self.now + 1)
         self.stats.cycles = self.now
         self.stats.icnt_injected = (self.req_icnt.total_injected
                                     + self.resp_icnt.total_injected)
         self.stats.icnt_queue_delay = (self.req_icnt.total_queue_delay
                                        + self.resp_icnt.total_queue_delay)
+
+    def _next_cycle(self):
+        """Advance the clock to the earliest wake time (at least one
+        cycle on) and return it."""
+        wake = min([c.wake_at for c in self._components])
+        for icnt in (self.req_icnt, self.resp_icnt):
+            t = icnt.next_event_cycle()
+            if t is not None and t < wake:
+                wake = t
+        if wake == inf:
+            raise SimulationError(
+                "deadlock at cycle %d: no component has pending events"
+                % self.now, state=self.debug_state())
+        self.now = max(self.now + 1, wake)
+        return self.now
 
     def debug_state(self):
         """Structured snapshot of every component's in-flight state, for
@@ -269,37 +302,6 @@ class GPU:
             sm.l1.mshr.publish_metrics(reg, level="l1", sm=str(sm.sm_id),
                                        **labels)
         return reg
-
-    def _idle_jump(self):
-        """Nothing happened this cycle: jump the clock to the next event."""
-        candidates = []
-        for icnt in (self.req_icnt, self.resp_icnt):
-            t = icnt.next_event_cycle()
-            if t is not None:
-                candidates.append(t)
-        for partition in self.partitions:
-            t = partition.next_event_cycle(self.now)
-            if t is not None:
-                candidates.append(t)
-        for sm in self.sms:
-            t = sm.next_event_cycle(self.now)
-            if t is not None:
-                candidates.append(t)
-        if not candidates:
-            raise SimulationError(
-                "deadlock at cycle %d: no component has pending events"
-                % self.now, state=self.debug_state())
-        target = max(self.now + 1, min(candidates))
-        skipped = target - self.now - 1
-        if skipped > 0:
-            # account skipped time: total cycles advance, and SMs holding
-            # resident warps remain "active but stalled" (Figure 4 denominator
-            # and the issue-stall breakdown)
-            for sm in self.sms:
-                if sm.warps:
-                    self.stats.active_sm_cycles += skipped
-                    self.stats.issue_stall[sm.stall_reason()] += skipped
-            self.now += skipped
 
 
 def _pc_class_map(classification):

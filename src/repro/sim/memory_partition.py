@@ -19,6 +19,11 @@ The model per partition:
 * responses compete for the partition's response-network credits; without
   a credit they wait, adding to the "wasted cycles in memory partitions"
   the paper measures in Figures 5-7.
+
+The GPU ticks a partition only when it is due (``wake_at``): when a
+delivered request leaves the ROP pipe, when its next internal event
+falls due, or when a response credit returns while responses wait for
+one.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
+from math import inf
 from typing import List, Tuple
 
 from .cache import Cache, Outcome
@@ -58,6 +64,8 @@ class MemoryPartition:
         self._dram_queue: deque = deque()
         self._dram_busy_until = 0
         self._dram_heap: List[Tuple[int, int, MemRequest]] = []
+        #: the next cycle this partition must tick
+        self.wake_at = inf
         # per-partition telemetry (SimStats only keeps GPU-wide sums;
         # these expose the partition imbalance the paper attributes
         # turnaround spread to)
@@ -75,17 +83,29 @@ class MemoryPartition:
         ready = now + self.config.rop_latency
         self.requests_received += 1
         heapq.heappush(self._input, (ready, next(self._seq), request))
+        if ready < self.wake_at:
+            self.wake_at = ready
+
+    def credit_returned(self, now):
+        """One of this partition's responses left the response network."""
+        if self._resp_ready and self.wake_at > now:
+            self.wake_at = now
 
     # -- per-cycle work ----------------------------------------------------------
 
     def cycle(self, now, resp_icnt):
-        """Advance the partition one cycle; returns True if it did work."""
+        """Advance the partition one cycle; returns True if it did work.
+
+        Afterwards :attr:`wake_at` is the next cycle it must tick.
+        """
         worked = False
         worked |= self._dram_complete(now)
         worked |= self._dram_issue(now)
         worked |= self._l2_service(now)
         worked |= self._collect_responses(now)
         worked |= self._inject_responses(now, resp_icnt)
+        wake = self.next_event_cycle(now)
+        self.wake_at = inf if wake is None else wake
         return worked
 
     def _l2_service(self, now):
@@ -211,13 +231,13 @@ class MemoryPartition:
         self.l2.mshr.publish_metrics(registry, level="l2",
                                      partition=pid, **labels)
 
-    # -- idle-jump support -------------------------------------------------------
+    # -- wake-time support -------------------------------------------------------
 
     def next_event_cycle(self, now):
-        """Earliest future cycle at which this partition can make progress,
-        or ``None`` when it has no pending work at all."""
-        if self._resp_ready:
-            return now + 1  # retrying injection every cycle
+        """Earliest future cycle at which this partition can make progress
+        on its own, or ``None`` when it has none.  Responses waiting for a
+        response-network credit are not counted: a tick injects until the
+        credits run out, and :meth:`credit_returned` wakes the partition."""
         times = []
         if self._input:
             times.append(self._input[0][0])

@@ -158,9 +158,9 @@ class SimStats:
 
     # -- recording helpers ----------------------------------------------------
 
-    def record_l1_cycle(self, outcome, load_class):
-        self.l1_cycles[outcome] += 1
-        self.l1_cycles_by_class[class_label(load_class)][outcome] += 1
+    def record_l1_cycle(self, outcome, load_class, cycles=1):
+        self.l1_cycles[outcome] += cycles
+        self.l1_cycles_by_class[class_label(load_class)][outcome] += cycles
 
     def record_coalescing(self, load_class, n_requests, n_active):
         cls = self.classes[class_label(load_class)]

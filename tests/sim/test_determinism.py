@@ -1,7 +1,7 @@
 """Determinism regression: the whole pipeline is reproducible.
 
 Same seed + same configuration must produce byte-identical statistics —
-a property the idle-jump optimization, heap orderings and dict iteration
+a property the wake-time main loop, heap orderings and dict iteration
 could silently break.
 """
 

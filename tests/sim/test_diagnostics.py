@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.cache import Outcome
 from repro.sim.config import TINY
 from repro.sim.gpu import GPU, SimulationError, _format_state
 from repro.workloads import get_workload
@@ -71,3 +72,30 @@ class TestDeadlock:
         assert "deadlock" in str(info.value)
         assert "simulator state at failure" in str(info.value)
         assert info.value.state["sms"][0]["resident_ctas"] == [first]
+
+
+class TestStuckRetry:
+    def test_retry_without_credit_raises_deadlock(self, small_run):
+        """SM 0 has no request credits and nothing in flight to return
+        one: its global load retries the L1 forever.  That must fail as
+        a deadlock at once, not spin until the cycle budget runs out."""
+        gpu = GPU(TINY, max_cycles=1_000_000)
+        launch = small_run.trace.launches[0]
+        by_cta = {}
+        for warp in launch.warps:
+            by_cta.setdefault(warp.cta_id, []).append(warp)
+        first = sorted(by_cta)[0]
+        sm = gpu.sms[0]
+        sm.assign_cta(first, by_cta[first])
+        gpu.req_icnt._credits[0] = 0
+        with pytest.raises(SimulationError) as info:
+            gpu._run_until_drained()
+        assert "deadlock" in str(info.value)
+        assert "simulator state at failure" in str(info.value)
+        state = info.value.state
+        assert state["cycle"] < 1000
+        assert state["interconnects"][0]["credits"][0] == 0
+        assert state["sms"][0]["ldst_queue"] >= 1
+        head = sm.ldst_queue[0].pending[0]
+        assert not head.is_write and not head.is_atomic
+        assert gpu.stats.l1_cycles[Outcome.RSRV_FAIL_ICNT] > 0

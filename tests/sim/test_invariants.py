@@ -2,7 +2,11 @@
 
 The trace and the timing model measure the same execution through
 different lenses; these invariants tie them together and catch silent
-double-counting or dropped work in either layer.
+double-counting or dropped work in either layer.  The drain and
+conservation checks run after every launch of the golden matrix: once a
+launch ends no component may hold unaccounted cycles or any work but
+stores on their way to DRAM, and the cycle tallies must stay within the
+bounds their definitions imply.
 """
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from repro.profiling.requests import request_histogram
 from repro.sim import GPU, TINY
 from repro.workloads import get_workload
+from tests.sim_matrix import SIM_CASES, make_gpu, simulate, workload_run
 
 
 @pytest.fixture(scope="module", params=("bfs", "spmv", "bpr"))
@@ -77,3 +82,61 @@ class TestCrossLayerInvariants:
         accepted = sum(cls.l1_accesses() for cls in stats.classes.values())
         # retries can only add cycles on top of one per accepted request
         assert total_cycles >= accepted
+
+
+def assert_drained(gpu):
+    """What must hold once a launch has drained.
+
+    Write-through stores complete when the L1 accepts them, so the
+    launch may end while its last stores are still on their way to DRAM:
+    the request network and the partitions may hold writes, and only
+    writes.  Everything a load, an atomic or a prefetch puts in flight
+    must be back.
+    """
+    for sm in gpu.sms:
+        assert sm._slept_from is None, "sm %d: unsettled slept cycles" \
+            % sm.sm_id
+        assert not sm.ldst_queue and not sm._events and not sm.ctas
+        assert sm.l1.mshr.occupancy == 0
+    for partition in gpu.partitions:
+        assert partition.l2.mshr.occupancy == 0
+        assert not partition._resp_heap and not partition._resp_ready
+        queued = ([req for _t, _s, req in partition._input]
+                  + list(partition._dram_queue)
+                  + [req for _t, _s, req in partition._dram_heap])
+        assert all(req.is_write for req in queued)
+    assert gpu.resp_icnt.in_flight == 0
+    assert gpu.resp_icnt._credits == \
+        [gpu.config.icnt_credits_per_partition] * gpu.config.num_partitions
+    # request-network credits are conserved: each SM's credits plus its
+    # stores still in flight make up its allotment
+    in_flight = [0] * gpu.config.num_sms
+    for _t, _s, req, src, _dst in gpu.req_icnt._heap:
+        assert req.is_write
+        in_flight[src] += 1
+    for sm_id, credits in enumerate(gpu.req_icnt._credits):
+        assert credits + in_flight[sm_id] == gpu.config.icnt_credits_per_sm
+
+
+def assert_conserved(gpu):
+    """Cycle-accounting conservation laws of the statistics."""
+    stats = gpu.stats
+    l1_total = sum(stats.l1_cycles.values())
+    assert l1_total == sum(sum(by_outcome.values()) for by_outcome
+                           in stats.l1_cycles_by_class.values())
+    assert stats.unit_busy["ldst"] >= l1_total
+    assert sum(stats.issue_stall.values()) <= stats.active_sm_cycles \
+        <= gpu.config.num_sms * stats.cycles
+
+
+@pytest.mark.parametrize("app,variant", SIM_CASES)
+def test_drain_and_conservation_after_every_launch(app, variant):
+    launches = []
+
+    def check(gpu):
+        assert_drained(gpu)
+        assert_conserved(gpu)
+        launches.append(gpu.now)
+
+    simulate(app, make_gpu(variant), after_launch=check)
+    assert len(launches) == len(workload_run(app).trace.launches)

@@ -48,13 +48,13 @@ def workload_run(app):
     return get_workload(app, scale=SIM_SCALE).run(verify=False)
 
 
-def make_gpu(variant, gpu_class=None):
-    """A fresh GPU for ``variant``; ``gpu_class`` replaces the plain
-    :class:`GPU` (not the semi-global subclass) when given."""
+def make_gpu(variant, mixin=None, config=BENCH_CONFIG):
+    """A fresh GPU for ``variant`` on ``config``; a ``mixin`` class, when
+    given, is put in front of the variant's GPU class."""
     cls, overrides, kwargs = VARIANTS[variant]
-    if gpu_class is not None and cls is GPU:
-        cls = gpu_class
-    return cls(BENCH_CONFIG.scaled(**overrides), **kwargs)
+    if mixin is not None:
+        cls = type(mixin.__name__ + cls.__name__, (mixin, cls), {})
+    return cls(config.scaled(**overrides), **kwargs)
 
 
 def simulate(app, gpu, after_launch=None):
