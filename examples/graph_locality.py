@@ -53,10 +53,9 @@ def main():
     print("...but the locality is hidden from the private L1s:")
     gpu = GPU(TESLA_C2050.scaled(num_sms=4, num_partitions=2,
                                  l1_size=4 * 1024, l2_size=96 * 1024))
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications[launch.kernel_name])
+    stats = gpu.run_application(run.trace, run.classifications)
     for label in ("D", "N"):
-        cls = gpu.stats.classes[label]
+        cls = stats.classes[label]
         print("  [%s] L1 miss ratio %.0f%%   L2 miss ratio %.0f%%"
               % (label, 100 * cls.l1_miss_ratio(),
                  100 * cls.l2_miss_ratio()))

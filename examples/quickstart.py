@@ -55,10 +55,7 @@ def main():
     print("=" * 72)
     print("3-4. Timing simulation")
     print("=" * 72)
-    gpu = GPU(config)
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications[launch.kernel_name])
-    stats = gpu.stats
+    stats = GPU(config).run_application(run.trace, run.classifications)
     print("simulated %d warp instructions in %d cycles"
           % (stats.issued_warp_insts, stats.cycles))
 

@@ -17,10 +17,7 @@ SCALE = 0.5
 
 
 def simulate(trace, classifications, config):
-    gpu = GPU(config)
-    for launch in trace:
-        gpu.run_launch(launch, classifications[launch.kernel_name])
-    return gpu.stats
+    return GPU(config).run_application(trace, classifications)
 
 
 def main():

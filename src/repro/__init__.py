@@ -24,9 +24,8 @@ Quick start::
     for name, result in run.classifications.items():
         print(name, [str(l) for l in result])
     gpu = GPU(TESLA_C2050.scaled(num_sms=4))
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications[launch.kernel_name])
-    print(gpu.stats.l1_cycle_fractions())
+    stats = gpu.run_application(run.trace, run.classifications)
+    print(stats.l1_cycle_fractions())
 """
 
 from .core import (

@@ -2,11 +2,14 @@
 
 Pipeline (``repro advise <app>``): profile the application's trace into
 a heat map, extract per-load features, run the rule-based diagnosis,
-then *verify* every candidate transform by re-simulating the
-transformed trace through the unchanged timing model and measuring the
-delta — cycles, L2 misses, DRAM traffic.  The recommendation is the
-measured-best transform, or an explicit "no profitable transform"
-verdict when nothing clears the gain threshold.  Nothing is asserted
+then *verify* every candidate transform by re-simulating it through the
+unchanged timing model and measuring the delta — cycles, L2 misses,
+DRAM traffic.  A candidate is the baseline config with optional
+overrides (clustered CTA scheduling, semi-global L2) plus an optional
+per-launch trace rewrite (warp splitting, perfect coalescing), so every
+candidate inherits the rest of the baseline machine.  The
+recommendation is the measured-best transform, or an explicit "no
+profitable transform" verdict when nothing clears the gain threshold.  Nothing is asserted
 from the rules alone; the simulator has the last word.
 
 Emulation rides the shared :class:`~repro.experiments.runner.
@@ -17,13 +20,13 @@ an application costs one emulation plus one simulation per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..experiments.runner import BENCH_CONFIG, ExperimentRunner
 from ..obs import tracing
 from ..obs.metrics import get_registry
 from ..optim.coalesce_oracle import coalesced_launch
-from ..optim.semi_global_l2 import SemiGlobalL2GPU
 from ..optim.warp_split import split_launch
 from ..profiling.heatmap import HeatMapAggregator
 from ..sim.gpu import GPU
@@ -45,7 +48,7 @@ def _metrics(stats):
     """The advisor's scoreboard for one simulation."""
     return {
         "cycles": stats.cycles,
-        "l2_misses": sum(c.l2_miss for c in stats.classes.values()),
+        "l2_misses": stats.overall().l2_miss,
         "dram": stats.dram_reads + stats.dram_writes,
     }
 
@@ -148,42 +151,20 @@ class AdviceReport:
         return "\n".join(lines)
 
 
-def _simulate(run, config, cta_policy="round_robin", gpu=None):
-    gpu = gpu if gpu is not None else GPU(config, cta_policy=cta_policy)
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications.get(launch.kernel_name))
-    return gpu.stats
-
-
-def _simulate_rewritten(run, config, rewrite):
-    gpu = GPU(config)
-    for launch in run.trace:
-        cls = run.classifications.get(launch.kernel_name)
-        gpu.run_launch(rewrite(launch, cls), cls)
-    return gpu.stats
-
-
-def _verify_transform(transform, run, config, max_requests, cluster_size):
-    """Simulate one candidate; returns ``(stats, skipped_reason)``."""
+def _candidate(transform, config, max_requests, cluster_size):
+    """``(config, rewrite)`` that simulates one candidate transform: a
+    machine organization is a config override, a trace transform a
+    per-launch rewrite (see :meth:`GPU.run_application`)."""
+    line = config.l1_line_size
     if transform == WARP_SPLIT:
-        return _simulate_rewritten(
-            run, config,
-            lambda launch, cls: split_launch(
-                launch, cls, max_requests,
-                line_bytes=config.l1_line_size)), None
+        return config, partial(split_launch, max_requests=max_requests,
+                               line_bytes=line)
     if transform == COALESCE_ORACLE:
-        return _simulate_rewritten(
-            run, config,
-            lambda launch, cls: coalesced_launch(
-                launch, cls, line_bytes=config.l1_line_size)), None
+        return config, partial(coalesced_launch, line_bytes=line)
     if transform == CTA_CLUSTERED:
-        return _simulate(run, config, cta_policy="clustered"), None
+        return config.scaled(cta_policy="clustered"), None
     if transform == SEMI_GLOBAL_L2:
-        try:
-            gpu = SemiGlobalL2GPU(config, cluster_size=cluster_size)
-        except ValueError as exc:
-            return None, str(exc)
-        return _simulate(run, config, gpu=gpu), None
+        return config.scaled(l2_clusters=cluster_size), None
     raise ValueError("unknown transform %r" % (transform,))
 
 
@@ -251,15 +232,20 @@ def advise_app(name, runner=None, scale=0.25, config=BENCH_CONFIG,
     for transform in candidates:
         with tracing.span("advise.verify", app=name,
                           transform=transform) as sp:
-            stats, skipped = _verify_transform(
-                transform, run, config, max_requests, cluster_size)
-            if skipped is not None:
+            candidate_config, rewrite = _candidate(
+                transform, config, max_requests, cluster_size)
+            try:
+                gpu = GPU(candidate_config)
+            except ValueError as exc:
+                # e.g. a cluster size that does not divide the SM count
                 delta = TransformDelta(transform=transform,
                                        baseline=report.baseline,
                                        transformed=dict.fromkeys(
                                            report.baseline, 0),
-                                       skipped=skipped)
+                                       skipped=str(exc))
             else:
+                stats = gpu.run_application(run.trace, run.classifications,
+                                            rewrite=rewrite)
                 delta = TransformDelta(transform=transform,
                                        baseline=report.baseline,
                                        transformed=_metrics(stats))

@@ -68,10 +68,16 @@ import argparse
 import sys
 
 from .core import classify_kernel, format_kernel_report
+from .emulator.machine import DEFAULT_ENGINE, ENGINES
 from .ptx import parse_module
-from .sim.config import TESLA_C2050
+from .sim.config import KNOB_CHOICES, TESLA_C2050
 from .sim.gpu import GPU
 from .workloads import WORKLOAD_CLASSES, get_workload, workload_names
+
+
+def _add_engine_flag(parser, text="warp-execution engine"):
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help="%s (default: %s)" % (text, DEFAULT_ENGINE))
 
 
 def _build_parser():
@@ -103,9 +109,7 @@ def _build_parser():
     p_run.add_argument("app", choices=workload_names())
     p_run.add_argument("--scale", type=float, default=0.25)
     p_run.add_argument("--seed", type=int, default=7)
-    p_run.add_argument("--engine", choices=("vectorized", "scalar", "compiled"),
-                       default=None,
-                       help="warp-execution engine (default: vectorized)")
+    _add_engine_flag(p_run)
 
     p_sim = sub.add_parser("simulate",
                            help="execute, verify and time-simulate")
@@ -116,19 +120,16 @@ def _build_parser():
     p_sim.add_argument("--partitions", type=int, default=2)
     p_sim.add_argument("--l1-kb", type=int, default=2)
     p_sim.add_argument("--l2-kb", type=int, default=64)
-    p_sim.add_argument("--scheduler", choices=("lrr", "gto"),
+    p_sim.add_argument("--scheduler",
+                       choices=KNOB_CHOICES["warp_scheduler"],
                        default="lrr")
-    p_sim.add_argument("--prefetcher",
-                       choices=("none", "stride", "indirect_oracle"),
+    p_sim.add_argument("--prefetcher", choices=KNOB_CHOICES["prefetcher"],
                        default="none")
-    p_sim.add_argument("--cta-policy",
-                       choices=("round_robin", "clustered"),
+    p_sim.add_argument("--cta-policy", choices=KNOB_CHOICES["cta_policy"],
                        default="round_robin")
     p_sim.add_argument("--top", type=int, default=8,
                        help="critical loads to list")
-    p_sim.add_argument("--engine", choices=("vectorized", "scalar", "compiled"),
-                       default=None,
-                       help="warp-execution engine (default: vectorized)")
+    _add_engine_flag(p_sim)
 
     p_fig = sub.add_parser(
         "figures", help="regenerate tables/figures for a set of apps and "
@@ -141,9 +142,7 @@ def _build_parser():
                        help="output directory")
     p_fig.add_argument("--jobs", type=int, default=1,
                        help="worker processes for emulation+simulation")
-    p_fig.add_argument("--engine", choices=("vectorized", "scalar", "compiled"),
-                       default=None,
-                       help="warp-execution engine (default: vectorized)")
+    _add_engine_flag(p_fig)
     p_fig.add_argument("--trace-cache", action="store_true",
                        help="reuse/populate the on-disk trace cache")
     p_fig.add_argument("--strict", action="store_true",
@@ -158,9 +157,7 @@ def _build_parser():
                       "the timing tree")
     p_trace.add_argument("app", choices=workload_names())
     p_trace.add_argument("--scale", type=float, default=0.25)
-    p_trace.add_argument("--engine", choices=("vectorized", "scalar", "compiled"),
-                         default=None,
-                         help="warp-execution engine (default: vectorized)")
+    _add_engine_flag(p_trace)
     p_trace.add_argument("--no-simulate", action="store_true",
                          help="skip the timing simulation stage")
     p_trace.add_argument("--trace-out", default=None, metavar="PATH",
@@ -220,9 +217,7 @@ def _build_parser():
                          help="analyze every registered workload")
     p_races.add_argument("--scale", type=float, default=0.25)
     p_races.add_argument("--seed", type=int, default=7)
-    p_races.add_argument("--engine", choices=("vectorized", "scalar", "compiled"),
-                         default=None,
-                         help="warp-execution engine (default: vectorized)")
+    _add_engine_flag(p_races)
     p_races.add_argument("--mode", choices=("interval", "predictive"),
                          default="interval",
                          help="detector: barrier-interval baseline or "
@@ -240,10 +235,7 @@ def _build_parser():
                        "simulator-verified optimization recommendation")
     p_adv.add_argument("app", choices=workload_names())
     p_adv.add_argument("--scale", type=float, default=0.25)
-    p_adv.add_argument("--engine",
-                       choices=("vectorized", "scalar", "compiled"),
-                       default=None,
-                       help="warp-execution engine (default: vectorized)")
+    _add_engine_flag(p_adv)
     p_adv.add_argument("--config", choices=("bench", "tiny", "c2050"),
                        default="bench",
                        help="GPU model for the verification runs")
@@ -285,9 +277,7 @@ def _build_parser():
                         help="run the K-th of N deterministic shards")
     ps_run.add_argument("--jobs", type=int, default=1,
                         help="worker processes across (app, scale) groups")
-    ps_run.add_argument("--engine", choices=("vectorized", "scalar", "compiled"),
-                        default=None,
-                        help="warp-execution engine for cold emulations")
+    _add_engine_flag(ps_run, "warp-execution engine for cold emulations")
     ps_run.add_argument("--no-trace-cache", action="store_true",
                         help="skip the on-disk trace cache")
     ps_run.add_argument("--strict", action="store_true",
@@ -418,19 +408,13 @@ def _cmd_simulate(args, out):
     # the report text is rendered by the same function the analysis
     # service embeds in result payloads — CI asserts the two surfaces
     # byte-match, so there is exactly one render path
-    from .service.pipeline import render_simulation
+    from .service.pipeline import build_job_config, render_simulation
 
     workload = get_workload(args.app, scale=args.scale, seed=args.seed)
     run = workload.run(engine=args.engine)
-    config = TESLA_C2050.scaled(
-        num_sms=args.sms, num_partitions=args.partitions,
-        l1_size=args.l1_kb * 1024, l2_size=args.l2_kb * 1024,
-        warp_scheduler=args.scheduler, prefetcher=args.prefetcher,
-    ).validate()
-    gpu = GPU(config, cta_policy=args.cta_policy)
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications[launch.kernel_name])
-    out.write(render_simulation(workload.name, gpu.stats, config,
+    config = build_job_config(vars(args))
+    stats = GPU(config).run_application(run.trace, run.classifications)
+    out.write(render_simulation(workload.name, stats, config,
                                 run.classifications, top=args.top))
     return 0
 

@@ -25,10 +25,8 @@ The generated code pays its costs *per segment* instead:
   for address-less runs, :meth:`ColumnarWarpTrace.append_memory` per
   memory op) — identical columns to the other engines.
 
-When Numba is importable (see :mod:`repro.emulator._njit`) selected
-numeric helpers elsewhere in the pipeline are additionally
-``njit``-compiled; this engine itself is pure Python + ``compile()``
-and needs no optional dependency.
+The engine is pure Python + ``compile()`` and needs no optional
+dependency.
 
 Semantics are pinned by ``tests/emulator/test_engine_differential.py``:
 serialized traces must be byte-identical to the scalar oracle and
@@ -44,7 +42,6 @@ import struct
 from .._bits import lanes_of as _lanes_of
 from ..ptx.isa import Imm, MemRef, Reg, Space, SReg, dtype_from_name
 from ..resilience.errors import CodegenError
-from ._njit import HAVE_NUMBA
 from .columnar import op_kind
 from .grid import FULL_MASK, WARP_SIZE
 from .machine import (
@@ -175,8 +172,7 @@ class CompiledEngine:
         """Engine identity for manifests and span attributes (never for
         metrics — snapshots must be engine-invariant)."""
         return {"engine": self.name,
-                "strategy": "per-kernel generated Python segments",
-                "numba": HAVE_NUMBA}
+                "strategy": "per-kernel generated Python segments"}
 
     def make_warp(self, warp_id, init_mask, sregs, trace):
         return _CWarpState(warp_id, init_mask, sregs, trace)

@@ -37,12 +37,15 @@ from .memory import MemoryError_, SharedMemory
 #: :mod:`repro.emulator.trace_cache`).
 EMULATOR_VERSION = 3
 
+#: The warp-execution engines ``Emulator(engine=...)`` accepts; the CLI
+#: ``--engine`` flags, service requests and engine fault injection all
+#: read this table.
+ENGINES = ("vectorized", "scalar", "compiled")
+
 #: Engine used when ``Emulator(engine=None)``: the NumPy
 #: structure-of-arrays fast path by default, overridable via the
-#: ``REPRO_ENGINE`` environment variable (or its older spelling
-#: ``REPRO_EMULATOR_ENGINE``).
-DEFAULT_ENGINE = (os.environ.get("REPRO_ENGINE")
-                  or os.environ.get("REPRO_EMULATOR_ENGINE", "vectorized"))
+#: ``REPRO_ENGINE`` environment variable.
+DEFAULT_ENGINE = os.environ.get("REPRO_ENGINE") or "vectorized"
 
 #: Per-launch warp-instruction watchdog budget used when neither the
 #: ``Emulator(max_warp_insts=...)`` argument nor the
@@ -246,8 +249,8 @@ def _make_engine(name):
     if name == "compiled":
         from .compiled import CompiledEngine
         return CompiledEngine()
-    raise ValueError("unknown emulator engine %r "
-                     "(choices: vectorized, scalar, compiled)" % (name,))
+    raise ValueError("unknown emulator engine %r (choices: %s)"
+                     % (name, ", ".join(ENGINES)))
 
 
 class Emulator:

@@ -3,7 +3,7 @@
 Every table/figure module consumes :class:`AppResult` objects produced
 here.  Three layers of reuse keep the many per-figure benchmarks cheap:
 
-* an in-process cache per (workload, scale, config, policy), so figures
+* an in-process cache per (workload, scale, config), so figures
   sharing an application run do not re-simulate it;
 * the content-addressed on-disk trace cache
   (:mod:`repro.emulator.trace_cache`), so a *process* restart does not
@@ -150,13 +150,11 @@ class ExperimentRunner:
     """
 
     def __init__(self, scale=BENCH_SCALE, config=BENCH_CONFIG,
-                 cta_policy="round_robin", simulate=True, verify=True,
-                 jobs=1, use_trace_cache=False, engine=None, strict=True,
-                 timeout=None, seed=None):
+                 simulate=True, verify=True, jobs=1, use_trace_cache=False,
+                 engine=None, strict=True, timeout=None, seed=None):
         self.scale = scale
         self.seed = seed
         self.config = config
-        self.cta_policy = cta_policy
         self.simulate = simulate
         self.verify = verify
         self.jobs = max(1, int(jobs))
@@ -233,12 +231,9 @@ class ExperimentRunner:
                 check_fault(name, "simulate")
                 check_memory_budget("simulation of %s" % name)
                 with tracing.span("simulate", app=name) as sp:
-                    gpu = GPU(self.config, cta_policy=self.cta_policy)
-                    for launch in run.trace:
-                        gpu.run_launch(
-                            launch,
-                            run.classifications.get(launch.kernel_name))
-                    stats = gpu.stats
+                    gpu = GPU(self.config)
+                    stats = gpu.run_application(run.trace,
+                                                run.classifications)
                     sp.set(cycles=stats.cycles)
                     # per-component series (partitions, icnt, MSHRs) are
                     # published where the GPU object lives; the aggregate
@@ -376,7 +371,6 @@ class ExperimentRunner:
             "scale": self.scale,
             "seed": self.seed,
             "config": self.config,
-            "cta_policy": self.cta_policy,
             "simulate": self.simulate,
             "verify": self.verify,
             "jobs": 1,

@@ -14,6 +14,7 @@ touched data) is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..emulator.columnar import rewrite_global_loads
 from ..emulator.trace import TraceOp
@@ -71,15 +72,11 @@ def compare_perfect_coalescing(run, config):
 
     Returns ``{"baseline": CoalesceOutcome, "coalesced": ...}``.
     """
-    baseline = GPU(config)
-    oracle = GPU(config)
-    for launch in run.trace:
-        classification = run.classifications.get(launch.kernel_name)
-        baseline.run_launch(launch, classification)
-        oracle.run_launch(coalesced_launch(launch, classification,
-                                           line_bytes=config.l1_line_size),
-                          classification)
+    baseline = GPU(config).run_application(run.trace, run.classifications)
+    oracle = GPU(config).run_application(
+        run.trace, run.classifications,
+        rewrite=partial(coalesced_launch, line_bytes=config.l1_line_size))
     return {
-        "baseline": _outcome("baseline", baseline.stats),
-        "coalesced": _outcome("perfectly coalesced", oracle.stats),
+        "baseline": _outcome("baseline", baseline),
+        "coalesced": _outcome("perfectly coalesced", oracle),
     }

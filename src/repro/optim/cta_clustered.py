@@ -3,7 +3,8 @@
 "It would be better to assign neighbouring two CTAs to the same SM
 (i.e. CTA0 and CTA1 to SM0, CTA2 and CTA3 to SM1, ...) for better data
 locality in L1 cache."  This module runs the same application trace
-under both policies and reports the L1 behaviour delta.
+under both ``GPUConfig.cta_policy`` values and reports the L1 behaviour
+delta.
 """
 
 from __future__ import annotations
@@ -26,26 +27,22 @@ class PolicyOutcome:
 
     @staticmethod
     def from_stats(policy, stats):
-        hits = sum(c.l1_hit + c.l1_hit_reserved
-                   for c in stats.classes.values())
-        misses = sum(c.l1_miss for c in stats.classes.values())
-        total = hits + misses
+        total = stats.overall()
         return PolicyOutcome(
             policy=policy,
             cycles=stats.cycles,
-            l1_miss_ratio=misses / total if total else 0.0,
-            l1_hits=hits,
-            l1_misses=misses,
+            l1_miss_ratio=stats.l1_miss_ratio(),
+            l1_hits=total.l1_hit + total.l1_hit_reserved,
+            l1_misses=total.l1_miss,
             reservation_fail_fraction=stats.reservation_fail_fraction(),
         )
 
 
-def run_policy(run, config, policy, cluster=2):
+def run_policy(run, config, policy):
     """Simulate one application run under a CTA scheduling policy."""
-    gpu = GPU(config, cta_policy=policy)
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications.get(launch.kernel_name))
-    return PolicyOutcome.from_stats(policy, gpu.stats)
+    stats = GPU(config.scaled(cta_policy=policy)).run_application(
+        run.trace, run.classifications)
+    return PolicyOutcome.from_stats(policy, stats)
 
 
 def compare_cta_policies(run, config):

@@ -4,11 +4,11 @@
 spans only a few SMs, rather than sharing across all SMs, can reduce
 interconnection costs and improve access latency."
 
-Model: SMs are grouped into clusters; each cluster owns an equal share
-of the L2 partitions and its requests go only to that share, over a
-shorter interconnect.  Capacity per cluster shrinks correspondingly
-(same total silicon), so the experiment measures the locality-vs-
-capacity trade the paper hypothesizes about.
+Model (``GPUConfig.l2_clusters``): SMs are grouped into clusters; each
+cluster owns an equal share of the L2 partitions and its requests go
+only to that share, over a shorter interconnect.  Capacity per cluster
+shrinks correspondingly (same total silicon), so the experiment
+measures the locality-vs-capacity trade the paper hypothesizes about.
 """
 
 from __future__ import annotations
@@ -16,31 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..sim.gpu import GPU
-
-
-class SemiGlobalL2GPU(GPU):
-    """GPU variant whose L2 partitions are private to SM clusters."""
-
-    def __init__(self, config, cluster_size=2, icnt_speedup=2,
-                 **kwargs):
-        if config.num_sms % cluster_size:
-            raise ValueError("cluster_size must divide num_sms")
-        self.cluster_size = cluster_size
-        num_clusters = config.num_sms // cluster_size
-        if config.num_partitions % num_clusters:
-            raise ValueError("num_partitions must be divisible by the "
-                             "number of clusters")
-        # a cluster-local crossbar is smaller: model with reduced latency
-        local_config = config.scaled(
-            icnt_latency=max(1, config.icnt_latency // icnt_speedup))
-        super().__init__(local_config, **kwargs)
-        self.slices_per_cluster = (config.num_partitions // num_clusters)
-
-    def partition_of(self, sm_id, block_addr):
-        cluster = sm_id // self.cluster_size
-        base = cluster * self.slices_per_cluster
-        line = block_addr // self.config.l1_line_size
-        return base + line % self.slices_per_cluster
 
 
 @dataclass(frozen=True)
@@ -56,13 +31,10 @@ class L2Outcome:
 
 
 def _outcome(label, stats):
-    hits = sum(c.l2_hit for c in stats.classes.values())
-    misses = sum(c.l2_miss for c in stats.classes.values())
-    total = hits + misses
     return L2Outcome(
         label=label,
         cycles=stats.cycles,
-        l2_miss_ratio=misses / total if total else 0.0,
+        l2_miss_ratio=stats.l2_miss_ratio(),
         mean_d_turnaround=stats.classes["D"].mean_turnaround(),
         mean_n_turnaround=stats.classes["N"].mean_turnaround(),
         dram_reads=stats.dram_reads,
@@ -74,14 +46,12 @@ def compare_l2_organizations(run, config, cluster_size=2):
 
     Returns ``{"global": L2Outcome, "semi_global": L2Outcome}``.
     """
-    baseline = GPU(config)
-    semi = SemiGlobalL2GPU(config, cluster_size=cluster_size)
-    for launch in run.trace:
-        classification = run.classifications.get(launch.kernel_name)
-        baseline.run_launch(launch, classification)
-        semi.run_launch(launch, classification)
+    baseline = GPU(config.scaled(l2_clusters=0)).run_application(
+        run.trace, run.classifications)
+    semi = GPU(config.scaled(l2_clusters=cluster_size)).run_application(
+        run.trace, run.classifications)
     return {
-        "global": _outcome("global L2", baseline.stats),
+        "global": _outcome("global L2", baseline),
         "semi_global": _outcome(
-            "semi-global L2 (cluster=%d)" % cluster_size, semi.stats),
+            "semi-global L2 (cluster=%d)" % cluster_size, semi),
     }

@@ -16,6 +16,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..emulator.columnar import rewrite_global_loads
 from ..emulator.trace import TraceOp
@@ -99,16 +100,12 @@ def compare_warp_splitting(run, config, max_requests=4):
 
     Returns ``{"baseline": SplitOutcome, "split": SplitOutcome}``.
     """
-    baseline_gpu = GPU(config)
-    split_gpu = GPU(config)
-    for launch in run.trace:
-        classification = run.classifications.get(launch.kernel_name)
-        baseline_gpu.run_launch(launch, classification)
-        split_gpu.run_launch(split_launch(launch, classification,
-                                          max_requests,
-                                          line_bytes=config.l1_line_size),
-                             classification)
+    baseline = GPU(config).run_application(run.trace, run.classifications)
+    split = GPU(config).run_application(
+        run.trace, run.classifications,
+        rewrite=partial(split_launch, max_requests=max_requests,
+                        line_bytes=config.l1_line_size))
     return {
-        "baseline": _outcome("baseline", baseline_gpu.stats),
-        "split": _outcome("split(max=%d)" % max_requests, split_gpu.stats),
+        "baseline": _outcome("baseline", baseline),
+        "split": _outcome("split(max=%d)" % max_requests, split),
     }

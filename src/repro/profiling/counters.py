@@ -59,13 +59,11 @@ def collect_counters(run, stats=None):
         "l2_subp1_read_sector_queries": None,
     }
     if stats is not None:
-        hit = sum(cls.l1_hit + cls.l1_hit_reserved
-                  for cls in stats.classes.values())
-        miss = sum(cls.l1_miss for cls in stats.classes.values())
-        counters["l1_global_load_hit"] = hit
-        counters["l1_global_load_miss"] = miss
-        l2_hit = sum(cls.l2_hit for cls in stats.classes.values())
-        l2_total = l2_hit + sum(cls.l2_miss for cls in stats.classes.values())
+        total = stats.overall()
+        counters["l1_global_load_hit"] = total.l1_hit + total.l1_hit_reserved
+        counters["l1_global_load_miss"] = total.l1_miss
+        l2_hit = total.l2_hit
+        l2_total = l2_hit + total.l2_miss
         # the profiler splits its L2 counters across two subpartitions;
         # our partitions interleave 128 B lines, so an even/odd split is
         # the faithful mapping

@@ -25,6 +25,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from ..emulator.machine import ENGINES
+from ..sim.config import KNOB_CHOICES
+
 #: result/record schema version (bumped on incompatible layout changes).
 JOB_SCHEMA_VERSION = 1
 
@@ -41,8 +44,6 @@ OUTSTANDING = (STATUS_QUEUED, STATUS_RUNNING)
 #: race-detector modes a request may ask for.
 RACE_MODES = ("interval", "predictive")
 
-#: emulator engines a request may pin (None = the default engine).
-ENGINES = ("vectorized", "scalar", "compiled")
 
 #: simulator knobs accepted in ``JobRequest.knobs`` — deliberately the
 #: same surface (names and defaults) as the ``repro simulate`` CLI, so
@@ -58,10 +59,11 @@ KNOB_DEFAULTS = {
     "top": 8,
 }
 
+#: the string-valued knobs' choices, read from the config's own table.
 _KNOB_CHOICES = {
-    "scheduler": ("lrr", "gto"),
-    "prefetcher": ("none", "stride", "indirect_oracle"),
-    "cta_policy": ("round_robin", "clustered"),
+    "scheduler": KNOB_CHOICES["warp_scheduler"],
+    "prefetcher": KNOB_CHOICES["prefetcher"],
+    "cta_policy": KNOB_CHOICES["cta_policy"],
 }
 
 

@@ -16,9 +16,8 @@ Value-identity with the CLI is by construction, not by convention:
 * classification text is :func:`repro.core.format_kernel_report` — the
   exact function ``repro classify`` prints;
 * the simulation block is :func:`render_simulation`, which
-  ``repro simulate`` itself calls (``repro.cli._cmd_simulate`` was
-  refactored onto it), over a config built by :func:`build_job_config`
-  from the same knob names and defaults as the CLI flags;
+  ``repro simulate`` itself calls, over a config both surfaces build
+  with :func:`build_job_config` from the same knob names;
 * race reports are :meth:`~repro.analysis.races.RaceReport.to_json`,
   the same structure ``repro races --json`` writes.
 
@@ -37,7 +36,13 @@ from ..profiling.critical import format_critical_loads, rank_critical_loads
 from ..profiling.turnaround import class_breakdown
 from ..ptx import parse_module, print_module, verify_module
 from ..sim.config import TESLA_C2050
-from .jobs import JOB_SCHEMA_VERSION, JobError, JobRequest, _versions
+from .jobs import (
+    JOB_SCHEMA_VERSION,
+    KNOB_DEFAULTS,
+    JobError,
+    JobRequest,
+    _versions,
+)
 
 __all__ = [
     "build_job_config",
@@ -47,17 +52,22 @@ __all__ = [
 ]
 
 
-def build_job_config(request):
-    """The validated :class:`~repro.sim.config.GPUConfig` for a job —
-    the same construction as the ``repro simulate`` CLI flags, so equal
-    knobs produce equal configs (and therefore equal numbers)."""
+def build_job_config(knobs):
+    """The validated :class:`~repro.sim.config.GPUConfig` for the
+    simulator knobs of :data:`~repro.service.jobs.KNOB_DEFAULTS`.
+
+    ``knobs`` maps every knob name to its value: a job's effective
+    knobs, or the ``repro simulate`` arguments, whose flags carry the
+    same names.  Both surfaces build their config here, so equal knobs
+    produce equal configs (and therefore equal numbers)."""
     return TESLA_C2050.scaled(
-        num_sms=request.knob("sms"),
-        num_partitions=request.knob("partitions"),
-        l1_size=request.knob("l1_kb") * 1024,
-        l2_size=request.knob("l2_kb") * 1024,
-        warp_scheduler=request.knob("scheduler"),
-        prefetcher=request.knob("prefetcher"),
+        num_sms=knobs["sms"],
+        num_partitions=knobs["partitions"],
+        l1_size=knobs["l1_kb"] * 1024,
+        l2_size=knobs["l2_kb"] * 1024,
+        warp_scheduler=knobs["scheduler"],
+        prefetcher=knobs["prefetcher"],
+        cta_policy=knobs["cta_policy"],
     ).validate()
 
 
@@ -236,10 +246,9 @@ def execute_job(request, use_trace_cache=True):
 
     from ..experiments.runner import ExperimentRunner
 
-    config = build_job_config(request)
+    config = build_job_config(dict(KNOB_DEFAULTS, **dict(request.knobs)))
     runner = ExperimentRunner(
         scale=request.scale, seed=request.seed, config=config,
-        cta_policy=request.knob("cta_policy"),
         simulate=request.simulate, engine=request.engine,
         use_trace_cache=use_trace_cache, strict=True)
     result = runner.result(request.app)

@@ -25,6 +25,16 @@ from dataclasses import dataclass, fields, replace
 #: consumers.
 LINE_BYTES = 128
 
+#: The legal values of every string-valued :class:`GPUConfig` field.
+#: :meth:`GPUConfig.validate`, :func:`check_knobs` (and so sweep specs),
+#: the service's knob validation, the ``repro simulate`` flags and the
+#: CTA-scheduler factory all read this one table.
+KNOB_CHOICES = {
+    "warp_scheduler": ("lrr", "gto"),
+    "prefetcher": ("none", "stride", "indirect_oracle"),
+    "cta_policy": ("round_robin", "clustered"),
+}
+
 
 @dataclass(frozen=True)
 class GPUConfig:
@@ -41,6 +51,9 @@ class GPUConfig:
     #: warp scheduling policy: "lrr" (loose round-robin, the paper's
     #: baseline) or "gto" (greedy-then-oldest).
     warp_scheduler: str = "lrr"
+    #: CTA-to-SM assignment: "round_robin" (the hardware baseline) or
+    #: "clustered" (Section X.B: neighbouring CTAs share an SM).
+    cta_policy: str = "round_robin"
 
     # -- functional-unit timing -----------------------------------------------
     #: SP initiation interval / result latency (GPGPU-Sim int/fp default).
@@ -101,6 +114,11 @@ class GPUConfig:
     l2_hit_latency: int = 20
     #: raster-operations pipeline depth: minimum icnt->L2 latency (Table II).
     rop_latency: int = 120
+    #: L2 organization: 0 is the global L2 every SM shares; n > 0 is
+    #: Section X.C's semi-global L2, whose slices are private to clusters
+    #: of n SMs, each cluster reaching its share of the partitions over a
+    #: smaller crossbar (see :attr:`crossbar_latency`).
+    l2_clusters: int = 0
 
     # -- DRAM (Table II: GDDR5, latency 100) -------------------------------------
     dram_latency: int = 100
@@ -122,6 +140,33 @@ class GPUConfig:
         return self.l2_slice_size // (self.l2_line_size * self.l2_assoc)
 
     @property
+    def crossbar_latency(self):
+        """One-way latency of the SM <-> partition crossbar as built.
+
+        A cluster-local crossbar of the semi-global L2 is smaller than
+        the global one; it is modelled at half of :attr:`icnt_latency`.
+        """
+        if self.l2_clusters:
+            return max(1, self.icnt_latency // 2)
+        return self.icnt_latency
+
+    def partition_map(self):
+        """The ``(sm_id, block_addr) -> partition`` function of this L2
+        organization.
+
+        The global L2 interleaves lines across all partitions,
+        SM-independent; the semi-global L2 interleaves each cluster's
+        requests over that cluster's own slices only.
+        """
+        line, parts = self.l1_line_size, self.num_partitions
+        if not self.l2_clusters:
+            return lambda sm_id, block: (block // line) % parts
+        cluster = self.l2_clusters
+        slices = parts // (self.num_sms // cluster)
+        return lambda sm_id, block: (
+            (sm_id // cluster) * slices + (block // line) % slices)
+
+    @property
     def unloaded_miss_latency(self):
         """Zero-contention turnaround of an L1-missing load (one request).
 
@@ -129,15 +174,15 @@ class GPUConfig:
         request crosses the interconnect, traverses the ROP pipe, misses in
         L2, pays DRAM latency + one burst, and the data returns.
         """
-        return (self.icnt_latency + self.rop_latency + self.l2_hit_latency
-                + self.dram_latency + self.dram_burst_interval
-                + self.icnt_latency)
+        return (self.crossbar_latency + self.rop_latency
+                + self.l2_hit_latency + self.dram_latency
+                + self.dram_burst_interval + self.crossbar_latency)
 
     @property
     def unloaded_l2_hit_latency(self):
         """Zero-contention turnaround of an L1 miss that hits in L2."""
-        return (self.icnt_latency + self.rop_latency + self.l2_hit_latency
-                + self.icnt_latency)
+        return (self.crossbar_latency + self.rop_latency
+                + self.l2_hit_latency + self.crossbar_latency)
 
     def scaled(self, **overrides):
         """A copy with overrides — convenience for tests and ablations."""
@@ -150,12 +195,25 @@ class GPUConfig:
             raise ValueError("L2 slice size must be a multiple of line*assoc")
         if self.num_sms < 1 or self.num_partitions < 1:
             raise ValueError("need at least one SM and one partition")
-        if self.warp_scheduler not in ("lrr", "gto"):
-            raise ValueError("warp_scheduler must be 'lrr' or 'gto'")
-        if self.prefetcher not in ("none", "stride", "indirect_oracle"):
-            raise ValueError(
-                "prefetcher must be 'none', 'stride' or 'indirect_oracle'")
+        for name in KNOB_CHOICES:
+            _check_choice(name, getattr(self, name))
+        if self.l2_clusters < 0:
+            raise ValueError("l2_clusters must be >= 0")
+        if self.l2_clusters:
+            if self.num_sms % self.l2_clusters:
+                raise ValueError("l2_clusters (%d) must divide num_sms (%d)"
+                                 % (self.l2_clusters, self.num_sms))
+            if self.num_partitions % (self.num_sms // self.l2_clusters):
+                raise ValueError("num_partitions must be divisible by the "
+                                 "number of L2 clusters")
         return self
+
+
+def _check_choice(name, value):
+    choices = KNOB_CHOICES[name]
+    if value not in choices:
+        raise ValueError("%s must be one of %s, got %r"
+                         % (name, ", ".join(choices), value))
 
 
 def knob_names():
@@ -163,8 +221,7 @@ def knob_names():
 
     This is the authoritative knob enumeration consumed by the sweep
     engine (:mod:`repro.sweep`): a sweep axis or fixed override must
-    name one of these fields (or one of the engine's structural knobs,
-    which are not config fields — see ``repro.sweep.spec``).
+    name one of these fields.
     """
     return tuple(f.name for f in fields(GPUConfig))
 
@@ -172,13 +229,15 @@ def knob_names():
 def check_knobs(overrides):
     """Validate sweep/ablation overrides against :class:`GPUConfig`.
 
-    Checks that every name is a real config field and that every value
+    Checks that every name is a real config field, that every value
     has the field's type (bools are rejected for int fields — JSON
     ``true`` silently coercing to ``1`` would be a confusing sweep
-    axis).  Returns the overrides as a plain dict; raises
-    :class:`ValueError` with the offending name otherwise.  Structural
-    consistency (set counts, divisibility) is still checked by
-    :meth:`GPUConfig.validate` once a full config is assembled.
+    axis), that no count is negative and that string fields take one
+    of their :data:`KNOB_CHOICES`.  Returns the overrides as a plain
+    dict; raises :class:`ValueError` with the offending name otherwise.
+    Consistency between fields (set counts, divisibility) is still
+    checked by :meth:`GPUConfig.validate` once a full config is
+    assembled.
     """
     defaults = GPUConfig()
     valid = set(knob_names())
@@ -194,6 +253,10 @@ def check_knobs(overrides):
             raise ValueError(
                 "knob %r expects %s, got %r"
                 % (name, expected.__name__, value))
+        if expected is int and value < 0:
+            raise ValueError("knob %r must be >= 0, got %r" % (name, value))
+        if name in KNOB_CHOICES:
+            _check_choice(name, value)
         checked[name] = value
     return checked
 

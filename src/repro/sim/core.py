@@ -207,8 +207,7 @@ class SMCore:
         self.req_icnt = req_icnt
         self.on_cta_finished = on_cta_finished
         if partition_map is None:
-            partition_map = lambda sm, block: (
-                (block // config.l1_line_size) % config.num_partitions)
+            partition_map = config.partition_map()
         self.partition_map = partition_map
         self.l1 = Cache(
             num_sets=config.l1_num_sets,

@@ -13,12 +13,12 @@ from __future__ import annotations
 from collections import deque
 from typing import List
 
+from .config import KNOB_CHOICES
+
 
 class RoundRobinScheduler:
     """The baseline hardware policy: CTAs issued in id order, each to the
     next SM with a free slot (CTA0->SM0, CTA1->SM1, ...)."""
-
-    name = "round_robin"
 
     def __init__(self, cta_ids, num_sms):
         self._queue = deque(cta_ids)
@@ -45,8 +45,6 @@ class ClusteredScheduler:
     avoid load imbalance.
     """
 
-    name = "clustered"
-
     def __init__(self, cta_ids, num_sms, cluster=2):
         self.num_sms = num_sms
         self.cluster = cluster
@@ -70,17 +68,14 @@ class ClusteredScheduler:
         return sum(len(q) for q in self._queues)
 
 
-SCHEDULERS = {
-    RoundRobinScheduler.name: RoundRobinScheduler,
-    ClusteredScheduler.name: ClusteredScheduler,
-}
+#: ``GPUConfig.cta_policy`` value -> policy class.
+SCHEDULERS = dict(zip(KNOB_CHOICES["cta_policy"],
+                      (RoundRobinScheduler, ClusteredScheduler)))
 
 
 def make_scheduler(name, cta_ids, num_sms, **kwargs):
     """Instantiate a scheduler policy by name."""
-    try:
-        cls = SCHEDULERS[name]
-    except KeyError:
+    if name not in SCHEDULERS:
         raise ValueError("unknown CTA scheduler %r (choices: %s)"
-                         % (name, ", ".join(sorted(SCHEDULERS)))) from None
-    return cls(cta_ids, num_sms, **kwargs)
+                         % (name, ", ".join(KNOB_CHOICES["cta_policy"])))
+    return SCHEDULERS[name](cta_ids, num_sms, **kwargs)

@@ -1,8 +1,9 @@
 """Top-level GPU timing simulator.
 
 Wires the SMs, the two interconnect directions and the memory partitions
-together, assigns CTAs via a scheduling policy, and replays the warp
-traces of one or more kernel launches.
+together as its :class:`~repro.sim.config.GPUConfig` describes (CTA
+policy and L2 organization included), and replays the warp traces of an
+application's kernel launches (:meth:`GPU.run_application`).
 
 The main loop is driven by per-component wake times.  Every SM and
 every memory partition carries the next cycle it must tick
@@ -92,24 +93,25 @@ def _format_state(state):
 class GPU:
     """A simulated GPU that replays emulator traces."""
 
-    def __init__(self, config=TESLA_C2050, cta_policy="round_robin",
-                 max_cycles=500_000_000):
+    def __init__(self, config=TESLA_C2050, max_cycles=500_000_000):
         config.validate()
         self.config = config
-        self.cta_policy = cta_policy
         self.max_cycles = max_cycles
         self.stats = SimStats()
         self.now = 0
         self.req_icnt = Interconnect(
             num_sources=config.num_sms, num_dests=config.num_partitions,
-            latency=config.icnt_latency,
+            latency=config.crossbar_latency,
             credits_per_source=config.icnt_credits_per_sm, name="req")
         self.resp_icnt = Interconnect(
             num_sources=config.num_partitions, num_dests=config.num_sms,
-            latency=config.icnt_latency,
+            latency=config.crossbar_latency,
             credits_per_source=config.icnt_credits_per_partition, name="resp")
         self.partitions = [MemoryPartition(p, config, self.stats)
                            for p in range(config.num_partitions)]
+        #: which memory partition serves a block for an SM (the global
+        #: or the semi-global L2 mapping, chosen once here).
+        self.partition_of = config.partition_map()
         self.sms = [SMCore(i, config, self.stats, self.req_icnt,
                            self._cta_finished,
                            partition_map=self.partition_of)
@@ -117,16 +119,6 @@ class GPU:
         self._components = self.sms + self.partitions
         self._scheduler = None
         self._cta_traces: Dict[int, List] = {}
-
-    def partition_of(self, sm_id, block_addr):
-        """Which memory partition serves ``block_addr`` for ``sm_id``.
-
-        The baseline interleaves 128 B lines across all partitions,
-        SM-independent.  Subclasses (e.g. the Section X.C semi-global L2
-        ablation) override this to localize traffic.
-        """
-        return ((block_addr // self.config.l1_line_size)
-                % self.config.num_partitions)
 
     # -- CTA flow ------------------------------------------------------------
 
@@ -171,7 +163,7 @@ class GPU:
         cta_ids = sorted(by_cta)
         self._cta_traces = by_cta
         self._scheduler = make_scheduler(
-            self.cta_policy, cta_ids, self.config.num_sms)
+            self.config.cta_policy, cta_ids, self.config.num_sms)
 
         start_cycle = self.now
         with tracing.span("simulate.launch",
@@ -198,14 +190,21 @@ class GPU:
         self._cta_traces = {}
         return self.stats
 
-    def run_application(self, app_trace, classifications):
+    def run_application(self, app_trace, classifications, rewrite=None):
         """Replay every launch of an application, in order.
 
         ``classifications`` maps kernel name to its
-        :class:`ClassificationResult`.
+        :class:`ClassificationResult`.  ``rewrite``, when given, is a
+        trace transform ``rewrite(launch, classification) -> launch``
+        applied to one launch at a time just before it replays (the
+        :mod:`repro.optim` warp-split and coalescing studies), so no
+        more than one rewritten launch is alive at once.
         """
-        for launch in app_trace.launches:
-            self.run_launch(launch, classifications.get(launch.kernel_name))
+        for launch in app_trace:
+            classification = classifications.get(launch.kernel_name)
+            if rewrite is not None:
+                launch = rewrite(launch, classification)
+            self.run_launch(launch, classification)
         return self.stats
 
     # -- main loop ------------------------------------------------------------------

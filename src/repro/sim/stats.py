@@ -212,6 +212,21 @@ class SimStats:
             return {o: 0.0 for o in Outcome}
         return {o: c / total for o, c in self.l1_cycles.items()}
 
+    def overall(self):
+        """Every load class's counts summed into one :class:`ClassStats`."""
+        total = ClassStats()
+        for cls in self.classes.values():
+            total.merge(cls)
+        return total
+
+    def l1_miss_ratio(self):
+        """L1 miss ratio over all classes (hit-reserved counts as a hit)."""
+        return self.overall().l1_miss_ratio()
+
+    def l2_miss_ratio(self):
+        """L2 miss ratio over all classes."""
+        return self.overall().l2_miss_ratio()
+
     def reservation_fail_fraction(self):
         fr = self.l1_cycle_fractions()
         return (fr[Outcome.RSRV_FAIL_TAGS] + fr[Outcome.RSRV_FAIL_MSHR]

@@ -32,7 +32,6 @@ from .engine import (
     SweepError,
     build_config,
     simulate_point,
-    structural_knobs,
 )
 from .metrics import METRIC_NAMES, collect_metrics
 from .report import (
@@ -47,7 +46,6 @@ from .report import (
 )
 from .spec import (
     BASE_CONFIGS,
-    STRUCTURAL_KNOBS,
     SWEEP_SCHEMA_VERSION,
     SpecError,
     SweepPoint,
@@ -69,7 +67,6 @@ __all__ = [
     "PointOutcome",
     "ReportError",
     "Rule",
-    "STRUCTURAL_KNOBS",
     "SWEEP_SCHEMA_VERSION",
     "SpecError",
     "SweepEngine",
@@ -94,7 +91,6 @@ __all__ = [
     "shard",
     "simulate_point",
     "spec_hash",
-    "structural_knobs",
     "sweep_status",
     "versions",
 ]

@@ -16,10 +16,8 @@ the content-addressed :func:`~.spec.point_key`:
 Emulation is shared per ``(app, scale)`` across the shard's points
 (and, through the on-disk trace cache, across shards and reruns); each
 point then gets its own timing simulation under its own
-:class:`~repro.sim.config.GPUConfig`.  Structural knobs select the
-machine organization itself: ``cta_policy`` picks the CTA scheduler
-and ``l2_clusters > 0`` simulates the paper's semi-global L2
-(:class:`~repro.optim.semi_global_l2.SemiGlobalL2GPU`).
+:class:`~repro.sim.config.GPUConfig` — machine organization
+(``cta_policy``, ``l2_clusters``) included.
 
 Observability: every point executes under a ``sweep.point`` span, the
 ``sweep.points`` counter tallies computed/cached/failed outcomes, and
@@ -49,7 +47,6 @@ from .metrics import collect_metrics
 from .spec import (
     SWEEP_SCHEMA_VERSION,
     SweepSpec,
-    _split_knobs,
     expand,
     point_key,
     resolve_base_config,
@@ -87,42 +84,21 @@ _write_json = atomic_write_json
 
 def build_config(spec, point):
     """The validated GPUConfig for one point (base + fixed + axes)."""
-    fixed_config, _fixed_structural = _split_knobs(spec.fixed)
-    point_config, _point_structural = point.split_knobs()
+    overrides = dict(spec.fixed)
+    overrides.update(point.knobs)
     base = resolve_base_config(spec.base_config)
-    overrides = dict(fixed_config)
-    overrides.update(point_config)
     return base.scaled(**overrides).validate()
-
-
-def structural_knobs(spec, point):
-    """Merged structural knobs (fixed first, point overrides)."""
-    _config, fixed_structural = _split_knobs(spec.fixed)
-    _config2, point_structural = point.split_knobs()
-    out = dict(fixed_structural)
-    out.update(point_structural)
-    return out
 
 
 def simulate_point(spec, point, run):
     """Simulate one point over an already-emulated workload run and
     return its metric dict (see :mod:`repro.sweep.metrics`)."""
-    from ..optim.semi_global_l2 import SemiGlobalL2GPU
     from ..sim.gpu import GPU
 
-    config = build_config(spec, point)
-    structural = structural_knobs(spec, point)
-    cta_policy = structural.get("cta_policy", "round_robin")
-    clusters = structural.get("l2_clusters", 0)
-    if clusters:
-        gpu = SemiGlobalL2GPU(
-            config, cluster_size=clusters, cta_policy=cta_policy
-        )
-    else:
-        gpu = GPU(config, cta_policy=cta_policy)
-    for launch in run.trace:
-        gpu.run_launch(launch, run.classifications.get(launch.kernel_name))
-    return collect_metrics(gpu.stats, spec.metrics)
+    stats = GPU(build_config(spec, point)).run_application(
+        run.trace, run.classifications
+    )
+    return collect_metrics(stats, spec.metrics)
 
 
 class SweepEngine:
@@ -438,5 +414,4 @@ __all__ = [
     "SweepError",
     "build_config",
     "simulate_point",
-    "structural_knobs",
 ]

@@ -6,10 +6,10 @@ deliberately mirror the original ablation benchmarks and figure
 renderers (so a sweep over the committed specs reproduces their
 numbers exactly):
 
-* ``l1_miss_ratio`` counts ``hit + hit_reserved`` as hits, like the
-  cache-size ablation;
-* ``l2_miss_ratio`` is ``miss / (hit + miss)`` over all classes, like
-  the semi-global-L2 ablation;
+* ``l1_miss_ratio`` and ``l2_miss_ratio`` are
+  :meth:`SimStats.l1_miss_ratio` / :meth:`SimStats.l2_miss_ratio`
+  (over all classes, ``hit + hit_reserved`` counting as L1 hits), the
+  same methods the CTA-policy and semi-global-L2 ablations report;
 * the per-class ratios (``d_l1_miss_ratio``, ...) are exactly the
   Figure 8 series.
 
@@ -40,20 +40,6 @@ METRIC_NAMES = (
 )
 
 
-def _overall_l1_miss_ratio(stats):
-    hits = sum(c.l1_hit + c.l1_hit_reserved for c in stats.classes.values())
-    misses = sum(c.l1_miss for c in stats.classes.values())
-    total = hits + misses
-    return misses / total if total else 0.0
-
-
-def _overall_l2_miss_ratio(stats):
-    hits = sum(c.l2_hit for c in stats.classes.values())
-    misses = sum(c.l2_miss for c in stats.classes.values())
-    total = hits + misses
-    return misses / total if total else 0.0
-
-
 def collect_metrics(stats, names=None):
     """Extract ``names`` (default: all of :data:`METRIC_NAMES`) from
     one simulation's stats as a plain ``{name: number}`` dict."""
@@ -62,8 +48,8 @@ def collect_metrics(stats, names=None):
     values = {
         "cycles": int(stats.cycles),
         "issued_warp_insts": int(stats.issued_warp_insts),
-        "l1_miss_ratio": _overall_l1_miss_ratio(stats),
-        "l2_miss_ratio": _overall_l2_miss_ratio(stats),
+        "l1_miss_ratio": stats.l1_miss_ratio(),
+        "l2_miss_ratio": stats.l2_miss_ratio(),
         "d_l1_miss_ratio": d.l1_miss_ratio(),
         "d_l2_miss_ratio": d.l2_miss_ratio(),
         "n_l1_miss_ratio": n.l1_miss_ratio(),

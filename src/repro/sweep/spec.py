@@ -24,16 +24,13 @@ Spec format::
       "metrics": ["l1_miss_ratio", "cycles"]   // optional subset
     }
 
-Axis/fixed names are either :func:`repro.sim.config.knob_names` entries
-(validated with :func:`repro.sim.config.check_knobs`) or one of the
-*structural* knobs the engine itself interprets:
-
-``cta_policy``
-    CTA scheduling policy (``round_robin`` or ``clustered``).
-``l2_clusters``
-    ``0`` keeps the baseline global L2; ``n > 0`` simulates the
-    paper's Section X.C semi-global organization with SM clusters of
-    size ``n`` (:class:`repro.optim.semi_global_l2.SemiGlobalL2GPU`).
+Axis/fixed names are :func:`repro.sim.config.knob_names` entries,
+validated with :func:`repro.sim.config.check_knobs` — the machine
+organization included: ``cta_policy`` (``round_robin`` or
+``clustered``) and ``l2_clusters`` (``0`` keeps the global L2; ``n > 0``
+simulates the paper's Section X.C semi-global L2 with SM clusters of
+size ``n``) are :class:`~repro.sim.config.GPUConfig` fields like any
+other.
 
 Sharding: ``shard(points, k, n)`` deterministically assigns every n-th
 point (round-robin) to shard ``k`` of ``n``, so the shard sets are
@@ -53,13 +50,6 @@ from ..workloads.registry import WORKLOADS
 
 #: bumped on incompatible changes to point files or report layout.
 SWEEP_SCHEMA_VERSION = 1
-
-#: knobs interpreted by the engine rather than by GPUConfig; values are
-#: the allowed choices (None means "validated ad hoc").
-STRUCTURAL_KNOBS = {
-    "cta_policy": ("round_robin", "clustered"),
-    "l2_clusters": None,
-}
 
 #: named base configurations a spec can start from.
 BASE_CONFIGS = ("bench", "tesla", "tiny")
@@ -87,32 +77,6 @@ def resolve_base_config(name):
     )
 
 
-def _split_knobs(mapping):
-    """Partition a knob mapping into (config_knobs, structural_knobs)."""
-    config = {}
-    structural = {}
-    for name, value in mapping.items():
-        if name in STRUCTURAL_KNOBS:
-            structural[name] = value
-        else:
-            config[name] = value
-    return config, structural
-
-
-def _check_structural(name, value):
-    if name == "cta_policy":
-        if value not in STRUCTURAL_KNOBS["cta_policy"]:
-            raise SpecError(
-                "cta_policy must be one of %s, got %r"
-                % (", ".join(STRUCTURAL_KNOBS["cta_policy"]), value)
-            )
-    elif name == "l2_clusters":
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise SpecError(
-                "l2_clusters must be a non-negative int, got %r" % (value,)
-            )
-
-
 def _canonical(value):
     """Canonical compact JSON used inside hashes."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -132,10 +96,6 @@ class SweepPoint:
         out = {"app": self.app, "scale": self.scale}
         out.update(dict(self.knobs))
         return out
-
-    def split_knobs(self):
-        """``(config_overrides, structural)`` for this point."""
-        return _split_knobs(dict(self.knobs))
 
     def label(self):
         parts = ["app=%s" % self.app, "scale=%r" % (self.scale,)]
@@ -191,26 +151,20 @@ class SweepSpec:
             raise SpecError(
                 "knob(s) both swept and fixed: %s" % ", ".join(sorted(overlap))
             )
-        config_fixed, structural_fixed = _split_knobs(self.fixed)
         try:
-            check_knobs(config_fixed)
+            check_knobs(self.fixed)
         except ValueError as exc:
             raise SpecError("fixed: %s" % exc) from None
-        for name, value in structural_fixed.items():
-            _check_structural(name, value)
         for axis, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise SpecError("axis %r needs a non-empty value list" % axis)
             if len(set(map(repr, values))) != len(values):
                 raise SpecError("axis %r has duplicate values" % axis)
             for value in values:
-                if axis in STRUCTURAL_KNOBS:
-                    _check_structural(axis, value)
-                else:
-                    try:
-                        check_knobs({axis: value})
-                    except ValueError as exc:
-                        raise SpecError("axis %s" % exc) from None
+                try:
+                    check_knobs({axis: value})
+                except ValueError as exc:
+                    raise SpecError("axis %s" % exc) from None
         if self.metrics is not None:
             if not self.metrics:
                 raise SpecError("metrics, when given, must be non-empty")
@@ -412,7 +366,6 @@ def spec_hash(spec):
 
 __all__ = [
     "BASE_CONFIGS",
-    "STRUCTURAL_KNOBS",
     "SWEEP_SCHEMA_VERSION",
     "SpecError",
     "SweepPoint",

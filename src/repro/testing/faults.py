@@ -48,6 +48,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..emulator.machine import ENGINES
+
 #: Environment variable holding the active fault specs.
 ENV_VAR = "REPRO_INJECT_FAULTS"
 
@@ -58,8 +60,6 @@ STAGES = ("emulate", "simulate", "analyze")
 #: its kind field names the engine to fail instead of a failure mode.
 ENGINE_STAGE = "engine"
 
-#: Engine names accepted as the kind of an ``engine``-stage entry.
-ENGINE_KINDS = ("scalar", "vectorized", "compiled")
 
 
 class InjectedFault(RuntimeError):
@@ -106,10 +106,10 @@ def parse_faults(value: Optional[str]) -> List[FaultSpec]:
             raise ValueError("bad %s entry %r (want app:stage[:kind])"
                              % (ENV_VAR, entry))
         if stage == ENGINE_STAGE:
-            if kind == "error" or kind not in ENGINE_KINDS:
+            if kind == "error" or kind not in ENGINES:
                 raise ValueError(
                     "bad %s entry %r (the engine stage needs an engine "
-                    "kind: %s)" % (ENV_VAR, entry, ", ".join(ENGINE_KINDS)))
+                    "kind: %s)" % (ENV_VAR, entry, ", ".join(ENGINES)))
         elif stage not in STAGES:
             raise ValueError("bad %s stage %r (choices: %s)"
                              % (ENV_VAR, stage,

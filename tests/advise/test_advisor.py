@@ -11,8 +11,14 @@ import json
 import pytest
 
 from repro.advise import COALESCE_ORACLE, WARP_SPLIT, advise_app
-from repro.optim.coalesce_oracle import compare_perfect_coalescing
+from repro.experiments.runner import ExperimentRunner
+from repro.optim.coalesce_oracle import (
+    coalesced_launch,
+    compare_perfect_coalescing,
+)
 from repro.optim.warp_split import compare_warp_splitting
+from repro.sim.config import TINY
+from repro.sim.gpu import GPU
 from repro.sweep.compare import compare
 
 
@@ -97,3 +103,24 @@ class TestDiagnosisOnlyMode:
         assert report.deltas == []
         assert report.recommendation is None
         assert "verification disabled" in report.verdict
+
+
+class TestInheritedOrganization:
+    def test_transforms_run_on_the_baseline_cta_policy(self):
+        """Under a clustered config, both the baseline and every
+        transform candidate simulate clustered CTA scheduling."""
+        config = TINY.scaled(num_sms=2, cta_policy="clustered")
+        runner = ExperimentRunner(scale=0.25, config=config)
+        delta = advise_app("bfs", runner=runner).delta(COALESCE_ORACLE)
+        assert delta is not None and not delta.skipped
+        run = runner.result("bfs").run
+
+        def metrics(stats):
+            return {"cycles": stats.cycles,
+                    "l2_misses": stats.overall().l2_miss,
+                    "dram": stats.dram_reads + stats.dram_writes}
+
+        assert delta.baseline == metrics(GPU(config).run_application(
+            run.trace, run.classifications))
+        assert delta.transformed == metrics(GPU(config).run_application(
+            run.trace, run.classifications, rewrite=coalesced_launch))

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro.emulator.machine import ENGINES
 from repro.obs.metrics import isolated_registry
 from repro.service.jobs import KNOB_DEFAULTS, JobError, JobRequest
 from repro.service.pipeline import (
+    build_job_config,
     canonical_ptx,
     check_ptx_matches_app,
     execute_job,
@@ -31,6 +33,24 @@ class TestRequestValidation:
             "scheduler": "lrr", "prefetcher": "none",
             "cta_policy": "round_robin", "top": 8,
         }
+
+    def test_cli_and_service_build_one_config(self):
+        """``repro simulate`` flags and job knobs go through the same
+        config builder, so equal knobs give equal configs."""
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(
+            ["simulate", "bfs", "--sms", "2", "--cta-policy", "clustered"])
+        request = JobRequest.from_json(
+            {"app": "bfs", "knobs": {"sms": 2, "cta_policy": "clustered"}})
+        config = build_job_config(vars(args))
+        assert config == build_job_config(
+            dict(KNOB_DEFAULTS, **dict(request.knobs)))
+        assert (config.num_sms, config.cta_policy) == (2, "clustered")
+
+    def test_every_emulator_engine_accepted(self):
+        for engine in ENGINES:
+            JobRequest.from_json({"app": "2mm", "engine": engine})
 
     def test_needs_app_or_ptx(self):
         with pytest.raises(JobError, match="needs an 'app'"):

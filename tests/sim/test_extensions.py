@@ -7,6 +7,7 @@ from repro.core import classify_kernel
 from repro.emulator import Emulator, MemoryImage
 from repro.ptx import parse_kernel
 from repro.sim import GPU, TINY
+from repro.sim.config import check_knobs
 
 
 class TestConfigValidation:
@@ -20,6 +21,28 @@ class TestConfigValidation:
         TINY.scaled(prefetcher="indirect_oracle").validate()
         with pytest.raises(ValueError):
             TINY.scaled(prefetcher="magic").validate()
+
+    def test_cta_policy_names(self):
+        TINY.scaled(cta_policy="clustered").validate()
+        with pytest.raises(ValueError, match="cta_policy"):
+            TINY.scaled(cta_policy="random").validate()
+
+    def test_l2_cluster_geometry(self):
+        # 2 SMs in one cluster owning both partitions
+        TINY.scaled(l2_clusters=2).validate()
+        with pytest.raises(ValueError, match="l2_clusters"):
+            TINY.scaled(l2_clusters=-1).validate()
+        # 6 SMs in 3 clusters cannot share 2 partitions evenly
+        with pytest.raises(ValueError, match="num_partitions"):
+            TINY.scaled(num_sms=6, l2_clusters=2).validate()
+
+    def test_check_knobs_rejects_negative_counts_and_bad_choices(self):
+        assert check_knobs({"l1_size": 0, "cta_policy": "clustered"}) \
+            == {"l1_size": 0, "cta_policy": "clustered"}
+        with pytest.raises(ValueError, match=">= 0"):
+            check_knobs({"l1_size": -1})
+        with pytest.raises(ValueError, match="prefetcher"):
+            check_knobs({"prefetcher": "magic"})
 
 
 def run_app(run, config):

@@ -139,9 +139,29 @@ class TestLaunchReplay:
         gpu.run_launch(trace, classification)
         assert gpu.stats.issued_warp_insts == 2 * first
 
+    def test_run_application_rewrites_one_launch_at_a_time(self):
+        kernel, trace = trace_of(STREAM)
+        classification = classify_kernel(kernel)
+        seen = []
+
+        def rewrite(launch, cls):
+            assert cls is classification
+            seen.append(launch)
+            return launch
+
+        stats = GPU(TINY).run_application([trace, trace],
+                                          {kernel.name: classification},
+                                          rewrite=rewrite)
+        assert seen == [trace, trace]
+        plain = GPU(TINY).run_application([trace, trace],
+                                          {kernel.name: classification})
+        assert stats.cycles == plain.cycles
+        assert stats.issued_warp_insts == \
+            2 * trace.total_warp_instructions()
+
     def test_clustered_policy_runs(self):
         kernel, trace = trace_of(STREAM)
-        gpu = GPU(TINY, cta_policy="clustered")
+        gpu = GPU(TINY.scaled(cta_policy="clustered"))
         stats = gpu.run_launch(trace, classify_kernel(kernel))
         assert stats.issued_warp_insts == trace.total_warp_instructions()
 

@@ -40,6 +40,19 @@ class TestClassStats:
 
 
 class TestSimStats:
+    def test_overall_miss_ratios_sum_every_class(self):
+        stats = SimStats()
+        stats.classes["D"] = ClassStats(l1_hit=3, l1_hit_reserved=1,
+                                        l1_miss=1, l2_hit=1, l2_miss=0)
+        stats.classes["N"] = ClassStats(l1_hit=0, l1_miss=4,
+                                        l2_hit=1, l2_miss=2)
+        stats.classes["other"] = ClassStats(l1_hit=1, l2_miss=1)
+        assert stats.overall().l1_miss == 5
+        assert stats.l1_miss_ratio() == 5 / 10
+        assert stats.l2_miss_ratio() == 3 / 5
+        assert SimStats().l1_miss_ratio() == SimStats().l2_miss_ratio() \
+            == 0.0
+
     def test_l1_cycle_fractions(self):
         stats = SimStats()
         for _ in range(3):

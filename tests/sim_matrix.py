@@ -18,7 +18,6 @@ import json
 
 from repro.experiments.runner import BENCH_CONFIG
 from repro.obs.metrics import MetricsRegistry
-from repro.optim.semi_global_l2 import SemiGlobalL2GPU
 from repro.sim.gpu import GPU
 from repro.workloads import get_workload, workload_names
 
@@ -26,14 +25,14 @@ SIM_SCALE = 0.05
 
 VARIANT_APPS = ("bfs", "mis", "2mm", "bpr")
 
-#: variant name -> (GPU class, config overrides, GPU keyword arguments)
+#: variant name -> config overrides
 VARIANTS = {
-    "base": (GPU, {}, {}),
-    "gto": (GPU, {"warp_scheduler": "gto"}, {}),
-    "stride": (GPU, {"prefetcher": "stride"}, {}),
-    "indirect_oracle": (GPU, {"prefetcher": "indirect_oracle"}, {}),
-    "semi_global": (SemiGlobalL2GPU, {}, {}),
-    "clustered": (GPU, {}, {"cta_policy": "clustered"}),
+    "base": {},
+    "gto": {"warp_scheduler": "gto"},
+    "stride": {"prefetcher": "stride"},
+    "indirect_oracle": {"prefetcher": "indirect_oracle"},
+    "semi_global": {"l2_clusters": 2},
+    "clustered": {"cta_policy": "clustered"},
 }
 
 SIM_CASES = tuple(
@@ -50,11 +49,11 @@ def workload_run(app):
 
 def make_gpu(variant, mixin=None, config=BENCH_CONFIG):
     """A fresh GPU for ``variant`` on ``config``; a ``mixin`` class, when
-    given, is put in front of the variant's GPU class."""
-    cls, overrides, kwargs = VARIANTS[variant]
+    given, is put in front of :class:`GPU`."""
+    cls = GPU
     if mixin is not None:
         cls = type(mixin.__name__ + cls.__name__, (mixin, cls), {})
-    return cls(config.scaled(**overrides), **kwargs)
+    return cls(config.scaled(**VARIANTS[variant]))
 
 
 def simulate(app, gpu, after_launch=None):

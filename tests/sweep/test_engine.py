@@ -139,7 +139,7 @@ class TestSharding:
 
 class TestPointSemantics:
     def test_semi_l2_point_matches_direct_simulation(self, runs):
-        from repro.optim.semi_global_l2 import SemiGlobalL2GPU
+        from repro.sim.gpu import GPU
 
         spec = make_spec(apps=["2mm"], axes={"l2_clusters": [2]},
                          metrics=None)
@@ -147,7 +147,9 @@ class TestPointSemantics:
         run = runs[("2mm", SCALE)]
         via_engine = simulate_point(spec, point, run)
 
-        gpu = SemiGlobalL2GPU(build_config(spec, point), cluster_size=2)
+        config = build_config(spec, point)
+        assert config.l2_clusters == 2
+        gpu = GPU(config)
         for launch in run.trace:
             gpu.run_launch(launch,
                            run.classifications.get(launch.kernel_name))

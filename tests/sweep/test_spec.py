@@ -1,5 +1,7 @@
 """Spec validation, canonical expansion, sharding and point keys."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.sweep import (
@@ -11,6 +13,8 @@ from repro.sweep import (
     shard,
     spec_hash,
 )
+
+SWEEPS = Path(__file__).resolve().parents[2] / "sweeps"
 
 
 def make_spec(**overrides):
@@ -57,9 +61,20 @@ class TestValidation:
         with pytest.raises(SpecError):
             make_spec(**overrides)
 
-    def test_structural_knobs_accepted(self):
+    def test_organization_knobs_accepted(self):
         make_spec(axes={"cta_policy": ["round_robin", "clustered"],
                         "l2_clusters": [0, 2]})
+
+    @pytest.mark.parametrize("knob", ["warp_scheduler", "prefetcher",
+                                      "cta_policy"])
+    def test_bad_choice_rejected_at_load(self, knob):
+        """A value outside the knob's choices fails when the spec loads,
+        not per point after its app has been emulated."""
+        base = {"name": "t", "apps": ["2mm"], "scales": [0.1]}
+        with pytest.raises(SpecError, match=knob):
+            SweepSpec.from_json(dict(base, axes={knob: ["bogus"]}))
+        with pytest.raises(SpecError, match=knob):
+            SweepSpec.from_json(dict(base, fixed={knob: "bogus"}))
 
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown spec field"):
@@ -162,6 +177,19 @@ class TestKeys:
         a, b = make_spec(), make_spec(**overrides)
         assert (point_key(a, expand(a)[0])
                 != point_key(b, expand(b)[0]))
+
+    def test_semi_l2_keys_are_stable(self):
+        """``l2_clusters`` became a config field without changing a key:
+        completed ``sweeps/semi_l2.json`` points stay valid."""
+        spec = SweepSpec.load(SWEEPS / "semi_l2.json")
+        assert [point_key(spec, p) for p in expand(spec)] == [
+            "0c9285ffda961eb872292b2d75d47e64be04d30ef10528c944429112c1e82bf2",
+            "91a90acc2092efda0a1e772a965c2fa5dcd401483db9a752e5864f88daf5be7b",
+            "e9948cbc3913bb4ca13929e0e30f2723290aaaafd76ac5caac1ee4592561b8c2",
+            "627579c78814109e11e8665a8a02831c727beb605f0ea42de66cf069837e9f96",
+            "5a6194ce10b0a37b5073a8c2734b2f465a4df4c0ab02dd043cf69586b900916a",
+            "1b22d5092ce914c8c6ff96ef65bd92ce790a0f42eae62c9c242985123b70673e",
+        ]
 
     def test_spec_hash_covers_cosmetics(self):
         assert spec_hash(make_spec()) != spec_hash(make_spec(name="other"))
