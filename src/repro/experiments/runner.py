@@ -382,11 +382,13 @@ class ExperimentRunner:
     def _fill_parallel(self, names):
         """Compute missing results for ``names`` in a process pool.
 
-        Failure isolation: a worker exception, a crashed worker
-        (:class:`BrokenProcessPool`) or a per-job ``timeout`` affects
-        only the applications involved — completed siblings are kept,
-        and failed names fall back to a serial retry in-process (where
-        ``strict`` decides between raising and recording the failure).
+        Failure isolation: a worker exception, a broken pool (a worker
+        died, before or after its job was submitted) or a per-job
+        ``timeout`` affects only the applications involved — completed
+        siblings are kept, and every name the pool did not deliver is
+        left to the serial pass of :meth:`results`, which runs it
+        in-process (where ``strict`` decides between raising and
+        recording the failure).
         """
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
@@ -397,7 +399,6 @@ class ExperimentRunner:
             return
         spec = self._spec()
         workers = min(self.jobs, len(missing))
-        retry_serial: List[str] = []
         timed_out = False
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
@@ -422,25 +423,19 @@ class ExperimentRunner:
                     self._failures[name] = failure
                     self._record_failure(failure)
                 except BrokenProcessPool:
-                    # the pool is dead; everything not yet collected must
-                    # be redone serially (completed results are kept)
-                    retry_serial.extend(
-                        n for n, _f in futures
-                        if n not in self._cache and n not in retry_serial
-                        and n not in self._failures)
-                    break
+                    break  # nothing more will come out of this pool
                 except Exception:               # noqa: BLE001 — isolation
-                    # worker raised: retry serially so strict mode raises
-                    # from a clean in-process traceback and non-strict
-                    # mode captures structured context off the live
-                    # exception object
-                    retry_serial.append(name)
+                    # worker raised: the serial pass reruns it, so strict
+                    # mode raises from a clean in-process traceback and
+                    # non-strict mode captures structured context off
+                    # the live exception object
+                    pass
+        except BrokenProcessPool:
+            pass  # a worker died before every name was submitted
         finally:
             # a timed-out worker may be stuck for a while: don't block
             # shutdown on it, just cancel whatever has not started
             pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
-        for name in retry_serial:
-            self.result(name)
 
     def failures(self):
         """Failures recorded so far (non-strict mode), in no particular

@@ -304,26 +304,28 @@ class SweepEngine:
         }
         workers = min(self.jobs, len(groups))
         by_group: Dict[Tuple[str, float], List[PointOutcome]] = {}
-        retry: List[Tuple[str, float]] = []
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = []
-            for gk, pts in groups.items():
-                job = (self.spec, str(self.out), pts, options)
-                futures.append((gk, pool.submit(_run_group, job)))
+            futures = [
+                (gk, pool.submit(_run_group,
+                                 (self.spec, str(self.out), pts, options)))
+                for gk, pts in groups.items()
+            ]
             for gk, future in futures:
                 try:
                     by_group[gk] = future.result()
                 except BrokenProcessPool:
-                    retry.extend(k for k, _f in futures if k not in by_group)
-                    break
+                    break  # nothing more will come out of this pool
                 except Exception:  # noqa: BLE001 — retried serially
-                    retry.append(gk)
+                    pass
+        except BrokenProcessPool:
+            pass  # a worker died before every group was submitted
         finally:
             pool.shutdown(wait=True)
-        for gk in retry:
+        # every group the pool did not deliver is retried serially
+        for gk, pts in groups.items():
             if gk not in by_group:
-                by_group[gk] = self._run_points(groups[gk])
+                by_group[gk] = self._run_points(pts)
         ordered = []
         consumed = {gk: 0 for gk in groups}
         for point in points:

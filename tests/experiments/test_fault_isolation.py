@@ -131,6 +131,13 @@ class TestParallelIsolation:
         failed = [r for r in results if not r.ok]
         assert [f.name for f in failed] == ["2mm"]
 
+    def test_pool_broken_at_submit_falls_back_to_serial(
+            self, pool_broken_at_second_submit):
+        runner = _runner(strict=False, jobs=2)
+        results = runner.results(NAMES)
+        assert [r.name for r in results] == NAMES
+        assert all(isinstance(r, AppResult) and r.ok for r in results)
+
     def test_parallel_strict_reraises(self):
         runner = _runner(strict=True, jobs=2)
         with injected("2mm", "emulate"):

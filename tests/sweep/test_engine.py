@@ -196,3 +196,14 @@ class TestParallel:
                               use_trace_cache=True).run()
         assert summary["computed"] == 4
         assert report_for([tmp_path / "parallel"]) == serial
+
+    def test_pool_broken_at_submit_falls_back_to_serial(
+            self, tmp_path, runs, pool_broken_at_second_submit):
+        make_engine(tmp_path / "serial", runs).run()
+        summary = make_engine(tmp_path / "parallel", None, jobs=2).run()
+        # the group that ran before the pool broke wrote its points, so
+        # the serial retry finds them cached
+        assert summary["failed"] == 0
+        assert summary["computed"] + summary["cached"] == 4
+        assert report_for([tmp_path / "parallel"]) == \
+            report_for([tmp_path / "serial"])
