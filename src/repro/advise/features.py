@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 #: reuse-interval bucket at which a line's reuse is considered to have
 #: outlived any realistic on-chip cache at benchmark scale: bucket 10
-#: covers intervals of 512-1023 intervening coalesced accesses, i.e.
+#: covers reuse intervals of 512-1023 coalesced accesses, i.e.
 #: 64-128 KB of unique-line traffic at 128 B lines — beyond the scaled
 #: L2 of the benchmark harness.
 FAR_REUSE_BUCKET = 10

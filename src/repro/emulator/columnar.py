@@ -397,6 +397,11 @@ class ColumnarLaunchTrace:
                                  and inst.dtype.is_float) for inst in insts]
         self._vec_by_idx = np.asarray(
             [max(inst.vector, 1) for inst in insts] or [1], dtype=np.uint8)
+        #: bytes each lane of an instruction moves, indexed by
+        #: ``pc >> _PC_SHIFT`` (0 for non-memory instructions).
+        self.access_bytes = np.asarray(
+            [inst.access_bytes if inst.is_memory else 0 for inst in insts]
+            or [0], dtype=np.int64)
         self._is_global_load = np.asarray(
             [inst.is_global_load for inst in insts] or [False],
             dtype=np.bool_)

@@ -402,8 +402,13 @@ class ExperimentRunner:
         timed_out = False
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [(name, pool.submit(_run_single, (name, spec)))
-                       for name in missing]
+            futures = []
+            try:
+                for name in missing:
+                    futures.append(
+                        (name, pool.submit(_run_single, (name, spec))))
+            except BrokenProcessPool:
+                pass  # a worker died: collect what was submitted
             for name, future in futures:
                 try:
                     result = future.result(timeout=self.timeout)
@@ -430,8 +435,6 @@ class ExperimentRunner:
                     # non-strict mode captures structured context off
                     # the live exception object
                     pass
-        except BrokenProcessPool:
-            pass  # a worker died before every name was submitted
         finally:
             # a timed-out worker may be stuck for a while: don't block
             # shutdown on it, just cancel whatever has not started

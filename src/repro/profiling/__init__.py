@@ -21,9 +21,7 @@ from .heatmap import (
     reuse_bucket,
 )
 from .irregularity import IrregularityReport, measure_irregularity
-from .requests import RequestHistogram, request_histogram
 from .locality import (
-    BLOCK_SIZE,
     LocalityAnalyzer,
     LocalityReport,
     analyze_run,
@@ -52,9 +50,6 @@ __all__ = [
     "reuse_bucket",
     "IrregularityReport",
     "measure_irregularity",
-    "RequestHistogram",
-    "request_histogram",
-    "BLOCK_SIZE",
     "LocalityAnalyzer",
     "LocalityReport",
     "analyze_run",

@@ -11,19 +11,22 @@ the optimization advisor (:mod:`repro.advise`) asks:
   how many (the paper's hidden inter-CTA locality, Figure 11);
 * **per-PC attribution** — which static loads created each line's
   traffic, so a diagnosis can point at a PTX source line;
-* **reuse-interval buckets** — log2 histogram of the number of
-  coalesced accesses between consecutive touches of the same line, the
+* **reuse-interval buckets** — log2 histogram of the reuse interval of
+  each re-touch of a line: the difference between the global indices,
+  in the stream of coalesced accesses, of that touch and the line's
+  previous one (touches at 0 and 2 give 2).  It is the
   architecture-independent temporal-locality feature of Chilukuri et
   al. (PAPERS.md).  Long intervals on a hot line mean its reuse
   outlives any realistic cache — the cache-thrashing signature.
 
-Aggregation is streaming: columnar launches are consumed chunk by chunk
-through :meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`
-(never materializing record objects, same discipline as
-:mod:`repro.analysis.predictive`), with the per-chunk NumPy dedup of
-:meth:`~repro.profiling.locality.LocalityAnalyzer.analyze_launch`;
-Python-level state is touched once per *distinct (op, line) pair*, not
-per lane access.  :meth:`HeatMapAggregator._analyze_record_warp` is the
+The coalesced accesses are the ones every trace profile counts:
+:func:`~repro.sim.coalescer.coalesce_table` turns each chunk of a
+warp's columns (:meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`,
+never the record view) into its distinct (op, line) pairs, taking each
+access's width from its instruction as the timing model does.  Python
+touches the aggregate state once per pair, not per lane access, and
+:func:`~repro.resilience.guards.check_memory_budget` runs on every
+chunk.  :meth:`HeatMapAggregator._analyze_record_warp` is the
 one-op-at-a-time reference the streaming path is tested against.
 """
 
@@ -42,14 +45,11 @@ from ..sim.config import LINE_BYTES
 #: intensity ramp for the ASCII rendering (cold -> hot).
 _RAMP = " .:-=+*#%@"
 
-_KIND_LOAD, _KIND_STORE = 0, 1
-_GLOBAL_CODE = 0  # SPACE_CODES["global"]
-
-
 def reuse_bucket(interval):
     """The log2 bucket of a reuse interval: bucket ``b`` covers
-    ``2**(b-1) <= interval < 2**b`` (``interval`` counts coalesced
-    accesses between consecutive touches of one line, exclusive)."""
+    ``2**(b-1) <= interval < 2**b``.  ``interval`` is the difference
+    between the global coalesced-access indices of two consecutive
+    touches of one line (touches at 0 and 2 give 2)."""
     return int(interval).bit_length()
 
 
@@ -249,51 +249,28 @@ class HeatMapAggregator:
     def analyze_launch(self, launch):
         kernel = launch.kernel_name
         for warp in launch.warps:
-            self._analyze_columnar_warp(kernel, warp)
+            self._analyze_columnar_warp(kernel, warp, launch.access_bytes)
 
-    def _keep_kinds(self, kinds):
-        kinds3 = kinds & 3
-        keep = kinds3 == _KIND_LOAD
-        if self.include_stores:
-            keep |= kinds3 == _KIND_STORE
-        return keep & ((kinds >> 2) == _GLOBAL_CODE)
-
-    def _analyze_columnar_warp(self, kernel, warp):
-        from ..emulator.columnar import KIND_NONE, take_ragged
+    def _analyze_columnar_warp(self, kernel, warp, access_bytes):
+        from ..sim.coalescer import coalesce_table
 
         cta = warp.cta_id
-        for pc, _mask, kind, acount, lanes, addrs, _vals in \
-                warp.iter_chunks():
+        for chunk in warp.iter_chunks():
             check_memory_budget("heat-map aggregation")
-            keep = (kind != KIND_NONE) & self._keep_kinds(kind)
-            rows = np.flatnonzero(keep)
-            if not len(rows):
-                continue
-            counts = acount[rows].astype(np.int64)
-            astart = np.zeros(len(acount) + 1, dtype=np.int64)
-            np.cumsum(acount, out=astart[1:])
-            row_addrs = take_ragged(addrs, astart[rows], counts)
-            lines = (row_addrs // self.line_bytes).astype(np.int64)
-            row = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-            if not len(row):
-                continue
-            order = np.lexsort((lines, row))
-            r, ln = row[order], lines[order]
-            fresh = np.empty(len(r), dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (r[1:] != r[:-1]) | (ln[1:] != ln[:-1])
-            r_u, ln_u = r[fresh], ln[fresh]
-            per_op = np.bincount(r_u, minlength=len(rows))
-            op_pcs = pc[rows].astype(np.int64)
+            ops = coalesce_table(chunk, access_bytes,
+                                 stores=self.include_stores,
+                                 line_size=self.line_bytes)
             self._ingest(kernel, cta,
-                         op_pcs.tolist(),
-                         counts.tolist(),
-                         per_op.tolist(),
-                         r_u.tolist(), ln_u.tolist())
+                         chunk[0][ops.rows].tolist(),
+                         ops.lanes.tolist(),
+                         ops.lines.tolist(),
+                         ops.pair_ops.tolist(), ops.pair_lines.tolist())
 
     def _analyze_record_warp(self, kernel, warp):
         """Reference implementation of :meth:`_analyze_columnar_warp`
         over the warp's record view, one op at a time."""
+        from ..sim.coalescer import coalesce_addresses
+
         cta = warp.cta_id
         for op in warp.ops:
             if op.addresses is None:
@@ -305,8 +282,9 @@ class HeatMapAggregator:
                 continue
             if not inst.is_load and not inst.is_store:
                 continue
-            touched = sorted({addr // self.line_bytes
-                              for _lane, addr in op.addresses})
+            touched = [block // self.line_bytes for block in
+                       coalesce_addresses(op.addresses, self.line_bytes,
+                                          inst.access_bytes)]
             self._ingest(kernel, cta, [op.pc], [len(op.addresses)],
                          [len(touched)], [0] * len(touched), touched)
 

@@ -11,7 +11,8 @@ Burtscher's two runtime metrics for irregular GPU programs:
   from perfectly coalesced.  We report
   ``1 - mean(minimal_requests / actual_requests)`` over global memory
   warp accesses, where ``minimal_requests`` is the fewest 128 B
-  transactions the active lanes could need (ceil(active * 4 / 128)).
+  transactions the active lanes could need
+  (``ceil(active * access width / 128)``).
 
 Both are computed straight from emulator traces, and — reproducing
 Burtscher's key finding that the paper cites — the two are largely
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulator.columnar import _PC_SHIFT, take_ragged
+from ..emulator.columnar import _PC_SHIFT
 from ..emulator.grid import WARP_SIZE
 from ..ptx.isa import Space
-from ..sim.coalescer import table_degrees
+from ..sim.coalescer import coalesce_table
+from ..sim.config import LINE_BYTES
 
 
 @dataclass(frozen=True)
@@ -49,36 +51,30 @@ class IrregularityReport:
                    self.memory_access_irregularity, self.memory_accesses))
 
 
-def measure_irregularity(app_trace, access_size=4, line_size=128):
+def measure_irregularity(app_trace, line_size=LINE_BYTES):
     """Compute the warp-level irregularity metrics for an application."""
     total_insts = 0
     total_active = 0
     accesses = 0
     coalescing_sum = 0.0
-    per_line = line_size // access_size
     for launch in app_trace:
         total_insts += launch.total_warp_instructions()
         total_active += launch.total_thread_instructions()
-        table = launch.memory_table()
+        table = launch.memory_table(space=Space.GLOBAL)
         if table is None:
             continue
-        # global loads and stores that recorded at least one access
-        counted = np.asarray(
-            [inst.space is Space.GLOBAL and (inst.is_load or inst.is_store)
-             for inst in launch.instructions], dtype=np.bool_)
-        rows = np.flatnonzero(counted[table["pc"] >> _PC_SHIFT]
-                              & (table["acount"] > 0))
-        acount = table["acount"][rows]
-        n_req, n_lanes = table_degrees(
-            {"acount": acount,
-             "addrs": take_ragged(table["addrs"], table["astart"][rows],
-                                  acount)},
-            access_size, line_size=line_size)
-        minimal = np.maximum(1, -(-n_lanes // per_line))
+        # global loads and stores that issued at least one request
+        ops = coalesce_table(table, launch.access_bytes, stores=True,
+                             line_size=line_size)
+        issued = ops.lines > 0
+        rows = ops.rows[issued]
+        footprint = (ops.lanes[issued]
+                     * launch.access_bytes[table["pc"][rows] >> _PC_SHIFT])
+        minimal = np.maximum(1, -(-footprint // line_size))
         accesses += len(rows)
         # plain op-order accumulation: NumPy's pairwise sum and 3.12's
         # compensated builtin sum would both round differently
-        for m, r in zip(minimal.tolist(), n_req.tolist()):
+        for m, r in zip(minimal.tolist(), ops.lines[issued].tolist()):
             coalescing_sum += m / r
 
     mean_active = total_active / total_insts if total_insts else 0.0

@@ -30,11 +30,6 @@ import numpy as np
 from ..ptx.isa import Space
 from ..sim.config import LINE_BYTES
 
-#: Locality block granularity — an alias of the repo-wide
-#: :data:`repro.sim.config.LINE_BYTES` (kept under its historical name
-#: for existing importers).
-BLOCK_SIZE = LINE_BYTES
-
 
 @dataclass
 class BlockInfo:
@@ -133,7 +128,7 @@ class LocalityReport:
 class LocalityAnalyzer:
     """Streams traces and accumulates a :class:`LocalityReport`."""
 
-    def __init__(self, block_size=BLOCK_SIZE, include_stores=False):
+    def __init__(self, block_size=LINE_BYTES, include_stores=False):
         self.block_size = block_size
         self.include_stores = include_stores
         self._blocks: Dict[int, BlockInfo] = {}
@@ -150,20 +145,16 @@ class LocalityAnalyzer:
 
         with tracing.span("profile.locality", app=app_trace.name) as sp:
             for launch in app_trace:
-                pc_classes = {}
-                if classifications is not None:
-                    result = classifications.get(launch.kernel_name)
-                    if result is not None:
-                        pc_classes = {ld.pc: str(ld.load_class)
-                                      for ld in result}
-                self.analyze_launch(launch, pc_classes)
+                self.analyze_launch(
+                    launch, (classifications or {}).get(launch.kernel_name))
             report = self.report()
             sp.set(blocks=report.num_blocks,
                    accesses=report.total_accesses)
         return report
 
     def analyze_launch(self, launch, pc_classes=None):
-        """Vectorized per-launch pass over the columnar memory table.
+        """Vectorized per-launch pass over the launch's coalesced global
+        accesses (:func:`~repro.sim.coalescer.coalesce_table`).
 
         Global loads (and stores with ``include_stores``; atomics are
         always excluded, as in the paper's load focus) count once per
@@ -172,40 +163,26 @@ class LocalityAnalyzer:
         toucher records their CTA distance.  The carried per-block state
         (:class:`BlockInfo`) supplies the launch-entry ``last_cta``.
         Python touches only the launch's *unique blocks*, not its
-        accesses.
+        accesses.  ``pc_classes`` is anything
+        :func:`~repro.sim.coalescer.pc_class_map` accepts.
         """
-        from ..emulator.columnar import _PC_SHIFT, take_ragged
-        from ..sim.coalescer import class_codes
+        from ..emulator.columnar import _PC_SHIFT
+        from ..sim.coalescer import class_codes, coalesce_table
 
-        pc_classes = pc_classes or {}
         table = launch.memory_table(space=Space.GLOBAL)
         if table is None:
             return
-        kinds3 = table["kind"] & 3
-        keep = kinds3 == 0  # loads; atomics always excluded
-        if self.include_stores:
-            keep |= kinds3 == 1
-        rows = np.flatnonzero(keep)
-        if not len(rows):
+        ops = coalesce_table(table, launch.access_bytes,
+                             stores=self.include_stores,
+                             line_size=self.block_size)
+        r_u, b_u = ops.pair_ops, ops.pair_lines
+        if not len(r_u):
             return
-        acount = table["acount"][rows].astype(np.int64)
-        addrs = take_ragged(table["addrs"], table["astart"][rows], acount)
-        blocks = (addrs // self.block_size).astype(np.int64)
-        row = np.repeat(np.arange(len(rows), dtype=np.int64), acount)
-        if not len(row):
-            return
-        # distinct (op, block) pairs — the per-op ``touched`` set
-        order = np.lexsort((blocks, row))
-        r, b = row[order], blocks[order]
-        fresh = np.empty(len(r), dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (r[1:] != r[:-1]) | (b[1:] != b[:-1])
-        r_u, b_u = r[fresh], b[fresh]
         cta_of_warp = np.asarray([w.cta_id for w in launch.warps],
                                  dtype=np.int64)
-        cta_row = cta_of_warp[table["warp"][rows]]
+        cta_row = cta_of_warp[table["warp"][ops.rows]]
         labels = class_codes(launch, pc_classes)[
-            table["pc"][rows] >> _PC_SHIFT]
+            table["pc"][ops.rows] >> _PC_SHIFT]
         # per-block access sequences, ordered by op position
         seq = np.lexsort((r_u, b_u))
         b2, c2, k2 = b_u[seq], cta_row[r_u[seq]], labels[r_u[seq]]

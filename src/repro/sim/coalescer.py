@@ -10,16 +10,24 @@ reduced to the set of distinct 128 B-aligned blocks they touch; each block
 becomes one :class:`~repro.sim.request.MemRequest`.  A perfectly coalesced
 warp (32 consecutive 4 B words) yields a single request; a fully scattered
 warp yields up to 32.
+
+:func:`coalesce_addresses` is the per-op rule the timing model applies;
+:func:`coalesce_table` applies the same rule to a whole table of memory
+ops at once and is the one coalesced-access pass behind every trace
+profile: :func:`summarize_trace` here, and the locality analyzer, the
+heat map and the irregularity metrics in :mod:`repro.profiling`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
 from .config import LINE_BYTES
+from .stats import CLASS_LABELS, class_label
 
 
 def coalesce_addresses(addresses, line_size=LINE_BYTES, access_size=4):
@@ -53,102 +61,152 @@ def coalesce_addresses(addresses, line_size=LINE_BYTES, access_size=4):
 def coalescing_degree(addresses, line_size=LINE_BYTES, access_size=4):
     """(num_requests, num_active_lanes) for one warp access — the two
     quantities Figure 2 reports per load class."""
-    lanes = 0
-    blocks = set()
-    for _lane, addr in addresses:
-        lanes += 1
-        first = addr // line_size
-        last = (addr + access_size - 1) // line_size
-        blocks.add(first)
-        if last != first:
-            blocks.add(last)
-    return len(blocks), lanes
+    addresses = list(addresses)
+    return (len(coalesce_addresses(addresses, line_size, access_size)),
+            len(addresses))
 
 
-def table_degrees(table, access_sizes, line_size=LINE_BYTES):
-    """Vectorized :func:`coalescing_degree` over a columnar launch's
-    :meth:`~repro.emulator.columnar.ColumnarLaunchTrace.memory_table`.
+class CoalescedOps(NamedTuple):
+    """The coalesced accesses of a table of memory ops
+    (:func:`coalesce_table`)."""
 
-    ``access_sizes`` is a per-row access-width array (or a scalar).
-    Returns ``(n_requests, n_lanes)`` int64 arrays, one entry per table
-    row; rows with no recorded accesses get 0 requests.
+    #: table rows of the counted ops, in op order.
+    rows: np.ndarray
+    #: per counted op: its recorded lane accesses.
+    lanes: np.ndarray
+    #: per counted op: the distinct lines it touches, i.e. its memory
+    #: requests (0 for an op whose lanes were all predicated off).
+    lines: np.ndarray
+    #: the distinct (op, line) pairs, grouped by op in op order with
+    #: lines ascending: the op's position in :attr:`rows` ...
+    pair_ops: np.ndarray
+    #: ... and the line (byte address // line size).
+    pair_lines: np.ndarray
+
+
+def coalesce_table(table, access_bytes, stores=False, line_size=LINE_BYTES):
+    """Coalesce every global load of a table of memory ops — the one
+    (op, line) pass behind every trace profile.
+
+    ``table`` is a
+    :meth:`~repro.emulator.columnar.ColumnarLaunchTrace.memory_table`
+    dict or one :meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`
+    tuple: per-op ``pc``, ``kind`` and ``acount`` columns and the
+    op-ordered ``addrs`` they count into.  ``access_bytes`` holds each
+    instruction's per-lane width, indexed by ``pc >> _PC_SHIFT``
+    (:attr:`~repro.emulator.columnar.ColumnarLaunchTrace.access_bytes`).
+
+    Global loads count, and global stores too with ``stores``; atomics
+    never do.  Like :func:`coalesce_addresses` in the timing model, an
+    access that crosses a line boundary touches both lines.
     """
+    from ..emulator.columnar import (
+        _KIND_LOAD, _KIND_STORE, _PC_SHIFT, COLUMNS, SPACE_CODES,
+        take_ragged)
+
+    if isinstance(table, tuple):
+        table = dict(zip((name for name, _dtype in COLUMNS), table))
+    kind = table["kind"]
+    access = kind & 3
+    keep = access == _KIND_LOAD
+    if stores:
+        keep |= access == _KIND_STORE
+    keep &= (kind >> 2) == SPACE_CODES["global"]  # never KIND_NONE
+    rows = np.flatnonzero(keep)
     acount = table["acount"].astype(np.int64)
-    nrows = len(acount)
-    addrs = table["addrs"].astype(np.int64)
-    row = np.repeat(np.arange(nrows, dtype=np.int64), acount)
-    acc = np.asarray(access_sizes, dtype=np.int64)
-    if acc.ndim:
-        acc = np.repeat(acc, acount)
-    first = addrs // line_size
-    last = (addrs + acc - 1) // line_size
-    # distinct (row, block) pairs, counting boundary-straddling accesses
-    # toward both blocks — identical to coalesce_addresses' set logic
-    rows2 = np.concatenate([row, row])
-    blocks2 = np.concatenate([first, last])
-    if not len(rows2):
-        return np.zeros(nrows, dtype=np.int64), acount
-    order = np.lexsort((blocks2, rows2))
-    r = rows2[order]
-    b = blocks2[order]
-    fresh = np.empty(len(r), dtype=bool)
-    fresh[0] = True
-    fresh[1:] = (r[1:] != r[:-1]) | (b[1:] != b[:-1])
-    n_req = np.bincount(r[fresh], minlength=nrows)
-    return n_req, acount
+    lanes = acount[rows]
+    starts = np.cumsum(acount) - acount
+    addrs = take_ragged(table["addrs"], starts[rows], lanes).astype(np.int64)
+    op = np.repeat(np.arange(len(rows), dtype=np.int64), lanes)
+    width = np.repeat(access_bytes[table["pc"][rows] >> _PC_SHIFT], lanes)
+    line = addrs // line_size
+    last = (addrs + width - 1) // line_size
+    cross = np.flatnonzero(last != line)
+    if len(cross):  # one more entry per line-crossing access only
+        op = np.concatenate([op, op[cross]])
+        line = np.concatenate([line, last[cross]])
+    order = np.lexsort((line, op))
+    op, line = op[order], line[order]
+    fresh = np.empty(len(op), dtype=bool)
+    fresh[:1] = True
+    fresh[1:] = (op[1:] != op[:-1]) | (line[1:] != line[:-1])
+    op, line = op[fresh], line[fresh]
+    return CoalescedOps(rows, lanes, np.bincount(op, minlength=len(rows)),
+                        op, line)
 
 
-def class_codes(launch, pc_classes):
+def pc_class_map(classification):
+    """Normalize a classification argument — a
+    :class:`~repro.core.classifier.ClassificationResult`, a plain
+    ``{pc: "D"/"N"}`` dict or ``None`` — into ``{pc: "D"/"N"}``."""
+    from ..core.classifier import ClassificationResult
+
+    if classification is None:
+        return {}
+    if isinstance(classification, dict):
+        return dict(classification)
+    if isinstance(classification, ClassificationResult):
+        return {load.pc: str(load.load_class) for load in classification}
+    raise TypeError("classification must be None, a dict or a "
+                    "ClassificationResult")
+
+
+def class_codes(launch, classification):
     """Per-instruction D/N/other codes (0/1/2) for vectorized bucketing
-    of a launch's memory table by load class."""
+    of a launch's memory ops by load class; ``classification`` is
+    anything :func:`pc_class_map` accepts."""
     from ..emulator.columnar import _PC_SHIFT
 
     codes = np.full(len(launch.instructions), 2, dtype=np.int8)
-    for pc, cls in pc_classes.items():
+    for pc, cls in pc_class_map(classification).items():
         idx = pc >> _PC_SHIFT
         if 0 <= idx < len(codes):
             codes[idx] = 0 if cls == "D" else 1 if cls == "N" else 2
     return codes
 
 
-_CLASS_LABELS = ((0, "D"), (1, "N"), (2, "other"))
-
-
 @dataclass
 class CoalescingSummary:
-    """Per-class coalescing aggregates computed directly from a trace.
+    """Per-class histograms of memory requests per global-load warp
+    instruction, computed directly from a trace.
 
-    The timing simulator accumulates the same quantities into
+    Figure 6's observation is the shape of these histograms: a
+    deterministic load makes 1-2 requests, while "the same
+    non-deterministic load instruction generates one to 32 memory
+    requests per each warp during different instances of its
+    execution".  The timing simulator accumulates the totals into
     :class:`~repro.sim.stats.ClassStats` while replaying; this summary
     needs no timing model, so the metrics bridge and the golden-stats
     fixtures can report coalescing behaviour from emulation alone.
     """
 
-    warp_loads: Dict[str, int] = field(
-        default_factory=lambda: {"D": 0, "N": 0, "other": 0})
-    requests: Dict[str, int] = field(
-        default_factory=lambda: {"D": 0, "N": 0, "other": 0})
-    active_threads: Dict[str, int] = field(
-        default_factory=lambda: {"D": 0, "N": 0, "other": 0})
-    #: warp loads that produced more than one memory request.
-    uncoalesced: Dict[str, int] = field(
-        default_factory=lambda: {"D": 0, "N": 0, "other": 0})
+    #: ``{class: Counter({requests: warp loads})}``.
+    histogram: Dict[str, Counter] = field(
+        default_factory=lambda: {label: Counter()
+                                 for label in CLASS_LABELS})
 
-    def record(self, load_class, n_requests, n_lanes):
-        label = load_class if load_class in ("D", "N") else "other"
-        self.warp_loads[label] += 1
-        self.requests[label] += n_requests
-        self.active_threads[label] += n_lanes
-        if n_requests > 1:
-            self.uncoalesced[label] += 1
+    def record(self, load_class, n_requests):
+        self.histogram[class_label(load_class)][n_requests] += 1
+
+    @property
+    def warp_loads(self):
+        return {label: sum(hist.values())
+                for label, hist in self.histogram.items()}
+
+    @property
+    def requests(self):
+        return {label: sum(n * count for n, count in hist.items())
+                for label, hist in self.histogram.items()}
+
+    @property
+    def uncoalesced(self):
+        """Warp loads that produced more than one memory request."""
+        return {label: sum(count for n, count in hist.items() if n > 1)
+                for label, hist in self.histogram.items()}
 
     def requests_per_warp(self, label):
         loads = self.warp_loads[label]
         return self.requests[label] / loads if loads else 0.0
-
-    def uncoalesced_fraction(self, label):
-        loads = self.warp_loads[label]
-        return self.uncoalesced[label] / loads if loads else 0.0
 
 
 def summarize_trace(app_trace, classifications=None, line_size=LINE_BYTES):
@@ -157,41 +215,27 @@ def summarize_trace(app_trace, classifications=None, line_size=LINE_BYTES):
 
     ``classifications`` maps kernel name to a
     :class:`~repro.core.classifier.ClassificationResult` (or a plain
-    ``{pc: class}`` dict); loads without one land in ``"other"``.  The
-    per-thread access width comes from each instruction
-    (``inst.access_bytes``), matching the timing simulator's coalescer
-    invocation exactly.
+    ``{pc: class}`` dict); loads without one land in ``"other"``.  A
+    load whose lanes were all predicated off issues no request and is
+    not counted.
     """
     from ..emulator.columnar import _PC_SHIFT
     from ..ptx.isa import Space
 
     summary = CoalescingSummary()
     for launch in app_trace:
-        pc_classes = {}
-        if classifications is not None:
-            result = classifications.get(launch.kernel_name)
-            if result is not None:
-                if isinstance(result, dict):
-                    pc_classes = dict(result)
-                else:
-                    pc_classes = {ld.pc: str(ld.load_class) for ld in result}
-        table = launch.memory_table(space=Space.GLOBAL, loads_only=True)
+        table = launch.memory_table(space=Space.GLOBAL)
         if table is None:
             continue
-        idx = table["pc"] >> _PC_SHIFT
-        access = np.asarray([inst.access_bytes
-                             for inst in launch.instructions],
-                            dtype=np.int64)[idx]
-        n_req, n_lanes = table_degrees(table, access, line_size=line_size)
-        labels = class_codes(launch, pc_classes)[idx]
-        sel = n_lanes > 0  # ops that recorded no access issue nothing
-        for code, name in _CLASS_LABELS:
-            m = sel & (labels == code)
-            count = int(m.sum())
-            if not count:
-                continue
-            summary.warp_loads[name] += count
-            summary.requests[name] += int(n_req[m].sum())
-            summary.active_threads[name] += int(n_lanes[m].sum())
-            summary.uncoalesced[name] += int((n_req[m] > 1).sum())
+        ops = coalesce_table(table, launch.access_bytes, line_size=line_size)
+        result = (classifications or {}).get(launch.kernel_name)
+        codes = class_codes(launch, result)[
+            table["pc"][ops.rows] >> _PC_SHIFT]
+        issued = ops.lines > 0
+        for code, label in enumerate(CLASS_LABELS):
+            hist = summary.histogram[label]
+            values, counts = np.unique(ops.lines[issued & (codes == code)],
+                                       return_counts=True)
+            for n, count in zip(values.tolist(), counts.tolist()):
+                hist[n] += count
     return summary

@@ -32,8 +32,8 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, List
 
-from ..core.classifier import ClassificationResult
 from ..obs import tracing
+from .coalescer import pc_class_map
 from .config import TESLA_C2050
 from .core import SMCore
 from .cta_scheduler import make_scheduler
@@ -152,7 +152,7 @@ class GPU:
             ``{pc: "D"/"N"}`` mapping); loads without a classification are
             tallied under the ``"other"`` class.
         """
-        pc_classes = _pc_class_map(classification)
+        pc_classes = pc_class_map(classification)
         for sm in self.sms:
             sm.kernel_name = launch_trace.kernel_name
             sm.pc_classes = pc_classes
@@ -301,15 +301,3 @@ class GPU:
             sm.l1.mshr.publish_metrics(reg, level="l1", sm=str(sm.sm_id),
                                        **labels)
         return reg
-
-
-def _pc_class_map(classification):
-    """Normalize a classification argument into ``{pc: "D"/"N"}``."""
-    if classification is None:
-        return {}
-    if isinstance(classification, dict):
-        return dict(classification)
-    if isinstance(classification, ClassificationResult):
-        return {load.pc: str(load.load_class) for load in classification}
-    raise TypeError("classification must be None, a dict or a "
-                    "ClassificationResult")

@@ -306,11 +306,13 @@ class SweepEngine:
         by_group: Dict[Tuple[str, float], List[PointOutcome]] = {}
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [
-                (gk, pool.submit(_run_group,
-                                 (self.spec, str(self.out), pts, options)))
-                for gk, pts in groups.items()
-            ]
+            futures = []
+            try:
+                for gk, pts in groups.items():
+                    job = (self.spec, str(self.out), pts, options)
+                    futures.append((gk, pool.submit(_run_group, job)))
+            except BrokenProcessPool:
+                pass  # a worker died: collect what was submitted
             for gk, future in futures:
                 try:
                     by_group[gk] = future.result()
@@ -318,8 +320,6 @@ class SweepEngine:
                     break  # nothing more will come out of this pool
                 except Exception:  # noqa: BLE001 — retried serially
                     pass
-        except BrokenProcessPool:
-            pass  # a worker died before every group was submitted
         finally:
             pool.shutdown(wait=True)
         # every group the pool did not deliver is retried serially

@@ -68,12 +68,6 @@ class WorkloadRun:
                     nondet += n
         return det, nondet
 
-    def pc_class_map(self, kernel_name):
-        result = self.classifications.get(kernel_name)
-        if result is None:
-            return {}
-        return {load.pc: str(load.load_class) for load in result}
-
 
 class Workload(abc.ABC):
     """Base class for the 15 benchmark applications.

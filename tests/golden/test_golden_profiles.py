@@ -26,7 +26,7 @@ import pytest
 from repro.profiling.heatmap import heatmap_of_run
 from repro.profiling.irregularity import measure_irregularity
 from repro.profiling.locality import analyze_run
-from repro.profiling.requests import request_histogram
+from repro.sim.coalescer import summarize_trace
 from repro.workloads import get_workload, workload_names
 
 PROFILE_SCALE = 0.1
@@ -52,14 +52,14 @@ def compute_profiles(name):
     fields["distance_hist_by_class"] = {
         label: _hist(hist)
         for label, hist in sorted(locality.distance_hist_by_class.items())}
-    requests = request_histogram(run.trace, run.classifications)
+    requests = summarize_trace(run.trace, run.classifications)
     return {
         "scale": PROFILE_SCALE,
         "locality": fields,
         "heatmap": heatmap_of_run(run).to_json(),
         "irregularity": dataclasses.asdict(measure_irregularity(run.trace)),
         "requests": {label: _hist(hist)
-                     for label, hist in sorted(requests.by_class.items())},
+                     for label, hist in sorted(requests.histogram.items())},
     }
 
 

@@ -1,51 +1,57 @@
-"""Tests for the per-class request-count histograms."""
+"""Tests for the per-class histograms of requests per warp load, held by
+:class:`~repro.sim.coalescer.CoalescingSummary`."""
 
 import pytest
 
-from repro.profiling.requests import RequestHistogram, request_histogram
+from repro.sim.coalescer import CoalescingSummary, summarize_trace
 
 
 class TestHistogramObject:
     def test_record_and_stats(self):
-        hist = RequestHistogram()
-        hist.record("N", 4)
-        hist.record("N", 4)
-        hist.record("N", 10)
-        hist.record("D", 1)
-        assert hist.total("N") == 3
-        assert hist.mean("N") == pytest.approx(6.0)
-        assert hist.max("N") == 10
-        assert hist.spread("N") == 2
-        assert hist.fraction_at_or_below("N", 4) == pytest.approx(2 / 3)
+        summary = CoalescingSummary()
+        summary.record("N", 4)
+        summary.record("N", 4)
+        summary.record("N", 10)
+        summary.record("D", 1)
+        hist = summary.histogram["N"]
+        assert summary.warp_loads["N"] == 3
+        assert summary.requests_per_warp("N") == pytest.approx(6.0)
+        assert max(hist) == 10
+        assert len(hist) == 2
+        assert sum(c for n, c in hist.items() if n <= 4) / 3 == \
+            pytest.approx(2 / 3)
+        assert summary.requests == {"D": 1, "N": 18, "other": 0}
+        assert summary.uncoalesced == {"D": 0, "N": 3, "other": 0}
 
     def test_unknown_class_falls_into_other(self):
-        hist = RequestHistogram()
-        hist.record(None, 2)
-        assert hist.total("other") == 1
+        summary = CoalescingSummary()
+        summary.record(None, 2)
+        assert summary.warp_loads["other"] == 1
 
     def test_empty(self):
-        hist = RequestHistogram()
-        assert hist.mean("D") == 0.0
-        assert hist.max("D") == 0
-        assert hist.fraction_at_or_below("D", 1) == 1.0
+        summary = CoalescingSummary()
+        assert summary.requests_per_warp("D") == 0.0
+        assert not summary.histogram["D"]
+        assert summary.warp_loads == {"D": 0, "N": 0, "other": 0}
 
 
 class TestWorkloadHistograms:
     def test_bfs_shapes(self, bfs_run):
-        hist = request_histogram(bfs_run.trace, bfs_run.classifications)
+        hist = summarize_trace(bfs_run.trace,
+                               bfs_run.classifications).histogram
         # Figure 6's claims: D loads create 1-2 requests, always
-        assert hist.max("D") <= 2
+        assert max(hist["D"]) <= 2
         # the same N loads vary their request counts widely
-        assert hist.spread("N") > 3
-        assert hist.max("N") > 4
+        assert len(hist["N"]) > 3
+        assert max(hist["N"]) > 4
 
     def test_twomm_all_deterministic(self, twomm_run):
-        hist = request_histogram(twomm_run.trace,
-                                 twomm_run.classifications)
-        assert hist.total("N") == 0
-        assert hist.total("D") > 0
+        summary = summarize_trace(twomm_run.trace,
+                                  twomm_run.classifications)
+        assert summary.warp_loads["N"] == 0
+        assert summary.warp_loads["D"] > 0
 
     def test_without_classifications_everything_other(self, bfs_run):
-        hist = request_histogram(bfs_run.trace, None)
-        assert hist.total("other") > 0
-        assert hist.total("N") == 0
+        summary = summarize_trace(bfs_run.trace, None)
+        assert summary.warp_loads["other"] > 0
+        assert summary.warp_loads["N"] == 0

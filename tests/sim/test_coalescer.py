@@ -1,8 +1,18 @@
 """Unit and property tests for the memory coalescer."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.coalescer import coalesce_addresses, coalescing_degree
+from repro.emulator.trace import ApplicationTrace, TraceOp
+from repro.profiling.heatmap import HeatMapAggregator
+from repro.profiling.irregularity import measure_irregularity
+from repro.profiling.locality import LocalityAnalyzer
+from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
+from repro.sim import GPU, TINY
+from repro.sim.coalescer import (
+    coalesce_addresses, coalescing_degree, summarize_trace)
+
+from tests.traces import build_launch
 
 
 def lanes(addrs):
@@ -77,3 +87,35 @@ class TestCoalescingProperties:
         n_req, n_lanes = coalescing_degree(addrs)
         assert n_req == len(coalesce_addresses(addrs))
         assert n_lanes == len(raw)
+
+
+class TestOneCoalescingRule:
+    """Every trace profile coalesces like the timing model: the access
+    width comes from the instruction, and an access that crosses a line
+    touches both lines."""
+
+    @pytest.fixture
+    def crossing(self):
+        inst = Instruction(opcode="ld", dtype=DType.U32, space=Space.GLOBAL,
+                           vector=2, dests=(Reg("%r1"), Reg("%r2")),
+                           srcs=(MemRef(Reg("%rd1")),))
+        inst.pc = 0
+        # one lane's 8 B access at byte 124 covers lines 0 and 1
+        app = ApplicationTrace("t")
+        app.add(build_launch([(0, 0, [TraceOp(inst, 1, ((0, 124),))])]))
+        return app
+
+    def test_vector_access_across_a_line_counts_two_lines(self, crossing):
+        classes = {"k": {0: "N"}}
+        gpu = GPU(TINY)
+        gpu.run_application(crossing, classes)
+        assert gpu.stats.classes["N"].requests == 2
+        assert summarize_trace(crossing, classes).histogram["N"] == {2: 1}
+        locality = LocalityAnalyzer().analyze_application(crossing)
+        assert (locality.total_accesses, locality.num_blocks) == (2, 2)
+        heat = HeatMapAggregator().analyze_application(crossing)
+        assert heat.total_touches == 2
+        assert heat.pcs[("k", 0)].line_touches == 2
+        # one line would hold the 8 B, two are touched
+        irregularity = measure_irregularity(crossing)
+        assert irregularity.memory_access_irregularity == pytest.approx(0.5)

@@ -7,7 +7,8 @@ from repro.core import classify_kernel
 from repro.emulator import Emulator, MemoryImage
 from repro.ptx import parse_kernel
 from repro.sim import GPU, TINY
-from repro.sim.gpu import SimulationError, _pc_class_map
+from repro.sim.coalescer import pc_class_map
+from repro.sim.gpu import SimulationError
 
 STREAM = """
 .entry stream ( .param .u64 a, .param .u64 b, .param .u32 n )
@@ -174,20 +175,20 @@ class TestLaunchReplay:
 
 class TestClassMap:
     def test_accepts_dict(self):
-        assert _pc_class_map({8: "D"}) == {8: "D"}
+        assert pc_class_map({8: "D"}) == {8: "D"}
 
     def test_accepts_none(self):
-        assert _pc_class_map(None) == {}
+        assert pc_class_map(None) == {}
 
     def test_accepts_classification(self):
         kernel, _ = trace_of(STREAM)
         result = classify_kernel(kernel)
-        mapping = _pc_class_map(result)
+        mapping = pc_class_map(result)
         assert set(mapping.values()) == {"D"}
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
-            _pc_class_map(42)
+            pc_class_map(42)
 
 
 class TestPartitionMapping:

@@ -11,8 +11,8 @@ bounds their definitions imply.
 
 import pytest
 
-from repro.profiling.requests import request_histogram
 from repro.sim import GPU, TINY
+from repro.sim.coalescer import summarize_trace
 from repro.workloads import get_workload
 from tests.sim_matrix import SIM_CASES, make_gpu, simulate, workload_run
 
@@ -51,10 +51,9 @@ class TestCrossLayerInvariants:
         """The simulator's coalescing counters must equal the trace-level
         request histogram exactly (same coalescer, two call sites)."""
         run, stats = app
-        hist = request_histogram(run.trace, run.classifications)
+        hist = summarize_trace(run.trace, run.classifications).histogram
         for label in ("D", "N"):
-            hist_total = sum(n * c
-                             for n, c in hist.by_class[label].items())
+            hist_total = sum(n * c for n, c in hist[label].items())
             # histogram skips all-inactive loads; the sim counts them with
             # zero requests, so request totals match exactly
             assert stats.classes[label].requests == hist_total
@@ -73,8 +72,8 @@ class TestCrossLayerInvariants:
         for label in ("D", "N"):
             cls = stats.classes[label]
             # every classified load with >=1 request completes exactly once
-            hist = request_histogram(run.trace, run.classifications)
-            assert cls.completed == hist.total(label)
+            hist = summarize_trace(run.trace, run.classifications).histogram
+            assert cls.completed == sum(hist[label].values())
 
     def test_l1_cycles_at_least_accesses(self, app):
         _run, stats = app

@@ -11,7 +11,7 @@ from repro.emulator.trace import TraceOp
 from repro.optim.coalesce_oracle import coalesce_op
 from repro.optim.warp_split import split_op
 from repro.profiling.heatmap import HeatMapAggregator
-from repro.profiling.locality import BLOCK_SIZE, LocalityAnalyzer
+from repro.profiling.locality import LocalityAnalyzer
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import coalesce_addresses, coalescing_degree
 from repro.sim.config import LINE_BYTES, TESLA_C2050, TINY
@@ -39,7 +39,8 @@ class TestSingleSource:
         assert TINY.l1_line_size == LINE_BYTES
 
     def test_locality_alias(self):
-        assert BLOCK_SIZE == LINE_BYTES
+        assert LocalityAnalyzer().block_size == LINE_BYTES
+        assert HeatMapAggregator().line_bytes == LINE_BYTES
 
 
 class TestPropagation:

@@ -201,9 +201,6 @@ class TestParallel:
             self, tmp_path, runs, pool_broken_at_second_submit):
         make_engine(tmp_path / "serial", runs).run()
         summary = make_engine(tmp_path / "parallel", None, jobs=2).run()
-        # the group that ran before the pool broke wrote its points, so
-        # the serial retry finds them cached
-        assert summary["failed"] == 0
-        assert summary["computed"] + summary["cached"] == 4
+        assert summary["computed"] == 4
         assert report_for([tmp_path / "parallel"]) == \
             report_for([tmp_path / "serial"])
