@@ -26,6 +26,7 @@ from typing import Dict, NamedTuple
 
 import numpy as np
 
+from ..core.classifier import ClassificationResult
 from .config import LINE_BYTES
 from .stats import CLASS_LABELS, class_label
 
@@ -101,8 +102,7 @@ def coalesce_table(table, access_bytes, stores=False, line_size=LINE_BYTES):
     access that crosses a line boundary touches both lines.
     """
     from ..emulator.columnar import (
-        _KIND_LOAD, _KIND_STORE, _PC_SHIFT, COLUMNS, SPACE_CODES,
-        take_ragged)
+        _KIND_LOAD, _KIND_STORE, _PC_SHIFT, COLUMNS, SPACE_CODES)
 
     if isinstance(table, tuple):
         table = dict(zip((name for name, _dtype in COLUMNS), table))
@@ -113,24 +113,35 @@ def coalesce_table(table, access_bytes, stores=False, line_size=LINE_BYTES):
         keep |= access == _KIND_STORE
     keep &= (kind >> 2) == SPACE_CODES["global"]  # never KIND_NONE
     rows = np.flatnonzero(keep)
-    acount = table["acount"].astype(np.int64)
-    lanes = acount[rows]
-    starts = np.cumsum(acount) - acount
-    addrs = take_ragged(table["addrs"], starts[rows], lanes).astype(np.int64)
+    lanes = table["acount"][rows].astype(np.int64)
+    addrs = table["addrs"][np.repeat(keep, table["acount"])]
     op = np.repeat(np.arange(len(rows), dtype=np.int64), lanes)
-    width = np.repeat(access_bytes[table["pc"][rows] >> _PC_SHIFT], lanes)
     line = addrs // line_size
-    last = (addrs + width - 1) // line_size
-    cross = np.flatnonzero(last != line)
+    # only an access that starts less than the widest width before its
+    # line's end can cross it; those few are checked against their width
+    width = access_bytes[table["pc"][rows] >> _PC_SHIFT].astype(np.uint64)
+    offset = addrs % line_size
+    near = np.flatnonzero(offset + int(width.max(initial=0)) > line_size)
+    near_width = width[op[near]]
+    crosses = offset[near] + near_width > line_size
+    cross = near[crosses]
     if len(cross):  # one more entry per line-crossing access only
+        last = (addrs[cross] + near_width[crosses] - 1) // line_size
         op = np.concatenate([op, op[cross]])
-        line = np.concatenate([line, last[cross]])
-    order = np.lexsort((line, op))
-    op, line = op[order], line[order]
-    fresh = np.empty(len(op), dtype=bool)
-    fresh[:1] = True
-    fresh[1:] = (op[1:] != op[:-1]) | (line[1:] != line[:-1])
-    op, line = op[fresh], line[fresh]
+        line = np.concatenate([line, last])
+    # pack each (op, line) pair into one int64 key: one sort orders the
+    # pairs and a comparison with the neighbour finds the distinct ones
+    lo = int(line.min()) if len(line) else 0
+    span = int(line.max()) - lo + 1 if len(line) else 1
+    if len(rows) * span < 1 << 63:
+        key = np.sort(op * span + (line - lo).astype(np.int64))
+        fresh = np.empty(len(key), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        op, line = np.divmod(key[fresh], span)
+        line += lo
+    else:  # lines too far apart to share an int64 key with their op
+        op, line = np.unique(np.stack([op, line.astype(np.int64)]), axis=1)
     return CoalescedOps(rows, lanes, np.bincount(op, minlength=len(rows)),
                         op, line)
 
@@ -139,8 +150,6 @@ def pc_class_map(classification):
     """Normalize a classification argument — a
     :class:`~repro.core.classifier.ClassificationResult`, a plain
     ``{pc: "D"/"N"}`` dict or ``None`` — into ``{pc: "D"/"N"}``."""
-    from ..core.classifier import ClassificationResult
-
     if classification is None:
         return {}
     if isinstance(classification, dict):

@@ -7,10 +7,10 @@ from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.profiling.heatmap import HeatMapAggregator
 from repro.profiling.irregularity import measure_irregularity
 from repro.profiling.locality import LocalityAnalyzer
-from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
+from repro.ptx.isa import PC_STRIDE, DType, Instruction, MemRef, Reg, Space
 from repro.sim import GPU, TINY
 from repro.sim.coalescer import (
-    coalesce_addresses, coalescing_degree, summarize_trace)
+    coalesce_addresses, coalesce_table, coalescing_degree, summarize_trace)
 
 from tests.traces import build_launch
 
@@ -89,20 +89,55 @@ class TestCoalescingProperties:
         assert n_lanes == len(raw)
 
 
+def vector_load(vector, pc=0):
+    inst = Instruction(opcode="ld", dtype=DType.U32, space=Space.GLOBAL,
+                       vector=vector,
+                       dests=tuple(Reg("%%r%d" % i) for i in range(vector)),
+                       srcs=(MemRef(Reg("%rd1")),))
+    inst.pc = pc
+    return inst
+
+
 class TestOneCoalescingRule:
     """Every trace profile coalesces like the timing model: the access
     width comes from the instruction, and an access that crosses a line
     touches both lines."""
 
+    @staticmethod
+    def assert_table_matches_per_op(ops, line_size):
+        """``ops``: ``[(vector width, [addr, ...])]``, one warp load each."""
+        insts = {v: vector_load(v, pc=i * PC_STRIDE)
+                 for i, v in enumerate((1, 2, 4))}
+        launch = build_launch([(0, 0, [
+            TraceOp(insts[v], (1 << len(addrs)) - 1, tuple(enumerate(addrs)))
+            for v, addrs in ops])])
+        got = coalesce_table(launch.memory_table(), launch.access_bytes,
+                             line_size=line_size)
+        assert got.rows.tolist() == list(range(len(ops)))
+        for i, (v, addrs) in enumerate(ops):
+            want = [block // line_size for block in coalesce_addresses(
+                enumerate(addrs), line_size=line_size, access_size=4 * v)]
+            assert got.pair_lines[got.pair_ops == i].tolist() == want
+            assert (got.lines[i], got.lanes[i]) == (len(want), len(addrs))
+
+    @given(st.lists(st.tuples(st.sampled_from((1, 2, 4)),
+                              st.lists(st.integers(0, 1 << 12),
+                                       max_size=8)),
+                    min_size=1, max_size=6),
+           st.sampled_from((8, 32, 128)))
+    def test_table_matches_per_op_coalescer(self, ops, line_size):
+        self.assert_table_matches_per_op(ops, line_size)
+
+    def test_lines_too_far_apart_to_pack(self):
+        # four ops spanning 2**62 lines overflow an int64 (op, line) key
+        self.assert_table_matches_per_op([(1, [1 << 62, 0])] * 4, 1)
+
     @pytest.fixture
     def crossing(self):
-        inst = Instruction(opcode="ld", dtype=DType.U32, space=Space.GLOBAL,
-                           vector=2, dests=(Reg("%r1"), Reg("%r2")),
-                           srcs=(MemRef(Reg("%rd1")),))
-        inst.pc = 0
         # one lane's 8 B access at byte 124 covers lines 0 and 1
         app = ApplicationTrace("t")
-        app.add(build_launch([(0, 0, [TraceOp(inst, 1, ((0, 124),))])]))
+        app.add(build_launch([(0, 0, [
+            TraceOp(vector_load(2), 1, ((0, 124),))])]))
         return app
 
     def test_vector_access_across_a_line_counts_two_lines(self, crossing):
