@@ -105,7 +105,7 @@ class TestOneCoalescingRule:
 
     @staticmethod
     def assert_table_matches_per_op(ops, line_size):
-        """``ops``: ``[(vector width, [addr, ...])]``, one warp load each."""
+        """``ops``: ``[(vector, [addr, ...])]``, one u32 warp load each."""
         insts = {v: vector_load(v, pc=i * PC_STRIDE)
                  for i, v in enumerate((1, 2, 4))}
         launch = build_launch([(0, 0, [
