@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..emulator import MemoryImage, trace_cache
 from ..emulator.machine import DEFAULT_ENGINE
