@@ -1,7 +1,8 @@
 """Golden timing-model outcomes.
 
 The fixtures under ``fixtures/sim/`` pin the complete simulator result
-of every case in :data:`tests.sim_matrix.SIM_CASES`: every
+of every case in :data:`tests.sim_matrix.SIM_CASES` and
+:data:`~tests.sim_matrix.ISSUE_CASES`: every
 :class:`~repro.sim.stats.SimStats` field and the registry snapshot
 :meth:`~repro.sim.gpu.GPU.publish_metrics` writes.  A change to the
 simulator that shifts any cycle count, stall tally or turnaround shows
@@ -18,9 +19,11 @@ import os
 import pytest
 
 from tests.sim_matrix import (
-    SIM_CASES, SIM_SCALE, make_gpu, sim_document, simulate)
+    ISSUE_CASES, SIM_CASES, SIM_SCALE, make_gpu, sim_document, simulate)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "sim")
+
+CASES = SIM_CASES + ISSUE_CASES
 
 pytestmark = pytest.mark.golden
 
@@ -34,7 +37,7 @@ def load_fixture(app, variant):
         return json.load(fh)
 
 
-@pytest.mark.parametrize("app,variant", SIM_CASES)
+@pytest.mark.parametrize("app,variant", CASES)
 def test_sim_matches_golden(app, variant, request):
     actual = sim_document(app, simulate(app, make_gpu(variant)))
     actual["scale"] = SIM_SCALE
@@ -58,6 +61,6 @@ def test_sim_matches_golden(app, variant, request):
 def test_every_sim_fixture_has_a_case():
     """Stale fixtures (for removed apps or variants) fail the suite."""
     have = {f[:-5] for f in os.listdir(FIXTURE_DIR) if f.endswith(".json")}
-    want = {"%s-%s" % case for case in SIM_CASES}
+    want = {"%s-%s" % case for case in CASES}
     assert have == want, "fixture set differs: extra %s, missing %s" % (
         sorted(have - want), sorted(want - have))

@@ -14,7 +14,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from repro.experiments.runner import BENCH_CONFIG
 from repro.sim.config import TINY
 from tests.sim_matrix import (
-    SIM_CASES, VARIANT_APPS, make_gpu, sim_document, simulate)
+    ISSUE_CASES, SIM_CASES, VARIANT_APPS, make_gpu, sim_document, simulate)
 
 
 class PerCycle:
@@ -34,7 +34,7 @@ def assert_same_as_oracle(app, variant, config):
     assert sim_document(app, slow) == sim_document(app, fast)
 
 
-@pytest.mark.parametrize("app,variant", SIM_CASES)
+@pytest.mark.parametrize("app,variant", SIM_CASES + ISSUE_CASES)
 def test_matrix_matches_per_cycle_oracle(app, variant):
     assert_same_as_oracle(app, variant, BENCH_CONFIG)
 

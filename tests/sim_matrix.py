@@ -8,6 +8,11 @@ prefetchers, the ``semi_global`` L2 organization and the ``clustered``
 CTA policy.  A case's document holds every :class:`SimStats` field
 (``pc_buckets`` reduced to a sha256 of its sorted items) and the
 registry snapshot :meth:`GPU.publish_metrics` writes.
+
+:data:`ISSUE_CASES` pin the issue stage's corners: the same four apps
+on :data:`~repro.sim.config.TINY` under each issue width and warp
+scheduler, where tiny L1, LD/ST-queue and credit sizes make scoreboard
+blocking, unit contention and barrier release the common case.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ import json
 
 from repro.experiments.runner import BENCH_CONFIG
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.config import TINY
 from repro.sim.gpu import GPU
 from repro.workloads import get_workload, workload_names
 
@@ -40,6 +46,15 @@ SIM_CASES = tuple(
     + [(app, variant) for app in VARIANT_APPS
        for variant in VARIANTS if variant != "base"])
 
+#: issue-stage variant name -> overrides of :data:`TINY`
+ISSUE_VARIANTS = {
+    "tiny_iw%d_%s" % (width, scheduler):
+        {"issue_width": width, "warp_scheduler": scheduler}
+    for width in (1, 2) for scheduler in ("lrr", "gto")}
+
+ISSUE_CASES = tuple((app, variant) for app in VARIANT_APPS
+                    for variant in ISSUE_VARIANTS)
+
 
 @functools.lru_cache(maxsize=None)
 def workload_run(app):
@@ -48,11 +63,14 @@ def workload_run(app):
 
 
 def make_gpu(variant, mixin=None, config=BENCH_CONFIG):
-    """A fresh GPU for ``variant`` on ``config``; a ``mixin`` class, when
-    given, is put in front of :class:`GPU`."""
+    """A fresh GPU for ``variant`` on ``config`` (an issue-stage variant
+    always runs on :data:`TINY`); a ``mixin`` class, when given, is put
+    in front of :class:`GPU`."""
     cls = GPU
     if mixin is not None:
         cls = type(mixin.__name__ + cls.__name__, (mixin, cls), {})
+    if variant in ISSUE_VARIANTS:
+        return cls(TINY.scaled(**ISSUE_VARIANTS[variant]))
     return cls(config.scaled(**VARIANTS[variant]))
 
 
