@@ -3,8 +3,9 @@
 Replays warp traces produced by the functional emulator through a
 cycle-level model of one streaming multiprocessor:
 
-* a loose round-robin warp scheduler issuing up to ``issue_width``
-  instructions per cycle, gated by a per-warp scoreboard,
+* a loose round-robin (or greedy-then-oldest) warp scheduler issuing up
+  to ``issue_width`` instructions per cycle, gated by a per-warp
+  scoreboard,
 * SP / SFU pipelines with initiation intervals and result latencies
   (their first-pipeline-stage occupancy is Figure 4's busy metric),
 * an LD/ST unit with an in-order memory-instruction queue; the head
@@ -13,6 +14,18 @@ cycle-level model of one streaming multiprocessor:
   are exactly the wasted L1 cycles of Figure 3,
 * a private L1 data cache (tags + MSHRs, write-through / write-evict),
 * CTA slots with ``bar.sync`` barrier tracking.
+
+The issue stage works on integers.  Each kernel is decoded once per
+launch into an :class:`IssueTable`: per instruction, its issue kind and
+its register hazards (reads and writes) and writes as bitmasks.  A
+warp's scoreboard is one int mask of pending destination registers, and
+write-back clears an instruction's write mask from it.  The scheduler
+scans only its *candidates*, an int mask over :attr:`SMCore.warps`: a
+warp leaves it when it drains its trace, arrives at a barrier or fails
+the scoreboard check, and the barrier release or the write-back that
+clears its hazard puts it back.  The candidates still standing after a
+cycle that issued nothing, and the scoreboard-waiting and live warps
+behind them, give that cycle's stall reason.
 
 The GPU ticks an SM only when it is due (:attr:`SMCore.wake_at`).  After
 a cycle in which the SM popped no event, issued nothing, ran no prefetch
@@ -53,7 +66,7 @@ class InflightMemInst:
     def __init__(self, warp, dests, pc, kernel_name, load_class,
                  is_load, is_store, t_issue, fixed_latency=None):
         self.warp = warp
-        self.dests = dests
+        self.dests = dests  # bitmask of the registers written back
         self.pending: List[MemRequest] = []
         self.requests: List[MemRequest] = []
         self.outstanding = 0
@@ -101,71 +114,102 @@ class InflightMemInst:
             self.back_max = t
 
 
-class _OpView:
-    """The slice of one trace op the timing model consumes."""
+#: issue kinds of a decoded instruction
+ISSUE_SP, ISSUE_SFU, ISSUE_CTRL, ISSUE_BARRIER, ISSUE_MEMORY = range(5)
 
-    __slots__ = ("inst", "pc", "addresses")
 
-    def __init__(self, inst, pc, addresses):
-        self.inst = inst
-        self.pc = pc
-        self.addresses = addresses
+def issue_kind(inst):
+    """The issue-stage kind of one instruction."""
+    if inst.is_memory:
+        return ISSUE_MEMORY
+    if inst.unit is Unit.SP:
+        return ISSUE_SP
+    if inst.unit is Unit.SFU:
+        return ISSUE_SFU
+    # bra / bar / membar / exit occupy only the issue stage
+    return ISSUE_BARRIER if inst.is_barrier else ISSUE_CTRL
+
+
+class IssueTable:
+    """One kernel's instructions, decoded once for the issue stage.
+
+    ``entries[pc >> _PC_SHIFT]`` is ``(kind, hazard, writes, inst)``:
+    the :func:`issue_kind`, the registers the instruction reads or
+    writes, and the registers it writes, both as bitmasks over
+    :attr:`reg_names`.
+    """
+
+    __slots__ = ("entries", "reg_names")
+
+    def __init__(self, instructions):
+        bits: Dict[str, int] = {}
+
+        def mask(names):
+            m = 0
+            for name in names:
+                m |= 1 << bits.setdefault(name, len(bits))
+            return m
+
+        self.entries = []
+        for inst in instructions:
+            writes = mask(inst.write_reg_names)
+            hazard = mask(inst.read_reg_names) | writes
+            self.entries.append((issue_kind(inst), hazard, writes, inst))
+        self.reg_names = list(bits)
+
+    def names(self, regs):
+        """The register names of the bitmask ``regs``, in bit order."""
+        return [name for i, name in enumerate(self.reg_names)
+                if regs >> i & 1]
 
 
 class _WarpRun:
     """One resident warp replaying its trace.
 
     The warp's columnar trace is replayed straight off its column
-    arrays: each issued op materializes one transient :class:`_OpView`
-    (cached while the issue pointer sits on it), never a per-op record
-    list.
+    arrays; :attr:`entry` caches the :class:`IssueTable` entry at the
+    issue pointer.  ``pending_regs`` is the scoreboard: a bitmask of the
+    destination registers of issued, not yet written-back instructions.
+    ``waiting`` marks a warp that failed the scoreboard check and waits
+    for a write-back; ``bit`` is its place in the SM's warp masks.
     """
 
     __slots__ = ("trace", "ptr", "n", "pending_regs", "at_barrier",
-                 "cta", "trace_done", "age", "_insts", "_pc",
-                 "_kind", "_astart", "_lanes", "_addrs",
-                 "_cur_idx", "_cur_op")
+                 "cta", "trace_done", "entry", "waiting", "bit",
+                 "_entries", "_pc", "_kind", "_astart", "_lanes", "_addrs")
 
-    def __init__(self, trace, cta, age=0):
+    def __init__(self, trace, cta, table):
         self.trace = trace
         self.ptr = 0
-        self.pending_regs: Set[str] = set()
+        self.pending_regs = 0
         self.at_barrier = False
+        self.waiting = False
+        self.bit = 0
         self.cta = cta
-        self.age = age
-        self._cur_idx = -1
-        self._cur_op = None
         trace.seal()
-        self._insts = trace._launch.instructions
-        self._pc = trace.pc
-        self._kind = trace.kind
-        self._astart = trace.astart
+        self._entries = table.entries
+        # memoryviews index to plain ints, cheaper than numpy scalars
+        self._pc = memoryview(trace.pc)
+        self._kind = memoryview(trace.kind)
+        self._astart = memoryview(trace.astart)
         self._lanes = trace.lanes
         self._addrs = trace.addrs
         self.n = len(trace.pc)
         self.trace_done = not self.n
+        self.entry = self.entry_at(0) if self.n else None
 
-    def op_at(self, idx):
-        """The op view at trace position ``idx`` (uncached)."""
-        pc = int(self._pc[idx])
-        inst = self._insts[pc >> _PC_SHIFT]
-        addresses = None
-        if self._kind[idx] != KIND_NONE:
-            lo, hi = int(self._astart[idx]), int(self._astart[idx + 1])
-            addresses = list(zip(self._lanes[lo:hi].tolist(),
-                                 self._addrs[lo:hi].tolist()))
-        return _OpView(inst, pc, addresses)
+    def entry_at(self, idx):
+        """The issue-table entry of the op at trace position ``idx``."""
+        return self._entries[self._pc[idx] >> _PC_SHIFT]
 
-    def peek(self):
-        """The op at the issue pointer (cached until the warp advances)."""
-        if self._cur_idx != self.ptr:
-            self._cur_op = self.op_at(self.ptr)
-            self._cur_idx = self.ptr
-        return self._cur_op
-
-    @property
-    def blocked(self):
-        return self.trace_done or self.at_barrier
+    def addresses_at(self, idx):
+        """The ``(lane, address)`` pairs of the op at ``idx``; None for
+        an op that accesses no memory."""
+        if self._kind[idx] == KIND_NONE:
+            return None
+        lo, hi = self._astart[idx], self._astart[idx + 1]
+        return list(zip(self._lanes[lo:hi].tolist(),
+                        self._addrs[lo:hi].tolist()))
 
 
 class _CTASlot:
@@ -186,14 +230,15 @@ class _CTASlot:
         return self.warps_not_done == 0 and self.outstanding == 0
 
     def check_barrier_release(self):
-        """Release the barrier once every live warp has arrived."""
+        """Release the barrier once every live warp has arrived; returns
+        the released warps."""
         waiting = [w for w in self.warps if w.at_barrier]
         if waiting and len(waiting) >= self.warps_not_done:
             for w in waiting:
                 w.at_barrier = False
             self.barrier_count = 0
-            return True
-        return False
+            return waiting
+        return ()
 
 
 class SMCore:
@@ -218,11 +263,21 @@ class SMCore:
             name="L1[%d]" % sm_id,
         )
         self.ldst_queue: deque = deque()
+        #: resident warps in assignment (age) order, which retiring a
+        #: CTA's warps keeps
         self.warps: List[_WarpRun] = []
         self.ctas: Dict[int, _CTASlot] = {}
         self._rr = 0
+        self._gto = config.warp_scheduler == "gto"
         self._greedy: Optional[_WarpRun] = None  # gto scheduler state
-        self._warp_age = count()
+        # warp masks, bit i standing for self.warps[i]: the scan's
+        # candidates, the warps waiting on the scoreboard and the warps
+        # whose trace is not done; rebuilt from the warps' flags when
+        # self.warps changes (``_dirty``) and kept up to date in between
+        self._ready = 0
+        self._waiting = 0
+        self._live = 0
+        self._dirty = False
         self._sp_busy_until = 0
         self._sfu_busy_until = 0
         self._events: List = []
@@ -242,6 +297,7 @@ class SMCore:
         #: per-launch context, set by the GPU before simulation
         self.kernel_name = ""
         self.pc_classes: Dict[int, str] = {}
+        self.issue_table: Optional[IssueTable] = None
 
     # -- occupancy -----------------------------------------------------------
 
@@ -253,12 +309,13 @@ class SMCore:
         """Make a CTA resident; its warps join the scheduling pool."""
         slot = _CTASlot(cta_id)
         for trace in warp_traces:
-            run = _WarpRun(trace, slot, age=next(self._warp_age))
+            run = _WarpRun(trace, slot, self.issue_table)
             slot.warps.append(run)
             if not run.trace_done:
                 slot.warps_not_done += 1
             self.warps.append(run)
         self.ctas[cta_id] = slot
+        self._dirty = True
         self.wake_at = 0  # due on the GPU's next cycle
         # a CTA with only empty warp traces finishes immediately
         if slot.finished:
@@ -268,6 +325,7 @@ class SMCore:
         del self.ctas[slot.cta_id]
         keep = [w for w in self.warps if w.cta is not slot]
         self.warps = keep
+        self._dirty = True
         self._rr = 0 if not keep else self._rr % len(keep)
         if self._greedy is not None and self._greedy.cta is slot:
             self._greedy = None
@@ -300,8 +358,7 @@ class SMCore:
 
     def _finish_inflight(self, inflight, now):
         warp = inflight.warp
-        for dest in inflight.dests:
-            warp.pending_regs.discard(dest)
+        self._writeback(warp, inflight.dests)
         warp.cta.outstanding -= 1
         self._record_completion(inflight, now)
         if warp.cta.finished:
@@ -336,8 +393,11 @@ class SMCore:
         """
         if self._slept_from is not None:
             self.settle(now)
-        popped = self._pop_events(now)
-        head = self._ldst_cycle(now)
+        events = self._events
+        popped = bool(events) and events[0][0] <= now
+        if popped:
+            self._pop_events(now)
+        head = self._ldst_cycle(now) if self.ldst_queue else None
         prefetched = False
         if head is None and self._pf_queue:
             # the L1 port is free this cycle: spend it on a prefetch
@@ -347,7 +407,14 @@ class SMCore:
         if self.warps:
             self.stats.active_sm_cycles += 1
             if not issued:
-                reason = self.stall_reason()
+                # the scan that issued nothing left only scoreboard-ready
+                # warps (blocked on a unit) among the candidates
+                if self._ready:
+                    reason = "unit_busy"
+                elif self._waiting:
+                    reason = "scoreboard"
+                else:
+                    reason = "barrier" if self._live else "drained"
                 self.stats.issue_stall[reason] += 1
         if popped or issued or prefetched or head is True:
             self.wake_at = now + 1
@@ -402,7 +469,7 @@ class SMCore:
             if warp.at_barrier:
                 continue
             runnable = True
-            if self._scoreboard_ready(warp, warp.peek().inst):
+            if not warp.pending_regs & warp.entry[1]:
                 return "unit_busy"
         if runnable:
             return "scoreboard"
@@ -417,7 +484,8 @@ class SMCore:
             warps.append({"cta": w.cta.cta_id, "warp": w.trace.warp_id,
                           "op": "%d/%d" % (w.ptr, w.n),
                           "at_barrier": w.at_barrier,
-                          "pending_regs": sorted(w.pending_regs)})
+                          "pending_regs": sorted(
+                              self.issue_table.names(w.pending_regs))})
         return {"sm": self.sm_id,
                 "resident_ctas": sorted(self.ctas),
                 "stall": self.stall_reason() if self.warps else "empty",
@@ -427,14 +495,11 @@ class SMCore:
                 "warps": warps}
 
     def _pop_events(self, now):
-        worked = False
         while self._events and self._events[0][0] <= now:
             _t, _s, kind, payload = heapq.heappop(self._events)
-            worked = True
             if kind == "wb":
                 warp, dests = payload
-                for dest in dests:
-                    warp.pending_regs.discard(dest)
+                self._writeback(warp, dests)
                 warp.cta.outstanding -= 1
                 if warp.cta.finished:
                     self._retire_cta(warp.cta)
@@ -442,7 +507,6 @@ class SMCore:
                 self._complete_request(payload, now)
             elif kind == "fixed":
                 self._finish_inflight(payload, now)
-        return worked
 
     def _schedule(self, time, kind, payload):
         heapq.heappush(self._events, (time, next(self._seq), kind, payload))
@@ -450,11 +514,9 @@ class SMCore:
     # -- LD/ST unit ---------------------------------------------------------------------
 
     def _ldst_cycle(self, now):
-        """Present the LD/ST head to its port.  Returns None when the
-        queue is empty, True when the head made progress, or the
+        """Present the head of the (non-empty) LD/ST queue to its port.
+        Returns True when the head made progress, or the
         reservation-fail :class:`Outcome` it retries on."""
-        if not self.ldst_queue:
-            return None
         self.stats.unit_busy["ldst"] += 1
         head = self.ldst_queue[0]
 
@@ -526,110 +588,144 @@ class SMCore:
 
     # -- issue stage ------------------------------------------------------------------------
 
-    def _scoreboard_ready(self, warp, inst):
-        pend = warp.pending_regs
-        if not pend:
-            return True
-        for name in inst.read_reg_names:
-            if name in pend:
-                return False
-        for name in inst.write_reg_names:
-            if name in pend:
-                return False
-        return True
+    def _rebuild_masks(self):
+        """Recompute the warp masks from the warps' flags after
+        :attr:`warps` changed."""
+        ready = waiting = live = 0
+        bit = 1
+        for warp in self.warps:
+            warp.bit = bit
+            if not warp.trace_done:
+                live |= bit
+                if warp.waiting:
+                    waiting |= bit
+                elif not warp.at_barrier:
+                    ready |= bit
+            bit <<= 1
+        self._ready, self._waiting, self._live = ready, waiting, live
+        self._dirty = False
 
-    def _candidate_order(self):
-        """Warp visit order according to the configured scheduler.
+    def _writeback(self, warp, writes):
+        """Clear written-back registers from a warp's scoreboard; a
+        waiting warp whose hazards are all clear is a candidate again."""
+        pending = warp.pending_regs & ~writes
+        warp.pending_regs = pending
+        if warp.waiting and not pending & warp.entry[1]:
+            warp.waiting = False
+            self._waiting &= ~warp.bit
+            self._ready |= warp.bit
 
-        ``lrr`` (the paper's baseline) rotates from the warp after the
-        last issuer; ``gto`` keeps the greedy warp first, then falls back
-        to the oldest-assigned warps.
-        """
-        n = len(self.warps)
-        if self.config.warp_scheduler == "gto":
-            ordered = sorted(self.warps, key=lambda w: w.age)
-            greedy = self._greedy
-            if greedy is not None and greedy in self.warps:
-                ordered.remove(greedy)
-                ordered.insert(0, greedy)
-            return ordered
-        start = self._rr % n
-        return [self.warps[(start + k) % n] for k in range(n)]
+    def _wake(self, released):
+        """Barrier-released warps are candidates again."""
+        for warp in released:
+            if not warp.trace_done:
+                self._ready |= warp.bit
 
     def _issue(self, now):
+        """Issue up to ``issue_width`` instructions; returns whether any
+        issued.
+
+        Each pass visits the candidates in scheduler order — ``lrr``
+        (the paper's baseline) from the warp after the last issuer,
+        ``gto`` the greedy warp first and then the oldest (:attr:`warps`
+        is in age order) — and issues the first one its scoreboard and
+        functional unit allow.  A warp that fails the scoreboard leaves
+        the candidates; one whose unit is busy is only skipped.
+        """
         if not self.warps:
             return False
+        config = self.config
         issued = 0
-        rescan = True
-        while rescan and issued < self.config.issue_width:
-            rescan = False
-            for warp in self._candidate_order():
-                if warp.blocked:
+        while issued < config.issue_width:
+            if self._dirty:
+                self._rebuild_masks()
+            warps = self.warps
+            cand = self._ready
+            if self._gto:
+                start, first = 0, self._greedy
+            else:
+                start, first = self._rr % len(warps), None
+            while cand:
+                if first is not None:
+                    warp, bit, first = first, first.bit, None
+                    if not cand & bit:
+                        continue
+                else:
+                    high = cand >> start
+                    bit = (high & -high) << start if high else cand & -cand
+                    warp = warps[bit.bit_length() - 1]
+                cand ^= bit
+                kind, hazard, writes, inst = warp.entry
+                if warp.pending_regs & hazard:
+                    warp.waiting = True
+                    self._ready ^= bit
+                    self._waiting |= bit
                     continue
-                op = warp.peek()
-                inst = op.inst
-                if not self._scoreboard_ready(warp, inst):
-                    continue
-                if not self._try_issue(warp, op, now):
-                    continue
-                issued += 1
-                if self.config.warp_scheduler == "gto":
-                    self._greedy = warp
-                elif warp in self.warps:
-                    # loose round-robin: restart after the issued warp
-                    self._rr = (self.warps.index(warp) + 1) % len(self.warps)
-                self._advance(warp)
-                rescan = bool(self.warps)
+                if kind == ISSUE_SP:
+                    if self._sp_busy_until > now:
+                        continue
+                    self._sp_busy_until = now + config.sp_initiation_interval
+                    self.stats.unit_busy["sp"] += config.sp_initiation_interval
+                    if writes:
+                        self._write_later(warp, writes,
+                                          now + config.sp_latency)
+                elif kind == ISSUE_MEMORY:
+                    if not self._issue_memory(warp, inst, writes, now):
+                        continue
+                elif kind == ISSUE_SFU:
+                    if self._sfu_busy_until > now:
+                        continue
+                    self._sfu_busy_until = \
+                        now + config.sfu_initiation_interval
+                    self.stats.unit_busy["sfu"] += \
+                        config.sfu_initiation_interval
+                    if writes:
+                        self._write_later(warp, writes,
+                                          now + config.sfu_latency)
+                elif kind == ISSUE_BARRIER:
+                    warp.at_barrier = True
+                    self._ready ^= bit
+                    warp.cta.barrier_count += 1
+                    self._wake(warp.cta.check_barrier_release())
                 break
-        return issued > 0
+            else:
+                return issued > 0  # a whole pass found nothing to issue
+            issued += 1
+            if self._gto:
+                self._greedy = warp
+            else:
+                # loose round-robin: restart after the issued warp
+                self._rr = bit.bit_length() % len(warps)
+            self._advance(warp)
+            if not self.warps:
+                break
+        return True
+
+    def _write_later(self, warp, writes, time):
+        """An SP/SFU result: its registers are pending until ``time``."""
+        warp.pending_regs |= writes
+        warp.cta.outstanding += 1
+        self._schedule(time, "wb", (warp, writes))
 
     def _advance(self, warp):
         warp.ptr += 1
         self.stats.issued_warp_insts += 1
-        if warp.ptr >= warp.n:
-            warp.trace_done = True
-            warp.cta.warps_not_done -= 1
-            warp.cta.check_barrier_release()
-            if warp.cta.finished:
-                self._retire_cta(warp.cta)
+        if warp.ptr < warp.n:
+            warp.entry = warp.entry_at(warp.ptr)
+            return
+        warp.trace_done = True
+        self._ready &= ~warp.bit
+        self._live &= ~warp.bit
+        cta = warp.cta
+        cta.warps_not_done -= 1
+        self._wake(cta.check_barrier_release())
+        if cta.finished:
+            self._retire_cta(cta)
 
-    def _try_issue(self, warp, op, now):
-        inst = op.inst
-        if inst.is_memory:
-            return self._issue_memory(warp, op, now)
-
-        unit = inst.unit
-        if unit is Unit.SP:
-            if self._sp_busy_until > now:
-                return False
-            self._sp_busy_until = now + self.config.sp_initiation_interval
-            self.stats.unit_busy["sp"] += self.config.sp_initiation_interval
-            latency = self.config.sp_latency
-        elif unit is Unit.SFU:
-            if self._sfu_busy_until > now:
-                return False
-            self._sfu_busy_until = now + self.config.sfu_initiation_interval
-            self.stats.unit_busy["sfu"] += self.config.sfu_initiation_interval
-            latency = self.config.sfu_latency
-        else:  # CTRL: bra / bar / membar / exit occupy only the issue stage
-            if inst.is_barrier:
-                warp.at_barrier = True
-                warp.cta.barrier_count += 1
-                warp.cta.check_barrier_release()
-            return True
-
-        dests = tuple(r.name for r in inst.writes())
-        if dests:
-            warp.pending_regs.update(dests)
-            warp.cta.outstanding += 1
-            self._schedule(now + latency, "wb", (warp, dests))
-        return True
-
-    def _issue_memory(self, warp, op, now):
+    def _issue_memory(self, warp, inst, writes, now):
         if len(self.ldst_queue) >= self.config.ldst_queue_size:
             return False
-        inst = op.inst
-        dests = tuple(r.name for r in inst.writes())
+        addresses = warp.addresses_at(warp.ptr)
         space = inst.space
 
         if space is Space.GLOBAL or space is Space.TEX or space is Space.LOCAL:
@@ -637,11 +733,11 @@ class SMCore:
             if inst.is_atomic:
                 load_class = self.pc_classes.get(inst.pc)
             inflight = InflightMemInst(
-                warp, dests, inst.pc, self.kernel_name, load_class,
+                warp, writes, inst.pc, self.kernel_name, load_class,
                 is_load=inst.is_load or inst.is_atomic,
                 is_store=inst.is_store, t_issue=now)
             blocks = coalesce_addresses(
-                op.addresses or (), line_size=self.config.l1_line_size,
+                addresses or (), line_size=self.config.l1_line_size,
                 access_size=inst.access_bytes)
             if not blocks:
                 # all lanes predicated off: trivial completion
@@ -661,7 +757,7 @@ class SMCore:
                 self.stats.global_load_insts += 1
                 self.stats.record_coalescing(
                     load_class, len(blocks),
-                    len(op.addresses) if op.addresses else 0)
+                    len(addresses) if addresses else 0)
             elif inst.is_store:
                 self.stats.global_store_insts += 1
         else:
@@ -673,21 +769,19 @@ class SMCore:
             else:
                 latency = self.config.const_latency
             inflight = InflightMemInst(
-                warp, dests if inst.is_load or inst.is_atomic else (),
+                warp, writes if inst.is_load or inst.is_atomic else 0,
                 inst.pc, self.kernel_name, None,
                 is_load=inst.is_load, is_store=inst.is_store,
                 t_issue=now, fixed_latency=latency)
-            if space is Space.SHARED and op.addresses:
-                inflight.port_cycles = self._bank_conflict_degree(
-                    op.addresses)
+            if space is Space.SHARED and addresses:
+                inflight.port_cycles = self._bank_conflict_degree(addresses)
 
-        if inflight.dests:
-            warp.pending_regs.update(inflight.dests)
+        warp.pending_regs |= inflight.dests
         warp.cta.outstanding += 1
         self.ldst_queue.append(inflight)
         if self.config.prefetcher != "none" and inst.is_load \
                 and space is Space.GLOBAL:
-            self._generate_prefetches(warp, op)
+            self._generate_prefetches(warp, inst, addresses)
         return True
 
     def _bank_conflict_degree(self, addresses):
@@ -711,23 +805,23 @@ class SMCore:
             self.stats.prefetch_dropped += 1
         self._pf_queue.append(block)
 
-    def _generate_prefetches(self, warp, op):
+    def _generate_prefetches(self, warp, inst, addresses):
         config = self.config
         if config.prefetcher == "stride":
             # classic per-PC stride prediction on the load's first block
-            blocks = coalesce_addresses(op.addresses or (),
+            blocks = coalesce_addresses(addresses or (),
                                         line_size=config.l1_line_size)
             if not blocks:
                 return
             first = blocks[0]
-            last = self._pf_stride.get(op.pc)
+            last = self._pf_stride.get(inst.pc)
             if last is not None:
                 stride = first - last[0]
                 if stride != 0 and stride == last[1]:
                     self._pf_push(first + stride)
-                self._pf_stride[op.pc] = (first, stride)
+                self._pf_stride[inst.pc] = (first, stride)
             else:
-                self._pf_stride[op.pc] = (first, 0)
+                self._pf_stride[inst.pc] = (first, 0)
             return
         # indirect oracle: look ahead in this warp's trace for the next
         # non-deterministic global load and prefetch its blocks — a
@@ -735,13 +829,15 @@ class SMCore:
         lookahead = config.prefetch_lookahead
         for idx in range(warp.ptr + 1,
                          min(warp.ptr + 1 + lookahead, warp.n)):
-            future = warp.op_at(idx)
-            if future.addresses is None or not future.inst.is_global_load:
+            future = warp.addresses_at(idx)
+            if future is None:
                 continue
-            if self.pc_classes.get(future.inst.pc) != "N":
+            future_inst = warp.entry_at(idx)[3]
+            if not future_inst.is_global_load \
+                    or self.pc_classes.get(future_inst.pc) != "N":
                 continue
             for block in coalesce_addresses(
-                    future.addresses, line_size=config.l1_line_size):
+                    future, line_size=config.l1_line_size):
                 self._pf_push(block)
             break
 

@@ -35,7 +35,7 @@ from typing import Dict, List
 from ..obs import tracing
 from .coalescer import pc_class_map
 from .config import TESLA_C2050
-from .core import SMCore
+from .core import IssueTable, SMCore
 from .cta_scheduler import make_scheduler
 from .icnt import Interconnect
 from .memory_partition import MemoryPartition
@@ -153,9 +153,11 @@ class GPU:
             tallied under the ``"other"`` class.
         """
         pc_classes = pc_class_map(classification)
+        issue_table = IssueTable(launch_trace.instructions)
         for sm in self.sms:
             sm.kernel_name = launch_trace.kernel_name
             sm.pc_classes = pc_classes
+            sm.issue_table = issue_table
 
         by_cta: Dict[int, List] = {}
         for warp in launch_trace.warps:

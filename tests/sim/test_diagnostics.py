@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.cache import Outcome
 from repro.sim.config import TINY
+from repro.sim.core import IssueTable
 from repro.sim.gpu import GPU, SimulationError, _format_state
 from repro.workloads import get_workload
 
@@ -35,6 +36,33 @@ class TestDebugState:
         json.dumps(gpu.debug_state())  # must not raise
 
 
+class TestPendingRegisters:
+    def test_warp_waiting_on_a_load_lists_its_destination(self, small_run):
+        """The scoreboard is a bitmask, but ``debug_state`` (and the
+        ``pending=`` field of deadlock reports) names the registers: a
+        warp whose global load never returns lists the load's
+        destination register."""
+        gpu = GPU(TINY)
+        launch = small_run.trace.launches[0]
+        first = min(w.cta_id for w in launch.warps)
+        sm = gpu.sms[0]
+        sm.issue_table = IssueTable(launch.instructions)
+        sm.assign_cta(first, [w for w in launch.warps if w.cta_id == first])
+        gpu.req_icnt._credits[0] = 0    # the load can never leave the SM
+        with pytest.raises(SimulationError) as info:
+            gpu._run_until_drained()
+        head = sm.ldst_queue[0]
+        assert head.is_load
+        dests = launch.instruction_at(head.pc).write_reg_names
+        assert dests and all(d.startswith("%") for d in dests)
+        warps = info.value.state["sms"][0]["warps"]
+        index = [w["warp"] for w in warps].index(head.warp.trace.warp_id)
+        assert set(dests) <= set(warps[index]["pending_regs"])
+        if index < 8:   # the report prints the first eight warps
+            assert "pending=%s" % ",".join(warps[index]["pending_regs"]) \
+                in str(info.value)
+
+
 class TestCycleBudget:
     def test_budget_error_carries_state_dump(self, small_run):
         gpu = GPU(TINY, max_cycles=50)
@@ -62,6 +90,7 @@ class TestDeadlock:
             by_cta.setdefault(warp.cta_id, []).append(warp)
         first = sorted(by_cta)[0]
         sm = gpu.sms[0]
+        sm.issue_table = IssueTable(launch.instructions)
         sm.assign_cta(first, by_cta[first])
         sm.ctas[first].outstanding += 1      # never released -> no events
         for w in sm.warps:
@@ -86,6 +115,7 @@ class TestStuckRetry:
             by_cta.setdefault(warp.cta_id, []).append(warp)
         first = sorted(by_cta)[0]
         sm = gpu.sms[0]
+        sm.issue_table = IssueTable(launch.instructions)
         sm.assign_cta(first, by_cta[first])
         gpu.req_icnt._credits[0] = 0
         with pytest.raises(SimulationError) as info:
