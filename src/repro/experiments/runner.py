@@ -61,9 +61,11 @@ BENCH_SCALE = 0.5
 
 #: exception attributes copied into :attr:`AppFailure.context` when
 #: present (the structured fields of MemoryFaultError, WatchdogError,
-#: BarrierDeadlockError, SimulationError and MemoryBudgetError).
+#: BarrierDeadlockError, SimulationError, MemoryBudgetError and
+#: ConvergenceError).
 _CONTEXT_FIELDS = ("kernel", "pc", "cta", "warp", "lane", "address",
-                   "space", "budget", "warp_status", "rss_mb", "budget_mb")
+                   "space", "budget", "warp_status", "rss_mb", "budget_mb",
+                   "round", "steps")
 
 
 @dataclass

@@ -7,7 +7,7 @@ mst, mis).  Use :func:`get_workload` to instantiate by name and
 ``Workload.run()`` to classify, execute and verify an application.
 """
 
-from .base import Workload, WorkloadRun
+from .base import ConvergenceError, Workload, WorkloadRun
 from .data import (
     CSRGraph,
     CSRMatrix,
@@ -30,6 +30,7 @@ from .registry import (
 )
 
 __all__ = [
+    "ConvergenceError",
     "Workload",
     "WorkloadRun",
     "CSRGraph",

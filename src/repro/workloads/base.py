@@ -30,6 +30,18 @@ from ..resilience.fallback import run_with_fallback
 from ..testing.faults import check_engine_fault, check_fault
 
 
+class ConvergenceError(RuntimeError):
+    """A host-side iteration of an application did not converge within
+    its bound: ``app``'s round ``round`` ran ``steps`` steps."""
+
+    def __init__(self, app, round, steps):
+        self.app = app
+        self.round = round
+        self.steps = steps
+        super().__init__("%s: round %d did not converge in %d steps"
+                         % (app, round, steps))
+
+
 @dataclass
 class WorkloadRun:
     """Everything produced by one complete application run."""

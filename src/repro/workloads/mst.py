@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ptx.isa import DType
-from .base import Workload
+from .base import ConvergenceError, Workload
 from .graph_common import alloc_graph, default_graph
 
 _U32 = DType.U32
@@ -235,9 +235,10 @@ EXIT:
 """
 
 
-def reference_boruvka_round(row_ptr, col_idx, weights, comp):
+def reference_boruvka_round(row_ptr, col_idx, weights, comp, round_no=1):
     """Host mirror of one device round; returns the new comp array and
-    whether anything merged (used for verification)."""
+    whether anything merged (used for verification).  Raises
+    :class:`ConvergenceError` when the collapse does not stabilize."""
     n = len(comp)
     best_key = np.full(n, NO_EDGE, dtype=np.uint64)
     best_dst = np.full(n, NO_EDGE, dtype=np.uint64)
@@ -261,8 +262,10 @@ def reference_boruvka_round(row_ptr, col_idx, weights, comp):
         if best_key[v] != NO_EDGE and best_key[v] == comp_key[comp[v]]:
             succ[comp[v]] = best_dst[v]
             changed = True
-    # collapse with the same 2-cycle break rule until stable
-    while True:
+    # collapse with the same 2-cycle break rule until stable; a forest
+    # collapses one succ step per pass, so n + 1 passes suffice, while a
+    # longer succ cycle never stabilizes
+    for _step in range(n + 1):
         s = succ[comp]
         ss = succ[s]
         two_cycle = (ss == comp) & (comp < s)
@@ -270,6 +273,8 @@ def reference_boruvka_round(row_ptr, col_idx, weights, comp):
         if np.array_equal(s, comp):
             break
         comp = s
+    else:
+        raise ConvergenceError("mst", round_no, n + 1)
     return comp, changed
 
 
@@ -310,7 +315,7 @@ class MST(Workload):
         grid = (max(1, -(-n // self.BLOCK)),)
         block = (self.BLOCK,)
         g = self.ptrs
-        for _round in range(self.MAX_ROUNDS):
+        for round_no in range(1, self.MAX_ROUNDS + 1):
             emu.memory.write_array(
                 "comp_key", np.full(n, NO_EDGE, dtype=np.uint32))
             emu.memory.write_array("succ", np.arange(n, dtype=np.uint32))
@@ -332,8 +337,9 @@ class MST(Workload):
             if emu.memory.load(g["changed"], _U32) == 0:
                 break
             self.rounds_run += 1
-            # pointer jumping until the component map stabilizes
-            while True:
+            # pointer jumping until the component map stabilizes, bounded
+            # as in reference_boruvka_round
+            for _step in range(n + 1):
                 emu.memory.store(g["changed"], _U32, 0)
                 yield emu.launch(module["mst_pointer_jump"], grid, block,
                                  params={"succ": g["succ"],
@@ -342,15 +348,17 @@ class MST(Workload):
                                          "num_nodes": n})
                 if emu.memory.load(g["changed"], _U32) == 0:
                     break
+            else:
+                raise ConvergenceError(self.name, round_no, n + 1)
 
     def verify(self, mem):
         n = self.graph.num_nodes
         comp = mem.read_array("comp", np.uint32, n).astype(np.int64)
         expected = np.arange(n, dtype=np.int64)
-        for _ in range(self.rounds_run):
+        for round_no in range(1, self.rounds_run + 1):
             expected, changed = reference_boruvka_round(
                 self.graph.row_ptr, self.graph.col_idx,
-                self.graph.weights, expected)
+                self.graph.weights, expected, round_no)
             if not changed:
                 break
         # compare as partitions (representatives may differ)
