@@ -114,7 +114,7 @@ class InflightMemInst:
             self.back_max = t
 
 
-#: issue kinds of a decoded instruction
+#: issue kinds of a decoded instruction (the two pipelines first)
 ISSUE_SP, ISSUE_SFU, ISSUE_CTRL, ISSUE_BARRIER, ISSUE_MEMORY = range(5)
 
 
@@ -278,8 +278,14 @@ class SMCore:
         self._waiting = 0
         self._live = 0
         self._dirty = False
-        self._sp_busy_until = 0
-        self._sfu_busy_until = 0
+        # per pipeline (indexed by ISSUE_SP / ISSUE_SFU): the cycle it
+        # accepts its next instruction, and its (initiation interval,
+        # result latency, Figure 4 unit name)
+        self._busy_until = [0, 0]
+        self._pipes = ((config.sp_initiation_interval, config.sp_latency,
+                        "sp"),
+                       (config.sfu_initiation_interval, config.sfu_latency,
+                        "sfu"))
         self._events: List = []
         self._seq = count()
         #: the next cycle this SM must tick; ``inf`` while nothing but an
@@ -429,7 +435,7 @@ class SMCore:
         wake = self._events[0][0] if self._events else inf
         if reason == "unit_busy":
             # a scoreboard-ready warp may be waiting on the SP or SFU
-            for busy_until in (self._sp_busy_until, self._sfu_busy_until):
+            for busy_until in self._busy_until:
                 if now < busy_until < wake:
                     wake = busy_until
         self.wake_at = wake
@@ -634,9 +640,8 @@ class SMCore:
         """
         if not self.warps:
             return False
-        config = self.config
         issued = 0
-        while issued < config.issue_width:
+        while issued < self.config.issue_width:
             if self._dirty:
                 self._rebuild_masks()
             warps = self.warps
@@ -661,27 +666,21 @@ class SMCore:
                     self._ready ^= bit
                     self._waiting |= bit
                     continue
-                if kind == ISSUE_SP:
-                    if self._sp_busy_until > now:
+                if kind <= ISSUE_SFU:
+                    busy_until = self._busy_until
+                    if busy_until[kind] > now:
                         continue
-                    self._sp_busy_until = now + config.sp_initiation_interval
-                    self.stats.unit_busy["sp"] += config.sp_initiation_interval
+                    interval, latency, unit = self._pipes[kind]
+                    busy_until[kind] = now + interval
+                    self.stats.unit_busy[unit] += interval
                     if writes:
-                        self._write_later(warp, writes,
-                                          now + config.sp_latency)
+                        # the result's registers are pending until then
+                        warp.pending_regs |= writes
+                        warp.cta.outstanding += 1
+                        self._schedule(now + latency, "wb", (warp, writes))
                 elif kind == ISSUE_MEMORY:
                     if not self._issue_memory(warp, inst, writes, now):
                         continue
-                elif kind == ISSUE_SFU:
-                    if self._sfu_busy_until > now:
-                        continue
-                    self._sfu_busy_until = \
-                        now + config.sfu_initiation_interval
-                    self.stats.unit_busy["sfu"] += \
-                        config.sfu_initiation_interval
-                    if writes:
-                        self._write_later(warp, writes,
-                                          now + config.sfu_latency)
                 elif kind == ISSUE_BARRIER:
                     warp.at_barrier = True
                     self._ready ^= bit
@@ -700,12 +699,6 @@ class SMCore:
             if not self.warps:
                 break
         return True
-
-    def _write_later(self, warp, writes, time):
-        """An SP/SFU result: its registers are pending until ``time``."""
-        warp.pending_regs |= writes
-        warp.cta.outstanding += 1
-        self._schedule(time, "wb", (warp, writes))
 
     def _advance(self, warp):
         warp.ptr += 1
