@@ -375,7 +375,7 @@ class Instruction:
     #: instruction from (0 for hand-built instructions).  Excluded from
     #: equality/repr so parse∘print round trips stay fixed points.
     line: int = field(default=0, repr=False, compare=False)
-    # lazily computed register-name caches (hot path in the timing model)
+    # lazily computed register-name caches
     _read_names: Optional[Tuple[str, ...]] = field(
         default=None, repr=False, compare=False)
     _write_names: Optional[Tuple[str, ...]] = field(
