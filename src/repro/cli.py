@@ -312,14 +312,15 @@ def _build_parser():
     ps_cmp = sweep_sub.add_parser(
         "compare", help="diff two metric JSON files with per-metric "
                         "relative tolerances; exits 1 on regression")
-    ps_cmp.add_argument("old", help="baseline JSON (e.g. the committed "
-                                    "BENCH_emulator.json or a report.json)")
+    ps_cmp.add_argument("old", help="baseline JSON (e.g. a bench_pipeline "
+                                    "report of the base commit or a sweep "
+                                    "report.json)")
     ps_cmp.add_argument("new", help="candidate JSON")
     ps_cmp.add_argument("--key", action="append", default=[],
                         metavar="GLOB=TOL[:up|:down]",
                         help="tolerance rule for matching dotted paths; "
                              "first match wins (e.g. "
-                             "'totals.*_speedup=0.8:down')")
+                             "'result.metrics.jobs_per_s.value=0.1:down')")
     ps_cmp.add_argument("--default-tolerance", type=float, default=0.0,
                         help="relative tolerance for unmatched paths "
                              "(default 0: exact)")

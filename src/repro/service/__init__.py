@@ -17,7 +17,7 @@ The layers, bottom up (DESIGN.md section 16):
 * :mod:`repro.service.app` / :mod:`repro.service.http` — the facade
   and its stdlib HTTP front end (``repro serve``);
 * :mod:`repro.service.loadgen` / :mod:`repro.service.parity` — the
-  benchmark harness behind ``BENCH_service.json`` and the CI proof
+  HTTP client and concurrency audit the tests drive, and the CI proof
   that HTTP results byte-match the CLI.
 
 This ``__init__`` is import-light on purpose: the trace cache imports

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
@@ -117,9 +118,9 @@ class JobRequest:
             scale=body.get("scale", 0.25),
             seed=body.get("seed", 7),
             engine=body.get("engine"),
-            simulate=bool(body.get("simulate", True)),
+            simulate=body.get("simulate", True),
             races=body.get("races"),
-            advise=bool(body.get("advise", False)),
+            advise=body.get("advise", False),
             knobs=tuple(sorted(knobs.items())),
         )
         request.validate()
@@ -135,10 +136,17 @@ class JobRequest:
 
             if self.app not in workload_names(include_extended=True):
                 raise JobError("unknown app %r" % self.app)
-        if not isinstance(self.scale, (int, float)) or self.scale <= 0:
-            raise JobError("scale must be a positive number")
-        if not isinstance(self.seed, int):
+        # bool is an int subclass: ``true`` would pass as 1 under a
+        # different content key
+        if (not isinstance(self.scale, (int, float))
+                or isinstance(self.scale, bool)
+                or not 0 < self.scale < math.inf):
+            raise JobError("scale must be a positive finite number")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise JobError("seed must be an integer")
+        for name in ("simulate", "advise"):
+            if not isinstance(getattr(self, name), bool):
+                raise JobError("%s must be true or false" % name)
         if self.engine is not None and self.engine not in ENGINES:
             raise JobError("unknown engine %r (choices: %s)"
                            % (self.engine, ", ".join(ENGINES)))

@@ -1,9 +1,9 @@
-"""Load generator for the analysis service (the service benchmark).
+"""Load generator for the analysis service: the concurrency audit.
 
 Replays a deterministic mixed workload — the Table I applications
 cycled through varied analysis stages and simulator knobs — against a
 running service at a configurable client concurrency, then audits the
-run for correctness and summarizes latency:
+run for correctness:
 
 * **lost** jobs: submitted and acknowledged but absent from the
   server's job listing afterwards;
@@ -11,29 +11,21 @@ run for correctness and summarizes latency:
   more than one job id (distinct submissions *sharing* a result via
   the content-addressed store are expected, and counted as
   ``result_cache_hits`` instead);
-* **latency**: per-job submit→done wall time, reported as
-  p50/p95/p99/mean/max milliseconds plus whole-run ``jobs_per_sec``.
+* **failed** jobs and **submit errors**.
 
-The report dict nests like every ``BENCH_*.json`` in this repo, so the
-CI perf gate diffs it with ``repro sweep compare`` tolerance rules
-(``latency_ms.p95=3.0:up``, ``totals.jobs_per_sec=0.75:down``,
-exact-zero ``totals.lost``/``totals.duplicated``).
+``tests/service/test_loadgen.py`` requires all four to be zero.  The
+service's speed is measured by the ``service-mix`` workload of
+``bench_pipeline/``, not here.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional
-
-#: default mixed-workload applications (the paper's Table I suite);
-#: resolved lazily so the loadgen can aim at a remote server without
-#: importing the pipeline.
-DEFAULT_APPS: Optional[List[str]] = None
+from typing import Dict, List
 
 #: stage variations cycled across the mix: plain classify+simulate,
 #: then with races, then emulate-only, then with the advisor.
@@ -116,18 +108,9 @@ class ServiceClient:
             time.sleep(poll)
 
 
-def _percentile(sorted_values, fraction):
-    """Nearest-rank percentile: the ``ceil(fraction * n)``-th smallest
-    value (deterministic, no interpolation)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 def run_loadgen(base_url, jobs=30, clients=8, scale=0.1, apps=None,
-                timeout=120.0, poll=0.05, log=None):
-    """Drive a running service; returns the benchmark report dict."""
+                timeout=120.0, poll=0.05):
+    """Drive a running service; returns the audit report dict."""
     bodies = default_mix(jobs, apps=apps, scale=scale)
     client = ServiceClient(base_url, timeout=timeout)
     lock = threading.Lock()
@@ -143,20 +126,16 @@ def run_loadgen(base_url, jobs=30, clients=8, scale=0.1, apps=None,
                     return
                 cursor["next"] = index + 1
             body = bodies[index]
-            t0 = time.perf_counter()
             try:
                 status, ack = client.submit(body)
                 if status != 201:
                     raise RuntimeError("submit -> %d: %s"
                                        % (status, ack.get("error")))
                 final = client.wait(ack["id"], timeout=timeout, poll=poll)
-                latency = time.perf_counter() - t0
                 with lock:
                     outcomes.append({
-                        "index": index, "app": body["app"],
                         "id": ack["id"], "status": final["status"],
                         "result_cache": final.get("result_cache"),
-                        "latency_s": latency,
                     })
             except Exception as exc:  # noqa: BLE001 — audit, don't crash
                 with lock:
@@ -164,7 +143,6 @@ def run_loadgen(base_url, jobs=30, clients=8, scale=0.1, apps=None,
                                   % (index, body.get("app"),
                                      type(exc).__name__, exc))
 
-    started = time.perf_counter()
     threads = [threading.Thread(target=_client_loop,
                                 name="loadgen-%d" % i, daemon=True)
                for i in range(clients)]
@@ -172,7 +150,6 @@ def run_loadgen(base_url, jobs=30, clients=8, scale=0.1, apps=None,
         thread.start()
     for thread in threads:
         thread.join()
-    wall = time.perf_counter() - started
 
     # -- audit: every acknowledged job exists exactly once server-side
     _, listing = client.jobs()
@@ -185,20 +162,7 @@ def run_loadgen(base_url, jobs=30, clients=8, scale=0.1, apps=None,
     failed = [o for o in outcomes if o["status"] != "done"]
     hits = sum(1 for o in outcomes if o.get("result_cache") == "hit")
 
-    latencies = sorted(o["latency_s"] for o in outcomes)
-    latency_ms = {
-        "p50": 1000 * _percentile(latencies, 0.50),
-        "p95": 1000 * _percentile(latencies, 0.95),
-        "p99": 1000 * _percentile(latencies, 0.99),
-        "mean": (1000 * sum(latencies) / len(latencies)
-                 if latencies else 0.0),
-        "max": 1000 * latencies[-1] if latencies else 0.0,
-    }
     report = {
-        "config": {
-            "jobs": jobs, "clients": clients, "scale": scale,
-            "apps": sorted({b["app"] for b in bodies}),
-        },
         "totals": {
             "jobs": len(outcomes),
             "submit_errors": len(errors),
@@ -206,21 +170,10 @@ def run_loadgen(base_url, jobs=30, clients=8, scale=0.1, apps=None,
             "duplicated": len(duplicated),
             "failed": len(failed),
             "result_cache_hits": hits,
-            "wall_seconds": round(wall, 4),
-            "jobs_per_sec": (round(len(outcomes) / wall, 3)
-                             if wall > 0 else 0.0),
         },
-        "latency_ms": {k: round(v, 2) for k, v in latency_ms.items()},
     }
     if errors:
         report["errors"] = errors[:20]
-    if log is not None:
-        log("loadgen: %d jobs, %d clients: p50 %.0fms p95 %.0fms "
-            "p99 %.0fms, %.2f jobs/s, lost=%d dup=%d failed=%d"
-            % (len(outcomes), clients, latency_ms["p50"],
-               latency_ms["p95"], latency_ms["p99"],
-               report["totals"]["jobs_per_sec"], len(lost),
-               len(duplicated), len(failed)))
     return report
 
 

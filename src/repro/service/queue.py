@@ -25,7 +25,8 @@ The queue is the service's one point of coordination:
 
 All counters published here are deterministic counts (DESIGN.md §9):
 submissions, rejections, completions, recoveries — never latencies,
-which live in the job records and ``BENCH_service.json``.
+which live in the job records (``submitted_at``/``started_at``/
+``finished_at``).
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 ``repro sweep compare`` flattens every numeric leaf of two JSON files
 into dotted paths (``rows.3.metrics.cycles``,
-``totals.warm_vs_scalar_speedup``) and checks each shared path against
-a per-metric relative tolerance.  This one primitive backs both:
+``result.metrics.job_ms_geomean.value``) and checks each shared path
+against a per-metric relative tolerance.  This one primitive backs
+both:
 
-* the **CI perf gate** — ``benchmarks/bench_emulator.py`` output vs
-  the committed ``BENCH_emulator.json`` baseline, and
+* the **CI perf gate** — a ``bench_pipeline/run.py`` workload report
+  at the base commit vs the same workload's report at the change,
+  with the ``BENCHMARK.json`` bounds as rules, and
 * **sweep regression checks** — a fresh ``report.json`` vs a previous
   sweep's (or a committed baseline's).
 

@@ -233,22 +233,24 @@ class SweepEngine:
     # -- execution --------------------------------------------------------
 
     def _run_points(self, points):
-        """Serial core: execute ``points``, returning their outcomes.
+        """Serial core: execute ``points``, returning their outcomes in
+        point order.
 
         Used directly in-process and as the body of pool workers.
         """
-        outcomes = []
+        outcomes: List[Optional[PointOutcome]] = [None] * len(points)
         groups = {}
-        for point in points:
-            groups.setdefault((point.app, point.scale), []).append(point)
-        for (app, scale), group in groups.items():
+        for index, point in enumerate(points):
+            groups.setdefault((point.app, point.scale), []).append(index)
+        for (app, scale), indices in groups.items():
             pending = []
-            for point in group:
+            for index in indices:
+                point = points[index]
                 key = point_key(self.spec, point)
                 if self._point_done(key):
-                    outcomes.append(PointOutcome(key, point.params, "cached"))
+                    outcomes[index] = PointOutcome(key, point.params, "cached")
                 else:
-                    pending.append((key, point))
+                    pending.append((index, key, point))
             if not pending:
                 continue
             try:
@@ -260,12 +262,12 @@ class SweepEngine:
                         % (app, scale, type(exc).__name__, exc)
                     ) from exc
                 error = "%s: %s" % (type(exc).__name__, exc)
-                for key, point in pending:
-                    outcomes.append(
-                        PointOutcome(key, point.params, "failed", error)
+                for index, key, point in pending:
+                    outcomes[index] = PointOutcome(
+                        key, point.params, "failed", error
                     )
                 continue
-            for key, point in pending:
+            for index, key, point in pending:
                 with tracing.span(
                     "sweep.point", app=app, scale=scale, key=key[:12]
                 ):
@@ -278,18 +280,19 @@ class SweepEngine:
                                 % (point.label(), type(exc).__name__, exc)
                             ) from exc
                         error = "%s: %s" % (type(exc).__name__, exc)
-                        outcomes.append(
-                            PointOutcome(key, point.params, "failed", error)
+                        outcomes[index] = PointOutcome(
+                            key, point.params, "failed", error
                         )
                         continue
                 self._write_point(key, point, metric_values)
-                outcomes.append(PointOutcome(key, point.params, "computed"))
+                outcomes[index] = PointOutcome(key, point.params, "computed")
         return outcomes
 
     def _run_parallel(self, points):
         """Execute grouped points across a process pool; outcomes keep
-        canonical point order.  Worker failures degrade to a serial
-        retry of the affected group."""
+        canonical point order, in which each (app, scale) group is one
+        contiguous run (:func:`expand`).  Worker failures degrade to a
+        serial retry of the affected group."""
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
@@ -326,13 +329,7 @@ class SweepEngine:
         for gk, pts in groups.items():
             if gk not in by_group:
                 by_group[gk] = self._run_points(pts)
-        ordered = []
-        consumed = {gk: 0 for gk in groups}
-        for point in points:
-            gk = (point.app, point.scale)
-            ordered.append(by_group[gk][consumed[gk]])
-            consumed[gk] += 1
-        return ordered
+        return [outcome for gk in groups for outcome in by_group[gk]]
 
     def run(self, shard_index=1, shard_count=1):
         """Execute this engine's shard of the grid; returns a summary.

@@ -70,6 +70,23 @@ class TestRequestValidation:
             with pytest.raises(JobError):
                 JobRequest.from_json({"app": "2mm", "knobs": knobs})
 
+    def test_bad_scale(self):
+        for scale in (0, -1, float("nan"), float("inf"), True, "0.1"):
+            with pytest.raises(JobError, match="scale"):
+                JobRequest.from_json({"app": "2mm", "scale": scale})
+
+    def test_bad_seed(self):
+        for seed in (True, 1.0, "7"):
+            with pytest.raises(JobError, match="seed"):
+                JobRequest.from_json({"app": "2mm", "seed": seed})
+
+    def test_stage_flags_must_be_booleans(self):
+        # bool("false") is True: a string must not switch a stage on
+        for name in ("simulate", "advise"):
+            for value in ("false", "true", 0, 1, None):
+                with pytest.raises(JobError, match=name):
+                    JobRequest.from_json({"app": "2mm", name: value})
+
     def test_bad_engine_and_races(self):
         with pytest.raises(JobError, match="unknown engine"):
             JobRequest.from_json({"app": "2mm", "engine": "cuda"})

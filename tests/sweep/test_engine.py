@@ -130,6 +130,21 @@ class TestSharding:
         assert sum(len(n) for n in names) == 4
         assert report_for(dirs) == single
 
+    def test_resumed_outcomes_keep_canonical_order(self, tmp_path, runs):
+        """A point cached by an earlier shard is reported in its grid
+        position, not ahead of its group's computed points."""
+        spec = make_spec(apps=["2mm"], axes={"l1_size": [1024, 2048, 4096]})
+        make_engine(tmp_path / "out", runs, spec=spec).run(2, 2)
+        summary = make_engine(tmp_path / "out", runs, spec=spec).run()
+        keys = [point_key(spec, point) for point in expand(spec)]
+        assert [o.key for o in summary["outcomes"]] == keys
+        assert [o.status for o in summary["outcomes"]] == [
+            "computed", "cached", "computed"]
+        manifest = json.loads(
+            (tmp_path / "out" / "manifest-shard-1-of-1.json").read_text())
+        assert [o["key"] for o in manifest["extras"]["points"]["outcomes"]] \
+            == keys
+
     def test_shards_can_share_one_directory(self, tmp_path, runs):
         for index in (1, 2):
             make_engine(tmp_path / "out", runs).run(index, 2)
