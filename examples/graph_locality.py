@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Hidden data locality in a graph application (Sections VIII-IX).
 
-Runs ccl (connected-component labelling), then reproduces the paper's locality analyses on its traces:
+Runs ccl (connected-component labelling), then reproduces the paper's
+locality analyses on its traces with the one trace-profile pass:
 cold-miss ratio and block reuse (Figure 10), inter-CTA block sharing
 (Figure 11), the CTA-distance histogram (Figure 12) — and finally shows
 why the locality is "hidden": the L1 miss ratio stays high even though
@@ -10,7 +11,7 @@ blocks are heavily reused, because the reuse happens across CTAs on
 """
 
 from repro import GPU, TESLA_C2050, get_workload
-from repro.profiling import LocalityAnalyzer
+from repro.profiling import profile_trace
 
 SCALE = 0.5
 
@@ -22,8 +23,8 @@ def main():
           % (workload.name, workload.data_set, len(run.trace),
              run.trace.total_warp_instructions()))
 
-    analyzer = LocalityAnalyzer()
-    report = analyzer.analyze_application(run.trace, run.classifications)
+    profile = profile_trace(run.trace, run.classifications)
+    report = profile.locality
 
     print()
     print("Figure 10 view — block reuse")
@@ -48,6 +49,13 @@ def main():
     for distance, fraction in fractions:
         bar = "#" * int(round(fraction * 50))
         print("  distance %3d: %5.1f%% %s" % (distance, 100 * fraction, bar))
+
+    print()
+    print("The same pass's heat map (what `repro advise` diagnoses)")
+    print(profile.heatmap.render(height=4))
+    print("  N loads issue %d of the %d memory requests"
+          % (profile.coalescing.requests["N"],
+             sum(profile.coalescing.requests.values())))
 
     print()
     print("...but the locality is hidden from the private L1s:")

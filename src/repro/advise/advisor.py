@@ -1,20 +1,22 @@
 """The closed-loop optimization advisor.
 
-Pipeline (``repro advise <app>``): profile the application's trace into
-a heat map, extract per-load features, run the rule-based diagnosis,
-then *verify* every candidate transform by re-simulating it through the
-unchanged timing model and measuring the delta — cycles, L2 misses,
-DRAM traffic.  A candidate is the baseline config with optional
-overrides (clustered CTA scheduling, semi-global L2) plus an optional
-per-launch trace rewrite (warp splitting, perfect coalescing), so every
-candidate inherits the rest of the baseline machine.  The
-recommendation is the measured-best transform, or an explicit "no
-profitable transform" verdict when nothing clears the gain threshold.  Nothing is asserted
-from the rules alone; the simulator has the last word.
+Pipeline (``repro advise <app>``): take the application's heat map from
+the runner's trace profile, extract per-load features, run the
+rule-based diagnosis, then *verify* every candidate transform by
+re-simulating it through the unchanged timing model and measuring the
+delta — cycles, L2 misses, DRAM traffic.  A candidate is the baseline
+config with optional overrides (clustered CTA scheduling, semi-global
+L2) plus an optional per-launch trace rewrite (warp splitting, perfect
+coalescing), so every candidate inherits the rest of the baseline
+machine.  The recommendation is the measured-best transform, or an
+explicit "no profitable transform" verdict when nothing clears the gain
+threshold.  Nothing is asserted from the rules alone; the simulator has
+the last word.
 
 Emulation rides the shared :class:`~repro.experiments.runner.
 ExperimentRunner` (on-disk trace cache, fault isolation), so advising
-an application costs one emulation plus one simulation per candidate.
+an application costs one emulation and trace profile plus one
+simulation per candidate.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..obs import tracing
 from ..obs.metrics import get_registry
 from ..optim.coalesce_oracle import coalesced_launch
 from ..optim.warp_split import split_launch
-from ..profiling.heatmap import HeatMapAggregator
 from ..sim.gpu import GPU
 from .features import extract_features
 from .rules import (
@@ -197,14 +198,7 @@ def advise_app(name, runner=None, scale=0.25, config=BENCH_CONFIG,
             "applications the advisor could not profile").inc(
             1, app=name, stage=result.stage)
         return report
-    run = result.run
-
-    with tracing.span("advise.heatmap", app=name) as sp:
-        aggregator = HeatMapAggregator(line_bytes=config.l1_line_size)
-        for launch in run.trace:
-            aggregator.analyze_launch(launch)
-        heatmap = aggregator.report(run.classifications)
-        sp.set(lines=heatmap.num_lines, touches=heatmap.total_touches)
+    run, heatmap = result.run, result.heatmap
 
     with tracing.span("advise.features", app=name):
         features = extract_features(heatmap, run.classifications)

@@ -65,6 +65,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import classify_kernel, format_kernel_report
@@ -73,6 +74,31 @@ from .ptx import parse_module
 from .sim.config import KNOB_CHOICES, TESLA_C2050
 from .sim.gpu import GPU
 from .workloads import WORKLOAD_CLASSES, get_workload, workload_names
+
+
+def _scale(text):
+    """The argparse type of every ``--scale``: a positive finite
+    number (NaN and infinity would fail deep inside a workload)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number, got %r" % text)
+    return value
+
+
+def _at_least_one(text):
+    """The argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer of at least 1, got %r" % text)
+    return value
 
 
 def _add_engine_flag(parser, text="warp-execution engine"):
@@ -107,14 +133,14 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="execute and verify a workload")
     p_run.add_argument("app", choices=workload_names())
-    p_run.add_argument("--scale", type=float, default=0.25)
+    p_run.add_argument("--scale", type=_scale, default=0.25)
     p_run.add_argument("--seed", type=int, default=7)
     _add_engine_flag(p_run)
 
     p_sim = sub.add_parser("simulate",
                            help="execute, verify and time-simulate")
     p_sim.add_argument("app", choices=workload_names())
-    p_sim.add_argument("--scale", type=float, default=0.25)
+    p_sim.add_argument("--scale", type=_scale, default=0.25)
     p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--sms", type=int, default=4)
     p_sim.add_argument("--partitions", type=int, default=2)
@@ -137,7 +163,7 @@ def _build_parser():
     p_fig.add_argument("--apps", default=None,
                        help="comma-separated workload names "
                             "(default: all 15)")
-    p_fig.add_argument("--scale", type=float, default=0.5)
+    p_fig.add_argument("--scale", type=_scale, default=0.5)
     p_fig.add_argument("--out", default="repro-results",
                        help="output directory")
     p_fig.add_argument("--jobs", type=int, default=1,
@@ -156,7 +182,7 @@ def _build_parser():
         "trace", help="run the pipeline under the span tracer and print "
                       "the timing tree")
     p_trace.add_argument("app", choices=workload_names())
-    p_trace.add_argument("--scale", type=float, default=0.25)
+    p_trace.add_argument("--scale", type=_scale, default=0.25)
     _add_engine_flag(p_trace)
     p_trace.add_argument("--no-simulate", action="store_true",
                          help="skip the timing simulation stage")
@@ -171,7 +197,7 @@ def _build_parser():
     p_metrics.add_argument("--apps", default=None,
                            help="comma-separated workload names "
                                 "(default: all 15)")
-    p_metrics.add_argument("--scale", type=float, default=0.25)
+    p_metrics.add_argument("--scale", type=_scale, default=0.25)
     p_metrics.add_argument("--format", choices=("json", "prom"),
                            default="json", dest="fmt",
                            help="JSON snapshot or Prometheus text "
@@ -215,7 +241,7 @@ def _build_parser():
                          help="workload name (or use --all)")
     p_races.add_argument("--all", action="store_true", dest="all_apps",
                          help="analyze every registered workload")
-    p_races.add_argument("--scale", type=float, default=0.25)
+    p_races.add_argument("--scale", type=_scale, default=0.25)
     p_races.add_argument("--seed", type=int, default=7)
     _add_engine_flag(p_races)
     p_races.add_argument("--mode", choices=("interval", "predictive"),
@@ -234,7 +260,7 @@ def _build_parser():
         "advise", help="memory heat map + rule-based diagnosis + "
                        "simulator-verified optimization recommendation")
     p_adv.add_argument("app", choices=workload_names())
-    p_adv.add_argument("--scale", type=float, default=0.25)
+    p_adv.add_argument("--scale", type=_scale, default=0.25)
     _add_engine_flag(p_adv)
     p_adv.add_argument("--config", choices=("bench", "tiny", "c2050"),
                        default="bench",
@@ -244,10 +270,10 @@ def _build_parser():
     p_adv.add_argument("--no-verify", action="store_true",
                        help="diagnosis only: skip the baseline and "
                             "transform timing simulations")
-    p_adv.add_argument("--max-requests", type=int, default=4,
+    p_adv.add_argument("--max-requests", type=_at_least_one, default=4,
                        help="sub-warp line budget for the warp_split "
                             "candidate")
-    p_adv.add_argument("--cluster", type=int, default=2,
+    p_adv.add_argument("--cluster", type=_at_least_one, default=2,
                        help="SM cluster size for the semi_global_l2 "
                             "candidate")
     p_adv.add_argument("--top", type=int, default=5,

@@ -30,8 +30,11 @@ from ..emulator import MemoryImage, trace_cache
 from ..emulator.machine import DEFAULT_ENGINE
 from ..obs import bridge, tracing
 from ..obs.metrics import get_registry
-from ..profiling.locality import LocalityAnalyzer, LocalityReport
+from ..profiling.heatmap import HeatMapReport
+from ..profiling.locality import LocalityReport
+from ..profiling.trace_profile import profile_trace
 from ..ptx import parse_module, print_module
+from ..sim.coalescer import CoalescingSummary
 from ..sim.config import GPUConfig, TESLA_C2050
 from ..sim.gpu import GPU
 from ..resilience.guards import check_memory_budget
@@ -76,7 +79,12 @@ class AppResult:
     category: str
     run: WorkloadRun
     stats: Optional[SimStats]
+    #: the three reports of the one trace-profile pass
+    #: (:func:`~repro.profiling.trace_profile.profile_trace`), at the
+    #: config's L1 line size.
     locality: LocalityReport
+    heatmap: HeatMapReport
+    coalescing: CoalescingSummary
     config: GPUConfig
     #: provenance riding along with the result — wall_seconds,
     #: trace_cache ("hit"/"miss"), engine, seed.  Picklable, so the
@@ -245,10 +253,11 @@ class ExperimentRunner:
             self._stage = "analyze"
             check_fault(name, "analyze")
             check_memory_budget("analysis of %s" % name)
-            with tracing.span("profile", app=name):
-                analyzer = LocalityAnalyzer()
-                locality = analyzer.analyze_application(run.trace,
-                                                        run.classifications)
+            with tracing.span("profile", app=name) as sp:
+                profile = profile_trace(run.trace, run.classifications,
+                                        self.config.l1_line_size)
+                sp.set(lines=profile.heatmap.num_lines,
+                       accesses=profile.heatmap.total_touches)
             if cache_status is not None:
                 app_span.set(trace_cache=cache_status)
         meta = {
@@ -269,7 +278,9 @@ class ExperimentRunner:
             category=workload.category,
             run=run,
             stats=stats,
-            locality=locality,
+            locality=profile.locality,
+            heatmap=profile.heatmap,
+            coalescing=profile.coalescing,
             config=self.config,
             meta=meta,
         )

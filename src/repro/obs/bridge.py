@@ -56,17 +56,16 @@ _SIM_FIELDS = {
 }
 
 
-def publish_trace(name, run, registry=None):
+def publish_trace(name, run, coalescing, registry=None):
     """Emulator-trace counters for one application (no timing model).
 
     ``app.loads.dynamic{app,load_category}`` carries the dynamic D/N
     global-load split — Figure 1's exact input; the ``app.trace.*``
     family carries the Table I instruction counts; ``app.coalescing.*``
-    carries the trace-level coalescing summary (Figure 2's trace-side
-    counterpart and the golden-stats headline numbers).
+    carries ``coalescing``, the trace-level
+    :class:`~repro.sim.coalescer.CoalescingSummary` (Figure 2's
+    trace-side counterpart and the golden-stats headline numbers).
     """
-    from ..sim.coalescer import summarize_trace
-
     reg = registry if registry is not None else get_registry()
     det, nondet = run.dynamic_class_split()
     dynamic = reg.counter(
@@ -89,7 +88,6 @@ def publish_trace(name, run, registry=None):
                 "executed shared-load warp instructions").inc(
         trace.shared_load_warp_count(), app=name)
 
-    summary = summarize_trace(trace, run.classifications)
     warp_loads = reg.counter(
         "app.coalescing.warp_loads",
         "global-load warp instructions entering the coalescer, per class")
@@ -100,11 +98,11 @@ def publish_trace(name, run, registry=None):
         "app.coalescing.uncoalesced_loads",
         "warp loads producing more than one memory request, per class")
     for label in CLASS_LABELS:
-        warp_loads.inc(summary.warp_loads[label], app=name,
+        warp_loads.inc(coalescing.warp_loads[label], app=name,
                        load_category=label)
-        requests.inc(summary.requests[label], app=name,
+        requests.inc(coalescing.requests[label], app=name,
                      load_category=label)
-        uncoalesced.inc(summary.uncoalesced[label], app=name,
+        uncoalesced.inc(coalescing.uncoalesced[label], app=name,
                         load_category=label)
     return reg
 
@@ -171,7 +169,7 @@ def publish_result(result, registry=None):
     trace counters, simulation counters (when simulated) and locality
     gauges."""
     reg = registry if registry is not None else get_registry()
-    publish_trace(result.name, result.run, reg)
+    publish_trace(result.name, result.run, result.coalescing, reg)
     if result.stats is not None:
         publish_sim(result.name, result.stats, reg)
     if result.locality is not None:

@@ -38,8 +38,11 @@ def split_op(op, max_requests, line_bytes=LINE_BYTES):
     block was already in the current group even when a later flush would
     have grouped it better, so the split was iteration-order
     sensitive).  Ops touching at most ``max_requests`` blocks are
-    returned unchanged.
+    returned unchanged; ``max_requests`` must be at least 1.
     """
+    if max_requests < 1:
+        raise ValueError("max_requests must be at least 1, got %r"
+                         % (max_requests,))
     blocks = sorted({addr // line_bytes for _lane, addr in op.addresses})
     if len(blocks) <= max_requests:
         return [op]

@@ -1,5 +1,6 @@
-"""Profiling layer: locality analysis, profiler counters and turnaround
-breakdowns — everything the paper derives beyond raw simulation stats."""
+"""Profiling layer: the one trace-profile pass (locality, heat map,
+request histograms), profiler counters and turnaround breakdowns —
+everything the paper derives beyond raw simulation stats."""
 
 from .counters import (
     COUNTER_DESCRIPTIONS,
@@ -12,20 +13,10 @@ from .critical import (
     rank_critical_loads,
     stall_share_by_class,
 )
-from .heatmap import (
-    HeatMapAggregator,
-    HeatMapReport,
-    LineHeat,
-    PCHeat,
-    heatmap_of_run,
-    reuse_bucket,
-)
+from .heatmap import HeatMapReport, LineHeat, PCHeat, reuse_bucket
 from .irregularity import IrregularityReport, measure_irregularity
-from .locality import (
-    LocalityAnalyzer,
-    LocalityReport,
-    analyze_run,
-)
+from .locality import LocalityReport
+from .trace_profile import TraceProfile, TraceProfiler, profile_trace
 from .turnaround import (
     RequestCountPoint,
     TurnaroundBreakdown,
@@ -42,17 +33,16 @@ __all__ = [
     "format_critical_loads",
     "rank_critical_loads",
     "stall_share_by_class",
-    "HeatMapAggregator",
     "HeatMapReport",
     "LineHeat",
     "PCHeat",
-    "heatmap_of_run",
     "reuse_bucket",
     "IrregularityReport",
     "measure_irregularity",
-    "LocalityAnalyzer",
     "LocalityReport",
-    "analyze_run",
+    "TraceProfile",
+    "TraceProfiler",
+    "profile_trace",
     "RequestCountPoint",
     "TurnaroundBreakdown",
     "busiest_load_pcs",

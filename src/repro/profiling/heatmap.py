@@ -1,4 +1,4 @@
-"""Per-line memory heat maps, streamed from columnar traces.
+"""Per-line memory heat maps of coalesced global loads.
 
 CUTHERMO-style profiling (PAPERS.md): memory is divided into
 :data:`~repro.sim.config.LINE_BYTES` lines and every coalesced global
@@ -19,15 +19,9 @@ the optimization advisor (:mod:`repro.advise`) asks:
   al. (PAPERS.md).  Long intervals on a hot line mean its reuse
   outlives any realistic cache — the cache-thrashing signature.
 
-The coalesced accesses are the ones every trace profile counts:
-:func:`~repro.sim.coalescer.coalesce_table` turns each chunk of a
-warp's columns (:meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`,
-never the record view) into its distinct (op, line) pairs, taking each
-access's width from its instruction as the timing model does.  Python
-touches the aggregate state once per pair, not per lane access, and
-:func:`~repro.resilience.guards.check_memory_budget` runs on every
-chunk.  :meth:`HeatMapAggregator._analyze_record_warp` is the
-one-op-at-a-time reference the streaming path is tested against.
+The report is built by the one trace-profile pass
+(:mod:`repro.profiling.trace_profile`), together with the locality
+report and the request histograms, from the same coalesced accesses.
 """
 
 from __future__ import annotations
@@ -38,8 +32,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..ptx.isa import Space
-from ..resilience.guards import check_memory_budget
 from ..sim.config import LINE_BYTES
 
 #: intensity ramp for the ASCII rendering (cold -> hot).
@@ -56,12 +48,14 @@ def reuse_bucket(interval):
 class LineHeat:
     """Aggregated state of one memory line."""
 
-    __slots__ = ("accesses", "ctas", "last_idx", "pcs")
+    __slots__ = ("accesses", "ctas", "last_idx", "last_cta", "pcs")
 
     def __init__(self):
         self.accesses = 0
         self.ctas = set()
+        #: global access index and CTA of the line's latest touch.
         self.last_idx = -1
+        self.last_cta = -1
         #: {(kernel, pc): coalesced accesses this PC made to the line}
         self.pcs: Dict[Tuple[str, int], int] = {}
 
@@ -93,7 +87,7 @@ class PCHeat:
     max_lines_per_op: int = 0
     #: {reuse bucket: touches} for re-touches attributed to this PC.
     reuse_hist: Counter = field(default_factory=Counter)
-    #: filled by :meth:`HeatMapReport` finalization.
+    #: filled when the trace profile is finalized.
     distinct_lines: int = 0
     shared_touches: int = 0
 
@@ -213,162 +207,3 @@ class HeatMapReport:
                 for line_id, accesses, ctas, top_pc in self.hottest(top)],
             "pcs": [p.to_json() for p in pcs],
         }
-
-
-class HeatMapAggregator:
-    """Streams application traces into a :class:`HeatMapReport`.
-
-    ``line_bytes`` defaults to the repo-wide
-    :data:`~repro.sim.config.LINE_BYTES`; ``include_stores`` widens the
-    aggregation beyond the paper's load focus.
-    """
-
-    def __init__(self, line_bytes=LINE_BYTES, include_stores=False):
-        self.line_bytes = line_bytes
-        self.include_stores = include_stores
-        self._lines: Dict[int, LineHeat] = {}
-        self._pcs: Dict[Tuple[str, int], PCHeat] = {}
-        self._reuse = Counter()
-        self._tick = 0  # global coalesced-access clock
-
-    # -- feeding ----------------------------------------------------------
-
-    def analyze_application(self, app_trace, classifications=None):
-        """Process every launch; ``classifications`` (kernel name ->
-        :class:`~repro.core.classifier.ClassificationResult`) annotates
-        each PC with its D/N class and source line."""
-        from ..obs import tracing
-
-        with tracing.span("profile.heatmap", app=app_trace.name) as sp:
-            for launch in app_trace:
-                self.analyze_launch(launch)
-            report = self.report(classifications)
-            sp.set(lines=report.num_lines, touches=report.total_touches)
-        return report
-
-    def analyze_launch(self, launch):
-        kernel = launch.kernel_name
-        for warp in launch.warps:
-            self._analyze_columnar_warp(kernel, warp, launch.access_bytes)
-
-    def _analyze_columnar_warp(self, kernel, warp, access_bytes):
-        from ..sim.coalescer import coalesce_table
-
-        cta = warp.cta_id
-        for chunk in warp.iter_chunks():
-            check_memory_budget("heat-map aggregation")
-            ops = coalesce_table(chunk, access_bytes,
-                                 stores=self.include_stores,
-                                 line_size=self.line_bytes)
-            self._ingest(kernel, cta,
-                         chunk[0][ops.rows].tolist(),
-                         ops.lanes.tolist(),
-                         ops.lines.tolist(),
-                         ops.pair_ops.tolist(), ops.pair_lines.tolist())
-
-    def _analyze_record_warp(self, kernel, warp):
-        """Reference implementation of :meth:`_analyze_columnar_warp`
-        over the warp's record view, one op at a time."""
-        from ..sim.coalescer import coalesce_addresses
-
-        cta = warp.cta_id
-        for op in warp.ops:
-            if op.addresses is None:
-                continue
-            inst = op.inst
-            if inst.space is not Space.GLOBAL:
-                continue
-            if inst.is_store and not self.include_stores:
-                continue
-            if not inst.is_load and not inst.is_store:
-                continue
-            touched = [block // self.line_bytes for block in
-                       coalesce_addresses(op.addresses, self.line_bytes,
-                                          inst.access_bytes)]
-            self._ingest(kernel, cta, [op.pc], [len(op.addresses)],
-                         [len(touched)], [0] * len(touched), touched)
-
-    def _ingest(self, kernel, cta, op_pcs, op_lane_counts, per_op,
-                pair_rows, pair_lines):
-        """Update Python-level state from one batch of ops.
-
-        ``op_pcs``/``op_lane_counts``/``per_op`` are per-op (PC, lane
-        accesses, distinct lines); ``pair_rows``/``pair_lines`` list the
-        distinct (op row, line) pairs, grouped by op row in order.
-        """
-        pcs = self._pcs
-        lines = self._lines
-        reuse = self._reuse
-        pc_heats = []
-        for op_pc, lane_count, n_lines in zip(op_pcs, op_lane_counts,
-                                              per_op):
-            key = (kernel, op_pc)
-            heat = pcs.get(key)
-            if heat is None:
-                heat = pcs[key] = PCHeat(kernel=kernel, pc=op_pc)
-            heat.warp_ops += 1
-            heat.lane_accesses += lane_count
-            heat.line_touches += n_lines
-            if n_lines > heat.max_lines_per_op:
-                heat.max_lines_per_op = n_lines
-            pc_heats.append(heat)
-        tick = self._tick
-        for row, line_id in zip(pair_rows, pair_lines):
-            heat = pc_heats[row]
-            key = (heat.kernel, heat.pc)
-            info = lines.get(line_id)
-            if info is None:
-                info = lines[line_id] = LineHeat()
-                heat.cold_misses += 1
-            else:
-                bucket = reuse_bucket(tick - info.last_idx)
-                reuse[bucket] += 1
-                heat.reuse_hist[bucket] += 1
-            info.accesses += 1
-            info.last_idx = tick
-            info.ctas.add(cta)
-            info.pcs[key] = info.pcs.get(key, 0) + 1
-            tick += 1
-        self._tick = tick
-
-    # -- finalization --------------------------------------------------------
-
-    def report(self, classifications=None):
-        """Finalize per-PC sharing/line aggregates and annotate classes
-        and source lines from ``classifications``; returns the report."""
-        report = HeatMapReport(
-            line_bytes=self.line_bytes,
-            total_touches=self._tick,
-            lines=self._lines,
-            pcs=self._pcs,
-            reuse_hist=self._reuse,
-        )
-        for heat in self._pcs.values():
-            heat.distinct_lines = 0
-            heat.shared_touches = 0
-        for info in self._lines.values():
-            shared = len(info.ctas) >= 2
-            for key, count in info.pcs.items():
-                heat = self._pcs[key]
-                heat.distinct_lines += 1
-                if shared:
-                    heat.shared_touches += count
-        if classifications is not None:
-            for heat in self._pcs.values():
-                result = classifications.get(heat.kernel)
-                if result is None:
-                    continue
-                found = result.get(heat.pc)
-                if found is not None:
-                    heat.load_class = str(found.load_class)
-                    heat.line = found.instruction.line
-                    heat.text = str(found.instruction)
-        return report
-
-
-def heatmap_of_run(run, line_bytes=LINE_BYTES, include_stores=False):
-    """One-shot helper: heat-map report for a
-    :class:`~repro.workloads.base.WorkloadRun`."""
-    aggregator = HeatMapAggregator(line_bytes=line_bytes,
-                                   include_stores=include_stores)
-    return aggregator.analyze_application(run.trace, run.classifications)

@@ -8,13 +8,16 @@ with it.  These guards fail *first*, inside Python, with a
 other per-application failure:
 
 * ``REPRO_MAX_RSS_MB`` sets a resident-set budget; the emulator checks
-  it at CTA boundaries and the columnar trace builders at chunk
-  boundaries (both are outside the per-instruction hot loops);
+  it at CTA boundaries, the columnar trace builders at chunk boundaries
+  (both are outside the per-instruction hot loops) and the trace
+  profile (:mod:`repro.profiling.trace_profile`) once per launch,
+  before it builds that launch's whole memory table;
 * ``REPRO_COLUMNAR_CHUNK_OPS`` caps the columnar producers' Python-list
-  staging buffers, so peak overhead during trace production is bounded
-  and the consumer side streams the same chunks
-  (:meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`)
-  instead of materializing whole launches.
+  staging buffers, so peak overhead during trace production is bounded.
+  The predictive race detector streams the same chunks
+  (:meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`);
+  the trace profile and the irregularity metrics take one launch-wide
+  table at a time.
 
 The RSS probe reads ``/proc/self/statm`` (one small pread) and degrades
 to :func:`resource.getrusage` peak-RSS elsewhere; when neither source

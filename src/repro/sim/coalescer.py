@@ -14,8 +14,9 @@ warp yields up to 32.
 :func:`coalesce_addresses` is the per-op rule the timing model applies;
 :func:`coalesce_table` applies the same rule to a whole table of memory
 ops at once and is the one coalesced-access pass behind every trace
-profile: :func:`summarize_trace` here, and the locality analyzer, the
-heat map and the irregularity metrics in :mod:`repro.profiling`.
+profile: the request histograms (:class:`CoalescingSummary`), locality
+and heat map of :mod:`repro.profiling.trace_profile`, and the
+irregularity metrics.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ class CoalescingSummary:
     execution".  The timing simulator accumulates the totals into
     :class:`~repro.sim.stats.ClassStats` while replaying; this summary
     needs no timing model, so the metrics bridge and the golden-stats
-    fixtures can report coalescing behaviour from emulation alone.
+    fixtures can report coalescing behaviour from emulation alone.  It
+    is built by :func:`~repro.profiling.trace_profile.profile_trace`,
+    which counts only loads that issue at least one request.
     """
 
     #: ``{class: Counter({requests: warp loads})}``.
@@ -216,35 +219,3 @@ class CoalescingSummary:
     def requests_per_warp(self, label):
         loads = self.warp_loads[label]
         return self.requests[label] / loads if loads else 0.0
-
-
-def summarize_trace(app_trace, classifications=None, line_size=LINE_BYTES):
-    """Coalesce every global-load warp instruction of an application
-    trace, bucketed by load class.
-
-    ``classifications`` maps kernel name to a
-    :class:`~repro.core.classifier.ClassificationResult` (or a plain
-    ``{pc: class}`` dict); loads without one land in ``"other"``.  A
-    load whose lanes were all predicated off issues no request and is
-    not counted.
-    """
-    from ..emulator.columnar import _PC_SHIFT
-    from ..ptx.isa import Space
-
-    summary = CoalescingSummary()
-    for launch in app_trace:
-        table = launch.memory_table(space=Space.GLOBAL)
-        if table is None:
-            continue
-        ops = coalesce_table(table, launch.access_bytes, line_size=line_size)
-        result = (classifications or {}).get(launch.kernel_name)
-        codes = class_codes(launch, result)[
-            table["pc"][ops.rows] >> _PC_SHIFT]
-        issued = ops.lines > 0
-        for code, label in enumerate(CLASS_LABELS):
-            hist = summary.histogram[label]
-            values, counts = np.unique(ops.lines[issued & (codes == code)],
-                                       return_counts=True)
-            for n, count in zip(values.tolist(), counts.tolist()):
-                hist[n] += count
-    return summary

@@ -17,6 +17,7 @@ memory image — everything the profiling and simulation layers consume.
 from __future__ import annotations
 
 import abc
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -102,8 +103,8 @@ class Workload(abc.ABC):
     extended: bool = False
 
     def __init__(self, scale=1.0, seed=7):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:  # NaN fails every comparison
+            raise ValueError("scale must be a positive finite number")
         self.scale = scale
         self.seed = seed
 

@@ -43,12 +43,14 @@ def _registry_snapshot(name, engine):
     (the determinism contract), so engines must agree byte-for-byte."""
     from repro.obs.bridge import publish_trace
     from repro.obs.metrics import MetricsRegistry, isolated_registry
+    from repro.profiling.trace_profile import profile_trace
 
     with isolated_registry():
         run = get_workload(name, scale=DIFF_SCALE).run(
             verify=False, engine=engine)
     reg = MetricsRegistry()
-    publish_trace(name, run, reg)
+    coalescing = profile_trace(run.trace, run.classifications).coalescing
+    publish_trace(name, run, coalescing, reg)
     return reg.snapshot()
 
 

@@ -1,0 +1,63 @@
+"""One walk of each launch per job.
+
+The runner's ``profile`` stage builds the locality report, the heat map
+and the request histograms from one memory table and one coalesced
+table per launch; the metrics bridge and the advisor read them from the
+result and walk the trace no more.
+"""
+
+import sys
+
+import pytest
+
+from repro.emulator.columnar import ColumnarLaunchTrace, ColumnarWarpTrace
+from repro.sim import coalescer
+from repro.sim.config import TINY
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts of memory-table, coalesced-table and chunk walks, patched
+    wherever a module holds a reference to the original function."""
+    counts = {"memory_table": 0, "coalesce_table": 0, "iter_chunks": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((ColumnarLaunchTrace, "memory_table"),
+                        (ColumnarWarpTrace, "iter_chunks")):
+        monkeypatch.setattr(owner, name,
+                            counting(name, getattr(owner, name)))
+    original = coalescer.coalesce_table
+    wrapped = counting("coalesce_table", original)
+    for module in list(sys.modules.values()):
+        if getattr(module, "coalesce_table", None) is original:
+            monkeypatch.setattr(module, "coalesce_table", wrapped)
+    return counts
+
+
+class TestOneWalkPerJob:
+    def test_runner_result_walks_each_launch_once(self, walks):
+        from repro.experiments.runner import ExperimentRunner
+
+        result = ExperimentRunner(scale=0.05, config=TINY).result("bfs")
+        launches = len(result.run.trace)
+        assert launches > 1
+        assert walks == {"memory_table": launches,
+                         "coalesce_table": launches, "iter_chunks": 0}
+
+    def test_advise_reads_the_result(self, walks):
+        from repro.advise import advise_app
+        from repro.experiments.runner import ExperimentRunner
+
+        runner = ExperimentRunner(scale=0.05, config=TINY)
+        result = runner.result("bfs")
+        walks.update(dict.fromkeys(walks, 0))
+        report = advise_app("bfs", runner=runner)
+        assert report.deltas  # the verified path, not diagnosis only
+        assert walks == {"memory_table": 0, "coalesce_table": 0,
+                         "iter_chunks": 0}
+        assert report.heatmap is result.heatmap

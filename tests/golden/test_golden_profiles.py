@@ -23,10 +23,8 @@ import os
 
 import pytest
 
-from repro.profiling.heatmap import heatmap_of_run
 from repro.profiling.irregularity import measure_irregularity
-from repro.profiling.locality import analyze_run
-from repro.sim.coalescer import summarize_trace
+from repro.profiling.trace_profile import profile_trace
 from repro.workloads import get_workload, workload_names
 
 PROFILE_SCALE = 0.1
@@ -45,18 +43,19 @@ def _hist(counter):
 
 def compute_profiles(name):
     run = get_workload(name, scale=PROFILE_SCALE).run(verify=False)
-    locality = analyze_run(run)
+    profile = profile_trace(run.trace, run.classifications)
+    locality = profile.locality
     fields = {f.name: getattr(locality, f.name)
               for f in dataclasses.fields(locality)}
     fields["distance_hist"] = _hist(locality.distance_hist)
     fields["distance_hist_by_class"] = {
         label: _hist(hist)
         for label, hist in sorted(locality.distance_hist_by_class.items())}
-    requests = summarize_trace(run.trace, run.classifications)
+    requests = profile.coalescing
     return {
         "scale": PROFILE_SCALE,
         "locality": fields,
-        "heatmap": heatmap_of_run(run).to_json(),
+        "heatmap": profile.heatmap.to_json(),
         "irregularity": dataclasses.asdict(measure_irregularity(run.trace)),
         "requests": {label: _hist(hist)
                      for label, hist in sorted(requests.histogram.items())},

@@ -25,6 +25,7 @@ import pytest
 
 from repro.obs.bridge import publish_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.profiling.trace_profile import profile_trace
 from repro.workloads import get_workload, workload_names
 
 #: pinned scale for the fixtures — small for speed, non-degenerate.
@@ -46,7 +47,8 @@ def compute_headline_stats(name):
     plus derived headline ratios (all deterministic counts)."""
     run = get_workload(name, scale=GOLDEN_SCALE).run(verify=False)
     reg = MetricsRegistry()
-    publish_trace(name, run, reg)
+    coalescing = profile_trace(run.trace, run.classifications).coalescing
+    publish_trace(name, run, coalescing, reg)
     snap = reg.snapshot()
 
     det, nondet = run.dynamic_class_split()

@@ -99,7 +99,7 @@ class TestFig8Correspondence:
 class TestTracePublishing:
     def test_trace_counters_match_trace(self, bfs_result):
         reg = MetricsRegistry()
-        publish_trace("bfs", bfs_result.run, reg)
+        publish_trace("bfs", bfs_result.run, bfs_result.coalescing, reg)
         trace = bfs_result.run.trace
         assert reg.get("app.trace.launches").value(app="bfs") \
             == len(trace)
@@ -153,6 +153,7 @@ class TestPublishResult:
             run = bfs_result.run
             stats = None
             locality = bfs_result.locality
+            coalescing = bfs_result.coalescing
 
         publish_result(NoSim(), reg)
         assert "app.loads.dynamic" in reg

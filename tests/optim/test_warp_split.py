@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator.trace import TraceOp
@@ -55,6 +56,12 @@ class TestSplitOp:
             assert combined_mask & p.active_mask == 0  # disjoint
             combined_mask |= p.active_mask
         assert combined_mask == op.active_mask
+
+    @pytest.mark.parametrize("max_requests", [0, -1])
+    def test_max_requests_below_one_rejected(self, max_requests):
+        # 0 used to divide by zero and -1 to index out of range
+        with pytest.raises(ValueError, match="at least 1"):
+            split_op(op_with_blocks(3), max_requests=max_requests)
 
     def test_block_bound_respected(self):
         op = op_with_blocks(13)

@@ -1,14 +1,11 @@
-"""Unit tests for the per-line heat-map aggregator."""
+"""Unit tests for the per-line heat map of the trace-profile pass."""
 
 import pytest
 
 from repro.emulator.grid import make_launch
 from repro.emulator.trace import TraceOp
-from repro.profiling.heatmap import (
-    HeatMapAggregator,
-    heatmap_of_run,
-    reuse_bucket,
-)
+from repro.profiling.heatmap import HeatMapReport, reuse_bucket
+from repro.profiling.trace_profile import TraceProfiler, profile_trace
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 
 from tests.traces import build_launch
@@ -38,10 +35,14 @@ def launch_from_accesses(accesses):
         config=make_launch(8, 32))
 
 
+def heatmap(launch, line_bytes=128):
+    profiler = TraceProfiler(line_bytes)
+    profiler.analyze_launch(launch)
+    return profiler.report().heatmap
+
+
 def analyze(accesses):
-    aggregator = HeatMapAggregator()
-    aggregator.analyze_launch(launch_from_accesses(accesses))
-    return aggregator.report()
+    return heatmap(launch_from_accesses(accesses))
 
 
 class TestReuseBucket:
@@ -98,23 +99,14 @@ class TestLineAggregation:
             TraceOp(store_inst(), 1, ((0, 0),), (0,)),
             TraceOp(load_inst(), 1, None),  # recorded no addresses
         ])], config=make_launch(8, 32))
-        aggregator = HeatMapAggregator()
-        aggregator.analyze_launch(launch)
-        assert aggregator.report().total_touches == 0
-
-    def test_include_stores_widens(self):
-        launch = build_launch([(0, 0, [
-            TraceOp(store_inst(), 1, ((0, 0),), (0,))])],
-            config=make_launch(8, 32))
-        aggregator = HeatMapAggregator(include_stores=True)
-        aggregator.analyze_launch(launch)
-        assert aggregator.report().total_touches == 1
+        report = heatmap(launch)
+        assert report.total_touches == 0
+        # the load that recorded no addresses is no memory op at all
+        assert list(report.pcs) == []
 
     def test_custom_line_bytes(self):
-        aggregator = HeatMapAggregator(line_bytes=32)
-        aggregator.analyze_launch(
-            launch_from_accesses([(0, 8, [0, 64])]))
-        report = aggregator.report()
+        report = heatmap(launch_from_accesses([(0, 8, [0, 64])]),
+                         line_bytes=32)
         assert report.line_bytes == 32
         assert report.num_lines == 2
 
@@ -129,15 +121,15 @@ class TestLineAggregation:
 class TestColumnarParity:
     def test_columnar_matches_record_path(self, bfs_run):
         launch = bfs_run.trace.launches[0]
-        col = HeatMapAggregator()
+        col = TraceProfiler()
         col._analyze_record_warp = None  # fail loudly if it were used
         col.analyze_launch(launch)
-        col_report = col.report()
+        col_report = col.report().heatmap
 
-        record = HeatMapAggregator()
+        record = TraceProfiler()
         for warp in launch.warps:
-            record._analyze_record_warp(launch.kernel_name, warp)
-        rec_report = record.report()
+            record._analyze_record_warp(launch.kernel_name, warp, {})
+        rec_report = record.report().heatmap
 
         assert col_report.total_touches == rec_report.total_touches
         assert col_report.reuse_hist == rec_report.reuse_hist
@@ -154,7 +146,8 @@ class TestColumnarParity:
 
 class TestRunIntegration:
     def test_bfs_annotated_report(self, bfs_run):
-        report = heatmap_of_run(bfs_run)
+        report = profile_trace(bfs_run.trace,
+                               bfs_run.classifications).heatmap
         assert report.total_touches > 0
         classes = {h.load_class for h in report.pcs.values()}
         assert "N" in classes and "D" in classes
@@ -166,5 +159,5 @@ class TestRunIntegration:
         assert "heat map" in report.render()
 
     def test_render_on_empty_report(self):
-        assert "no global-memory accesses" in HeatMapAggregator() \
-            .report().render()
+        assert "no global-memory accesses" in HeatMapReport().render()
+        assert profile_trace([]).heatmap.to_json()["num_lines"] == 0

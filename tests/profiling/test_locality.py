@@ -1,10 +1,11 @@
-"""Unit tests for the locality analyzer (Figures 10-12 machinery)."""
+"""Unit tests for the locality report of the trace-profile pass
+(Figures 10-12 machinery)."""
 
 import pytest
 
 from repro.emulator.grid import make_launch
 from repro.emulator.trace import TraceOp
-from repro.profiling.locality import LocalityAnalyzer, analyze_run
+from repro.profiling.trace_profile import TraceProfiler, profile_trace
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 
 from tests.traces import build_launch
@@ -34,10 +35,14 @@ def launch_from_accesses(accesses):
         config=make_launch(8, 32))
 
 
+def locality(launch, pc_classes=None):
+    profiler = TraceProfiler()
+    profiler.analyze_launch(launch, pc_classes)
+    return profiler.report().locality
+
+
 def analyze(accesses):
-    analyzer = LocalityAnalyzer()
-    analyzer.analyze_launch(launch_from_accesses(accesses))
-    return analyzer.report()
+    return locality(launch_from_accesses(accesses))
 
 
 class TestColdMiss:
@@ -99,9 +104,7 @@ class TestDistances:
 
     def test_per_class_histogram(self):
         launch = launch_from_accesses([(0, [0]), (1, [0])])
-        analyzer = LocalityAnalyzer()
-        analyzer.analyze_launch(launch, pc_classes={8: "N"})
-        report = analyzer.report()
+        report = locality(launch, pc_classes={8: "N"})
         assert report.distance_hist_by_class["N"][1] == 1
         assert sum(report.distance_hist_by_class["D"].values()) == 0
 
@@ -114,9 +117,7 @@ def mixed_class_report():
          for cta, pc, addr in [(0, 8, 0), (1, 8, 0), (2, 8, 0),
                                (0, 24, 128), (2, 24, 128)]],
         config=make_launch(8, 32))
-    analyzer = LocalityAnalyzer()
-    analyzer.analyze_launch(launch, pc_classes={8: "N", 24: "D"})
-    return analyzer.report()
+    return locality(launch, pc_classes={8: "N", 24: "D"})
 
 
 class TestDistanceFractionNormalization:
@@ -166,31 +167,20 @@ class TestFiltering:
     def test_stores_excluded_by_default(self):
         launch = build_launch(
             [(0, 0, [TraceOp(store_inst(), 1, ((0, 0),), (0,))])])
-        analyzer = LocalityAnalyzer()
-        analyzer.analyze_launch(launch)
-        assert analyzer.report().total_accesses == 0
-
-    def test_stores_included_when_asked(self):
-        launch = build_launch(
-            [(0, 0, [TraceOp(store_inst(), 1, ((0, 0),), (0,))])])
-        analyzer = LocalityAnalyzer(include_stores=True)
-        analyzer.analyze_launch(launch)
-        assert analyzer.report().total_accesses == 1
+        assert locality(launch).total_accesses == 0
 
     def test_shared_space_ignored(self):
         launch = build_launch(
             [(0, 0, [TraceOp(load_inst(space=Space.SHARED), 1, ((0, 0),))])])
-        analyzer = LocalityAnalyzer()
-        analyzer.analyze_launch(launch)
-        assert analyzer.report().total_accesses == 0
+        assert locality(launch).total_accesses == 0
 
 
 class TestWorkloadIntegration:
-    def test_analyze_run_2mm(self):
+    def test_profile_trace_2mm(self):
         from repro.workloads import get_workload
         # scale 1.0 gives a 3x3 CTA grid, so inter-CTA sharing is visible
         run = get_workload("2mm", scale=1.0).run(verify=False)
-        report = analyze_run(run)
+        report = profile_trace(run.trace, run.classifications).locality
         # 2mm re-reads every matrix row/column many times
         assert report.cold_miss_ratio < 0.2
         assert report.mean_accesses_per_block > 4

@@ -3,7 +3,12 @@
 
 import pytest
 
-from repro.sim.coalescer import CoalescingSummary, summarize_trace
+from repro.profiling.trace_profile import profile_trace
+from repro.sim.coalescer import CoalescingSummary
+
+
+def summarize(run, classifications):
+    return profile_trace(run.trace, classifications).coalescing
 
 
 class TestHistogramObject:
@@ -37,8 +42,7 @@ class TestHistogramObject:
 
 class TestWorkloadHistograms:
     def test_bfs_shapes(self, bfs_run):
-        hist = summarize_trace(bfs_run.trace,
-                               bfs_run.classifications).histogram
+        hist = summarize(bfs_run, bfs_run.classifications).histogram
         # Figure 6's claims: D loads create 1-2 requests, always
         assert max(hist["D"]) <= 2
         # the same N loads vary their request counts widely
@@ -46,12 +50,11 @@ class TestWorkloadHistograms:
         assert max(hist["N"]) > 4
 
     def test_twomm_all_deterministic(self, twomm_run):
-        summary = summarize_trace(twomm_run.trace,
-                                  twomm_run.classifications)
+        summary = summarize(twomm_run, twomm_run.classifications)
         assert summary.warp_loads["N"] == 0
         assert summary.warp_loads["D"] > 0
 
     def test_without_classifications_everything_other(self, bfs_run):
-        summary = summarize_trace(bfs_run.trace, None)
+        summary = summarize(bfs_run, None)
         assert summary.warp_loads["other"] > 0
         assert summary.warp_loads["N"] == 0

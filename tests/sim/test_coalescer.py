@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.emulator.trace import ApplicationTrace, TraceOp
-from repro.profiling.heatmap import HeatMapAggregator
 from repro.profiling.irregularity import measure_irregularity
-from repro.profiling.locality import LocalityAnalyzer
+from repro.profiling.trace_profile import profile_trace
 from repro.ptx.isa import PC_STRIDE, DType, Instruction, MemRef, Reg, Space
 from repro.sim import GPU, TINY
 from repro.sim.coalescer import (
-    coalesce_addresses, coalesce_table, coalescing_degree, summarize_trace)
+    coalesce_addresses, coalesce_table, coalescing_degree)
 
 from tests.traces import build_launch
 
@@ -145,10 +144,11 @@ class TestOneCoalescingRule:
         gpu = GPU(TINY)
         gpu.run_application(crossing, classes)
         assert gpu.stats.classes["N"].requests == 2
-        assert summarize_trace(crossing, classes).histogram["N"] == {2: 1}
-        locality = LocalityAnalyzer().analyze_application(crossing)
+        profile = profile_trace(crossing, classes)
+        assert profile.coalescing.histogram["N"] == {2: 1}
+        locality = profile.locality
         assert (locality.total_accesses, locality.num_blocks) == (2, 2)
-        heat = HeatMapAggregator().analyze_application(crossing)
+        heat = profile.heatmap
         assert heat.total_touches == 2
         assert heat.pcs[("k", 0)].line_touches == 2
         # one line would hold the 8 B, two are touched

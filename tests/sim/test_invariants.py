@@ -12,7 +12,7 @@ bounds their definitions imply.
 import pytest
 
 from repro.sim import GPU, TINY
-from repro.sim.coalescer import summarize_trace
+from repro.profiling.trace_profile import profile_trace
 from repro.workloads import get_workload
 from tests.sim_matrix import SIM_CASES, make_gpu, simulate, workload_run
 
@@ -51,7 +51,8 @@ class TestCrossLayerInvariants:
         """The simulator's coalescing counters must equal the trace-level
         request histogram exactly (same coalescer, two call sites)."""
         run, stats = app
-        hist = summarize_trace(run.trace, run.classifications).histogram
+        hist = profile_trace(run.trace,
+                             run.classifications).coalescing.histogram
         for label in ("D", "N"):
             hist_total = sum(n * c for n, c in hist[label].items())
             # histogram skips all-inactive loads; the sim counts them with
@@ -69,10 +70,11 @@ class TestCrossLayerInvariants:
 
     def test_completions_equal_classified_loads(self, app):
         run, stats = app
+        hist = profile_trace(run.trace,
+                             run.classifications).coalescing.histogram
         for label in ("D", "N"):
             cls = stats.classes[label]
             # every classified load with >=1 request completes exactly once
-            hist = summarize_trace(run.trace, run.classifications).histogram
             assert cls.completed == sum(hist[label].values())
 
     def test_l1_cycles_at_least_accesses(self, app):

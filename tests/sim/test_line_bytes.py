@@ -1,8 +1,8 @@
 """The repo-wide LINE_BYTES constant and its propagation.
 
 Regression suite for the hoist of the memory-line granularity into
-:data:`repro.sim.config.LINE_BYTES`: the coalescer, the locality
-analyzer, the heat map and the trace transforms must all agree on the
+:data:`repro.sim.config.LINE_BYTES`: the coalescer, the trace profile
+(locality and heat map) and the trace transforms must all agree on the
 default *and* honor a non-default line size end to end.
 """
 
@@ -10,8 +10,7 @@ from repro.emulator.grid import make_launch
 from repro.emulator.trace import TraceOp
 from repro.optim.coalesce_oracle import coalesce_op
 from repro.optim.warp_split import split_op
-from repro.profiling.heatmap import HeatMapAggregator
-from repro.profiling.locality import LocalityAnalyzer
+from repro.profiling.trace_profile import TraceProfiler
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import coalesce_addresses, coalescing_degree
 from repro.sim.config import LINE_BYTES, TESLA_C2050, TINY
@@ -39,8 +38,8 @@ class TestSingleSource:
         assert TINY.l1_line_size == LINE_BYTES
 
     def test_locality_alias(self):
-        assert LocalityAnalyzer().block_size == LINE_BYTES
-        assert HeatMapAggregator().line_bytes == LINE_BYTES
+        assert TraceProfiler().line_bytes == LINE_BYTES
+        assert TraceProfiler().report().heatmap.line_bytes == LINE_BYTES
 
 
 class TestPropagation:
@@ -60,9 +59,9 @@ class TestPropagation:
         def count_blocks(block_size):
             launch = build_launch([(0, 0, [load_op(self.ADDRS)])],
                                   config=make_launch(8, 32))
-            analyzer = LocalityAnalyzer(block_size=block_size)
-            analyzer.analyze_launch(launch)
-            return analyzer.report().num_blocks
+            profiler = TraceProfiler(block_size)
+            profiler.analyze_launch(launch)
+            return profiler.report().locality.num_blocks
 
         assert count_blocks(LINE_BYTES) == 1
         assert count_blocks(32) == 4
@@ -70,9 +69,9 @@ class TestPropagation:
     def test_heatmap_honors_line_bytes(self):
         launch = build_launch([(0, 0, [load_op(self.ADDRS)])],
                               config=make_launch(8, 32))
-        narrow = HeatMapAggregator(line_bytes=32)
+        narrow = TraceProfiler(line_bytes=32)
         narrow.analyze_launch(launch)
-        assert narrow.report().num_lines == 4
+        assert narrow.report().heatmap.num_lines == 4
 
     def test_split_op_honors_line_bytes(self):
         op = load_op(self.ADDRS)

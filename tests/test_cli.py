@@ -357,6 +357,34 @@ class TestAdvise:
         with pytest.raises(SystemExit):
             run_cli("advise", "nope")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-requests", "0"),   # split_op divided by zero
+        ("--max-requests", "-1"),  # split_op indexed out of range
+        ("--cluster", "0"),        # l2_clusters=0 is the global L2
+        ("--cluster", "x"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("advise", "bfs", "--scale", "0.05", flag, value)
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
+class TestScaleArgument:
+    COMMANDS = [["run", "gaus"], ["simulate", "gaus"], ["figures"],
+                ["trace", "gaus"], ["metrics", "export"], ["races", "gaus"],
+                ["advise", "gaus"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("scale", ["0", "-0.5", "nan", "inf", "-inf",
+                                       "abc"])
+    def test_rejected_with_usage_error(self, command, scale, capsys):
+        # NaN and infinity used to fail deep inside the workload (exit 1)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--scale=" + scale)
+        assert exc.value.code == 2
+        assert "positive finite" in capsys.readouterr().err
+
 
 class TestSweep:
     SPEC = {

@@ -55,6 +55,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_workload("bfs", scale=0)
 
+    @pytest.mark.parametrize("scale", [-0.5, float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_or_negative_scale(self, scale):
+        with pytest.raises(ValueError, match="positive finite"):
+            get_workload("gaus", scale=scale)
+
 
 @pytest.mark.parametrize("name", workload_names())
 class TestEveryWorkload:
