@@ -19,6 +19,12 @@ cache (Section VI, Figure 3):
 On a failed reservation the request is retried on a later cycle; the
 caller counts the wasted cycles (that is Figure 3's data).
 
+A probe costs O(1) however many ways a set has: a dict maps the tag of
+every valid or reserved line to its line, and a per-set count of
+reserved lines tells a ``RSRV_FAIL_TAGS`` set (every way reserved) from
+one that can evict.  Only :meth:`Cache.commit_miss` scans a set, for its
+victim: an invalid line, else the least recently used valid one.
+
 Writes use Fermi's L1 policy: write-through, no write-allocate, and
 write-evict on a write hit.
 """
@@ -26,13 +32,17 @@ write-evict on a write hit.
 from __future__ import annotations
 
 import enum
-from typing import List
+from typing import Dict, List
 
 from .mshr import MSHRTable
 
 
 class Outcome(enum.Enum):
-    """Result of presenting one request to the cache on one cycle."""
+    """Result of presenting one request to the cache on one cycle.
+
+    Members hash by identity (they key the per-cycle statistics dicts),
+    and ``is_fail`` is a plain attribute, set once per member.
+    """
 
     HIT = "hit"
     HIT_RESERVED = "hit_reserved"
@@ -41,10 +51,11 @@ class Outcome(enum.Enum):
     RSRV_FAIL_MSHR = "rsrv_fail_mshr"
     RSRV_FAIL_ICNT = "rsrv_fail_icnt"
 
-    @property
-    def is_fail(self):
-        return self in (Outcome.RSRV_FAIL_TAGS, Outcome.RSRV_FAIL_MSHR,
-                        Outcome.RSRV_FAIL_ICNT)
+    __hash__ = object.__hash__
+
+    def __init__(self, value):
+        #: a reservation failure: the request retries on a later cycle
+        self.is_fail = value.startswith("rsrv_fail")
 
 
 class _State(enum.Enum):
@@ -74,22 +85,12 @@ class Cache:
         self.mshr = MSHRTable(mshr_entries, mshr_merge)
         self._sets: List[List[_Line]] = [
             [_Line() for _ in range(assoc)] for _ in range(num_sets)]
+        #: tag -> line, for every valid or reserved line (a tag is the
+        #: block number, so it also names its set: ``tag % num_sets``)
+        self._lines: Dict[int, _Line] = {}
+        #: per set, how many of its lines are reserved
+        self._reserved = [0] * num_sets
         self._tick = 0
-
-    # -- geometry ------------------------------------------------------------
-
-    def _index(self, block_addr):
-        return (block_addr // self.line_size) % self.num_sets
-
-    def _tag(self, block_addr):
-        return block_addr // self.line_size
-
-    def _find(self, block_addr):
-        tag = self._tag(block_addr)
-        for line in self._sets[self._index(block_addr)]:
-            if line.tag == tag and line.state is not _State.INVALID:
-                return line
-        return None
 
     # -- two-phase access ---------------------------------------------------------
 
@@ -99,7 +100,8 @@ class Cache:
         Returns :class:`Outcome` — one of HIT, HIT_RESERVED, MISS (meaning a
         miss *can* be reserved), RSRV_FAIL_TAGS, RSRV_FAIL_MSHR.
         """
-        line = self._find(block_addr)
+        tag = block_addr // self.line_size
+        line = self._lines.get(tag)
         if line is not None:
             if line.state is _State.VALID:
                 return Outcome.HIT
@@ -107,18 +109,17 @@ class Cache:
             if self.mshr.can_merge(block_addr):
                 return Outcome.HIT_RESERVED
             return Outcome.RSRV_FAIL_MSHR
-        if self._victim(block_addr) is None:
-            return Outcome.RSRV_FAIL_TAGS
+        if self._reserved[tag % self.num_sets] == self.assoc:
+            return Outcome.RSRV_FAIL_TAGS   # no line can be evicted
         if not self.mshr.can_allocate():
             return Outcome.RSRV_FAIL_MSHR
         return Outcome.MISS
 
-    def _victim(self, block_addr):
-        """The line a miss would evict: an invalid line, else the LRU valid
-        line; ``None`` when every line in the set is reserved."""
-        candidates = self._sets[self._index(block_addr)]
+    def _victim(self, index):
+        """The line a miss in set ``index`` evicts: an invalid line, else
+        the LRU valid line (the set is known to hold one of either)."""
         best = None
-        for line in candidates:
+        for line in self._sets[index]:
             if line.state is _State.INVALID:
                 return line
             if line.state is _State.VALID:
@@ -128,8 +129,7 @@ class Cache:
 
     def commit_hit(self, block_addr):
         self._tick += 1
-        line = self._find(block_addr)
-        line.last_use = self._tick
+        self._lines[block_addr // self.line_size].last_use = self._tick
 
     def commit_hit_reserved(self, block_addr, request):
         self.mshr.merge(block_addr, request)
@@ -138,19 +138,27 @@ class Cache:
         """Reserve a line + MSHR entry for a fill; caller sends the request
         downstream."""
         self._tick += 1
-        line = self._victim(block_addr)
-        line.tag = self._tag(block_addr)
+        tag = block_addr // self.line_size
+        index = tag % self.num_sets
+        line = self._victim(index)
+        if line.state is _State.VALID:
+            del self._lines[line.tag]
+        line.tag = tag
         line.state = _State.RESERVED
         line.last_use = self._tick
+        self._lines[tag] = line
+        self._reserved[index] += 1
         self.mshr.allocate(block_addr, request)
 
     # -- fills / writes --------------------------------------------------------------
 
     def fill(self, block_addr):
         """A fill arrived: validate the line, return the waiting requests."""
-        line = self._find(block_addr)
+        tag = block_addr // self.line_size
+        line = self._lines.get(tag)
         if line is not None and line.state is _State.RESERVED:
             line.state = _State.VALID
+            self._reserved[tag % self.num_sets] -= 1
             self._tick += 1
             line.last_use = self._tick
         return self.mshr.fill(block_addr)
@@ -158,18 +166,18 @@ class Cache:
     def write_touch(self, block_addr):
         """Apply write-evict semantics for a write-through store: a write
         that hits a valid line invalidates it (Fermi L1 behaviour)."""
-        line = self._find(block_addr)
+        line = self._lines.get(block_addr // self.line_size)
         if line is not None and line.state is _State.VALID:
+            del self._lines[line.tag]
             line.state = _State.INVALID
             line.tag = -1
 
     def contains_valid(self, block_addr):
-        line = self._find(block_addr)
+        line = self._lines.get(block_addr // self.line_size)
         return line is not None and line.state is _State.VALID
 
     def reserved_count(self):
-        return sum(1 for s in self._sets for line in s
-                   if line.state is _State.RESERVED)
+        return sum(self._reserved)
 
     def reset(self):
         for s in self._sets:
@@ -177,6 +185,8 @@ class Cache:
                 line.tag = -1
                 line.state = _State.INVALID
                 line.last_use = 0
+        self._lines.clear()
+        self._reserved = [0] * self.num_sets
         # reset in place: obs instrumentation holds a reference to this
         # table, so rebinding would silently detach its metrics
         self.mshr.reset()

@@ -36,6 +36,16 @@ KNOB_CHOICES = {
 }
 
 
+#: structural sizes a machine needs at least one of: at 0 the simulator
+#: would divide by zero or retry forever (no issue slot, no MSHR, no
+#: network credit)
+SIZES_AT_LEAST_ONE = (
+    "issue_width", "ldst_queue_size", "l1_assoc", "l2_assoc",
+    "l1_mshr_entries", "l2_mshr_entries", "l1_line_size", "l2_line_size",
+    "shared_banks", "shared_bank_width", "icnt_credits_per_sm",
+    "icnt_credits_per_partition")
+
+
 @dataclass(frozen=True)
 class GPUConfig:
     """Every tunable of the timing model, with Tesla C2050-like defaults."""
@@ -189,6 +199,10 @@ class GPUConfig:
         return replace(self, **overrides)
 
     def validate(self):
+        for name in SIZES_AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, getattr(self, name)))
         if self.l1_size % (self.l1_line_size * self.l1_assoc):
             raise ValueError("L1 size must be a multiple of line*assoc")
         if self.l2_slice_size % (self.l2_line_size * self.l2_assoc):

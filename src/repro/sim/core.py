@@ -638,8 +638,8 @@ class SMCore:
         functional unit allow.  A warp that fails the scoreboard leaves
         the candidates; one whose unit is busy is only skipped.
         """
-        if not self.warps:
-            return False
+        if not self.warps or not (self._ready or self._dirty):
+            return False   # no warp can issue: skip the pass
         issued = 0
         while issued < self.config.issue_width:
             if self._dirty:

@@ -5,11 +5,14 @@ together as its :class:`~repro.sim.config.GPUConfig` describes (CTA
 policy and L2 organization included), and replays the warp traces of an
 application's kernel launches (:meth:`GPU.run_application`).
 
-The main loop is driven by per-component wake times.  Every SM and
-every memory partition carries the next cycle it must tick
-(``wake_at``); each iteration jumps the clock to the earliest of those
-and of both networks' next deliveries, delivers what has arrived, and
-ticks only the components that are due.  The result is the same as
+The main loop is driven by per-component wake times, and each of its
+iterations costs only the work that is due.  Every SM and every memory
+partition carries the next cycle it must tick (``wake_at``); an
+iteration jumps the clock to the earliest of those and of both
+networks' head deliveries (one inline scan, no per-iteration list),
+lets a network deliver only when its head is due, and ticks only the
+components that are due.  The launch ends when its last CTA finishes
+(a count the CTA-finished callback keeps).  The result is the same as
 ticking every component on every cycle:
 
 * a partition is a no-op between its internal events, except for
@@ -116,8 +119,9 @@ class GPU:
                            self._cta_finished,
                            partition_map=self.partition_of)
                     for i in range(config.num_sms)]
-        self._components = self.sms + self.partitions
         self._scheduler = None
+        #: CTAs of the running launch not yet finished, resident or not
+        self._ctas_left = 0
         self._cta_traces: Dict[int, List] = {}
 
     # -- CTA flow ------------------------------------------------------------
@@ -132,6 +136,7 @@ class GPU:
         return max(1, limit)
 
     def _cta_finished(self, sm_id, cta_id):
+        self._ctas_left -= 1
         if self._scheduler is None:
             return
         nxt = self._scheduler.next_for(sm_id)
@@ -211,56 +216,69 @@ class GPU:
 
     # -- main loop ------------------------------------------------------------------
 
-    def _work_pending(self):
-        for sm in self.sms:
-            if sm.ctas:
-                return True
-        return bool(self._scheduler is not None and self._scheduler.remaining)
-
     def _run_until_drained(self):
-        start = self.now
+        """Run until every CTA of the launch has finished.
+
+        Each iteration costs only its due work: the next wake is the
+        earliest component ``wake_at`` or network head, found inline;
+        a network delivers only when its head is due; only the due
+        components tick.
+        """
         sms, partitions = self.sms, self.partitions
+        components = sms + partitions
         req_icnt, resp_icnt = self.req_icnt, self.resp_icnt
-        while self._work_pending():
-            now = self._next_cycle()
-            if now - start > self.max_cycles:
+        req_pending, resp_pending = req_icnt.pending, resp_icnt.pending
+        now = self.now
+        budget = now + self.max_cycles
+        scheduler = self._scheduler
+        # resident plus unassigned; _cta_finished counts it down
+        self._ctas_left = sum(len(sm.ctas) for sm in sms) + (
+            scheduler.remaining if scheduler is not None else 0)
+        while self._ctas_left:
+            wake = inf
+            for component in components:
+                if component.wake_at < wake:
+                    wake = component.wake_at
+            if req_pending and req_pending[0][0] < wake:
+                wake = req_pending[0][0]
+            if resp_pending and resp_pending[0][0] < wake:
+                wake = resp_pending[0][0]
+            if wake == inf:
+                raise SimulationError(
+                    "deadlock at cycle %d: no component has pending events"
+                    % now, state=self.debug_state())
+            # the clock moves at least one cycle on
+            now = self.now = now + 1 if wake <= now else wake
+            if now > budget:
                 raise SimulationError(
                     "cycle budget exceeded (%d cycles)" % self.max_cycles,
                     state=self.debug_state())
-            for req, dst in req_icnt.deliver_ready(now):
-                partitions[dst].receive(req, now)
-                sms[req.sm_id].credit_returned(now)
-            for req, dst in resp_icnt.deliver_ready(now):
-                sms[dst].receive_response(req, now)
-                partitions[req.partition].credit_returned(now)
+            if req_pending and req_pending[0][0] <= now:
+                for req, dst in req_icnt.deliver_ready(now):
+                    partitions[dst].receive(req, now)
+                    sms[req.sm_id].credit_returned(now)
+            if resp_pending and resp_pending[0][0] <= now:
+                for req, dst in resp_icnt.deliver_ready(now):
+                    sms[dst].receive_response(req, now)
+                    partitions[req.partition].credit_returned(now)
             for partition in partitions:
                 if partition.wake_at <= now:
                     partition.cycle(now, resp_icnt)
             for sm in sms:
                 if sm.wake_at <= now:
                     sm.cycle(now)
-        for sm in sms:
+        self._drained()
+
+    def _drained(self):
+        """Close a drained launch: settle every SM's slept cycles and
+        copy the cycle and network totals into the statistics."""
+        for sm in self.sms:
             sm.settle(self.now + 1)
         self.stats.cycles = self.now
         self.stats.icnt_injected = (self.req_icnt.total_injected
                                     + self.resp_icnt.total_injected)
         self.stats.icnt_queue_delay = (self.req_icnt.total_queue_delay
                                        + self.resp_icnt.total_queue_delay)
-
-    def _next_cycle(self):
-        """Advance the clock to the earliest wake time (at least one
-        cycle on) and return it."""
-        wake = min([c.wake_at for c in self._components])
-        for icnt in (self.req_icnt, self.resp_icnt):
-            t = icnt.next_event_cycle()
-            if t is not None and t < wake:
-                wake = t
-        if wake == inf:
-            raise SimulationError(
-                "deadlock at cycle %d: no component has pending events"
-                % self.now, state=self.debug_state())
-        self.now = max(self.now + 1, wake)
-        return self.now
 
     def debug_state(self):
         """Structured snapshot of every component's in-flight state, for

@@ -32,7 +32,9 @@ class Interconnect:
         self.num_dests = num_dests
         self._credits = [credits_per_source] * num_sources
         self._next_free = [0] * num_dests
-        self._heap: List[Tuple[int, int, object, int, int]] = []
+        #: payloads in flight, a heap of ``(deliver cycle, seq, payload,
+        #: src, dst)``: ``pending[0][0]`` is the next delivery's cycle
+        self.pending: List[Tuple[int, int, object, int, int]] = []
         self._seq = count()
         # statistics
         self.total_injected = 0
@@ -55,10 +57,10 @@ class Interconnect:
         self._next_free[dst] = deliver
         self.total_injected += 1
         self.total_queue_delay += deliver - arrival
-        heapq.heappush(self._heap, (deliver, next(self._seq), payload,
-                                    src, dst))
-        if len(self._heap) > self.max_in_flight:
-            self.max_in_flight = len(self._heap)
+        heapq.heappush(self.pending, (deliver, next(self._seq), payload,
+                                      src, dst))
+        if len(self.pending) > self.max_in_flight:
+            self.max_in_flight = len(self.pending)
 
     # -- delivery ---------------------------------------------------------------
 
@@ -69,20 +71,16 @@ class Interconnect:
         returned as the payload leaves the network.
         """
         out = []
-        heap = self._heap
+        heap = self.pending
         while heap and heap[0][0] <= cycle:
             _t, _s, payload, src, dst = heapq.heappop(heap)
             self._credits[src] += 1
             out.append((payload, dst))
         return out
 
-    def next_event_cycle(self):
-        """Cycle of the earliest pending delivery, or ``None`` when idle."""
-        return self._heap[0][0] if self._heap else None
-
     @property
     def in_flight(self):
-        return len(self._heap)
+        return len(self.pending)
 
     def mean_queue_delay(self):
         if not self.total_injected:
@@ -108,6 +106,6 @@ class Interconnect:
     def debug_state(self):
         """Credit and in-flight state for deadlock reports."""
         return {"name": self.name,
-                "in_flight": len(self._heap),
-                "next_delivery": self._heap[0][0] if self._heap else None,
+                "in_flight": len(self.pending),
+                "next_delivery": self.pending[0][0] if self.pending else None,
                 "credits": list(self._credits)}

@@ -96,21 +96,43 @@ class MemoryPartition:
     def cycle(self, now, resp_icnt):
         """Advance the partition one cycle; returns True if it did work.
 
-        Afterwards :attr:`wake_at` is the next cycle it must tick.
+        Each stage runs only when the head of its queue is due.
+        Afterwards :attr:`wake_at` is the next cycle the partition must
+        tick: its earliest internal event, at least one cycle on.
+        Responses waiting for a response-network credit do not count: a
+        tick injects until the credits run out, and
+        :meth:`credit_returned` wakes the partition.
         """
         worked = False
-        worked |= self._dram_complete(now)
-        worked |= self._dram_issue(now)
-        worked |= self._l2_service(now)
-        worked |= self._collect_responses(now)
-        worked |= self._inject_responses(now, resp_icnt)
-        wake = self.next_event_cycle(now)
-        self.wake_at = inf if wake is None else wake
+        dram_heap, resp_heap, inputs = \
+            self._dram_heap, self._resp_heap, self._input
+        if dram_heap and dram_heap[0][0] <= now:
+            self._dram_complete(now)
+            worked = True
+        if self._dram_queue and self._dram_busy_until <= now:
+            self._dram_issue(now)
+            worked = True
+        if inputs and inputs[0][0] <= now:
+            self._l2_service(now)
+            worked = True
+        if resp_heap and resp_heap[0][0] <= now:
+            self._collect_responses(now)
+            worked = True
+        if self._resp_ready and resp_icnt.can_inject(self.pid):
+            self._inject_responses(now, resp_icnt)
+            worked = True
+        wake = inputs[0][0] if inputs else inf
+        if resp_heap and resp_heap[0][0] < wake:
+            wake = resp_heap[0][0]
+        if dram_heap and dram_heap[0][0] < wake:
+            wake = dram_heap[0][0]
+        if self._dram_queue and self._dram_busy_until < wake:
+            wake = self._dram_busy_until
+        self.wake_at = now + 1 if wake <= now else wake
         return worked
 
     def _l2_service(self, now):
-        if not self._input or self._input[0][0] > now:
-            return False
+        """Serve the due head of the ROP pipe."""
         ready, seq, req = heapq.heappop(self._input)
         if req.t_l2_in < 0:
             req.t_l2_in = now
@@ -121,7 +143,7 @@ class MemoryPartition:
             # write-through, no-allocate; keep the L2 coherent by evicting
             self.l2.write_touch(req.block_addr)
             self._dram_queue.append(req)
-            return True
+            return
 
         outcome = self.l2.lookup(req.block_addr)
         if outcome is Outcome.HIT:
@@ -145,18 +167,12 @@ class MemoryPartition:
             self.stats.l2_stall_cycles += 1
             self.stall_cycles += 1
             heapq.heappush(self._input, (now + 1, seq, req))
-        return True
 
     def _dram_issue(self, now):
-        if not self._dram_queue:
-            return False
-        start = max(now, self._dram_busy_until)
-        if start > now:
-            return False
+        """Start the queue head's burst on the (free) DRAM channel."""
         req = self._dram_queue.popleft()
-        self._dram_busy_until = start + self.config.dram_burst_interval
-        done = (start + self.config.dram_latency
-                + self.config.dram_burst_interval)
+        self._dram_busy_until = now + self.config.dram_burst_interval
+        done = now + self.config.dram_latency + self.config.dram_burst_interval
         if req.is_write:
             self.stats.dram_writes += 1
             self.dram_writes += 1
@@ -164,13 +180,10 @@ class MemoryPartition:
             self.stats.dram_reads += 1
             self.dram_reads += 1
         heapq.heappush(self._dram_heap, (done, next(self._seq), req))
-        return True
 
     def _dram_complete(self, now):
-        worked = False
         while self._dram_heap and self._dram_heap[0][0] <= now:
             _t, _s, req = heapq.heappop(self._dram_heap)
-            worked = True
             if req.is_write:
                 continue
             waiters = self.l2.fill(req.block_addr)
@@ -179,23 +192,16 @@ class MemoryPartition:
             for waiter in waiters:
                 waiter.t_l2_out = now
                 self._resp_ready.append(waiter)
-        return worked
 
     def _collect_responses(self, now):
-        worked = False
         while self._resp_heap and self._resp_heap[0][0] <= now:
             _t, _s, req = heapq.heappop(self._resp_heap)
             self._resp_ready.append(req)
-            worked = True
-        return worked
 
     def _inject_responses(self, now, resp_icnt):
-        worked = False
         while self._resp_ready and resp_icnt.can_inject(self.pid):
             req = self._resp_ready.popleft()
             resp_icnt.inject(req, self.pid, req.sm_id, now)
-            worked = True
-        return worked
 
     # -- observability -----------------------------------------------------------
 
@@ -231,25 +237,7 @@ class MemoryPartition:
         self.l2.mshr.publish_metrics(registry, level="l2",
                                      partition=pid, **labels)
 
-    # -- wake-time support -------------------------------------------------------
-
-    def next_event_cycle(self, now):
-        """Earliest future cycle at which this partition can make progress
-        on its own, or ``None`` when it has none.  Responses waiting for a
-        response-network credit are not counted: a tick injects until the
-        credits run out, and :meth:`credit_returned` wakes the partition."""
-        times = []
-        if self._input:
-            times.append(self._input[0][0])
-        if self._resp_heap:
-            times.append(self._resp_heap[0][0])
-        if self._dram_heap:
-            times.append(self._dram_heap[0][0])
-        if self._dram_queue:
-            times.append(max(self._dram_busy_until, now + 1))
-        if not times:
-            return None
-        return max(now + 1, min(times))
+    # -- diagnostics ---------------------------------------------------------
 
     @property
     def busy(self):
@@ -266,6 +254,3 @@ class MemoryPartition:
                 "dram_busy_until": self._dram_busy_until,
                 "resp_wait_latency": len(self._resp_heap),
                 "resp_wait_credit": len(self._resp_ready)}
-
-    def reset_caches(self):
-        self.l2.reset()

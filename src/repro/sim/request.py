@@ -46,10 +46,6 @@ class MemRequest:
         self.t_l2_out = -1
         self.t_back = -1
 
-    @property
-    def needs_response(self):
-        return not self.is_write
-
     def __repr__(self):
         kind = "st" if self.is_write else ("atom" if self.is_atomic else "ld")
         return "MemRequest(%s %#x pc=%#x cls=%s)" % (

@@ -1,7 +1,9 @@
 """Unit tests for the reservation-aware cache model."""
 
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.cache import Cache, Outcome
+from repro.sim.mshr import MSHRTable
 
 
 def make_cache(sets=2, assoc=2, mshr=4, merge=2):
@@ -145,3 +147,124 @@ class TestMaintenance:
         assert Outcome.RSRV_FAIL_ICNT.is_fail
         assert not Outcome.HIT.is_fail
         assert not Outcome.MISS.is_fail
+
+
+class ScanCache:
+    """The per-set linear scan the tag index replaced, as the reference:
+    a line is ``[tag, state, last_use]``, state "I", "R" or "V"."""
+
+    def __init__(self, sets, assoc, mshr, merge):
+        self.num_sets = sets
+        self.sets = [[[-1, "I", 0] for _ in range(assoc)]
+                     for _ in range(sets)]
+        self.mshr = MSHRTable(mshr, merge)
+        self.tick = 0
+
+    def _set(self, block):
+        return self.sets[block // 128 % self.num_sets]
+
+    def _find(self, block):
+        for line in self._set(block):
+            if line[0] == block // 128 and line[1] != "I":
+                return line
+        return None
+
+    def _victim(self, block):
+        best = None
+        for line in self._set(block):
+            if line[1] == "I":
+                return line
+            if line[1] == "V" and (best is None or line[2] < best[2]):
+                best = line
+        return best
+
+    def lookup(self, block):
+        line = self._find(block)
+        if line is not None:
+            if line[1] == "V":
+                return Outcome.HIT
+            if self.mshr.can_merge(block):
+                return Outcome.HIT_RESERVED
+            return Outcome.RSRV_FAIL_MSHR
+        if self._victim(block) is None:
+            return Outcome.RSRV_FAIL_TAGS
+        if not self.mshr.can_allocate():
+            return Outcome.RSRV_FAIL_MSHR
+        return Outcome.MISS
+
+    def commit_hit(self, block):
+        self.tick += 1
+        self._find(block)[2] = self.tick
+
+    def commit_hit_reserved(self, block, request):
+        self.mshr.merge(block, request)
+
+    def commit_miss(self, block, request):
+        self.tick += 1
+        self._victim(block)[:] = [block // 128, "R", self.tick]
+        self.mshr.allocate(block, request)
+
+    def fill(self, block):
+        line = self._find(block)
+        if line is not None and line[1] == "R":
+            self.tick += 1
+            line[1:] = ["V", self.tick]
+        return self.mshr.fill(block)
+
+    def write_touch(self, block):
+        line = self._find(block)
+        if line is not None and line[1] == "V":
+            line[:2] = [-1, "I"]
+
+    def contains_valid(self, block):
+        line = self._find(block)
+        return line is not None and line[1] == "V"
+
+    def reserved_count(self):
+        return sum(line[1] == "R" for s in self.sets for line in s)
+
+    def reset(self):
+        self.__init__(self.num_sets, len(self.sets[0]),
+                      self.mshr.num_entries, self.mshr.max_merge)
+
+
+#: the commit each lookup outcome allows
+COMMITS = {Outcome.HIT: "commit_hit",
+           Outcome.HIT_RESERVED: "commit_hit_reserved",
+           Outcome.MISS: "commit_miss"}
+
+BLOCKS = [tag * 128 for tag in range(8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=st.integers(1, 4), assoc=st.integers(1, 4),
+       mshr=st.integers(1, 4), merge=st.integers(1, 3),
+       ops=st.lists(st.tuples(
+           st.sampled_from(("lookup", "commit_hit", "commit_hit_reserved",
+                            "commit_miss", "fill", "write_touch", "reset")),
+           st.sampled_from(BLOCKS)), min_size=20, max_size=80))
+def test_tag_index_matches_a_linear_scan(sets, assoc, mshr, merge, ops):
+    cache = Cache(num_sets=sets, assoc=assoc, line_size=128,
+                  mshr_entries=mshr, mshr_merge=merge)
+    ref = ScanCache(sets, assoc, mshr, merge)
+    for step, (op, block) in enumerate(ops):
+        if op == "reset":
+            cache.reset()
+            ref.reset()
+        elif op == "fill":
+            assert cache.fill(block) == ref.fill(block)
+        elif op == "write_touch":
+            cache.write_touch(block)
+            ref.write_touch(block)
+        else:
+            outcome = cache.lookup(block)
+            assert outcome is ref.lookup(block)
+            # a commit only after the lookup outcome that allows it
+            if COMMITS.get(outcome) == op:
+                args = (block,) if op == "commit_hit" else (block, step)
+                getattr(cache, op)(*args)
+                getattr(ref, op)(*args)
+        # every eviction, invalidation and reservation shows
+        assert [(cache.contains_valid(b), cache.lookup(b)) for b in BLOCKS] \
+            == [(ref.contains_valid(b), ref.lookup(b)) for b in BLOCKS]
+        assert cache.reserved_count() == ref.reserved_count()

@@ -7,7 +7,7 @@ from repro.core import classify_kernel
 from repro.emulator import Emulator, MemoryImage
 from repro.ptx import parse_kernel
 from repro.sim import GPU, TINY
-from repro.sim.config import check_knobs
+from repro.sim.config import SIZES_AT_LEAST_ONE, check_knobs
 
 
 class TestConfigValidation:
@@ -35,6 +35,14 @@ class TestConfigValidation:
         # 6 SMs in 3 clusters cannot share 2 partitions evenly
         with pytest.raises(ValueError, match="num_partitions"):
             TINY.scaled(num_sms=6, l2_clusters=2).validate()
+
+    @pytest.mark.parametrize("name", SIZES_AT_LEAST_ONE)
+    def test_zero_sized_structures_fail_at_construction(self, name):
+        # a sweep axis may set any int knob to 0 (check_knobs allows it);
+        # the machine must refuse it up front, not hang or divide by 0
+        TINY.scaled(**{name: 1}).validate()
+        with pytest.raises(ValueError, match=name):
+            GPU(TINY.scaled(**{name: 0}))
 
     def test_check_knobs_rejects_negative_counts_and_bad_choices(self):
         assert check_knobs({"l1_size": 0, "cta_policy": "clustered"}) \

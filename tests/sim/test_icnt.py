@@ -63,11 +63,13 @@ class TestDelivery:
         assert icnt.total_queue_delay == 3
         assert icnt.mean_queue_delay() == pytest.approx(1.0)
 
-    def test_next_event_cycle(self):
+    def test_next_delivery(self):
         icnt = make_icnt(latency=4)
-        assert icnt.next_event_cycle() is None
+        assert not icnt.pending
+        assert icnt.debug_state()["next_delivery"] is None
         icnt.inject("p", 0, 0, cycle=2)
-        assert icnt.next_event_cycle() == 6
+        assert icnt.pending[0][0] == 6
+        assert icnt.debug_state()["next_delivery"] == 6
 
     def test_in_flight(self):
         icnt = make_icnt()

@@ -112,7 +112,7 @@ def assert_drained(gpu):
     # request-network credits are conserved: each SM's credits plus its
     # stores still in flight make up its allotment
     in_flight = [0] * gpu.config.num_sms
-    for _t, _s, req, src, _dst in gpu.req_icnt._heap:
+    for _t, _s, req, src, _dst in gpu.req_icnt.pending:
         assert req.is_write
         in_flight[src] += 1
     for sm_id, credits in enumerate(gpu.req_icnt._credits):

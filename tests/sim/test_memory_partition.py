@@ -1,5 +1,6 @@
 """Unit tests for the L2-slice + DRAM-channel partition model."""
 
+import math
 
 from repro.sim.config import TINY
 from repro.sim.icnt import Interconnect
@@ -127,12 +128,17 @@ class TestDRAMBandwidth:
 
 
 class TestIdleSupport:
-    def test_next_event_cycle(self):
+    def test_wake_at_tracks_the_next_event(self):
         partition, resp, _ = make_partition()
-        assert partition.next_event_cycle(0) is None
+        assert partition.wake_at == math.inf
         partition.receive(load_req(), now=0)
-        nxt = partition.next_event_cycle(0)
-        assert nxt == TINY.rop_latency
+        assert partition.wake_at == TINY.rop_latency
+        # a tick before the request leaves the ROP pipe does nothing
+        assert not partition.cycle(1, resp)
+        assert partition.wake_at == TINY.rop_latency
+        # the L2 miss queues on DRAM, which is due the next cycle
+        assert partition.cycle(TINY.rop_latency, resp)
+        assert partition.wake_at == TINY.rop_latency + 1
 
     def test_busy_flag(self):
         partition, resp, _ = make_partition()
