@@ -173,11 +173,6 @@ class LoadClassifier:
 
     # -- public API --------------------------------------------------------------
 
-    def provenance_of_definition(self, inst_index):
-        """Provenance of the value defined by instruction ``inst_index``."""
-        self._solve()
-        return self._def_prov[inst_index]
-
     def address_provenance(self, inst_index):
         """Provenance + tainting data-load indices of a memory instruction's
         effective address."""

@@ -97,14 +97,6 @@ def op_kind(inst):
     return k | (SPACE_CODES[space] << 2)
 
 
-def kind_is_store(kind):
-    return kind != KIND_NONE and (kind & 3) == _KIND_STORE
-
-
-def kind_is_load(kind):
-    return kind != KIND_NONE and (kind & 3) == _KIND_LOAD
-
-
 def encode_value(value, is_float):
     """One stored value -> 64-bit pattern (see module docstring)."""
     if is_float:
@@ -172,10 +164,6 @@ class ColumnarWarpTrace:
         self.vals = None
         self.vstart = None
         self._ops = None
-
-    @property
-    def global_warp_key(self):
-        return (self.cta_id, self.warp_id)
 
     # -- producer side -----------------------------------------------------
 

@@ -156,7 +156,9 @@ class ExperimentRunner:
     returns an :class:`AppFailure` instead of raising, and sibling
     applications are unaffected.  ``timeout`` (seconds, parallel runs
     only) bounds how long :meth:`results` waits for any one
-    application's worker.
+    application's worker; an application that exceeds it is recorded
+    as a ``TimeoutError`` failure and its worker is stopped before
+    :meth:`results` returns, so a hung job cannot outlive the run.
     """
 
     def __init__(self, scale=BENCH_SCALE, config=BENCH_CONFIG,
@@ -393,65 +395,42 @@ class ExperimentRunner:
         }
 
     def _fill_parallel(self, names):
-        """Compute missing results for ``names`` in a process pool.
+        """Compute missing results for ``names`` in a process pool
+        (:func:`~repro.resilience.pool.run_in_pool`).
 
-        Failure isolation: a worker exception, a broken pool (a worker
-        died, before or after its job was submitted) or a per-job
-        ``timeout`` affects only the applications involved — completed
-        siblings are kept, and every name the pool did not deliver is
-        left to the serial pass of :meth:`results`, which runs it
-        in-process (where ``strict`` decides between raising and
-        recording the failure).
+        A name that times out is recorded as a ``TimeoutError``
+        :class:`AppFailure` (raised in strict mode); every other name
+        the pool did not deliver is left to the serial pass of
+        :meth:`results`, which runs it in-process — so strict mode
+        raises from a clean in-process traceback and non-strict mode
+        captures structured context off the live exception.
         """
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
+        from ..resilience.pool import run_in_pool
 
         missing = [n for n in names
                    if n not in self._cache and n not in self._failures]
         if len(missing) < 2:
             return
         spec = self._spec()
-        workers = min(self.jobs, len(missing))
-        timed_out = False
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = []
-            try:
-                for name in missing:
-                    futures.append(
-                        (name, pool.submit(_run_single, (name, spec))))
-            except BrokenProcessPool:
-                pass  # a worker died: collect what was submitted
-            for name, future in futures:
-                try:
-                    result = future.result(timeout=self.timeout)
-                    self._cache[name] = result
-                    # republish in the parent: the worker's registry
-                    # (and spans) died with the worker process
-                    self._record(result, from_worker=True)
-                except concurrent.futures.TimeoutError:
-                    future.cancel()
-                    timed_out = True
-                    failure = AppFailure(
-                        name=name, stage="emulate", error="TimeoutError",
-                        message="job exceeded the %ss per-application "
-                                "timeout" % self.timeout)
-                    if self.strict:
-                        raise RuntimeError(failure.format()) from None
-                    self._failures[name] = failure
-                    self._record_failure(failure)
-                except BrokenProcessPool:
-                    break  # nothing more will come out of this pool
-                except Exception:               # noqa: BLE001 — isolation
-                    # worker raised: the serial pass reruns it, so strict
-                    # mode raises from a clean in-process traceback and
-                    # non-strict mode captures structured context off
-                    # the live exception object
-                    pass
-        finally:
-            # a timed-out worker may be stuck for a while: don't block
-            # shutdown on it, just cancel whatever has not started
-            pool.shutdown(wait=not timed_out, cancel_futures=timed_out)
+        delivered, timed_out = run_in_pool(
+            _run_single, [(name, spec) for name in missing],
+            workers=min(self.jobs, len(missing)), timeout=self.timeout)
+        for index, name in enumerate(missing):
+            if index in delivered:
+                result = delivered[index]
+                self._cache[name] = result
+                # republish in the parent: the worker's registry (and
+                # spans) died with the worker process
+                self._record(result, from_worker=True)
+            elif index in timed_out:
+                failure = AppFailure(
+                    name=name, stage="emulate", error="TimeoutError",
+                    message="job exceeded the %ss per-application "
+                            "timeout" % self.timeout)
+                if self.strict:
+                    raise RuntimeError(failure.format())
+                self._failures[name] = failure
+                self._record_failure(failure)
 
     def failures(self):
         """Failures recorded so far (non-strict mode), in no particular

@@ -74,22 +74,6 @@ def collect_counters(run, stats=None):
     return counters
 
 
-def publish_counters(name, counters, registry=None):
-    """Publish Table III counters as ``profiler.<counter>{app=...}``
-    registry series (``None`` values — cache counters without a timing
-    simulation — are skipped, matching the table's empty cells)."""
-    from ..obs.metrics import get_registry
-
-    reg = registry if registry is not None else get_registry()
-    for counter, value in counters.items():
-        if value is None:
-            continue
-        reg.counter("profiler." + counter,
-                    COUNTER_DESCRIPTIONS.get(counter, "")).inc(
-            value, app=name)
-    return reg
-
-
 def shared_per_global_ratio(run):
     """Figure 9's metric: shared-memory loads per global-memory load."""
     glob = run.trace.global_load_warp_count()

@@ -100,9 +100,6 @@ class VerificationReport:
         """True when no error-severity diagnostic was found."""
         return not self.errors()
 
-    def for_kernel(self, name):
-        return [d for d in self.diagnostics if d.kernel == name]
-
     def format(self):
         if not self.diagnostics:
             return "verification OK: no diagnostics"

@@ -1,6 +1,6 @@
 """Self-healing execution layer: degrade, never die.
 
-The pipeline has three classes of infrastructure failure that are *not*
+The pipeline has four classes of infrastructure failure that are *not*
 the workload's fault and therefore should not abort an experiment:
 
 * an **engine** fails — per-kernel codegen raises, a JIT backend is
@@ -13,7 +13,12 @@ the workload's fault and therefore should not abort an experiment:
   so regeneration can heal the store);
 * a **resource budget** is exceeded — the process is about to be
   OOM-killed (:mod:`.guards` turns that into a structured, isolated
-  :class:`~repro.resilience.guards.MemoryBudgetError` instead).
+  :class:`~repro.resilience.guards.MemoryBudgetError` instead);
+* a **worker process** of a parallel batch raises, dies or hangs
+  (:func:`.pool.run_in_pool` leaves that job out of its results, and
+  stops a hung worker, so the caller can rerun or record it).  It is
+  imported on first use, not here: serial runs never load
+  :mod:`concurrent.futures`.
 
 Nothing in this package imports the emulator or simulator, so every
 layer of the pipeline can depend on it without cycles.  The chaos

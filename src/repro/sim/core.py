@@ -57,7 +57,7 @@ from .request import MemRequest
 class InflightMemInst:
     """A memory warp-instruction from LD/ST issue to last data writeback."""
 
-    __slots__ = ("warp", "dests", "pending", "requests", "outstanding",
+    __slots__ = ("warp", "dests", "pending", "outstanding",
                  "n_requests", "t_issue", "t_first_accept", "t_last_accept",
                  "l2_in_min", "l2_in_max", "back_min", "back_max",
                  "load_class", "pc", "kernel_name", "is_load", "is_store",
@@ -68,7 +68,6 @@ class InflightMemInst:
         self.warp = warp
         self.dests = dests  # bitmask of the registers written back
         self.pending: List[MemRequest] = []
-        self.requests: List[MemRequest] = []
         self.outstanding = 0
         self.n_requests = 0
         self.t_issue = t_issue
@@ -353,7 +352,6 @@ class SMCore:
             self._complete_request(waiter, now)
 
     def _complete_request(self, req, now):
-        req.t_back = now
         inflight = req.inflight
         if inflight is None:
             return  # prefetch fill: no warp is waiting
@@ -372,7 +370,7 @@ class SMCore:
 
     def _record_completion(self, inflight, now):
         if not inflight.is_load or inflight.load_class is None \
-                or not inflight.requests:
+                or not inflight.n_requests:
             return
         turnaround = now - inflight.t_issue
         wait_first = max(0, inflight.t_first_accept - inflight.t_issue)
@@ -550,7 +548,6 @@ class SMCore:
             return outcome
         if not req.is_write and not req.is_atomic:
             self.stats.record_l1_result(outcome, req.load_class)
-        req.t_accept = now
         head.accept(now)
         head.pending.pop(0)
         if not head.pending:
@@ -740,10 +737,8 @@ class SMCore:
                     block_addr=block, pc=inst.pc, load_class=load_class,
                     is_write=inst.is_store, is_atomic=inst.is_atomic,
                     sm_id=self.sm_id, inflight=inflight)
-                req.t_issue = now
                 req.partition = self.partition_map(self.sm_id, block)
                 inflight.pending.append(req)
-                inflight.requests.append(req)
             inflight.n_requests = len(blocks)
             inflight.outstanding = 0 if inst.is_store else len(blocks)
             if inst.is_load:
@@ -845,7 +840,6 @@ class SMCore:
             return True
         req = MemRequest(block_addr=block, pc=0, load_class=None,
                          sm_id=self.sm_id, is_prefetch=True)
-        req.t_issue = now
         req.partition = self.partition_map(self.sm_id, block)
         self.l1.commit_miss(block, req)
         self.req_icnt.inject(req, self.sm_id, req.partition, now)

@@ -150,9 +150,9 @@ class MemoryPartition:
             self.l2.commit_hit(req.block_addr)
             self.stats.record_l2_result(True, req.load_class)
             self.l2_hits += 1
-            req.t_l2_out = now + self.config.l2_hit_latency
             heapq.heappush(self._resp_heap,
-                           (req.t_l2_out, next(self._seq), req))
+                           (now + self.config.l2_hit_latency,
+                            next(self._seq), req))
         elif outcome is Outcome.HIT_RESERVED:
             self.l2.commit_hit_reserved(req.block_addr, req)
             self.stats.record_l2_result(True, req.load_class)
@@ -189,9 +189,7 @@ class MemoryPartition:
             waiters = self.l2.fill(req.block_addr)
             if req not in waiters:
                 waiters.append(req)
-            for waiter in waiters:
-                waiter.t_l2_out = now
-                self._resp_ready.append(waiter)
+            self._resp_ready.extend(waiters)
 
     def _collect_responses(self, now):
         while self._resp_heap and self._resp_heap[0][0] <= now:

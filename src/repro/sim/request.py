@@ -3,30 +3,19 @@
 from __future__ import annotations
 
 
-
 class MemRequest:
     """One 128 B-granular memory transaction.
 
     A warp-level load/store is coalesced into one or more requests (one per
-    distinct 128 B block touched).  The request keeps the timestamps the
-    paper's turnaround-time breakdowns (Figures 5-7) are computed from:
-
-    ``t_issue``
-        warp instruction issued to the LD/ST unit,
-    ``t_accept``
-        the L1 accepted the request (hit, hit-reserved, or miss reserved) —
-        the end of its reservation-fail stalls,
-    ``t_l2_in``
-        delivered to its memory partition,
-    ``t_l2_out``
-        data produced by the partition (L2 hit or DRAM return),
-    ``t_back``
-        data written back at the SM.
+    distinct 128 B block touched).  The timestamps behind the paper's
+    turnaround-time breakdowns (Figures 5-7) live on the owning
+    :class:`~repro.sim.core.InflightMemInst`; the request keeps only
+    ``t_l2_in``, the cycle it first entered its memory partition, so a
+    request that retries at the L2 slice is counted there once.
     """
 
     __slots__ = ("block_addr", "pc", "load_class", "is_write", "is_atomic",
-                 "is_prefetch", "sm_id", "partition", "inflight",
-                 "t_issue", "t_accept", "t_l2_in", "t_l2_out", "t_back")
+                 "is_prefetch", "sm_id", "partition", "inflight", "t_l2_in")
 
     def __init__(self, block_addr, pc, load_class, is_write=False,
                  is_atomic=False, sm_id=0, inflight=None,
@@ -40,11 +29,7 @@ class MemRequest:
         self.sm_id = sm_id
         self.partition = -1
         self.inflight = inflight       # owning InflightMemInst (loads/atomics)
-        self.t_issue = -1
-        self.t_accept = -1
         self.t_l2_in = -1
-        self.t_l2_out = -1
-        self.t_back = -1
 
     def __repr__(self):
         kind = "st" if self.is_write else ("atom" if self.is_atomic else "ld")

@@ -276,19 +276,6 @@ class SimStats:
         for reason in self.issue_stall:
             self.issue_stall[reason] += other.issue_stall.get(reason, 0)
 
-    def publish(self, app, registry=None):
-        """Publish this stats object into a metrics registry.
-
-        Compatibility shim: :class:`SimStats` remains the simulator's
-        hot-path accumulator (attribute increments, no registry calls
-        per cycle); this method exports the same data as labelled
-        registry series at application granularity via
-        :func:`repro.obs.bridge.publish_sim`.
-        """
-        from ..obs.bridge import publish_sim
-
-        return publish_sim(app, self, registry)
-
     def issue_stall_fractions(self):
         """{reason: fraction of SM-active cycles stalled for it}, plus
         "issued" for the remainder."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..obs import tracing
 from ..obs.manifest import RunManifest
@@ -289,12 +289,12 @@ class SweepEngine:
         return outcomes
 
     def _run_parallel(self, points):
-        """Execute grouped points across a process pool; outcomes keep
+        """Execute grouped points across a process pool
+        (:func:`~repro.resilience.pool.run_in_pool`); outcomes keep
         canonical point order, in which each (app, scale) group is one
-        contiguous run (:func:`expand`).  Worker failures degrade to a
-        serial retry of the affected group."""
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
+        contiguous run (:func:`expand`).  Every group the pool did not
+        deliver is retried serially."""
+        from ..resilience.pool import run_in_pool
 
         groups = {}
         for point in points:
@@ -305,31 +305,18 @@ class SweepEngine:
             "engine": self.engine,
             "use_trace_cache": self.use_trace_cache,
         }
-        workers = min(self.jobs, len(groups))
-        by_group: Dict[Tuple[str, float], List[PointOutcome]] = {}
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = []
-            try:
-                for gk, pts in groups.items():
-                    job = (self.spec, str(self.out), pts, options)
-                    futures.append((gk, pool.submit(_run_group, job)))
-            except BrokenProcessPool:
-                pass  # a worker died: collect what was submitted
-            for gk, future in futures:
-                try:
-                    by_group[gk] = future.result()
-                except BrokenProcessPool:
-                    break  # nothing more will come out of this pool
-                except Exception:  # noqa: BLE001 — retried serially
-                    pass
-        finally:
-            pool.shutdown(wait=True)
-        # every group the pool did not deliver is retried serially
-        for gk, pts in groups.items():
-            if gk not in by_group:
-                by_group[gk] = self._run_points(pts)
-        return [outcome for gk in groups for outcome in by_group[gk]]
+        grouped = list(groups.values())
+        delivered, _timed_out = run_in_pool(
+            _run_group,
+            [(self.spec, str(self.out), pts, options) for pts in grouped],
+            workers=min(self.jobs, len(grouped)),
+        )
+        outcomes = []
+        for index, pts in enumerate(grouped):
+            if index not in delivered:
+                delivered[index] = self._run_points(pts)
+            outcomes.extend(delivered[index])
+        return outcomes
 
     def run(self, shard_index=1, shard_count=1):
         """Execute this engine's shard of the grid; returns a summary.

@@ -123,10 +123,6 @@ def parse_faults(value: Optional[str]) -> List[FaultSpec]:
     return specs
 
 
-def active_faults() -> List[FaultSpec]:
-    return parse_faults(os.environ.get(ENV_VAR))
-
-
 def check_fault(name, stage):
     """Trigger the armed fault for ``(name, stage)``, if any.
 

@@ -165,10 +165,6 @@ class CSRGraph:
         lo, hi = self.row_ptr[v], self.row_ptr[v + 1]
         return self.col_idx[lo:hi]
 
-    def edge_weights(self, v):
-        lo, hi = self.row_ptr[v], self.row_ptr[v + 1]
-        return self.weights[lo:hi]
-
     def degree(self, v):
         return int(self.row_ptr[v + 1] - self.row_ptr[v])
 

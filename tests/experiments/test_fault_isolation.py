@@ -154,3 +154,20 @@ class TestParallelIsolation:
         assert failure.error == "TimeoutError"
         assert "timeout" in failure.message
         assert all(r.ok for r in results[1:])
+
+    def test_timed_out_worker_does_not_outlive_results(self):
+        import multiprocessing
+        import time
+
+        before = set(multiprocessing.active_children())
+        runner = _runner(strict=False, jobs=2, timeout=8.0)
+        with injected("2mm", "emulate", kind="sleep=60"):
+            results = runner.results(["2mm", "spmv"])
+        assert results[0].error == "TimeoutError"
+        assert results[1].ok
+        deadline = time.monotonic() + 5
+        leftover = set(multiprocessing.active_children()) - before
+        while leftover and time.monotonic() < deadline:
+            time.sleep(0.1)
+            leftover = set(multiprocessing.active_children()) - before
+        assert not leftover
