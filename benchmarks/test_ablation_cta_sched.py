@@ -7,27 +7,25 @@ reports the L1 delta.
 """
 
 from repro.experiments.render import format_table
-from repro.optim.cta_clustered import compare_cta_policies
+from repro.optim import CTA_CLUSTERED, simulate
 
 APPS = ("2mm", "lu", "srad", "bfs")
 
 
 def test_cta_scheduling_ablation(benchmark, runner, by_name, emit):
     def run_all():
-        return {name: compare_cta_policies(by_name[name].run,
-                                           runner.config)
+        return {name: [simulate(by_name[name].run, runner.config, transform)
+                       for transform in (None, CTA_CLUSTERED)]
                 for name in APPS}
 
     outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     rows = []
     improved = 0
-    for name, per_policy in outcomes.items():
-        rr = per_policy["round_robin"]
-        cl = per_policy["clustered"]
-        rows.append([name, rr.l1_miss_ratio, cl.l1_miss_ratio,
+    for name, (rr, cl) in outcomes.items():
+        rows.append([name, rr.l1_miss_ratio(), cl.l1_miss_ratio(),
                      rr.cycles, cl.cycles])
-        if cl.l1_miss_ratio <= rr.l1_miss_ratio:
+        if cl.l1_miss_ratio() <= rr.l1_miss_ratio():
             improved += 1
     emit("ablation_cta_sched", format_table(
         ["app", "RR L1 miss", "clustered L1 miss", "RR cycles",

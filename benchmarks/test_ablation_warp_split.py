@@ -7,7 +7,7 @@ measures the change in request burstiness and reservation-fail pressure.
 """
 
 from repro.experiments.render import format_table
-from repro.optim.warp_split import compare_warp_splitting
+from repro.optim import WARP_SPLIT, simulate
 
 APPS = ("bfs", "spmv")
 MAX_REQUESTS = 4
@@ -15,25 +15,24 @@ MAX_REQUESTS = 4
 
 def test_warp_split_ablation(benchmark, runner, by_name, emit):
     def run_all():
-        return {name: compare_warp_splitting(by_name[name].run,
-                                             runner.config,
-                                             max_requests=MAX_REQUESTS)
+        return {name: [simulate(by_name[name].run, runner.config, transform,
+                                max_requests=MAX_REQUESTS)
+                       for transform in (None, WARP_SPLIT)]
                 for name in APPS}
 
     outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     rows = []
-    for name, per_variant in outcomes.items():
-        base = per_variant["baseline"]
-        split = per_variant["split"]
+    for name, (base, split) in outcomes.items():
+        base_n, split_n = base.classes["N"], split.classes["N"]
         rows.append([name,
-                     base.n_requests_per_warp, split.n_requests_per_warp,
-                     base.reservation_fail_fraction,
-                     split.reservation_fail_fraction,
-                     base.mean_n_turnaround, split.mean_n_turnaround])
+                     base_n.requests_per_warp(), split_n.requests_per_warp(),
+                     base.reservation_fail_fraction(),
+                     split.reservation_fail_fraction(),
+                     base_n.mean_turnaround(), split_n.mean_turnaround()])
         # the transformation bounds per-warp request bursts
-        assert split.n_requests_per_warp <= MAX_REQUESTS + 1e-9
-        assert split.n_requests_per_warp <= base.n_requests_per_warp
+        assert split_n.requests_per_warp() <= MAX_REQUESTS + 1e-9
+        assert split_n.requests_per_warp() <= base_n.requests_per_warp()
     emit("ablation_warp_split", format_table(
         ["app", "base req/warp", "split req/warp", "base fail",
          "split fail", "base N turn", "split N turn"],

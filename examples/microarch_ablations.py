@@ -11,11 +11,7 @@ ablations on real application traces:
 """
 
 from repro import TESLA_C2050, get_workload
-from repro.optim import (
-    compare_cta_policies,
-    compare_l2_organizations,
-    compare_warp_splitting,
-)
+from repro.optim import CTA_CLUSTERED, SEMI_GLOBAL_L2, WARP_SPLIT, simulate
 
 CONFIG = TESLA_C2050.scaled(num_sms=4, num_partitions=2,
                             l1_size=2 * 1024, l2_size=64 * 1024,
@@ -25,36 +21,41 @@ CONFIG = TESLA_C2050.scaled(num_sms=4, num_partitions=2,
 def main():
     bfs = get_workload("bfs", scale=0.5).run()
     srad = get_workload("srad", scale=0.5).run()
+    bfs_base = simulate(bfs, CONFIG)
 
     print("=" * 72)
     print("X.A  sub-warp splitting of non-deterministic loads (bfs)")
     print("=" * 72)
-    outcome = compare_warp_splitting(bfs, CONFIG, max_requests=4)
-    for label, o in outcome.items():
+    split = simulate(bfs, CONFIG, WARP_SPLIT, max_requests=4)
+    for label, stats in (("baseline", bfs_base), ("split", split)):
+        n = stats.classes["N"]
         print("  %-14s N req/warp %.2f | rsrv-fail share %.0f%% | "
               "mean N turnaround %.0f cycles"
-              % (label, o.n_requests_per_warp,
-                 100 * o.reservation_fail_fraction, o.mean_n_turnaround))
+              % (label, n.requests_per_warp(),
+                 100 * stats.reservation_fail_fraction(),
+                 n.mean_turnaround()))
 
     print()
     print("=" * 72)
     print("X.B  clustered CTA scheduling (srad)")
     print("=" * 72)
-    outcomes = compare_cta_policies(srad, CONFIG)
-    for name, o in outcomes.items():
+    for name, transform in (("round_robin", None),
+                            ("clustered", CTA_CLUSTERED)):
+        stats = simulate(srad, CONFIG, transform)
         print("  %-14s L1 miss %.1f%% | cycles %d"
-              % (name, 100 * o.l1_miss_ratio, o.cycles))
+              % (name, 100 * stats.l1_miss_ratio(), stats.cycles))
 
     print()
     print("=" * 72)
     print("X.C  semi-global L2 (bfs, clusters of 2 SMs)")
     print("=" * 72)
-    outcomes = compare_l2_organizations(bfs, CONFIG, cluster_size=2)
-    for name, o in outcomes.items():
+    semi = simulate(bfs, CONFIG, SEMI_GLOBAL_L2, cluster_size=2)
+    for name, stats in (("global", bfs_base), ("semi_global", semi)):
         print("  %-14s L2 miss %.1f%% | D turnaround %.0f | "
               "N turnaround %.0f | cycles %d"
-              % (name, 100 * o.l2_miss_ratio, o.mean_d_turnaround,
-                 o.mean_n_turnaround, o.cycles))
+              % (name, 100 * stats.l2_miss_ratio(),
+                 stats.classes["D"].mean_turnaround(),
+                 stats.classes["N"].mean_turnaround(), stats.cycles))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ The package layers bottom-up:
   turnaround breakdowns;
 * :mod:`repro.experiments` — harness regenerating every table and figure;
 * :mod:`repro.optim` — the Section X microarchitectural suggestions as
-  runnable ablations.
+  runnable ablations: one table of named transforms and
+  ``simulate(run, config, name)``.
 
 Quick start::
 

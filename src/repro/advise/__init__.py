@@ -8,16 +8,9 @@ from .advisor import (
     TransformDelta,
     advise_app,
 )
+from ..optim import COALESCE_ORACLE, CTA_CLUSTERED, SEMI_GLOBAL_L2, WARP_SPLIT
 from .features import FAR_REUSE_BUCKET, LoadFeatures, extract_features
-from .rules import (
-    COALESCE_ORACLE,
-    CTA_CLUSTERED,
-    SEMI_GLOBAL_L2,
-    WARP_SPLIT,
-    Diagnosis,
-    Thresholds,
-    diagnose,
-)
+from .rules import Diagnosis, Thresholds, diagnose
 
 __all__ = [
     "MIN_GAIN",

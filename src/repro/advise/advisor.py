@@ -4,14 +4,14 @@ Pipeline (``repro advise <app>``): take the application's heat map from
 the runner's trace profile, extract per-load features, run the
 rule-based diagnosis, then *verify* every candidate transform by
 re-simulating it through the unchanged timing model and measuring the
-delta — cycles, L2 misses, DRAM traffic.  A candidate is the baseline
-config with optional overrides (clustered CTA scheduling, semi-global
-L2) plus an optional per-launch trace rewrite (warp splitting, perfect
-coalescing), so every candidate inherits the rest of the baseline
-machine.  The recommendation is the measured-best transform, or an
-explicit "no profitable transform" verdict when nothing clears the gain
-threshold.  Nothing is asserted from the rules alone; the simulator has
-the last word.
+delta — cycles, L2 misses, DRAM traffic.  :func:`repro.optim.simulate`
+runs each candidate as the baseline config with optional overrides
+(clustered CTA scheduling, semi-global L2) plus an optional per-launch
+trace rewrite (warp splitting, perfect coalescing), so every candidate
+inherits the rest of the baseline machine.  The recommendation is the
+measured-best transform, or an explicit "no profitable transform"
+verdict when nothing clears the gain threshold.  Nothing is asserted
+from the rules alone; the simulator has the last word.
 
 Emulation rides the shared :class:`~repro.experiments.runner.
 ExperimentRunner` (on-disk trace cache, fault isolation), so advising
@@ -22,24 +22,14 @@ simulation per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional
 
 from ..experiments.runner import BENCH_CONFIG, ExperimentRunner
 from ..obs import tracing
 from ..obs.metrics import get_registry
-from ..optim.coalesce_oracle import coalesced_launch
-from ..optim.warp_split import split_launch
-from ..sim.gpu import GPU
+from ..optim import configure, simulate
 from .features import extract_features
-from .rules import (
-    COALESCE_ORACLE,
-    CTA_CLUSTERED,
-    SEMI_GLOBAL_L2,
-    WARP_SPLIT,
-    Thresholds,
-    diagnose,
-)
+from .rules import Thresholds, diagnose
 
 #: minimum fractional cycle reduction for a transform to be recommended.
 MIN_GAIN = 0.005
@@ -152,23 +142,6 @@ class AdviceReport:
         return "\n".join(lines)
 
 
-def _candidate(transform, config, max_requests, cluster_size):
-    """``(config, rewrite)`` that simulates one candidate transform: a
-    machine organization is a config override, a trace transform a
-    per-launch rewrite (see :meth:`GPU.run_application`)."""
-    line = config.l1_line_size
-    if transform == WARP_SPLIT:
-        return config, partial(split_launch, max_requests=max_requests,
-                               line_bytes=line)
-    if transform == COALESCE_ORACLE:
-        return config, partial(coalesced_launch, line_bytes=line)
-    if transform == CTA_CLUSTERED:
-        return config.scaled(cta_policy="clustered"), None
-    if transform == SEMI_GLOBAL_L2:
-        return config.scaled(l2_clusters=cluster_size), None
-    raise ValueError("unknown transform %r" % (transform,))
-
-
 def advise_app(name, runner=None, scale=0.25, config=BENCH_CONFIG,
                engine=None, use_trace_cache=False, verify=True,
                max_requests=4, cluster_size=2, min_gain=MIN_GAIN,
@@ -226,10 +199,9 @@ def advise_app(name, runner=None, scale=0.25, config=BENCH_CONFIG,
     for transform in candidates:
         with tracing.span("advise.verify", app=name,
                           transform=transform) as sp:
-            candidate_config, rewrite = _candidate(
-                transform, config, max_requests, cluster_size)
             try:
-                gpu = GPU(candidate_config)
+                configure(transform, config, max_requests,
+                          cluster_size)[0].validate()
             except ValueError as exc:
                 # e.g. a cluster size that does not divide the SM count
                 delta = TransformDelta(transform=transform,
@@ -238,8 +210,8 @@ def advise_app(name, runner=None, scale=0.25, config=BENCH_CONFIG,
                                            report.baseline, 0),
                                        skipped=str(exc))
             else:
-                stats = gpu.run_application(run.trace, run.classifications,
-                                            rewrite=rewrite)
+                stats = simulate(run, config, transform, max_requests,
+                                 cluster_size)
                 delta = TransformDelta(transform=transform,
                                        baseline=report.baseline,
                                        transformed=_metrics(stats))

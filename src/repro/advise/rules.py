@@ -3,9 +3,10 @@
 Each rule matches the trace-derived :class:`~repro.advise.features.
 LoadFeatures` of one static load and, when it fires, produces a
 :class:`Diagnosis` that localizes the problem to a PTX source line and
-names the candidate transforms from :mod:`repro.optim` whose measured
-effect the advisor should verify.  Three problem signatures (the
-paper's Sections VI-VIII observations, inverted into prescriptions):
+names the candidate transforms from :data:`repro.optim.TRANSFORMS`
+whose measured effect the advisor should verify.  Three problem
+signatures (the paper's Sections VI-VIII observations, inverted into
+prescriptions):
 
 ``uncoalesced``
     A load whose warps consistently scatter over many memory lines.
@@ -31,11 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-#: transform identifiers, matching :mod:`repro.advise.advisor` verifiers.
-WARP_SPLIT = "warp_split"
-COALESCE_ORACLE = "coalesce_oracle"
-CTA_CLUSTERED = "cta_clustered"
-SEMI_GLOBAL_L2 = "semi_global_l2"
+from ..optim import COALESCE_ORACLE, CTA_CLUSTERED, SEMI_GLOBAL_L2, WARP_SPLIT
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,9 @@ class AppFailure:
     """
 
     name: str
-    stage: str                      # "emulate" | "simulate" | "analyze"
+    #: "emulate" | "simulate" | "analyze"; "unknown" for a parallel job
+    #: that timed out, since the parent cannot see where its worker hung
+    stage: str
     error: str                      # exception class name
     message: str
     context: Dict[str, object] = field(default_factory=dict)
@@ -399,8 +401,9 @@ class ExperimentRunner:
         (:func:`~repro.resilience.pool.run_in_pool`).
 
         A name that times out is recorded as a ``TimeoutError``
-        :class:`AppFailure` (raised in strict mode); every other name
-        the pool did not deliver is left to the serial pass of
+        :class:`AppFailure` at stage ``"unknown"`` (raised in strict
+        mode); every other name the pool did not deliver, one that never
+        started included, is left to the serial pass of
         :meth:`results`, which runs it in-process — so strict mode
         raises from a clean in-process traceback and non-strict mode
         captures structured context off the live exception.
@@ -424,7 +427,7 @@ class ExperimentRunner:
                 self._record(result, from_worker=True)
             elif index in timed_out:
                 failure = AppFailure(
-                    name=name, stage="emulate", error="TimeoutError",
+                    name=name, stage="unknown", error="TimeoutError",
                     message="job exceeded the %ss per-application "
                             "timeout" % self.timeout)
                 if self.strict:

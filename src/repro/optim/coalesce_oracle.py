@@ -13,13 +13,9 @@ touched data) is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-
 from ..emulator.columnar import rewrite_global_loads
 from ..emulator.trace import TraceOp
 from ..sim.config import LINE_BYTES
-from ..sim.gpu import GPU
 from .warp_split import nondet_pcs
 
 WORD = 4
@@ -44,39 +40,3 @@ def coalesced_launch(launch_trace, classification, line_bytes=LINE_BYTES):
         launch_trace, nondet_pcs(classification),
         lambda op: [coalesce_op(op, line_bytes)])
 
-
-@dataclass(frozen=True)
-class CoalesceOutcome:
-    """Before/after metrics for the perfect-coalescing study."""
-
-    label: str
-    cycles: int
-    n_requests_per_warp: float
-    reservation_fail_fraction: float
-    mean_n_turnaround: float
-
-
-def _outcome(label, stats):
-    n = stats.classes["N"]
-    return CoalesceOutcome(
-        label=label,
-        cycles=stats.cycles,
-        n_requests_per_warp=n.requests_per_warp(),
-        reservation_fail_fraction=stats.reservation_fail_fraction(),
-        mean_n_turnaround=n.mean_turnaround(),
-    )
-
-
-def compare_perfect_coalescing(run, config):
-    """Simulate an application as-is and with oracle-coalesced N loads.
-
-    Returns ``{"baseline": CoalesceOutcome, "coalesced": ...}``.
-    """
-    baseline = GPU(config).run_application(run.trace, run.classifications)
-    oracle = GPU(config).run_application(
-        run.trace, run.classifications,
-        rewrite=partial(coalesced_launch, line_bytes=config.l1_line_size))
-    return {
-        "baseline": _outcome("baseline", baseline),
-        "coalesced": _outcome("perfectly coalesced", oracle),
-    }

@@ -15,13 +15,9 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-
 from ..emulator.columnar import rewrite_global_loads
 from ..emulator.trace import TraceOp
 from ..sim.config import LINE_BYTES
-from ..sim.gpu import GPU
 
 
 def split_op(op, max_requests, line_bytes=LINE_BYTES):
@@ -75,40 +71,3 @@ def nondet_pcs(classification):
         return set()
     return {ld.pc for ld in classification if not ld.is_deterministic}
 
-
-@dataclass(frozen=True)
-class SplitOutcome:
-    """Before/after metrics for the warp-splitting ablation."""
-
-    label: str
-    cycles: int
-    reservation_fail_fraction: float
-    mean_n_turnaround: float
-    n_requests_per_warp: float
-
-
-def _outcome(label, stats):
-    n = stats.classes["N"]
-    return SplitOutcome(
-        label=label,
-        cycles=stats.cycles,
-        reservation_fail_fraction=stats.reservation_fail_fraction(),
-        mean_n_turnaround=n.mean_turnaround(),
-        n_requests_per_warp=n.requests_per_warp(),
-    )
-
-
-def compare_warp_splitting(run, config, max_requests=4):
-    """Simulate an application with and without sub-warp splitting.
-
-    Returns ``{"baseline": SplitOutcome, "split": SplitOutcome}``.
-    """
-    baseline = GPU(config).run_application(run.trace, run.classifications)
-    split = GPU(config).run_application(
-        run.trace, run.classifications,
-        rewrite=partial(split_launch, max_requests=max_requests,
-                        line_bytes=config.l1_line_size))
-    return {
-        "baseline": _outcome("baseline", baseline),
-        "split": _outcome("split(max=%d)" % max_requests, split),
-    }

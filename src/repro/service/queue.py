@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..obs.metrics import get_registry
 from ..resilience.artifacts import ChecksumError, attach_checksum
@@ -263,23 +263,6 @@ class JobQueue:
         """Mark a leased job failed with its structured error context."""
         return self._finish(job_id, STATUS_FAILED, error=error,
                             error_context=context or None)
-
-    def requeue(self, job_id):
-        """Put a running job back on the heap (an orderly worker
-        shutdown mid-lease; distinct from crash recovery)."""
-        with self._cond:
-            record = self._records.get(job_id)
-            if record is None:
-                raise KeyError(job_id)
-            if record.status != STATUS_RUNNING:
-                raise JobError("job %s is %s, not running"
-                               % (job_id, record.status))
-            record.status = STATUS_QUEUED
-            record.started_at = None
-            self._persist(record)
-            self._push(record)
-            self._cond.notify()
-            return record
 
     # -- inspection -------------------------------------------------------
 

@@ -10,13 +10,17 @@ import json
 
 import pytest
 
-from repro.advise import COALESCE_ORACLE, WARP_SPLIT, advise_app
-from repro.experiments.runner import ExperimentRunner
-from repro.optim.coalesce_oracle import (
-    coalesced_launch,
-    compare_perfect_coalescing,
+from repro.advise import (
+    COALESCE_ORACLE,
+    CTA_CLUSTERED,
+    SEMI_GLOBAL_L2,
+    WARP_SPLIT,
+    Thresholds,
+    advise_app,
 )
-from repro.optim.warp_split import compare_warp_splitting
+from repro.experiments.runner import ExperimentRunner
+from repro.optim import simulate
+from repro.optim.coalesce_oracle import coalesced_launch
 from repro.sim.config import TINY
 from repro.sim.gpu import GPU
 from repro.sweep.compare import compare
@@ -73,16 +77,11 @@ class TestIrregularApp:
         delta = bfs_advice.delta(transform)
         assert delta is not None and not delta.skipped
         run = test_runner.result("bfs").run
-        if transform == COALESCE_ORACLE:
-            outcome = compare_perfect_coalescing(run, test_runner.config)
-            fresh = outcome["coalesced"]
-        else:
-            outcome = compare_warp_splitting(run, test_runner.config,
-                                             max_requests=4)
-            fresh = outcome["split"]
+        baseline = simulate(run, test_runner.config)
+        fresh = simulate(run, test_runner.config, transform, max_requests=4)
         result = compare(
             {"cycles": fresh.cycles,
-             "baseline_cycles": outcome["baseline"].cycles},
+             "baseline_cycles": baseline.cycles},
             {"cycles": delta.transformed["cycles"],
              "baseline_cycles": delta.baseline["cycles"]},
             default_tolerance=0.0)
@@ -103,6 +102,26 @@ class TestDiagnosisOnlyMode:
         assert report.deltas == []
         assert report.recommendation is None
         assert "verification disabled" in report.verdict
+
+
+class TestSkippedCandidate:
+    def test_invalid_cluster_size_skips_only_that_candidate(
+            self, test_runner):
+        """A candidate is skipped exactly when its config fails
+        validation: 3 does not divide the 2 SMs, so semi_global_l2 is
+        skipped with the validation message and cta_clustered runs."""
+        everything_thrashes = Thresholds(thrashing_far_reuse=0.0,
+                                         thrashing_traffic_share=0.0,
+                                         sharing_fraction=0.0)
+        report = advise_app("2mm", runner=test_runner, cluster_size=3,
+                            thresholds=everything_thrashes)
+        semi = report.delta(SEMI_GLOBAL_L2)
+        assert "must divide num_sms" in semi.skipped
+        assert semi.transformed == dict.fromkeys(report.baseline, 0)
+        assert semi.cycle_gain == 0.0
+        clustered = report.delta(CTA_CLUSTERED)
+        assert clustered.skipped is None
+        assert clustered.transformed["cycles"] > 0
 
 
 class TestInheritedOrganization:

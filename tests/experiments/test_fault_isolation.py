@@ -155,6 +155,28 @@ class TestParallelIsolation:
         assert "timeout" in failure.message
         assert all(r.ok for r in results[1:])
 
+    def test_timeout_in_simulate_is_not_blamed_on_emulate(self):
+        """The parent cannot see which stage a worker hung in, so a
+        timed-out job's stage is "unknown", never a guess."""
+        runner = _runner(strict=False, jobs=2, timeout=8.0)
+        with injected("2mm", "simulate", kind="sleep=15"):
+            results = runner.results(["2mm", "spmv"])
+        failure = results[0]
+        assert failure.error == "TimeoutError"
+        assert failure.stage != "emulate"
+        assert failure.stage == "unknown"
+        assert results[1].ok
+
+    def test_healthy_job_behind_two_hung_ones_still_runs(self):
+        """Both workers hang; the third app never starts in the pool, so
+        it is not a timeout but reruns serially in the parent."""
+        runner = _runner(strict=False, jobs=2, timeout=4.0)
+        with injected("2mm", "emulate", kind="sleep=60"), \
+                injected("spmv", "emulate", kind="sleep=60"):
+            results = runner.results(NAMES)
+        assert [r.error for r in results[:2]] == ["TimeoutError"] * 2
+        assert isinstance(results[2], AppResult) and results[2].ok
+
     def test_timed_out_worker_does_not_outlive_results(self):
         import multiprocessing
         import time

@@ -1,7 +1,8 @@
 """Golden outcomes of the Section X.A trace-transform ablations.
 
-``compare_warp_splitting`` and ``compare_perfect_coalescing`` rewrite
-every non-deterministic load of a trace and re-simulate the result.
+The ``warp_split`` and ``coalesce_oracle`` entries of the
+:mod:`repro.optim` transform table rewrite every non-deterministic load
+of a trace and re-simulate the result.
 The fixtures pin what those re-simulations report (cycles, N
 requests/warp, reservation-fail fraction, mean N turnaround) for two
 irregular apps on :data:`~repro.experiments.runner.BENCH_CONFIG`, so a
@@ -13,15 +14,13 @@ Regenerate after an *intentional* change with::
     pytest -m golden --update-golden
 """
 
-import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.experiments.runner import BENCH_CONFIG
-from repro.optim.coalesce_oracle import compare_perfect_coalescing
-from repro.optim.warp_split import compare_warp_splitting
+from repro.optim import COALESCE_ORACLE, WARP_SPLIT, simulate
 from repro.workloads import get_workload
 
 ABLATION_SCALE = 0.05
@@ -34,18 +33,34 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures",
 pytestmark = pytest.mark.golden
 
 
+def outcome(label, stats):
+    """The five fields a fixture pins for one simulated variant."""
+    n = stats.classes["N"]
+    return {
+        "label": label,
+        "cycles": stats.cycles,
+        "n_requests_per_warp": n.requests_per_warp(),
+        "reservation_fail_fraction": stats.reservation_fail_fraction(),
+        "mean_n_turnaround": n.mean_turnaround(),
+    }
+
+
 def compute_ablation_outcomes(name):
     run = get_workload(name, scale=ABLATION_SCALE).run(verify=False)
-
-    def as_dict(outcomes):
-        return {label: dataclasses.asdict(outcome)
-                for label, outcome in outcomes.items()}
-
+    baseline = outcome("baseline", simulate(run, BENCH_CONFIG))
     return {
         "scale": ABLATION_SCALE,
-        "warp_splitting": as_dict(compare_warp_splitting(run, BENCH_CONFIG)),
-        "perfect_coalescing": as_dict(
-            compare_perfect_coalescing(run, BENCH_CONFIG)),
+        "warp_splitting": {
+            "baseline": baseline,
+            "split": outcome("split(max=4)",
+                             simulate(run, BENCH_CONFIG, WARP_SPLIT)),
+        },
+        "perfect_coalescing": {
+            "baseline": baseline,
+            "coalesced": outcome(
+                "perfectly coalesced",
+                simulate(run, BENCH_CONFIG, COALESCE_ORACLE)),
+        },
     }
 
 

@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator.trace import TraceOp
-from repro.optim.coalesce_oracle import (
-    coalesce_op,
-    coalesced_launch,
-    compare_perfect_coalescing,
-)
+from repro.optim import COALESCE_ORACLE, simulate
+from repro.optim.coalesce_oracle import coalesce_op, coalesced_launch
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import coalescing_degree
 from repro.sim.config import TINY
@@ -76,13 +73,14 @@ class TestCoalescedLaunchColumns:
 
 class TestComparison:
     def test_oracle_improves_bfs(self, bfs_run):
-        out = compare_perfect_coalescing(bfs_run, TINY)
-        base, oracle = out["baseline"], out["coalesced"]
-        assert oracle.n_requests_per_warp == pytest.approx(1.0, abs=0.1)
-        assert oracle.mean_n_turnaround < base.mean_n_turnaround
+        base = simulate(bfs_run, TINY)
+        oracle = simulate(bfs_run, TINY, COALESCE_ORACLE)
+        base_n, oracle_n = base.classes["N"], oracle.classes["N"]
+        assert oracle_n.requests_per_warp() == pytest.approx(1.0, abs=0.1)
+        assert oracle_n.mean_turnaround() < base_n.mean_turnaround()
         assert oracle.cycles < base.cycles
-        assert oracle.reservation_fail_fraction < \
-            base.reservation_fail_fraction
+        assert oracle.reservation_fail_fraction() < \
+            base.reservation_fail_fraction()
 
     def test_deterministic_apps_untouched(self, twomm_run):
         launch = twomm_run.trace.launches[0]

@@ -2,28 +2,33 @@
 
 import pytest
 
-from repro.optim.cta_clustered import compare_cta_policies, run_policy
-from repro.optim.semi_global_l2 import compare_l2_organizations
+from repro.optim import CTA_CLUSTERED, SEMI_GLOBAL_L2, configure, simulate
 from repro.sim.config import TINY
 from repro.sim.gpu import GPU
 
 
+def l1_accesses(stats):
+    total = stats.overall()
+    return total.l1_hit + total.l1_hit_reserved + total.l1_miss
+
+
 class TestCTAPolicies:
     def test_both_policies_complete(self, twomm_run):
-        outcomes = compare_cta_policies(twomm_run, TINY)
-        assert set(outcomes) == {"round_robin", "clustered"}
-        for outcome in outcomes.values():
-            assert outcome.cycles > 0
-            assert 0.0 <= outcome.l1_miss_ratio <= 1.0
+        for transform in (None, CTA_CLUSTERED):
+            stats = simulate(twomm_run, TINY, transform)
+            assert stats.cycles > 0
+            assert 0.0 <= stats.l1_miss_ratio() <= 1.0
 
     def test_same_work_under_both_policies(self, bfs_run):
-        outcomes = compare_cta_policies(bfs_run, TINY)
-        rr, cl = outcomes["round_robin"], outcomes["clustered"]
-        assert rr.l1_hits + rr.l1_misses == cl.l1_hits + cl.l1_misses
+        rr = simulate(bfs_run, TINY)
+        cl = simulate(bfs_run, TINY, CTA_CLUSTERED)
+        assert l1_accesses(rr) == l1_accesses(cl)
 
-    def test_run_policy_single(self, twomm_run):
-        outcome = run_policy(twomm_run, TINY, "round_robin")
-        assert outcome.policy == "round_robin"
+    def test_clustered_overrides_only_the_policy(self):
+        config, rewrite = configure(CTA_CLUSTERED, TINY)
+        assert TINY.cta_policy == "round_robin"
+        assert config == TINY.scaled(cta_policy="clustered")
+        assert rewrite is None
 
 
 class TestSemiGlobalL2:
@@ -56,9 +61,8 @@ class TestSemiGlobalL2:
         assert GPU(TINY).req_icnt.latency == TINY.icnt_latency
 
     def test_comparison_completes(self, twomm_run):
-        outcomes = compare_l2_organizations(twomm_run, TINY, cluster_size=1)
-        assert set(outcomes) == {"global", "semi_global"}
-        for outcome in outcomes.values():
-            assert outcome.cycles > 0
-            assert 0.0 <= outcome.l2_miss_ratio <= 1.0
-            assert outcome.dram_reads > 0
+        for transform in (None, SEMI_GLOBAL_L2):
+            stats = simulate(twomm_run, TINY, transform, cluster_size=1)
+            assert stats.cycles > 0
+            assert 0.0 <= stats.l2_miss_ratio() <= 1.0
+            assert stats.dram_reads > 0

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emulator.trace import TraceOp
-from repro.optim.warp_split import compare_warp_splitting, split_launch, split_op
+from repro.optim import WARP_SPLIT, simulate
+from repro.optim.warp_split import split_launch, split_op
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 from repro.sim.config import TINY
 
@@ -148,9 +149,11 @@ class TestSplitLaunchColumns:
             [(0x10, d_op.addresses)]
         assert launch.warps[0].ops[0].addresses == n_op.addresses
 
+
 class TestComparison:
     def test_split_reduces_requests_per_warp(self, bfs_run):
-        outcome = compare_warp_splitting(bfs_run, TINY, max_requests=2)
-        assert outcome["split"].n_requests_per_warp <= \
-            outcome["baseline"].n_requests_per_warp
-        assert outcome["split"].n_requests_per_warp <= 2.0 + 1e-9
+        base = simulate(bfs_run, TINY).classes["N"]
+        split = simulate(bfs_run, TINY, WARP_SPLIT,
+                         max_requests=2).classes["N"]
+        assert split.requests_per_warp() <= base.requests_per_warp()
+        assert split.requests_per_warp() <= 2.0 + 1e-9

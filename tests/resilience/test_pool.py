@@ -67,3 +67,24 @@ def test_timed_out_job_is_reported_and_its_worker_stopped(tmp_path):
     while _alive(pid) and time.monotonic() < deadline:
         time.sleep(0.1)
     assert not _alive(pid)
+
+
+def test_timeout_counts_from_when_a_worker_starts_the_job():
+    """Two hung jobs hold both workers; the third never starts, so it is
+    neither a result nor a timeout (the caller reruns it serially), and
+    the helper returns once the two running jobs time out."""
+    started = time.monotonic()
+    results, timed_out = run_in_pool(
+        _sleep_after_pid, [(None, 30), (None, 30), (None, 0)],
+        workers=2, timeout=2)
+    assert time.monotonic() - started < 5
+    assert results == {}
+    assert timed_out == [0, 1]
+
+
+def test_job_queued_behind_a_hung_worker_runs_on_the_free_one():
+    results, timed_out = run_in_pool(
+        _sleep_after_pid, [(None, 30), (None, 0), (None, 0), (None, 0)],
+        workers=2, timeout=3)
+    assert results == {1: 0, 2: 0, 3: 0}
+    assert timed_out == [0]

@@ -149,16 +149,6 @@ class TestDurability:
         assert fresh.recovered_ids == []
         assert fresh.counts() == {}
 
-    def test_requeue_orderly_shutdown(self, store):
-        queue = JobQueue(store)
-        record = queue.submit(_request())
-        queue.lease(timeout=0)
-        queue.requeue(record.id)
-        assert queue.get(record.id).status == STATUS_QUEUED
-        again = queue.lease(timeout=0)
-        assert again.id == record.id
-        assert again.attempts == 2
-
 
 class TestLifecycleGuards:
     def test_complete_requires_running(self, store):
