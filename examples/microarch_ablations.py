@@ -20,7 +20,6 @@ CONFIG = TESLA_C2050.scaled(num_sms=4, num_partitions=2,
 
 def main():
     bfs = get_workload("bfs", scale=0.5).run()
-    srad = get_workload("srad", scale=0.5).run()
     bfs_base = simulate(bfs, CONFIG)
 
     print("=" * 72)
@@ -37,11 +36,10 @@ def main():
 
     print()
     print("=" * 72)
-    print("X.B  clustered CTA scheduling (srad)")
+    print("X.B  clustered CTA scheduling (bfs)")
     print("=" * 72)
-    for name, transform in (("round_robin", None),
-                            ("clustered", CTA_CLUSTERED)):
-        stats = simulate(srad, CONFIG, transform)
+    clustered = simulate(bfs, CONFIG, CTA_CLUSTERED)
+    for name, stats in (("round_robin", bfs_base), ("clustered", clustered)):
         print("  %-14s L1 miss %.1f%% | cycles %d"
               % (name, 100 * stats.l1_miss_ratio(), stats.cycles))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulator.columnar import _PC_SHIFT
+from ..emulator.columnar import _KIND_ATOMIC, _PC_SHIFT
 from ..emulator.grid import WARP_SIZE
 from ..ptx.isa import Space
 from ..sim.coalescer import coalesce_table
@@ -64,8 +64,8 @@ def measure_irregularity(app_trace, line_size=LINE_BYTES):
         if table is None:
             continue
         # global loads and stores that issued at least one request
-        ops = coalesce_table(table, launch.access_bytes, stores=True,
-                             line_size=line_size)
+        ops = coalesce_table(table, launch.access_bytes, line_size,
+                             keep=(table["kind"] & 3) != _KIND_ATOMIC)
         issued = ops.lines > 0
         rows = ops.rows[issued]
         footprint = (ops.lanes[issued]

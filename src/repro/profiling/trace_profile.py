@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.classifier import ClassificationResult
+from ..emulator.columnar import _PC_SHIFT
 from ..ptx.isa import Space
 from ..resilience.guards import check_memory_budget
 from ..sim.coalescer import (
@@ -79,16 +80,12 @@ class TraceProfiler:
         :func:`~repro.sim.coalescer.pc_class_map` accepts; it buckets
         the request histograms and CTA distances by load class.
         """
-        from ..emulator.columnar import _PC_SHIFT
-
         check_memory_budget("trace profile")
-        table = launch.memory_table(space=Space.GLOBAL)
+        table = launch.memory_table(space=Space.GLOBAL, loads_only=True)
         if table is None:
             return
         ops = coalesce_table(table, launch.access_bytes,
                              line_size=self.line_bytes)
-        if not len(ops.rows):
-            return
         op_pc = table["pc"][ops.rows]
         op_code = class_codes(launch, classification)[op_pc >> _PC_SHIFT]
         cta_of_warp = np.asarray([w.cta_id for w in launch.warps],

@@ -8,7 +8,6 @@ and banked DRAM channels.
 """
 
 from .cache import Cache, Outcome
-from .coalescer import coalesce_addresses, coalescing_degree
 from .config import TESLA_C2050, TINY, GPUConfig
 from .core import SMCore
 from .cta_scheduler import (
@@ -26,8 +25,6 @@ from .stats import CLASS_LABELS, ClassStats, PCBucket, SimStats, class_label
 __all__ = [
     "Cache",
     "Outcome",
-    "coalesce_addresses",
-    "coalescing_degree",
     "TESLA_C2050",
     "TINY",
     "GPUConfig",

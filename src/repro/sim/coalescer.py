@@ -11,12 +11,14 @@ becomes one :class:`~repro.sim.request.MemRequest`.  A perfectly coalesced
 warp (32 consecutive 4 B words) yields a single request; a fully scattered
 warp yields up to 32.
 
-:func:`coalesce_addresses` is the per-op rule the timing model applies;
-:func:`coalesce_table` applies the same rule to a whole table of memory
-ops at once and is the one coalesced-access pass behind every trace
-profile: the request histograms (:class:`CoalescingSummary`), locality
-and heat map of :mod:`repro.profiling.trace_profile`, and the
-irregularity metrics.
+:func:`coalesce_table` applies the rule to a whole table of memory ops
+at once.  It is the one coalescing pass: the timing model reads each
+launch's :class:`MemoryPlan`, built by one such pass before the launch
+replays, and every trace profile builds on it (the request histograms
+of :class:`CoalescingSummary`, the locality report and heat map of
+:mod:`repro.profiling.trace_profile`, and the irregularity metrics).
+:func:`coalesce_addresses` is the same rule for one op at a time, the
+reference the pass is tested against.
 """
 
 from __future__ import annotations
@@ -28,28 +30,19 @@ from typing import Dict, NamedTuple
 import numpy as np
 
 from ..core.classifier import ClassificationResult
+from ..emulator.columnar import _PC_SHIFT, SPACE_CODES
 from .config import LINE_BYTES
 from .stats import CLASS_LABELS, class_label
 
+#: the spaces whose ops go through the L1 and its coalescer
+_L1_SPACES = [SPACE_CODES[name] for name in ("global", "local", "tex")]
+
 
 def coalesce_addresses(addresses, line_size=LINE_BYTES, access_size=4):
-    """Reduce per-lane byte addresses to distinct block base addresses.
-
-    Parameters
-    ----------
-    addresses:
-        Iterable of ``(lane, byte_address)`` pairs (the trace format).
-    line_size:
-        Coalescing granularity; 128 B on Fermi and in the paper's analysis.
-    access_size:
-        Per-thread access width; accesses that straddle a block boundary
-        touch two blocks (rare for naturally aligned data).
-
-    Returns
-    -------
-    list of int
-        Sorted distinct block base addresses, one per memory request.
-    """
+    """The sorted distinct ``line_size`` block base addresses, one per
+    memory request, of one op's ``(lane, byte_address)`` pairs; an
+    ``access_size``-byte access that straddles a block boundary touches
+    both blocks.  The one-op reference for :func:`coalesce_table`."""
     blocks = set()
     for _lane, addr in addresses:
         first = addr // line_size
@@ -86,36 +79,25 @@ class CoalescedOps(NamedTuple):
     pair_lines: np.ndarray
 
 
-def coalesce_table(table, access_bytes, stores=False, line_size=LINE_BYTES):
-    """Coalesce every global load of a table of memory ops — the one
-    (op, line) pass behind every trace profile.
+def coalesce_table(table, access_bytes, line_size=LINE_BYTES, keep=None):
+    """Coalesce a table of memory ops: the one (op, line) pass behind
+    every trace profile and the timing model.
 
     ``table`` is a
     :meth:`~repro.emulator.columnar.ColumnarLaunchTrace.memory_table`
-    dict or one :meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`
-    tuple: per-op ``pc``, ``kind`` and ``acount`` columns and the
-    op-ordered ``addrs`` they count into.  ``access_bytes`` holds each
-    instruction's per-lane width, indexed by ``pc >> _PC_SHIFT``
+    dict: per-op ``pc`` and ``acount`` columns and the op-ordered
+    ``addrs`` they count into; every op counts, or those of the boolean
+    row mask ``keep``.  ``access_bytes`` holds each instruction's
+    per-lane width, indexed by ``pc >> _PC_SHIFT``
     (:attr:`~repro.emulator.columnar.ColumnarLaunchTrace.access_bytes`).
-
-    Global loads count, and global stores too with ``stores``; atomics
-    never do.  Like :func:`coalesce_addresses` in the timing model, an
-    access that crosses a line boundary touches both lines.
+    Like :func:`coalesce_addresses`, an access that crosses a line
+    boundary touches both lines.
     """
-    from ..emulator.columnar import (
-        _KIND_LOAD, _KIND_STORE, _PC_SHIFT, COLUMNS, SPACE_CODES)
-
-    if isinstance(table, tuple):
-        table = dict(zip((name for name, _dtype in COLUMNS), table))
-    kind = table["kind"]
-    access = kind & 3
-    keep = access == _KIND_LOAD
-    if stores:
-        keep |= access == _KIND_STORE
-    keep &= (kind >> 2) == SPACE_CODES["global"]  # never KIND_NONE
-    rows = np.flatnonzero(keep)
-    lanes = table["acount"][rows].astype(np.int64)
-    addrs = table["addrs"][np.repeat(keep, table["acount"])]
+    counts, addrs = table["acount"], table["addrs"]
+    rows = np.arange(len(counts)) if keep is None else np.flatnonzero(keep)
+    if keep is not None:
+        addrs = addrs[np.repeat(keep, counts)]
+    lanes = counts[rows].astype(np.int64)
     op = np.repeat(np.arange(len(rows), dtype=np.int64), lanes)
     line = addrs // line_size
     # only an access that starts less than the widest width before its
@@ -130,21 +112,78 @@ def coalesce_table(table, access_bytes, stores=False, line_size=LINE_BYTES):
         last = (addrs[cross] + near_width[crosses] - 1) // line_size
         op = np.concatenate([op, op[cross]])
         line = np.concatenate([line, last])
-    # pack each (op, line) pair into one int64 key: one sort orders the
-    # pairs and a comparison with the neighbour finds the distinct ones
-    lo = int(line.min()) if len(line) else 0
-    span = int(line.max()) - lo + 1 if len(line) else 1
-    if len(rows) * span < 1 << 63:
-        key = np.sort(op * span + (line - lo).astype(np.int64))
+    op, line = _distinct(op, line, len(rows))
+    return CoalescedOps(rows, lanes, np.bincount(op, minlength=len(rows)),
+                        op, line)
+
+
+def _distinct(op, value, n_ops):
+    """The distinct ``(op, value)`` pairs of two integer arrays (ops
+    below ``n_ops``), grouped by op in op order, values ascending."""
+    # pack each pair into one int64 key: one sort orders the pairs and a
+    # comparison with the neighbour finds the distinct ones
+    lo = int(value.min()) if len(value) else 0
+    span = int(value.max()) - lo + 1 if len(value) else 1
+    if n_ops * span < 1 << 63:
+        key = np.sort(op * span + (value - lo).astype(np.int64))
         fresh = np.empty(len(key), dtype=bool)
         fresh[:1] = True
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
-        op, line = np.divmod(key[fresh], span)
-        line += lo
-    else:  # lines too far apart to share an int64 key with their op
-        op, line = np.unique(np.stack([op, line.astype(np.int64)]), axis=1)
-    return CoalescedOps(rows, lanes, np.bincount(op, minlength=len(rows)),
-                        op, line)
+        op, value = np.divmod(key[fresh], span)
+        return op, value + lo
+    # values too far apart to share an int64 key with their op
+    return np.unique(np.stack([op, value.astype(np.int64)]), axis=1)
+
+
+class MemoryPlan:
+    """A launch's memory ops as the timing model reads them, from one
+    pass before the launch replays: its ``memory_table()`` rows, grouped
+    by warp in trace order.  Per row: the op's trace position ``pos``,
+    its recorded lane accesses ``lanes``, its LD/ST ``port`` cycles (a
+    shared access: the worst bank's count of distinct words, as lanes
+    reading one word share a broadcast; else 1) and, for a global,
+    local or tex op, its distinct L1 blocks (:meth:`requests`).  Row
+    :attr:`empty` stands for an op that recorded no access.
+    """
+
+    __slots__ = ("pos", "lanes", "port", "empty", "spans", "_start",
+                 "_blocks")
+
+    def __init__(self, launch, config):
+        # no table when no op recorded an access: plan zero rows
+        table = launch.memory_table() or dict.fromkeys(
+            ("warp", "op", "pc", "kind", "acount", "addrs"), np.zeros(0, int))
+        n = self.empty = len(table["pc"])
+        space, counts = table["kind"] >> 2, table["acount"]
+        ops = coalesce_table(table, launch.access_bytes, config.l1_line_size,
+                             keep=np.isin(space, _L1_SPACES))
+        start = np.zeros(n + 2, dtype=np.int64)
+        start[ops.rows + 1] = ops.lines
+        self._start = memoryview(np.cumsum(start, out=start))
+        self._blocks = memoryview(ops.pair_lines * config.l1_line_size)
+        # shared ops: distinct (op, word) pairs, counted per (op, bank)
+        shared = space == SPACE_CODES["shared"]
+        rows = np.flatnonzero(shared)
+        op = np.repeat(np.arange(len(rows), dtype=np.int64), counts[rows])
+        op, word = _distinct(op, table["addrs"][np.repeat(shared, counts)]
+                             // config.shared_bank_width, len(rows))
+        banks = config.shared_banks
+        key, words = np.unique(op * banks + word % banks, return_counts=True)
+        port = np.ones(n + 1, dtype=np.int64)
+        np.maximum.at(port, rows[key // banks], words)
+        self.port = memoryview(port)
+        # memoryviews index to plain ints, cheaper than numpy scalars
+        self.pos = memoryview(table["op"])
+        self.lanes = memoryview(np.append(counts, 0))
+        bounds = np.searchsorted(table["warp"],
+                                 np.arange(len(launch.warps) + 1)).tolist()
+        #: warp trace -> its rows, ``(first, past the last)``
+        self.spans = dict(zip(launch.warps, zip(bounds, bounds[1:])))
+
+    def requests(self, row):
+        """The sorted distinct block addresses of an L1-path op."""
+        start = self._start
+        return self._blocks[start[row]:start[row + 1]].tolist()
 
 
 def pc_class_map(classification):
@@ -165,8 +204,6 @@ def class_codes(launch, classification):
     """Per-instruction D/N/other codes (0/1/2) for vectorized bucketing
     of a launch's memory ops by load class; ``classification`` is
     anything :func:`pc_class_map` accepts."""
-    from ..emulator.columnar import _PC_SHIFT
-
     codes = np.full(len(launch.instructions), 2, dtype=np.int8)
     for pc, cls in pc_class_map(classification).items():
         idx = pc >> _PC_SHIFT

@@ -11,7 +11,10 @@ cycle-level model of one streaming multiprocessor:
 * an LD/ST unit with an in-order memory-instruction queue; the head
   instruction presents one coalesced request per cycle to the L1, and a
   request that suffers a reservation failure retries — those retry cycles
-  are exactly the wasted L1 cycles of Figure 3,
+  are exactly the wasted L1 cycles of Figure 3.  Each op's requests,
+  lane count and shared-bank port cycles come from the launch's
+  :class:`~repro.sim.coalescer.MemoryPlan`, one pass over the launch;
+  a warp walks its plan rows in trace order, the order it issues them,
 * a private L1 data cache (tags + MSHRs, write-through / write-evict),
 * CTA slots with ``bar.sync`` barrier tracking.
 
@@ -45,12 +48,12 @@ import heapq
 from collections import deque
 from itertools import count
 from math import inf
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..emulator.columnar import _PC_SHIFT, KIND_NONE
+from ..emulator.columnar import _PC_SHIFT
 from ..ptx.isa import Space, Unit
 from .cache import Cache, Outcome
-from .coalescer import coalesce_addresses
+from .coalescer import MemoryPlan
 from .request import MemRequest
 
 
@@ -165,19 +168,21 @@ class IssueTable:
 class _WarpRun:
     """One resident warp replaying its trace.
 
-    The warp's columnar trace is replayed straight off its column
-    arrays; :attr:`entry` caches the :class:`IssueTable` entry at the
-    issue pointer.  ``pending_regs`` is the scoreboard: a bitmask of the
-    destination registers of issued, not yet written-back instructions.
-    ``waiting`` marks a warp that failed the scoreboard check and waits
-    for a write-back; ``bit`` is its place in the SM's warp masks.
+    The warp's pc column is replayed straight off its trace;
+    :attr:`entry` caches the :class:`IssueTable` entry at the issue
+    pointer and ``row`` the next of its :class:`MemoryPlan` rows, which
+    end before ``row_end``.  ``pending_regs`` is the scoreboard: a
+    bitmask of the destination registers of issued, not yet written-back
+    instructions.  ``waiting`` marks a warp that failed the scoreboard
+    check and waits for a write-back; ``bit`` is its place in the SM's
+    warp masks.
     """
 
     __slots__ = ("trace", "ptr", "n", "pending_regs", "at_barrier",
                  "cta", "trace_done", "entry", "waiting", "bit",
-                 "_entries", "_pc", "_kind", "_astart", "_lanes", "_addrs")
+                 "row", "row_end", "_entries", "_pc")
 
-    def __init__(self, trace, cta, table):
+    def __init__(self, trace, cta, table, plan):
         self.trace = trace
         self.ptr = 0
         self.pending_regs = 0
@@ -189,10 +194,7 @@ class _WarpRun:
         self._entries = table.entries
         # memoryviews index to plain ints, cheaper than numpy scalars
         self._pc = memoryview(trace.pc)
-        self._kind = memoryview(trace.kind)
-        self._astart = memoryview(trace.astart)
-        self._lanes = trace.lanes
-        self._addrs = trace.addrs
+        self.row, self.row_end = plan.spans[trace]
         self.n = len(trace.pc)
         self.trace_done = not self.n
         self.entry = self.entry_at(0) if self.n else None
@@ -201,27 +203,16 @@ class _WarpRun:
         """The issue-table entry of the op at trace position ``idx``."""
         return self._entries[self._pc[idx] >> _PC_SHIFT]
 
-    def addresses_at(self, idx):
-        """The ``(lane, address)`` pairs of the op at ``idx``; None for
-        an op that accesses no memory."""
-        if self._kind[idx] == KIND_NONE:
-            return None
-        lo, hi = self._astart[idx], self._astart[idx + 1]
-        return list(zip(self._lanes[lo:hi].tolist(),
-                        self._addrs[lo:hi].tolist()))
-
 
 class _CTASlot:
     """Bookkeeping for one CTA resident on the SM."""
 
-    __slots__ = ("cta_id", "warps", "warps_not_done", "barrier_count",
-                 "outstanding")
+    __slots__ = ("cta_id", "warps", "warps_not_done", "outstanding")
 
     def __init__(self, cta_id):
         self.cta_id = cta_id
         self.warps: List[_WarpRun] = []
         self.warps_not_done = 0
-        self.barrier_count = 0
         self.outstanding = 0  # issued ops whose writeback is pending
 
     @property
@@ -235,7 +226,6 @@ class _CTASlot:
         if waiting and len(waiting) >= self.warps_not_done:
             for w in waiting:
                 w.at_barrier = False
-            self.barrier_count = 0
             return waiting
         return ()
 
@@ -303,6 +293,7 @@ class SMCore:
         self.kernel_name = ""
         self.pc_classes: Dict[int, str] = {}
         self.issue_table: Optional[IssueTable] = None
+        self.memory_plan: Optional[MemoryPlan] = None
 
     # -- occupancy -----------------------------------------------------------
 
@@ -314,7 +305,7 @@ class SMCore:
         """Make a CTA resident; its warps join the scheduling pool."""
         slot = _CTASlot(cta_id)
         for trace in warp_traces:
-            run = _WarpRun(trace, slot, self.issue_table)
+            run = _WarpRun(trace, slot, self.issue_table, self.memory_plan)
             slot.warps.append(run)
             if not run.trace_done:
                 slot.warps_not_done += 1
@@ -681,7 +672,6 @@ class SMCore:
                 elif kind == ISSUE_BARRIER:
                     warp.at_barrier = True
                     self._ready ^= bit
-                    warp.cta.barrier_count += 1
                     self._wake(warp.cta.check_barrier_release())
                 break
             else:
@@ -715,20 +705,22 @@ class SMCore:
     def _issue_memory(self, warp, inst, writes, now):
         if len(self.ldst_queue) >= self.config.ldst_queue_size:
             return False
-        addresses = warp.addresses_at(warp.ptr)
+        plan = self.memory_plan
+        row = warp.row
+        if row < warp.row_end and plan.pos[row] == warp.ptr:
+            warp.row += 1
+        else:  # the op recorded no access
+            row = plan.empty
         space = inst.space
 
         if space is Space.GLOBAL or space is Space.TEX or space is Space.LOCAL:
-            load_class = self.pc_classes.get(inst.pc) if inst.is_load else None
-            if inst.is_atomic:
-                load_class = self.pc_classes.get(inst.pc)
+            load_class = (self.pc_classes.get(inst.pc)
+                          if inst.is_load or inst.is_atomic else None)
             inflight = InflightMemInst(
                 warp, writes, inst.pc, self.kernel_name, load_class,
                 is_load=inst.is_load or inst.is_atomic,
                 is_store=inst.is_store, t_issue=now)
-            blocks = coalesce_addresses(
-                addresses or (), line_size=self.config.l1_line_size,
-                access_size=inst.access_bytes)
+            blocks = plan.requests(row)
             if not blocks:
                 # all lanes predicated off: trivial completion
                 inflight.fixed_latency = 1
@@ -743,9 +735,10 @@ class SMCore:
             inflight.outstanding = 0 if inst.is_store else len(blocks)
             if inst.is_load:
                 self.stats.global_load_insts += 1
-                self.stats.record_coalescing(
-                    load_class, len(blocks),
-                    len(addresses) if addresses else 0)
+                self.stats.record_coalescing(load_class, len(blocks),
+                                             plan.lanes[row])
+                if space is Space.GLOBAL and self.config.prefetcher != "none":
+                    self._generate_prefetches(warp, inst, blocks)
             elif inst.is_store:
                 self.stats.global_store_insts += 1
         else:
@@ -761,29 +754,13 @@ class SMCore:
                 inst.pc, self.kernel_name, None,
                 is_load=inst.is_load, is_store=inst.is_store,
                 t_issue=now, fixed_latency=latency)
-            if space is Space.SHARED and addresses:
-                inflight.port_cycles = self._bank_conflict_degree(addresses)
+            # bank-conflicted shared accesses hold the port longer
+            inflight.port_cycles = plan.port[row]
 
         warp.pending_regs |= inflight.dests
         warp.cta.outstanding += 1
         self.ldst_queue.append(inflight)
-        if self.config.prefetcher != "none" and inst.is_load \
-                and space is Space.GLOBAL:
-            self._generate_prefetches(warp, inst, addresses)
         return True
-
-    def _bank_conflict_degree(self, addresses):
-        """Port cycles a shared access needs: the worst bank's count of
-        *distinct* words (same-word accesses broadcast for free)."""
-        banks: Dict[int, Set[int]] = {}
-        width = self.config.shared_bank_width
-        nbanks = self.config.shared_banks
-        for _lane, addr in addresses:
-            word = addr // width
-            banks.setdefault(word % nbanks, set()).add(word)
-        if not banks:
-            return 1
-        return max(len(words) for words in banks.values())
 
     # -- prefetcher (Section X.A extension) --------------------------------
 
@@ -793,41 +770,32 @@ class SMCore:
             self.stats.prefetch_dropped += 1
         self._pf_queue.append(block)
 
-    def _generate_prefetches(self, warp, inst, addresses):
-        config = self.config
-        if config.prefetcher == "stride":
+    def _generate_prefetches(self, warp, inst, blocks):
+        """Prefetch for a global load that just issued ``blocks``."""
+        if self.config.prefetcher == "stride":
             # classic per-PC stride prediction on the load's first block
-            blocks = coalesce_addresses(addresses or (),
-                                        line_size=config.l1_line_size)
-            if not blocks:
-                return
-            first = blocks[0]
-            last = self._pf_stride.get(inst.pc)
-            if last is not None:
-                stride = first - last[0]
-                if stride != 0 and stride == last[1]:
+            if blocks:
+                first = blocks[0]
+                last, last_stride = self._pf_stride.get(inst.pc, (first, 0))
+                stride = first - last
+                if stride != 0 and stride == last_stride:
                     self._pf_push(first + stride)
                 self._pf_stride[inst.pc] = (first, stride)
-            else:
-                self._pf_stride[inst.pc] = (first, 0)
             return
         # indirect oracle: look ahead in this warp's trace for the next
         # non-deterministic global load and prefetch its blocks — a
         # perfect indirect-address predictor (upper bound for [16])
-        lookahead = config.prefetch_lookahead
-        for idx in range(warp.ptr + 1,
-                         min(warp.ptr + 1 + lookahead, warp.n)):
-            future = warp.addresses_at(idx)
-            if future is None:
-                continue
-            future_inst = warp.entry_at(idx)[3]
-            if not future_inst.is_global_load \
-                    or self.pc_classes.get(future_inst.pc) != "N":
-                continue
-            for block in coalesce_addresses(
-                    future, line_size=config.l1_line_size):
-                self._pf_push(block)
-            break
+        plan = self.memory_plan
+        horizon = warp.ptr + 1 + self.config.prefetch_lookahead
+        for row in range(warp.row, warp.row_end):
+            if plan.pos[row] >= horizon:
+                break
+            future = warp.entry_at(plan.pos[row])[3]
+            if future.is_global_load \
+                    and self.pc_classes.get(future.pc) == "N":
+                for block in plan.requests(row):
+                    self._pf_push(block)
+                break
 
     def _prefetch_cycle(self, now):
         """Spend a free L1-port cycle on the oldest pending prefetch."""
@@ -839,7 +807,7 @@ class SMCore:
             self._pf_queue.appendleft(block)
             return True
         req = MemRequest(block_addr=block, pc=0, load_class=None,
-                         sm_id=self.sm_id, is_prefetch=True)
+                         sm_id=self.sm_id)
         req.partition = self.partition_map(self.sm_id, block)
         self.l1.commit_miss(block, req)
         self.req_icnt.inject(req, self.sm_id, req.partition, now)

@@ -36,7 +36,7 @@ from math import inf
 from typing import Dict, List
 
 from ..obs import tracing
-from .coalescer import pc_class_map
+from .coalescer import MemoryPlan, pc_class_map
 from .config import TESLA_C2050
 from .core import IssueTable, SMCore
 from .cta_scheduler import make_scheduler
@@ -159,10 +159,12 @@ class GPU:
         """
         pc_classes = pc_class_map(classification)
         issue_table = IssueTable(launch_trace.instructions)
+        memory_plan = MemoryPlan(launch_trace, self.config)
         for sm in self.sms:
             sm.kernel_name = launch_trace.kernel_name
             sm.pc_classes = pc_classes
             sm.issue_table = issue_table
+            sm.memory_plan = memory_plan
 
         by_cta: Dict[int, List] = {}
         for warp in launch_trace.warps:

@@ -28,8 +28,6 @@ class Interconnect:
                  name="icnt"):
         self.latency = latency
         self.name = name
-        self.num_sources = num_sources
-        self.num_dests = num_dests
         self._credits = [credits_per_source] * num_sources
         self._next_free = [0] * num_dests
         #: payloads in flight, a heap of ``(deliver cycle, seq, payload,

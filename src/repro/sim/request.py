@@ -15,20 +15,18 @@ class MemRequest:
     """
 
     __slots__ = ("block_addr", "pc", "load_class", "is_write", "is_atomic",
-                 "is_prefetch", "sm_id", "partition", "inflight", "t_l2_in")
+                 "sm_id", "partition", "inflight", "t_l2_in")
 
     def __init__(self, block_addr, pc, load_class, is_write=False,
-                 is_atomic=False, sm_id=0, inflight=None,
-                 is_prefetch=False):
+                 is_atomic=False, sm_id=0, inflight=None):
         self.block_addr = block_addr
         self.pc = pc
         self.load_class = load_class   # "D", "N", or None (stores / other)
         self.is_write = is_write
         self.is_atomic = is_atomic
-        self.is_prefetch = is_prefetch
         self.sm_id = sm_id
         self.partition = -1
-        self.inflight = inflight       # owning InflightMemInst (loads/atomics)
+        self.inflight = inflight  # owning InflightMemInst; None: prefetch
         self.t_l2_in = -1
 
     def __repr__(self):

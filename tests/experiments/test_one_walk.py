@@ -1,9 +1,10 @@
-"""One walk of each launch per job.
+"""One walk of each launch per job stage.
 
 The runner's ``profile`` stage builds the locality report, the heat map
 and the request histograms from one memory table and one coalesced
 table per launch; the metrics bridge and the advisor read them from the
-result and walk the trace no more.
+result and walk the trace no more.  The timing model makes one more
+walk of each launch it replays: its memory plan.
 """
 
 import sys
@@ -13,13 +14,16 @@ import pytest
 from repro.emulator.columnar import ColumnarLaunchTrace, ColumnarWarpTrace
 from repro.sim import coalescer
 from repro.sim.config import TINY
+from repro.sim.gpu import GPU
 
 
 @pytest.fixture
 def walks(monkeypatch):
     """Counts of memory-table, coalesced-table and chunk walks, patched
-    wherever a module holds a reference to the original function."""
-    counts = {"memory_table": 0, "coalesce_table": 0, "iter_chunks": 0}
+    wherever a module holds a reference to the original function, and
+    of replayed launches."""
+    counts = {"memory_table": 0, "coalesce_table": 0, "iter_chunks": 0,
+              "run_launch": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -28,7 +32,8 @@ def walks(monkeypatch):
         return wrapper
 
     for owner, name in ((ColumnarLaunchTrace, "memory_table"),
-                        (ColumnarWarpTrace, "iter_chunks")):
+                        (ColumnarWarpTrace, "iter_chunks"),
+                        (GPU, "run_launch")):
         monkeypatch.setattr(owner, name,
                             counting(name, getattr(owner, name)))
     original = coalescer.coalesce_table
@@ -46,8 +51,10 @@ class TestOneWalkPerJob:
         result = ExperimentRunner(scale=0.05, config=TINY).result("bfs")
         launches = len(result.run.trace)
         assert launches > 1
-        assert walks == {"memory_table": launches,
-                         "coalesce_table": launches, "iter_chunks": 0}
+        # the profile's walk plus the simulation's memory plan
+        assert walks == {"memory_table": 2 * launches,
+                         "coalesce_table": 2 * launches, "iter_chunks": 0,
+                         "run_launch": launches}
 
     def test_advise_reads_the_result(self, walks):
         from repro.advise import advise_app
@@ -58,6 +65,9 @@ class TestOneWalkPerJob:
         walks.update(dict.fromkeys(walks, 0))
         report = advise_app("bfs", runner=runner)
         assert report.deltas  # the verified path, not diagnosis only
-        assert walks == {"memory_table": 0, "coalesce_table": 0,
-                         "iter_chunks": 0}
+        # each replayed launch plans its memory ops; nothing profiles
+        replays = walks["run_launch"]
+        assert replays > 0
+        assert walks == {"memory_table": replays, "coalesce_table": replays,
+                         "iter_chunks": 0, "run_launch": replays}
         assert report.heatmap is result.heatmap

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.cache import Outcome
+from repro.sim.coalescer import MemoryPlan
 from repro.sim.config import TINY
 from repro.sim.core import IssueTable
 from repro.sim.gpu import GPU, SimulationError, _format_state
@@ -47,6 +48,7 @@ class TestPendingRegisters:
         first = min(w.cta_id for w in launch.warps)
         sm = gpu.sms[0]
         sm.issue_table = IssueTable(launch.instructions)
+        sm.memory_plan = MemoryPlan(launch, TINY)
         sm.assign_cta(first, [w for w in launch.warps if w.cta_id == first])
         gpu.req_icnt._credits[0] = 0    # the load can never leave the SM
         with pytest.raises(SimulationError) as info:
@@ -91,6 +93,7 @@ class TestDeadlock:
         first = sorted(by_cta)[0]
         sm = gpu.sms[0]
         sm.issue_table = IssueTable(launch.instructions)
+        sm.memory_plan = MemoryPlan(launch, TINY)
         sm.assign_cta(first, by_cta[first])
         sm.ctas[first].outstanding += 1      # never released -> no events
         for w in sm.warps:
@@ -116,6 +119,7 @@ class TestStuckRetry:
         first = sorted(by_cta)[0]
         sm = gpu.sms[0]
         sm.issue_table = IssueTable(launch.instructions)
+        sm.memory_plan = MemoryPlan(launch, TINY)
         sm.assign_cta(first, by_cta[first])
         gpu.req_icnt._credits[0] = 0
         with pytest.raises(SimulationError) as info:
