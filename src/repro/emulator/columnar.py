@@ -463,10 +463,9 @@ class ColumnarLaunchTrace:
         """Columnar view of the launch's memory ops, concatenated over
         warps.  Returns ``None`` when the launch recorded no matching op,
         else a dict of equal-length per-op arrays — ``warp`` (index into
-        :attr:`warps`), ``op`` (index into that warp's trace), ``pc``,
-        ``mask``, ``kind``, ``acount``, ``astart`` — plus the ragged
-        ``lanes``/``addrs`` tables the ``astart``/``acount`` pairs slice
-        into.
+        :attr:`warps`), ``pc``, ``mask``, ``kind``, ``acount``,
+        ``astart`` — plus the ragged ``lanes``/``addrs`` tables the
+        ``astart``/``acount`` pairs slice into.
 
         ``space`` is a :class:`repro.ptx.isa.Space` (or its string
         value); ``loads_only`` keeps plain loads (no stores/atomics).
@@ -491,7 +490,6 @@ class ColumnarLaunchTrace:
             addrs = take_ragged(w.addrs, w.astart[rows], acount)
             per_warp.append({
                 "warp": np.full(len(rows), w_idx, dtype=np.int64),
-                "op": rows,
                 "pc": w.pc[rows],
                 "mask": w.mask[rows],
                 "kind": kinds[rows],

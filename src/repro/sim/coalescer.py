@@ -25,17 +25,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, NamedTuple
 
 import numpy as np
 
 from ..core.classifier import ClassificationResult
-from ..emulator.columnar import _PC_SHIFT, SPACE_CODES
+from ..emulator.columnar import _PC_SHIFT, COLUMNS, SPACE_CODES
 from .config import LINE_BYTES
 from .stats import CLASS_LABELS, class_label
 
-#: the spaces whose ops go through the L1 and its coalescer
-_L1_SPACES = [SPACE_CODES[name] for name in ("global", "local", "tex")]
+#: per kind code: whether the op goes through the L1 and its coalescer
+#: (``KIND_NONE`` has no space code)
+_L1_KINDS = np.isin(np.arange(256) >> 2, [
+    SPACE_CODES[name] for name in ("global", "local", "tex")])
 
 
 def coalesce_addresses(addresses, line_size=LINE_BYTES, access_size=4):
@@ -136,49 +139,51 @@ def _distinct(op, value, n_ops):
 
 
 class MemoryPlan:
-    """A launch's memory ops as the timing model reads them, from one
-    pass before the launch replays: its ``memory_table()`` rows, grouped
-    by warp in trace order.  Per row: the op's trace position ``pos``,
+    """A launch's ops as the timing model's LD/ST unit reads them, from
+    one pass over the launch before it replays.  Row ``base[warp] + i``
+    is op ``i`` of that warp's trace.  Per row: the op's ``kind`` code,
     its recorded lane accesses ``lanes``, its LD/ST ``port`` cycles (a
     shared access: the worst bank's count of distinct words, as lanes
     reading one word share a broadcast; else 1) and, for a global,
-    local or tex op, its distinct L1 blocks (:meth:`requests`).  Row
-    :attr:`empty` stands for an op that recorded no access.
+    local or tex op, its distinct L1 blocks (:meth:`requests`).
     """
 
-    __slots__ = ("pos", "lanes", "port", "empty", "spans", "_start",
-                 "_blocks")
+    __slots__ = ("base", "kind", "lanes", "port", "_start", "_blocks")
 
     def __init__(self, launch, config):
-        # no table when no op recorded an access: plan zero rows
-        table = launch.memory_table() or dict.fromkeys(
-            ("warp", "op", "pc", "kind", "acount", "addrs"), np.zeros(0, int))
-        n = self.empty = len(table["pc"])
-        space, counts = table["kind"] >> 2, table["acount"]
-        ops = coalesce_table(table, launch.access_bytes, config.l1_line_size,
-                             keep=np.isin(space, _L1_SPACES))
-        start = np.zeros(n + 2, dtype=np.int64)
+        warps = launch.seal().warps
+        #: warp trace -> the row of its first op
+        self.base = dict(zip(warps, accumulate(
+            [len(w.pc) for w in warps], initial=0)))
+        # whole-launch columns: a fixed number of array operations per
+        # launch, whatever its warp count
+        pc, kind, counts, addrs = (
+            np.concatenate([getattr(w, name) for w in warps]
+                           + [np.zeros(0, dtype)])
+            for name, dtype in COLUMNS
+            if name in ("pc", "kind", "acount", "addrs"))
+        n = len(pc)
+        ops = coalesce_table({"pc": pc, "acount": counts, "addrs": addrs},
+                             launch.access_bytes, config.l1_line_size,
+                             keep=_L1_KINDS[kind])
+        start = np.zeros(n + 1, dtype=np.int64)
         start[ops.rows + 1] = ops.lines
         self._start = memoryview(np.cumsum(start, out=start))
         self._blocks = memoryview(ops.pair_lines * config.l1_line_size)
         # shared ops: distinct (op, word) pairs, counted per (op, bank)
-        shared = space == SPACE_CODES["shared"]
+        shared = (kind >> 2) == SPACE_CODES["shared"]  # never KIND_NONE
         rows = np.flatnonzero(shared)
         op = np.repeat(np.arange(len(rows), dtype=np.int64), counts[rows])
-        op, word = _distinct(op, table["addrs"][np.repeat(shared, counts)]
+        op, word = _distinct(op, addrs[np.repeat(shared, counts)]
                              // config.shared_bank_width, len(rows))
         banks = config.shared_banks
         key, words = np.unique(op * banks + word % banks, return_counts=True)
-        port = np.ones(n + 1, dtype=np.int64)
+        port = np.ones(n, dtype=np.int64)
         np.maximum.at(port, rows[key // banks], words)
-        self.port = memoryview(port)
         # memoryviews index to plain ints, cheaper than numpy scalars
-        self.pos = memoryview(table["op"])
-        self.lanes = memoryview(np.append(counts, 0))
-        bounds = np.searchsorted(table["warp"],
-                                 np.arange(len(launch.warps) + 1)).tolist()
-        #: warp trace -> its rows, ``(first, past the last)``
-        self.spans = dict(zip(launch.warps, zip(bounds, bounds[1:])))
+        self.port = memoryview(port)
+        self.kind = memoryview(kind)
+        self.lanes = memoryview(counts)
 
     def requests(self, row):
         """The sorted distinct block addresses of an L1-path op."""

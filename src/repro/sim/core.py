@@ -50,7 +50,7 @@ from itertools import count
 from math import inf
 from typing import Dict, List, Optional, Tuple
 
-from ..emulator.columnar import _PC_SHIFT
+from ..emulator.columnar import _PC_SHIFT, KIND_NONE
 from ..ptx.isa import Space, Unit
 from .cache import Cache, Outcome
 from .coalescer import MemoryPlan
@@ -170,17 +170,17 @@ class _WarpRun:
 
     The warp's pc column is replayed straight off its trace;
     :attr:`entry` caches the :class:`IssueTable` entry at the issue
-    pointer and ``row`` the next of its :class:`MemoryPlan` rows, which
-    end before ``row_end``.  ``pending_regs`` is the scoreboard: a
-    bitmask of the destination registers of issued, not yet written-back
-    instructions.  ``waiting`` marks a warp that failed the scoreboard
-    check and waits for a write-back; ``bit`` is its place in the SM's
-    warp masks.
+    pointer, and the op at trace position ``i`` is row ``base + i`` of
+    the launch's :class:`MemoryPlan`.  ``pending_regs`` is the
+    scoreboard: a bitmask of the destination registers of issued, not
+    yet written-back instructions.  ``waiting`` marks a warp that failed
+    the scoreboard check and waits for a write-back; ``bit`` is its
+    place in the SM's warp masks.
     """
 
     __slots__ = ("trace", "ptr", "n", "pending_regs", "at_barrier",
                  "cta", "trace_done", "entry", "waiting", "bit",
-                 "row", "row_end", "_entries", "_pc")
+                 "base", "_entries", "_pc")
 
     def __init__(self, trace, cta, table, plan):
         self.trace = trace
@@ -194,7 +194,7 @@ class _WarpRun:
         self._entries = table.entries
         # memoryviews index to plain ints, cheaper than numpy scalars
         self._pc = memoryview(trace.pc)
-        self.row, self.row_end = plan.spans[trace]
+        self.base = plan.base[trace]
         self.n = len(trace.pc)
         self.trace_done = not self.n
         self.entry = self.entry_at(0) if self.n else None
@@ -706,11 +706,7 @@ class SMCore:
         if len(self.ldst_queue) >= self.config.ldst_queue_size:
             return False
         plan = self.memory_plan
-        row = warp.row
-        if row < warp.row_end and plan.pos[row] == warp.ptr:
-            warp.row += 1
-        else:  # the op recorded no access
-            row = plan.empty
+        row = warp.base + warp.ptr
         space = inst.space
 
         if space is Space.GLOBAL or space is Space.TEX or space is Space.LOCAL:
@@ -786,14 +782,14 @@ class SMCore:
         # non-deterministic global load and prefetch its blocks — a
         # perfect indirect-address predictor (upper bound for [16])
         plan = self.memory_plan
-        horizon = warp.ptr + 1 + self.config.prefetch_lookahead
-        for row in range(warp.row, warp.row_end):
-            if plan.pos[row] >= horizon:
-                break
-            future = warp.entry_at(plan.pos[row])[3]
+        for idx in range(warp.ptr + 1, min(
+                warp.ptr + 1 + self.config.prefetch_lookahead, warp.n)):
+            if plan.kind[warp.base + idx] == KIND_NONE:
+                continue
+            future = warp.entry_at(idx)[3]
             if future.is_global_load \
                     and self.pc_classes.get(future.pc) == "N":
-                for block in plan.requests(row):
+                for block in plan.requests(warp.base + idx):
                     self._pf_push(block)
                 break
 

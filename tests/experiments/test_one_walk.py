@@ -4,7 +4,8 @@ The runner's ``profile`` stage builds the locality report, the heat map
 and the request histograms from one memory table and one coalesced
 table per launch; the metrics bridge and the advisor read them from the
 result and walk the trace no more.  The timing model makes one more
-walk of each launch it replays: its memory plan.
+walk of each launch it replays: its memory plan, one coalesced table
+over the launch's own columns.
 """
 
 import sys
@@ -52,7 +53,7 @@ class TestOneWalkPerJob:
         launches = len(result.run.trace)
         assert launches > 1
         # the profile's walk plus the simulation's memory plan
-        assert walks == {"memory_table": 2 * launches,
+        assert walks == {"memory_table": launches,
                          "coalesce_table": 2 * launches, "iter_chunks": 0,
                          "run_launch": launches}
 
@@ -68,6 +69,6 @@ class TestOneWalkPerJob:
         # each replayed launch plans its memory ops; nothing profiles
         replays = walks["run_launch"]
         assert replays > 0
-        assert walks == {"memory_table": replays, "coalesce_table": replays,
+        assert walks == {"memory_table": 0, "coalesce_table": replays,
                          "iter_chunks": 0, "run_launch": replays}
         assert report.heatmap is result.heatmap

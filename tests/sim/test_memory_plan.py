@@ -110,18 +110,16 @@ class TestWorkloads:
         assert any(op.inst.is_store and op.addresses for op in global_ops)
         assert any(op.inst.is_atomic and op.addresses for op in global_ops)
 
-    def test_plan_rows_are_each_warps_recorded_accesses(self, workload_run):
+    def test_plan_rows_are_each_warps_ops(self, workload_run):
         for launch in workload_run.trace:
             plan = MemoryPlan(launch, TINY)
+            row = 0
             for warp in launch.warps:
-                row, end = plan.spans[warp]
-                for pos, op in enumerate(warp.ops):
-                    if op.addresses is None:
-                        continue
-                    assert plan.pos[row] == pos
-                    assert plan.lanes[row] == len(op.addresses)
+                assert plan.base[warp] == row
+                for op in warp.ops:
+                    assert plan.lanes[row] == len(op.addresses or ())
                     row += 1
-                assert row == end
+            assert len(plan.kind) == row
 
 
 def ld(space, vector=1, pc=0, dtype=DType.U32):
@@ -207,16 +205,32 @@ class TestHandBuilt:
         issued = replay([launch], config, monkeypatch)
         check_against_reference(issued, [launch], config)
 
+    def test_oracle_looks_past_a_load_without_a_record(self, monkeypatch):
+        # the indirect oracle skips an N load that recorded no access
+        # and prefetches the blocks of the next N load that did
+        p = PC_STRIDE
+        launch = build_launch([(0, 0, [
+            TraceOp(ld(Space.GLOBAL, 1, 0), 1, ((0, 0x1000),)),
+            TraceOp(ld(Space.GLOBAL, 1, p), 1),
+            TraceOp(ld(Space.GLOBAL, 1, 2 * p), 1, ((0, 0x2000),))])])
+        pushed = []
+        push = SMCore._pf_push
+        monkeypatch.setattr(SMCore, "_pf_push", lambda sm, block: (
+            pushed.append(block), push(sm, block)))
+        gpu = GPU(TINY.scaled(prefetcher="indirect_oracle"))
+        gpu.run_launch(launch, dict.fromkeys((0, p, 2 * p), "N"))
+        assert pushed == [0x2000, 0x2000]
+
     def test_access_without_a_record_is_an_empty_row(self):
         # a hand-built global load with no recorded addresses (what a
-        # parameter read records) gets no row: no request, no lane
+        # parameter read records): no request, no lane
         inst = ld(Space.GLOBAL)
         launch = build_launch([(0, 0, [TraceOp(inst, 1)])])
         plan = MemoryPlan(launch, TINY)
-        assert plan.spans[launch.warps[0]] == (0, 0)
-        assert plan.requests(plan.empty) == []
-        assert plan.lanes[plan.empty] == 0
-        assert plan.port[plan.empty] == 1
+        assert plan.base[launch.warps[0]] == 0
+        assert plan.requests(0) == []
+        assert plan.lanes[0] == 0
+        assert plan.port[0] == 1
         gpu = GPU(TINY)
         gpu.run_launch(launch)
         assert gpu.stats.issued_warp_insts == 1
