@@ -283,7 +283,6 @@ def _replay_warp(warp, sink, kernel_name, launch_index, shared_accesses,
     only shared accesses, global stores, and flagged barriers — never
     the (dominant) compute ops.
     """
-    warp.seal()
     masks = warp.mask
     n = len(masks)
     if not n:

@@ -20,10 +20,16 @@ column    dtype   meaning
 ``vals``  uint64  ragged stored-value bit patterns (stores only)
 ========= ======= ====================================================
 
-Producers append into fixed-size chunks (:data:`CHUNK_OPS` ops per
-chunk) so peak Python-list overhead is bounded and consumers can stream
-(:meth:`ColumnarWarpTrace.iter_chunks`); :meth:`ColumnarWarpTrace.seal`
-concatenates the chunks into the final per-warp columns.
+The sealed :class:`ColumnarLaunchTrace` owns one set of these columns,
+its warps' rows one after another in (CTA, warp) order; the on-disk
+container (:mod:`repro.emulator.serialize`) stores exactly these
+arrays.  While a warp runs, its :class:`ColumnarWarpTrace` appends into
+fixed-size producer chunks (:data:`CHUNK_OPS` ops per chunk), so peak
+Python-list overhead is bounded.
+:meth:`ColumnarLaunchTrace.seal` moves every warp's chunks into the
+launch columns, checks the schema invariants once, and gives each warp
+its rows as views with per-warp offsets.  A loaded or rewritten launch
+hands its ready columns to the same ``seal``.
 
 The read-only record view (:attr:`ColumnarWarpTrace.ops`) lazily
 materializes :class:`~repro.emulator.trace.TraceOp` objects from the
@@ -41,17 +47,19 @@ values the engines traced (``_coerce_store`` yields only ``float`` and
 from __future__ import annotations
 
 import struct
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from ..ptx.isa import PC_STRIDE
 from ..resilience.errors import TraceIntegrityError
-from ..resilience.guards import check_memory_budget, columnar_chunk_ops
+from ..resilience.guards import check_memory_budget
 from .grid import LaunchConfig
 from .trace import TraceOp
 
-#: Ops accumulated per producer chunk before conversion to NumPy arrays.
+#: Ops accumulated per producer chunk before conversion to NumPy
+#: arrays; also the most ops :meth:`ColumnarWarpTrace.iter_chunks`
+#: yields at once.
 CHUNK_OPS = 65536
 
 #: ``kind`` column sentinel for ops that recorded no addresses.
@@ -129,18 +137,20 @@ def take_ragged(flat, starts, counts):
 
 
 class ColumnarWarpTrace:
-    """One warp's ops as typed columns, with a lazy record view.
+    """One warp's ops: a chunked producer while the warp runs, then its
+    rows of the sealed launch's columns, with a lazy record view.
 
-    Lifecycle: the emulator appends ops while the warp runs (builder
-    state, chunked); :meth:`seal` turns the chunks into the final
-    columns.  Aggregates and the ``ops`` record view auto-seal.
+    After :meth:`ColumnarLaunchTrace.seal`, ``pc`` ... ``vals`` are
+    views of the launch columns, ``base`` is the launch row of the
+    warp's first op, and :attr:`astart`/:attr:`vstart` index the warp's
+    own ``lanes``/``addrs`` and ``vals``.
     """
 
     __slots__ = ("cta_id", "warp_id", "_launch",
                  "_b_pc", "_b_mask", "_b_kind", "_b_acount",
                  "_b_lane", "_b_addr", "_b_val", "_chunks",
-                 "pc", "mask", "kind", "acount", "astart",
-                 "lanes", "addrs", "vals", "vstart", "_ops")
+                 "base", "pc", "mask", "kind", "acount",
+                 "lanes", "addrs", "vals", "_ops")
 
     def __init__(self, launch, cta_id, warp_id):
         self.cta_id = cta_id
@@ -154,15 +164,14 @@ class ColumnarWarpTrace:
         self._b_addr: List[int] = []
         self._b_val: List[int] = []
         self._chunks: List[tuple] = []
-        self.pc = None  # sealed columns (None while building)
+        self.base = None  # sealed state (None while building)
+        self.pc = None
         self.mask = None
         self.kind = None
         self.acount = None
-        self.astart = None
         self.lanes = None
         self.addrs = None
         self.vals = None
-        self.vstart = None
         self._ops = None
 
     # -- producer side -----------------------------------------------------
@@ -240,65 +249,33 @@ class ColumnarWarpTrace:
         del self._b_addr[:]
         del self._b_val[:]
 
-    def iter_chunks(self):
-        """Yield ``(pc, mask, kind, acount, lanes, addrs, vals)`` array
-        tuples in production order — the streaming consumer contract
-        (each tuple covers at most :data:`CHUNK_OPS` ops)."""
-        if self.pc is not None:
-            n = len(self.pc)
-            step = self._launch._chunk_ops
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                alo, ahi = int(self.astart[lo]), int(self.astart[hi])
-                vlo, vhi = int(self.vstart[lo]), int(self.vstart[hi])
-                yield (self.pc[lo:hi], self.mask[lo:hi], self.kind[lo:hi],
-                       self.acount[lo:hi], self.lanes[alo:ahi],
-                       self.addrs[alo:ahi], self.vals[vlo:vhi])
-            return
-        self._flush()
-        for chunk in self._chunks:
-            yield chunk
-
-    def seal(self, _columns=None):
-        """Finalize the columns; idempotent.  ``_columns`` lets the
-        deserializer install pre-built (memory-mapped) arrays."""
-        if self.pc is not None:
-            return self
-        if _columns is not None:
-            (self.pc, self.mask, self.kind, self.acount,
-             self.lanes, self.addrs, self.vals) = _columns
-        else:
-            self._flush()
-            chunks = self._chunks
-            cols = [np.concatenate([c[i] for c in chunks])
-                    for i in range(len(COLUMNS))]
-            self._chunks = []
-            (self.pc, self.mask, self.kind, self.acount,
-             self.lanes, self.addrs, self.vals) = cols
-        self.astart = _exclusive_offsets(self.acount)
-        self.vstart = _exclusive_offsets(self._value_counts())
-        if int(self.astart[-1]) != len(self.lanes):
-            raise TraceIntegrityError(
-                "corrupt trace: address table length %d does not match "
-                "per-op counts (%d)" % (len(self.lanes),
-                                        int(self.astart[-1])))
-        if int(self.vstart[-1]) != len(self.vals):
-            raise TraceIntegrityError(
-                "corrupt trace: value table length %d does not match "
-                "store counts (%d)" % (len(self.vals),
-                                       int(self.vstart[-1])))
-        return self
-
-    def _value_counts(self):
-        """Per-op stored-value counts (stores record ``vector`` values
-        per recorded lane access; everything else records none)."""
-        if len(self.pc) == 0:
-            return np.zeros(0, dtype=np.uint32)
-        is_store = (self.kind & 3) == _KIND_STORE
-        vec = self._launch._vec_by_idx[self.pc >> _PC_SHIFT]
-        return np.where(is_store, self.acount * vec, 0).astype(np.uint32)
-
     # -- consumer side -----------------------------------------------------
+
+    @property
+    def astart(self):
+        """Per-op offsets into :attr:`lanes`/:attr:`addrs`,
+        ``[0, a0, a0+a1, ...]`` (length ``len(pc) + 1``)."""
+        return _rebased(self._launch.astart, self.base, len(self.pc))
+
+    @property
+    def vstart(self):
+        """Per-op offsets into :attr:`vals` (length ``len(pc) + 1``)."""
+        return _rebased(self._launch.vstart, self.base, len(self.pc))
+
+    def iter_chunks(self):
+        """Yield ``(pc, mask, kind, acount, lanes, addrs, vals)`` views
+        in op order, each covering at most :data:`CHUNK_OPS` ops — the
+        streaming consumer contract."""
+        launch = self._launch
+        astart, vstart = launch.astart, launch.vstart
+        end = self.base + len(self.pc)
+        for lo in range(self.base, end, launch._chunk_ops):
+            hi = min(lo + launch._chunk_ops, end)
+            alo, ahi = int(astart[lo]), int(astart[hi])
+            vlo, vhi = int(vstart[lo]), int(vstart[hi])
+            yield (launch.pc[lo:hi], launch.mask[lo:hi], launch.kind[lo:hi],
+                   launch.acount[lo:hi], launch.lanes[alo:ahi],
+                   launch.addrs[alo:ahi], launch.vals[vlo:vhi])
 
     @property
     def ops(self):
@@ -308,7 +285,6 @@ class ColumnarWarpTrace:
         return self._ops
 
     def _materialize(self):
-        self.seal()
         launch = self._launch
         insts = launch._insts
         pcs = self.pc.tolist()
@@ -353,13 +329,21 @@ def _exclusive_offsets(counts):
     return out
 
 
+def _rebased(offsets, lo, n):
+    """``offsets[lo:lo+n+1]`` shifted to start at zero."""
+    window = offsets[lo:lo + n + 1]
+    return window - window[0]
+
+
 class ColumnarLaunchTrace:
     """The complete trace of one kernel launch, stored as columns.
 
     ``warps`` holds one :class:`ColumnarWarpTrace` per traced warp in
-    (CTA, warp) launch order; the aggregate methods are the Table I
-    columns, and :meth:`memory_table` is the launch-wide view of its
-    memory ops.
+    (CTA, warp) launch order.  Once sealed, the launch owns the seven
+    :data:`COLUMNS` (every warp's rows, in warp order), ``op_start``
+    (the row of each warp's first op, then the row count) and the
+    ragged-table offsets ``astart``/``vstart`` (length rows + 1); the
+    aggregate methods are the Table I columns.
     """
 
     def __init__(self, kernel_name, config: LaunchConfig, instructions,
@@ -375,10 +359,7 @@ class ColumnarLaunchTrace:
                     "instruction table violates the pc-stride invariant "
                     "at index %d (pc %#x)" % (i, inst.pc))
         self._insts = insts
-        # Producer/consumer chunk granularity; REPRO_COLUMNAR_CHUNK_OPS
-        # can lower it (never raise it past CHUNK_OPS, the iter_chunks
-        # contract) to bound staging-buffer memory on the large tier.
-        self._chunk_ops = columnar_chunk_ops(CHUNK_OPS)
+        self._chunk_ops = CHUNK_OPS
         self._kind_of = [op_kind(inst) if inst.is_memory else KIND_NONE
                          for inst in insts]
         self._isfloat_of = [bool(inst.dtype is not None
@@ -396,6 +377,16 @@ class ColumnarLaunchTrace:
         self._is_shared_load = np.asarray(
             [inst.is_shared_load for inst in insts] or [False],
             dtype=np.bool_)
+        self.pc = None  # sealed columns (None while building)
+        self.mask = None
+        self.kind = None
+        self.acount = None
+        self.lanes = None
+        self.addrs = None
+        self.vals = None
+        self.op_start = None
+        self.astart = None
+        self.vstart = None
 
     def instruction_at(self, pc):
         return self._insts[pc >> _PC_SHIFT]
@@ -410,34 +401,133 @@ class ColumnarLaunchTrace:
         ``record_trace=False``)."""
         return ColumnarWarpTrace(self, cta_id, warp_id)
 
-    def seal(self):
-        for warp in self.warps:
-            warp.seal()
+    def seal(self, columns=None, layout=None):
+        """Make the launch the owner of its columns; idempotent.
+
+        Without arguments the recorded warps' producer chunks are copied
+        into the launch columns, each chunk dropped once copied.  A
+        loader or a trace rewrite instead passes ``columns``, the seven
+        arrays in :data:`COLUMNS` order, and ``layout``, one
+        ``(cta_id, warp_id, ops)`` per warp, which replaces
+        :attr:`warps`.  Either way the schema invariants are checked
+        here, once, and each warp gets its rows as views.
+        """
+        if self.pc is not None:
+            return self
+        if columns is None:
+            counts = [len(w) for w in self.warps]
+            columns = self._drain_chunks()
+        else:
+            self.warps = [ColumnarWarpTrace(self, int(cta), int(warp))
+                          for cta, warp, _ops in layout]
+            counts = [int(ops) for _cta, _warp, ops in layout]
+        (self.pc, self.mask, self.kind, self.acount,
+         self.lanes, self.addrs, self.vals) = columns
+        n = len(self.pc)
+        self.op_start = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(np.asarray(counts, dtype=np.int64),
+                  out=self.op_start[1:])
+        if int(self.op_start[-1]) != n or any(
+                len(col) != n for col in (self.mask, self.kind,
+                                          self.acount)):
+            raise TraceIntegrityError(
+                "corrupt trace: per-warp op counts do not cover the "
+                "columns of launch %r" % self.kernel_name)
+        if n:
+            self._check_kinds()
+        self.astart = _exclusive_offsets(self.acount)
+        self.vstart = _exclusive_offsets(self._value_counts())
+        if int(self.astart[-1]) != len(self.lanes) \
+                or len(self.addrs) != len(self.lanes):
+            raise TraceIntegrityError(
+                "corrupt trace: address table length %d does not match "
+                "per-op counts (%d)" % (len(self.lanes),
+                                        int(self.astart[-1])))
+        if int(self.vstart[-1]) != len(self.vals):
+            raise TraceIntegrityError(
+                "corrupt trace: value table length %d does not match "
+                "store counts (%d)" % (len(self.vals),
+                                       int(self.vstart[-1])))
+        rows = self.op_start.tolist()
+        a = self.astart[self.op_start].tolist()
+        v = self.vstart[self.op_start].tolist()
+        for i, warp in enumerate(self.warps):
+            lo, hi = rows[i], rows[i + 1]
+            warp.base = lo
+            warp.pc = self.pc[lo:hi]
+            warp.mask = self.mask[lo:hi]
+            warp.kind = self.kind[lo:hi]
+            warp.acount = self.acount[lo:hi]
+            warp.lanes = self.lanes[a[i]:a[i + 1]]
+            warp.addrs = self.addrs[a[i]:a[i + 1]]
+            warp.vals = self.vals[v[i]:v[i + 1]]
         return self
+
+    def _drain_chunks(self):
+        """The seven launch columns, filled from every warp's producer
+        chunks in warp order; each chunk is dropped once copied, so the
+        copy needs at most one chunk beyond the columns."""
+        chunks = []
+        for warp in self.warps:
+            if warp._b_pc:
+                warp._flush()
+            chunks += warp._chunks
+            warp._chunks = []
+        chunks.reverse()  # popped from the end, in production order
+        columns = [np.empty(sum(len(c[i]) for c in chunks), dtype=dt)
+                   for i, (_name, dt) in enumerate(COLUMNS)]
+        pos = [0] * len(COLUMNS)
+        while chunks:
+            for i, arr in enumerate(chunks.pop()):
+                columns[i][pos[i]:pos[i] + len(arr)] = arr
+                pos[i] += len(arr)
+        return columns
+
+    def _check_kinds(self):
+        """The kind column is redundant with the instructions, so a
+        mismatch means corruption."""
+        idx = self.pc >> _PC_SHIFT
+        if int(idx.max()) >= len(self._insts):
+            raise TraceIntegrityError(
+                "corrupt trace: pc %#x beyond kernel %r"
+                % (int(self.pc.max()), self.kernel_name))
+        expect = np.asarray(self._kind_of, dtype=np.uint8)[idx]
+        kind = self.kind
+        # ops that recorded no addresses legitimately carry KIND_NONE
+        # even for memory instructions (param reads); predicated-off
+        # accesses trace addresses=() instead, and the kind stays
+        bad = (kind != expect) & (kind != KIND_NONE)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise TraceIntegrityError(
+                "corrupt trace: access kind %d at pc %#x does not match "
+                "instruction %s"
+                % (int(kind[i]), int(self.pc[i]),
+                   self._insts[int(idx[i])].mnemonic()))
+        # a memory op that recorded addresses but claims KIND_NONE would
+        # silently drop its accesses: reject
+        dropped = (kind == KIND_NONE) & (self.acount != 0)
+        if dropped.any():
+            raise TraceIntegrityError(
+                "corrupt trace: access kind missing at pc %#x"
+                % int(self.pc[int(np.flatnonzero(dropped)[0])]))
+
+    def _value_counts(self):
+        """Per-op stored-value counts (stores record ``vector`` values
+        per recorded lane access; everything else records none)."""
+        if not len(self.pc):
+            return np.zeros(0, dtype=np.uint32)
+        is_store = (self.kind & 3) == _KIND_STORE
+        vec = self._vec_by_idx[self.pc >> _PC_SHIFT]
+        return np.where(is_store, self.acount * vec, 0).astype(np.uint32)
 
     # -- aggregate statistics (Table I columns) ---------------------------
 
     def total_warp_instructions(self):
-        return sum(len(w) for w in self.warps)
+        return len(self.seal().pc)
 
     def total_thread_instructions(self):
-        total = 0
-        for w in self.warps:
-            w.seal()
-            if len(w.mask):
-                total += int(np.bitwise_count(w.mask).sum(dtype=np.int64))
-        return total
-
-    def count_ops(self, predicate):
-        return sum(1 for w in self.warps for op in w.ops if predicate(op))
-
-    def _count_flagged(self, flags):
-        total = 0
-        for w in self.warps:
-            w.seal()
-            if len(w.pc):
-                total += int(flags[w.pc >> _PC_SHIFT].sum(dtype=np.int64))
-        return total
+        return int(np.bitwise_count(self.seal().mask).sum(dtype=np.int64))
 
     def global_load_warp_count(self):
         return self._count_flagged(self._is_global_load)
@@ -445,64 +535,15 @@ class ColumnarLaunchTrace:
     def shared_load_warp_count(self):
         return self._count_flagged(self._is_shared_load)
 
-    def dynamic_counts_by_pc(self, only_global_loads=True):
-        counts: Dict[int, int] = {}
-        for w in self.warps:
-            w.seal()
-            pcs = w.pc
-            if only_global_loads and len(pcs):
-                pcs = pcs[self._is_global_load[pcs >> _PC_SHIFT]]
-            if not len(pcs):
-                continue
-            uniq, cnt = np.unique(pcs, return_counts=True)
-            for p, c in zip(uniq.tolist(), cnt.tolist()):
-                counts[p] = counts.get(p, 0) + c
-        return counts
+    def _count_flagged(self, flags):
+        return int(flags[self.seal().pc >> _PC_SHIFT].sum(dtype=np.int64))
 
-    def memory_table(self, space=None, loads_only=False):
-        """Columnar view of the launch's memory ops, concatenated over
-        warps.  Returns ``None`` when the launch recorded no matching op,
-        else a dict of equal-length per-op arrays — ``warp`` (index into
-        :attr:`warps`), ``pc``, ``mask``, ``kind``, ``acount``,
-        ``astart`` — plus the ragged ``lanes``/``addrs`` tables the
-        ``astart``/``acount`` pairs slice into.
-
-        ``space`` is a :class:`repro.ptx.isa.Space` (or its string
-        value); ``loads_only`` keeps plain loads (no stores/atomics).
-        """
-        space_code = None
-        if space is not None:
-            space_code = SPACE_CODES[getattr(space, "value", space)]
-        per_warp = []
-        for w_idx, w in enumerate(self.warps):
-            w.seal()
-            kinds = w.kind
-            keep = kinds != KIND_NONE
-            if loads_only:
-                keep &= (kinds & 3) == _KIND_LOAD
-            if space_code is not None:
-                keep &= (kinds >> 2) == space_code
-            if not keep.any():
-                continue
-            rows = np.flatnonzero(keep)
-            acount = w.acount[rows]
-            lanes = take_ragged(w.lanes, w.astart[rows], acount)
-            addrs = take_ragged(w.addrs, w.astart[rows], acount)
-            per_warp.append({
-                "warp": np.full(len(rows), w_idx, dtype=np.int64),
-                "pc": w.pc[rows],
-                "mask": w.mask[rows],
-                "kind": kinds[rows],
-                "acount": acount,
-                "lanes": lanes,
-                "addrs": addrs,
-            })
-        if not per_warp:
-            return None
-        table = {key: np.concatenate([p[key] for p in per_warp])
-                 for key in per_warp[0]}
-        table["astart"] = _exclusive_offsets(table["acount"])[:-1]
-        return table
+    def dynamic_counts_by_pc(self):
+        """``{pc: executions}`` of the launch's global loads."""
+        pcs = self.seal().pc
+        pcs, counts = np.unique(pcs[self._is_global_load[pcs >> _PC_SHIFT]],
+                                return_counts=True)
+        return dict(zip(pcs.tolist(), counts.tolist()))
 
     def __iter__(self):
         return iter(self.warps)
@@ -514,69 +555,66 @@ def rewrite_global_loads(launch, pcs, rewrite):
 
     Each row of such a load that recorded at least one access is handed
     to ``rewrite`` as a :class:`TraceOp`; the ops it returns (same
-    instruction, new masks and addresses) take the row's place.  Every
-    other row is copied column-wise.  The :mod:`repro.optim` trace
-    transforms build on this.
+    instruction, new masks and addresses) take the row's place in its
+    warp.  Every other row is copied column-wise.  The
+    :mod:`repro.optim` trace transforms build on this.
     """
-    out = ColumnarLaunchTrace(launch.kernel_name, launch.config,
-                              launch.instructions,
-                              shared_size=launch.shared_size)
-    insts = out.instructions
+    launch.seal()
+    insts = launch.instructions
     target = np.asarray(
         [inst.is_global_load and inst.pc in pcs for inst in insts]
         or [False], dtype=np.bool_)
-    for warp in launch.warps:
-        warp.seal()
-        rows = np.flatnonzero(target[warp.pc >> _PC_SHIFT]
-                              & (warp.acount > 0))
-        parts_per_row = []
-        masks, acounts, lanes, addrs = [], [], [], []
-        for row in rows.tolist():
-            pc = int(warp.pc[row])
-            a0, a1 = int(warp.astart[row]), int(warp.astart[row + 1])
-            parts = rewrite(TraceOp(
-                insts[pc >> _PC_SHIFT], int(warp.mask[row]),
-                tuple(zip(warp.lanes[a0:a1].tolist(),
-                          warp.addrs[a0:a1].tolist()))))
-            parts_per_row.append(len(parts))
-            for part in parts:
-                masks.append(part.active_mask)
-                acounts.append(len(part.addresses))
-                for lane, addr in part.addresses:
-                    lanes.append(lane)
-                    addrs.append(addr)
-        new = out.new_warp(warp.cta_id, warp.warp_id)
-        new.seal(_columns=_splice_rows(warp, rows, parts_per_row, masks,
-                                       acounts, lanes, addrs))
-        out.warps.append(new)
-    return out
+    rows = np.flatnonzero(target[launch.pc >> _PC_SHIFT]
+                          & (launch.acount > 0))
+    per_row = np.ones(len(launch.pc), dtype=np.int64)
+    masks, acounts, lanes, addrs = [], [], [], []
+    astart = launch.astart
+    for row in rows.tolist():
+        pc = int(launch.pc[row])
+        a0, a1 = int(astart[row]), int(astart[row + 1])
+        parts = rewrite(TraceOp(
+            insts[pc >> _PC_SHIFT], int(launch.mask[row]),
+            tuple(zip(launch.lanes[a0:a1].tolist(),
+                      launch.addrs[a0:a1].tolist()))))
+        per_row[row] = len(parts)
+        for part in parts:
+            masks.append(part.active_mask)
+            acounts.append(len(part.addresses))
+            for lane, addr in part.addresses:
+                lanes.append(lane)
+                addrs.append(addr)
+    # each warp's new op count: its rows' output rows
+    ops = np.diff(_exclusive_offsets(per_row)[launch.op_start]).tolist()
+    out = ColumnarLaunchTrace(launch.kernel_name, launch.config, insts,
+                              shared_size=launch.shared_size)
+    return out.seal(
+        _splice_rows(launch, rows, per_row, masks, acounts, lanes, addrs),
+        [(w.cta_id, w.warp_id, n) for w, n in zip(launch.warps, ops)])
 
 
-def _splice_rows(warp, rows, parts_per_row, masks, acounts, lanes, addrs):
-    """``warp``'s columns with each of ``rows`` replaced by
-    ``parts_per_row[i]`` new load rows (``masks``/``acounts`` per new
-    row, ``lanes``/``addrs`` concatenated); every other row is copied.
+def _splice_rows(launch, rows, per_row, masks, acounts, lanes, addrs):
+    """``launch``'s columns with each of ``rows`` replaced by
+    ``per_row[row]`` new load rows (``masks``/``acounts`` per new row,
+    ``lanes``/``addrs`` concatenated); every other row is copied.
     Loads carry no stored values, so the value column is unchanged."""
-    n = len(warp.pc)
-    per_row = np.ones(n, dtype=np.int64)
-    per_row[rows] = parts_per_row
+    n = len(launch.pc)
     replaced = np.zeros(n, dtype=np.bool_)
     replaced[rows] = True
     src = np.repeat(np.arange(n, dtype=np.int64), per_row)
     fresh = np.repeat(replaced, per_row)
-    mask = warp.mask[src]
+    mask = launch.mask[src]
     mask[fresh] = masks
-    acount = warp.acount[src]
+    acount = launch.acount[src]
     acount[fresh] = acounts
     # gather each output row's accesses from the old tables followed by
     # the new ones
-    start = warp.astart[:-1][src].astype(np.int64)
-    start[fresh] = len(warp.lanes) + _exclusive_offsets(
+    start = launch.astart[:-1][src].astype(np.int64)
+    start[fresh] = len(launch.lanes) + _exclusive_offsets(
         np.asarray(acounts, dtype=np.int64))[:-1].astype(np.int64)
-    pool_lanes = np.concatenate([warp.lanes,
+    pool_lanes = np.concatenate([launch.lanes,
                                  np.asarray(lanes, dtype=np.uint8)])
-    pool_addrs = np.concatenate([warp.addrs,
+    pool_addrs = np.concatenate([launch.addrs,
                                  np.asarray(addrs, dtype=np.uint64)])
-    return (warp.pc[src], mask, warp.kind[src], acount,
+    return (launch.pc[src], mask, launch.kind[src], acount,
             take_ragged(pool_lanes, start, acount),
-            take_ragged(pool_addrs, start, acount), warp.vals)
+            take_ragged(pool_addrs, start, acount), launch.vals)

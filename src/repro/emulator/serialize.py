@@ -15,12 +15,17 @@ Format (schema v3): a zero-copy columnar container.  The file is
 * the raw little-endian column arrays of every launch, each aligned to
   :data:`ALIGN` bytes, in a canonical order derived from the header.
 
-Loading memory-maps the file and hands each warp *views* into the map —
-no per-record parsing, no copies; a 100×-scale trace opens in
-milliseconds.  The kernels travel along as printed PTX-subset text (the
-printer/parser roundtrip is classification-preserving, see
-``tests/ptx/test_printer.py``), so a loaded file is fully
-self-contained: kernels, classifications and traces.
+The column arrays are the sealed launch's own columns
+(:class:`~repro.emulator.columnar.ColumnarLaunchTrace`), so saving
+writes them as they are, and loading memory-maps the file and hands the
+mapped arrays with the header's per-warp op counts to the same
+``seal`` a produced launch goes through: one set of integrity checks,
+and each warp gets *views* into the map — no per-record parsing, no
+copies; a 100×-scale trace opens in milliseconds.  The kernels travel
+along as printed PTX-subset text (the printer/parser roundtrip is
+classification-preserving, see ``tests/ptx/test_printer.py``), so a
+loaded file is fully self-contained: kernels, classifications and
+traces.
 
 v3 is the only format: a file that does not start with the magic and
 a v3 header is rejected as corrupt (the trace cache quarantines it and
@@ -44,13 +49,7 @@ import numpy as np
 from ..core import ClassificationResult, classify_kernel
 from ..ptx import Module, parse_module, print_module
 from ..resilience.artifacts import compute_checksum, verify_checksum
-from .columnar import (
-    COLUMNS,
-    KIND_NONE,
-    _KIND_STORE,
-    _PC_SHIFT,
-    ColumnarLaunchTrace,
-)
+from .columnar import COLUMNS, ColumnarLaunchTrace
 from .grid import Dim3, LaunchConfig
 from .trace import ApplicationTrace
 
@@ -71,25 +70,16 @@ def _align(n):
 
 
 def _launch_header_and_columns(launch):
-    """Flatten one launch into header metadata + concatenated columns."""
+    """One launch's header metadata and its sealed columns, as they
+    are."""
     launch.seal()
-    warps_meta = []
-    per_col = {name: [] for name, _ in COLUMNS}
-    for warp in launch.warps:
-        warps_meta.append([warp.cta_id, warp.warp_id, len(warp)])
-        for name, _ in COLUMNS:
-            per_col[name].append(getattr(warp, name))
-    arrays = {}
-    for name, dt in COLUMNS:
-        parts = per_col[name]
-        arrays[name] = (np.concatenate(parts) if parts
-                        else np.zeros(0, dtype=dt))
+    arrays = {name: getattr(launch, name) for name, _ in COLUMNS}
     header = {
         "kernel": launch.kernel_name,
         "grid": list(launch.config.grid),
         "block": list(launch.config.block),
         "shared_size": launch.shared_size,
-        "warps": warps_meta,
+        "warps": [[w.cta_id, w.warp_id, len(w.pc)] for w in launch.warps],
         "columns": {name: len(arrays[name]) for name, _ in COLUMNS},
     }
     return header, arrays
@@ -132,8 +122,10 @@ def save_run(run, path):
     for launch in run.trace:
         header, arrays = _launch_header_and_columns(launch)
         launches.append(header)
-        for name, dt in COLUMNS:
-            blobs.append(np.ascontiguousarray(arrays[name], dtype=dt))
+        # each column's bytes, hashed and written without a copy
+        blobs.extend(memoryview(np.ascontiguousarray(arrays[name],
+                                                     dtype=dt)).cast("B")
+                     for name, dt in COLUMNS)
     payload = {
         "version": FORMAT_VERSION,
         "name": run.trace.name,
@@ -142,7 +134,7 @@ def save_run(run, path):
         "launches": launches,
         # digest of the column payload (blob bytes in canonical order,
         # padding excluded — so it is independent of the header length)
-        "checksum": compute_checksum(b.tobytes() for b in blobs),
+        "checksum": compute_checksum(blobs),
     }
     head = json.dumps(payload, separators=(",", ":"),
                       sort_keys=True).encode("utf-8")
@@ -154,9 +146,8 @@ def save_run(run, path):
         for blob in blobs:
             pad = _align(pos) - pos
             fh.write(b"\0" * pad)
-            data = blob.tobytes()
-            fh.write(data)
-            pos += pad + len(data)
+            fh.write(blob)
+            pos += pad + len(blob)
     return path
 
 
@@ -214,7 +205,7 @@ def load_run(path):
             kernel_name=kernel.name, config=config,
             instructions=kernel.instructions,
             shared_size=launch_data["shared_size"])
-        arrays = {}
+        columns = []
         counts = launch_data["columns"]
         for name, dt in COLUMNS:
             pos = _align(pos)
@@ -225,36 +216,12 @@ def load_run(path):
                     "truncated trace file: column %r of launch %r ends "
                     "beyond EOF" % (name, kernel.name))
             if count:
-                arrays[name] = np.frombuffer(buf, dtype=dt, count=count,
-                                             offset=pos)
+                columns.append(np.frombuffer(buf, dtype=dt, count=count,
+                                             offset=pos))
             else:
-                arrays[name] = np.zeros(0, dtype=dt)
+                columns.append(np.zeros(0, dtype=dt))
             pos += nbytes
-        _validate_columns(launch, arrays)
-        op_lo = 0
-        addr_lo = 0
-        val_lo = 0
-        acount = arrays["acount"]
-        vcount = _value_counts(launch, arrays)
-        for cta_id, warp_id, nops in launch_data["warps"]:
-            op_hi = op_lo + int(nops)
-            addr_hi = addr_lo + int(acount[op_lo:op_hi].sum(dtype=np.int64))
-            val_hi = val_lo + int(vcount[op_lo:op_hi].sum(dtype=np.int64))
-            warp = launch.new_warp(int(cta_id), int(warp_id))
-            warp.seal(_columns=(
-                arrays["pc"][op_lo:op_hi], arrays["mask"][op_lo:op_hi],
-                arrays["kind"][op_lo:op_hi], arrays["acount"][op_lo:op_hi],
-                arrays["lanes"][addr_lo:addr_hi],
-                arrays["addrs"][addr_lo:addr_hi],
-                arrays["vals"][val_lo:val_hi]))
-            launch.warps.append(warp)
-            op_lo, addr_lo, val_lo = op_hi, addr_hi, val_hi
-        if op_lo != len(arrays["pc"]) or addr_lo != len(arrays["lanes"]) \
-                or val_lo != len(arrays["vals"]):
-            raise ValueError(
-                "corrupt trace: per-warp op counts do not cover the "
-                "columns of launch %r" % kernel.name)
-        app.add(launch)
+        app.add(launch.seal(columns, launch_data["warps"]))
     return LoadedRun(name=payload["name"], module=module,
                      trace=app, classifications=classifications)
 
@@ -287,46 +254,3 @@ def _verify_container(buf, payload, hlen, path):
                 pos += nbytes
 
     verify_checksum(_blob_regions(), record, path)
-
-
-def _value_counts(launch, arrays):
-    """Per-op stored-value counts from the kind/acount columns."""
-    pc = arrays["pc"]
-    if not len(pc):
-        return np.zeros(0, dtype=np.int64)
-    is_store = (arrays["kind"] & 3) == _KIND_STORE
-    vec = launch._vec_by_idx[pc >> _PC_SHIFT]
-    return np.where(is_store, arrays["acount"] * vec, 0).astype(np.int64)
-
-
-def _validate_columns(launch, arrays):
-    """Schema-v3 integrity: the kind column is redundant with the
-    instructions, so a mismatch means corruption."""
-    pc = arrays["pc"]
-    if not len(pc):
-        return
-    idx = pc >> _PC_SHIFT
-    if int(idx.max()) >= len(launch._insts):
-        raise ValueError("corrupt trace: pc %#x beyond kernel %r"
-                         % (int(pc.max()), launch.kernel_name))
-    expect = np.asarray(launch._kind_of, dtype=np.uint8)[idx]
-    kind = arrays["kind"]
-    # ops that recorded no addresses legitimately carry KIND_NONE even
-    # for memory instructions (param reads, predicated-off accesses
-    # trace addresses=() instead — kind stays)
-    bad = (kind != expect) & (kind != KIND_NONE)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            "corrupt trace: access kind %d at pc %#x does not match "
-            "instruction %s"
-            % (int(kind[i]), int(pc[i]),
-               launch._insts[int(idx[i])].mnemonic()))
-    # a memory instruction that recorded addresses but claims KIND_NONE
-    # would silently drop its accesses: reject
-    dropped = (kind == KIND_NONE) & (arrays["acount"] != 0)
-    if dropped.any():
-        i = int(np.flatnonzero(dropped)[0])
-        raise ValueError(
-            "corrupt trace: access kind missing at pc %#x"
-            % int(pc[i]))

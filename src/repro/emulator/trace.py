@@ -87,9 +87,6 @@ class ApplicationTrace:
         return sum(launch.total_warp_instructions()
                    for launch in self.launches)
 
-    def count_ops(self, predicate):
-        return sum(launch.count_ops(predicate) for launch in self.launches)
-
     def global_load_warp_count(self):
         return sum(launch.global_load_warp_count() for launch in self.launches)
 

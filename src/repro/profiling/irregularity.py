@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulator.columnar import _KIND_ATOMIC, _PC_SHIFT
+from ..emulator.columnar import _KIND_ATOMIC, _PC_SHIFT, SPACE_CODES
 from ..emulator.grid import WARP_SIZE
-from ..ptx.isa import Space
 from ..sim.coalescer import coalesce_table
 from ..sim.config import LINE_BYTES
 
@@ -60,16 +59,14 @@ def measure_irregularity(app_trace, line_size=LINE_BYTES):
     for launch in app_trace:
         total_insts += launch.total_warp_instructions()
         total_active += launch.total_thread_instructions()
-        table = launch.memory_table(space=Space.GLOBAL)
-        if table is None:
-            continue
         # global loads and stores that issued at least one request
-        ops = coalesce_table(table, launch.access_bytes, line_size,
-                             keep=(table["kind"] & 3) != _KIND_ATOMIC)
+        kind = launch.kind
+        ops = coalesce_table(launch, ((kind >> 2) == SPACE_CODES["global"])
+                             & ((kind & 3) != _KIND_ATOMIC), line_size)
         issued = ops.lines > 0
         rows = ops.rows[issued]
         footprint = (ops.lanes[issued]
-                     * launch.access_bytes[table["pc"][rows] >> _PC_SHIFT])
+                     * launch.access_bytes[launch.pc[rows] >> _PC_SHIFT])
         minimal = np.maximum(1, -(-footprint // line_size))
         accesses += len(rows)
         # plain op-order accumulation: NumPy's pairwise sum and 3.12's

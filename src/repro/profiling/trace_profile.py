@@ -4,9 +4,9 @@ The paper's Figure 6 request histograms, its Figures 10-12 locality
 results and the advisor's heat map are views of one data set: the
 distinct (op, line) pairs of each launch's global loads.  For every
 launch, :class:`TraceProfiler` makes one
-:meth:`~repro.emulator.columnar.ColumnarLaunchTrace.memory_table` call
-and one :func:`~repro.sim.coalescer.coalesce_table` call and builds all
-three reports from them:
+:func:`~repro.sim.coalescer.coalesce_table` call over the sealed
+launch's columns, its global-load rows picked by the ``kind`` column,
+and builds all three reports from it:
 
 * the :class:`~repro.profiling.locality.LocalityReport` (cold misses,
   inter-CTA sharing, CTA distances by load class);
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.classifier import ClassificationResult
-from ..emulator.columnar import _PC_SHIFT
+from ..emulator.columnar import _KIND_LOAD, _PC_SHIFT, SPACE_CODES
 from ..ptx.isa import Space
 from ..resilience.guards import check_memory_budget
 from ..sim.coalescer import (
@@ -43,6 +43,9 @@ from ..sim.config import LINE_BYTES
 from ..sim.stats import CLASS_LABELS
 from .heatmap import HeatMapReport, LineHeat, PCHeat, reuse_bucket
 from .locality import LocalityReport
+
+#: the ``kind`` code of a global load
+_GLOBAL_LOAD = SPACE_CODES["global"] << 2 | _KIND_LOAD
 
 
 @dataclass
@@ -81,16 +84,16 @@ class TraceProfiler:
         the request histograms and CTA distances by load class.
         """
         check_memory_budget("trace profile")
-        table = launch.memory_table(space=Space.GLOBAL, loads_only=True)
-        if table is None:
+        keep = launch.seal().kind == _GLOBAL_LOAD
+        if not keep.any():
             return
-        ops = coalesce_table(table, launch.access_bytes,
-                             line_size=self.line_bytes)
-        op_pc = table["pc"][ops.rows]
+        ops = coalesce_table(launch, keep, self.line_bytes)
+        op_pc = launch.pc[ops.rows]
         op_code = class_codes(launch, classification)[op_pc >> _PC_SHIFT]
-        cta_of_warp = np.asarray([w.cta_id for w in launch.warps],
-                                 dtype=np.int64)
-        op_cta = cta_of_warp[table["warp"][ops.rows]]
+        cta_of_row = np.repeat(
+            np.asarray([w.cta_id for w in launch.warps], dtype=np.int64),
+            np.diff(launch.op_start))
+        op_cta = cta_of_row[ops.rows]
 
         # keys pack a count with a class code (0-2) as count * 4 + code
         issued = ops.lines > 0

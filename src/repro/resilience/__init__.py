@@ -47,7 +47,6 @@ from .fallback import (
 from .guards import (
     MemoryBudgetError,
     check_memory_budget,
-    columnar_chunk_ops,
     current_rss_mb,
     memory_budget_mb,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "attach_checksum",
     "check_memory_budget",
     "checksum_payload",
-    "columnar_chunk_ops",
     "compute_checksum",
     "current_rss_mb",
     "fallback_chain",

@@ -5,19 +5,16 @@ a realistic failure mode.  A worker the kernel OOM-kills looks like a
 ``BrokenProcessPool`` — no stage, no context, and the whole pool dies
 with it.  These guards fail *first*, inside Python, with a
 :class:`MemoryBudgetError` that the experiment runner isolates like any
-other per-application failure:
+other per-application failure.
 
-* ``REPRO_MAX_RSS_MB`` sets a resident-set budget; the emulator checks
-  it at CTA boundaries, the columnar trace builders at chunk boundaries
-  (both are outside the per-instruction hot loops) and the trace
-  profile (:mod:`repro.profiling.trace_profile`) once per launch,
-  before it builds that launch's whole memory table;
-* ``REPRO_COLUMNAR_CHUNK_OPS`` caps the columnar producers' Python-list
-  staging buffers, so peak overhead during trace production is bounded.
-  The predictive race detector streams the same chunks
-  (:meth:`~repro.emulator.columnar.ColumnarWarpTrace.iter_chunks`);
-  the trace profile and the irregularity metrics take one launch-wide
-  table at a time.
+``REPRO_MAX_RSS_MB`` sets a resident-set budget.  The emulator checks it
+at CTA boundaries and the columnar trace builders at chunk boundaries
+(both are outside the per-instruction hot loops; a chunk is
+:data:`~repro.emulator.columnar.CHUNK_OPS` ops, so a warp's Python-list
+staging buffers stay bounded).  The predictive race detector checks it
+per streamed chunk, and the trace profile
+(:mod:`repro.profiling.trace_profile`) once per launch, before it
+coalesces that launch's global loads.
 
 The RSS probe reads ``/proc/self/statm`` (one small pread) and degrades
 to :func:`resource.getrusage` peak-RSS elsewhere; when neither source
@@ -29,7 +26,6 @@ from __future__ import annotations
 import os
 
 ENV_MAX_RSS = "REPRO_MAX_RSS_MB"
-ENV_CHUNK_OPS = "REPRO_COLUMNAR_CHUNK_OPS"
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -98,15 +94,3 @@ def check_memory_budget(context=None):
     if rss is not None and rss > budget:
         raise MemoryBudgetError(rss, budget, context=context)
 
-
-def columnar_chunk_ops(default):
-    """Producer-side columnar chunk cap (ops per staging buffer)."""
-    value = os.environ.get(ENV_CHUNK_OPS)
-    if not value:
-        return default
-    try:
-        ops = int(value)
-    except ValueError:
-        raise ValueError("%s must be an integer, got %r"
-                         % (ENV_CHUNK_OPS, value)) from None
-    return max(1, min(ops, default))

@@ -11,11 +11,13 @@ becomes one :class:`~repro.sim.request.MemRequest`.  A perfectly coalesced
 warp (32 consecutive 4 B words) yields a single request; a fully scattered
 warp yields up to 32.
 
-:func:`coalesce_table` applies the rule to a whole table of memory ops
-at once.  It is the one coalescing pass: the timing model reads each
-launch's :class:`MemoryPlan`, built by one such pass before the launch
-replays, and every trace profile builds on it (the request histograms
-of :class:`CoalescingSummary`, the locality report and heat map of
+:func:`coalesce_table` applies the rule at once to the memory ops of
+a whole launch, read straight off the sealed launch's columns and
+picked by a row mask over its ``kind`` column.  It is the one
+coalescing pass: the timing model reads each launch's
+:class:`MemoryPlan`, built by one such pass before the launch replays,
+and every trace profile builds on it (the request histograms of
+:class:`CoalescingSummary`, the locality report and heat map of
 :mod:`repro.profiling.trace_profile`, and the irregularity metrics).
 :func:`coalesce_addresses` is the same rule for one op at a time, the
 reference the pass is tested against.
@@ -25,13 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Dict, NamedTuple
 
 import numpy as np
 
 from ..core.classifier import ClassificationResult
-from ..emulator.columnar import _PC_SHIFT, COLUMNS, SPACE_CODES
+from ..emulator.columnar import _PC_SHIFT, SPACE_CODES
 from .config import LINE_BYTES
 from .stats import CLASS_LABELS, class_label
 
@@ -82,30 +83,27 @@ class CoalescedOps(NamedTuple):
     pair_lines: np.ndarray
 
 
-def coalesce_table(table, access_bytes, line_size=LINE_BYTES, keep=None):
-    """Coalesce a table of memory ops: the one (op, line) pass behind
-    every trace profile and the timing model.
+def coalesce_table(launch, keep, line_size=LINE_BYTES):
+    """Coalesce the memory ops of a sealed launch: the one (op, line)
+    pass behind every trace profile and the timing model.
 
-    ``table`` is a
-    :meth:`~repro.emulator.columnar.ColumnarLaunchTrace.memory_table`
-    dict: per-op ``pc`` and ``acount`` columns and the op-ordered
-    ``addrs`` they count into; every op counts, or those of the boolean
-    row mask ``keep``.  ``access_bytes`` holds each instruction's
-    per-lane width, indexed by ``pc >> _PC_SHIFT``
-    (:attr:`~repro.emulator.columnar.ColumnarLaunchTrace.access_bytes`).
-    Like :func:`coalesce_addresses`, an access that crosses a line
-    boundary touches both lines.
+    ``launch`` is a
+    :class:`~repro.emulator.columnar.ColumnarLaunchTrace`; the ops
+    counted are the rows of its columns that the boolean row mask
+    ``keep`` selects, each access ``launch.access_bytes`` wide for its
+    instruction.  Like :func:`coalesce_addresses`, an access that
+    crosses a line boundary touches both lines.
     """
-    counts, addrs = table["acount"], table["addrs"]
-    rows = np.arange(len(counts)) if keep is None else np.flatnonzero(keep)
-    if keep is not None:
-        addrs = addrs[np.repeat(keep, counts)]
+    counts = launch.acount
+    rows = np.flatnonzero(keep)
+    addrs = launch.addrs[np.repeat(keep, counts)]
     lanes = counts[rows].astype(np.int64)
     op = np.repeat(np.arange(len(rows), dtype=np.int64), lanes)
     line = addrs // line_size
     # only an access that starts less than the widest width before its
     # line's end can cross it; those few are checked against their width
-    width = access_bytes[table["pc"][rows] >> _PC_SHIFT].astype(np.uint64)
+    width = launch.access_bytes[launch.pc[rows] >> _PC_SHIFT].astype(
+        np.uint64)
     offset = addrs % line_size
     near = np.flatnonzero(offset + int(width.max(initial=0)) > line_size)
     near_width = width[op[near]]
@@ -140,32 +138,21 @@ def _distinct(op, value, n_ops):
 
 class MemoryPlan:
     """A launch's ops as the timing model's LD/ST unit reads them, from
-    one pass over the launch before it replays.  Row ``base[warp] + i``
-    is op ``i`` of that warp's trace.  Per row: the op's ``kind`` code,
-    its recorded lane accesses ``lanes``, its LD/ST ``port`` cycles (a
-    shared access: the worst bank's count of distinct words, as lanes
-    reading one word share a broadcast; else 1) and, for a global,
-    local or tex op, its distinct L1 blocks (:meth:`requests`).
+    one pass over the sealed launch's columns before it replays.  Row
+    ``warp.base + i`` is op ``i`` of that warp's trace.  Per row: the
+    op's ``kind`` code, its recorded lane accesses ``lanes``, its LD/ST
+    ``port`` cycles (a shared access: the worst bank's count of distinct
+    words, as lanes reading one word share a broadcast; else 1) and, for
+    a global, local or tex op, its distinct L1 blocks (:meth:`requests`).
     """
 
-    __slots__ = ("base", "kind", "lanes", "port", "_start", "_blocks")
+    __slots__ = ("kind", "lanes", "port", "_start", "_blocks")
 
     def __init__(self, launch, config):
-        warps = launch.seal().warps
-        #: warp trace -> the row of its first op
-        self.base = dict(zip(warps, accumulate(
-            [len(w.pc) for w in warps], initial=0)))
-        # whole-launch columns: a fixed number of array operations per
-        # launch, whatever its warp count
-        pc, kind, counts, addrs = (
-            np.concatenate([getattr(w, name) for w in warps]
-                           + [np.zeros(0, dtype)])
-            for name, dtype in COLUMNS
-            if name in ("pc", "kind", "acount", "addrs"))
-        n = len(pc)
-        ops = coalesce_table({"pc": pc, "acount": counts, "addrs": addrs},
-                             launch.access_bytes, config.l1_line_size,
-                             keep=_L1_KINDS[kind])
+        launch.seal()
+        kind, counts, addrs = launch.kind, launch.acount, launch.addrs
+        n = len(kind)
+        ops = coalesce_table(launch, _L1_KINDS[kind], config.l1_line_size)
         start = np.zeros(n + 1, dtype=np.int64)
         start[ops.rows + 1] = ops.lines
         self._start = memoryview(np.cumsum(start, out=start))

@@ -182,7 +182,7 @@ class _WarpRun:
                  "cta", "trace_done", "entry", "waiting", "bit",
                  "base", "_entries", "_pc")
 
-    def __init__(self, trace, cta, table, plan):
+    def __init__(self, trace, cta, table):
         self.trace = trace
         self.ptr = 0
         self.pending_regs = 0
@@ -190,11 +190,10 @@ class _WarpRun:
         self.waiting = False
         self.bit = 0
         self.cta = cta
-        trace.seal()
         self._entries = table.entries
         # memoryviews index to plain ints, cheaper than numpy scalars
         self._pc = memoryview(trace.pc)
-        self.base = plan.base[trace]
+        self.base = trace.base
         self.n = len(trace.pc)
         self.trace_done = not self.n
         self.entry = self.entry_at(0) if self.n else None
@@ -305,7 +304,7 @@ class SMCore:
         """Make a CTA resident; its warps join the scheduling pool."""
         slot = _CTASlot(cta_id)
         for trace in warp_traces:
-            run = _WarpRun(trace, slot, self.issue_table, self.memory_plan)
+            run = _WarpRun(trace, slot, self.issue_table)
             slot.warps.append(run)
             if not run.trace_done:
                 slot.warps_not_done += 1

@@ -4,12 +4,15 @@ Appending ops, sealing, and reading them back through the read-only
 ``ops`` view is the identity on every field the schema carries
 (instruction identity, active mask, per-lane addresses, stored values —
 byte-exact, including negative signed values, float bit patterns, and
-``.v2``/``.v4`` vector stores).  Chunked production must be invisible
-to consumers, and ``memory_table`` must agree with the record view.
+``.v2``/``.v4`` vector stores).  A sealed launch owns the columns and
+each warp's columns are its rows of them.  Chunked production must be
+invisible to consumers, and ``coalesce_table`` over a kind-column row
+mask must agree with the record view.
 """
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,16 +21,20 @@ from hypothesis import given, settings, strategies as st
 from repro.emulator import MemoryImage, Emulator
 from repro.emulator.columnar import (
     CHUNK_OPS,
+    COLUMNS,
     KIND_NONE,
+    SPACE_CODES,
     ColumnarLaunchTrace,
     decode_value,
     encode_value,
     take_ragged,
 )
 from repro.emulator.grid import LaunchConfig, as_dim3
-from repro.emulator.trace import TraceOp
+from repro.emulator.serialize import load_run, save_run
+from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import Space
+from repro.sim.coalescer import coalesce_addresses, coalesce_table
 
 from tests.traces import build_launch
 
@@ -91,6 +98,27 @@ def _assert_launches_equal(a, b):
         _assert_ops_equal(list(wa.ops), list(wb.ops))
 
 
+def _assert_warps_are_launch_rows(launch):
+    """Each warp's columns are the launch columns cut at its offsets,
+    with per-warp ``astart``/``vstart``."""
+    rows = launch.op_start.tolist()
+    assert rows[0] == 0 and rows[-1] == len(launch.pc)
+    for i, warp in enumerate(launch.warps):
+        lo, hi = rows[i], rows[i + 1]
+        assert warp.base == lo
+        a0, a1 = int(launch.astart[lo]), int(launch.astart[hi])
+        v0, v1 = int(launch.vstart[lo]), int(launch.vstart[hi])
+        for name, _dt in COLUMNS:
+            lo_, hi_ = {"lanes": (a0, a1), "addrs": (a0, a1),
+                        "vals": (v0, v1)}.get(name, (lo, hi))
+            np.testing.assert_array_equal(getattr(warp, name),
+                                          getattr(launch, name)[lo_:hi_])
+        np.testing.assert_array_equal(
+            warp.astart, launch.astart[lo:hi + 1] - a0)
+        np.testing.assert_array_equal(
+            warp.vstart, launch.vstart[lo:hi + 1] - v0)
+
+
 def _rebuilt(launch):
     """``launch`` re-appended op by op from its record view."""
     return build_launch([(w.cta_id, w.warp_id, w.ops) for w in launch.warps],
@@ -101,17 +129,22 @@ def _rebuilt(launch):
 
 
 class TestRoundTrip:
-    def test_emulated_launch_round_trips(self):
+    def test_emulated_launch_round_trips(self, tmp_path):
         col = _emulated_launch()
         back = _rebuilt(col)
         _assert_launches_equal(col, back)
         # the columns themselves agree, not just the record views
-        for wa, wb in zip(col.warps, back.warps):
-            wa.seal(), wb.seal()
-            for name in ("pc", "mask", "kind", "acount", "lanes",
-                         "addrs", "vals"):
-                np.testing.assert_array_equal(getattr(wa, name),
-                                              getattr(wb, name))
+        for name, _dt in COLUMNS:
+            np.testing.assert_array_equal(getattr(col, name),
+                                          getattr(back, name))
+        app = ApplicationTrace("colk")
+        app.add(col)
+        save_run(SimpleNamespace(module=[_test_kernel()], trace=app),
+                 tmp_path / "colk.trace")
+        loaded = load_run(tmp_path / "colk.trace").trace.launches[0]
+        _assert_launches_equal(col, loaded)
+        for launch in (col, back, loaded):
+            _assert_warps_are_launch_rows(launch)
 
     def test_aggregates_match_record_trace(self):
         col = _emulated_launch()
@@ -189,6 +222,15 @@ class TestChunking:
         big = _emulated_launch()
         _assert_launches_equal(big, small)
 
+    def test_seal_moves_every_chunk_into_the_launch(self, monkeypatch):
+        """Sealing copies each warp's chunks into the launch columns and
+        keeps none of them."""
+        monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 3)
+        col = _emulated_launch()
+        assert all(not w._chunks and not w._b_pc for w in col.warps)
+        assert len(col.pc) == sum(len(w) for w in col.warps) > 3
+        _assert_warps_are_launch_rows(col)
+
     def test_iter_chunks_streams_all_ops(self, monkeypatch):
         monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 5)
         col = _emulated_launch()
@@ -202,7 +244,6 @@ class TestChunking:
                 assert len(lanes) == len(addrs) == int(acount.sum())
                 total += len(pc)
                 addr_total += len(addrs)
-            warp.seal()
             assert total == len(warp.pc)
             assert addr_total == len(warp.addrs)
 
@@ -211,41 +252,51 @@ class TestChunking:
         streamed = [[np.concatenate(arrs) for arrs in zip(*w.iter_chunks())]
                     for w in col.seal().warps if len(w.pc)]
         for w, cols in zip([w for w in col.warps if len(w.pc)], streamed):
-            np.testing.assert_array_equal(cols[0], w.pc)
-            np.testing.assert_array_equal(cols[5], w.addrs)
+            for (name, _dt), got in zip(COLUMNS, cols):
+                np.testing.assert_array_equal(got, getattr(w, name))
 
 
 class TestMemoryTable:
+    """The launch's memory ops, picked by a row mask over its ``kind``
+    column, coalesce like the record view's ops one at a time."""
+
     def test_matches_record_iterator(self):
         col = _emulated_launch()
+        kind = col.kind
         for space, loads_only in ((None, False), (Space.GLOBAL, False),
                                   (Space.GLOBAL, True),
                                   (Space.SHARED, False)):
-            table = col.memory_table(space=space, loads_only=loads_only)
+            keep = kind != KIND_NONE
+            if loads_only:
+                keep &= (kind & 3) == 0
+            if space is not None:
+                keep &= (kind >> 2) == SPACE_CODES[space.value]
             expected = [(w_idx, op)
                         for w_idx, w in enumerate(col.warps)
                         for op in w.ops
                         if op.addresses is not None
                         and (not loads_only or op.inst.is_load)
                         and (space is None or op.inst.space is space)]
-            if table is None:
-                assert not expected
-                continue
-            assert len(table["pc"]) == len(expected)
+            assert expected
+            ops = coalesce_table(col, keep)
+            assert len(ops.rows) == len(expected)
             for i, (w_idx, op) in enumerate(expected):
-                assert int(table["warp"][i]) == w_idx
-                assert int(table["pc"][i]) == op.pc
-                lo = int(table["astart"][i])
-                hi = lo + int(table["acount"][i])
-                got = list(zip(table["lanes"][lo:hi].tolist(),
-                               table["addrs"][lo:hi].tolist()))
-                assert got == list(op.addresses)
+                row = int(ops.rows[i])
+                warp = col.warps[w_idx]
+                assert warp.base <= row < warp.base + len(warp.pc)
+                assert int(col.pc[row]) == op.pc
+                assert int(ops.lanes[i]) == len(op.addresses)
+                want = [block // 128 for block in coalesce_addresses(
+                    op.addresses, 128, op.inst.access_bytes)]
+                assert ops.pair_lines[ops.pair_ops == i].tolist() == want
 
-    def test_empty_launch_returns_none(self):
+    def test_empty_launch_coalesces_to_nothing(self):
         config = LaunchConfig(grid=as_dim3((1, 1, 1)),
                               block=as_dim3((32, 1, 1)))
-        col = ColumnarLaunchTrace("empty", config, [])
-        assert col.memory_table() is None
+        col = ColumnarLaunchTrace("empty", config, []).seal()
+        assert len(col.pc) == 0 and col.op_start.tolist() == [0]
+        ops = coalesce_table(col, col.kind != KIND_NONE)
+        assert len(ops.rows) == len(ops.pair_ops) == 0
 
 
 class TestValueCodec:

@@ -1,5 +1,7 @@
 """Tests for trace serialization / trace-driven replay."""
 
+import hashlib
+
 import pytest
 
 from repro.emulator.serialize import FORMAT_VERSION, MAGIC, load_run, save_run
@@ -141,6 +143,37 @@ class TestFormatDetection:
         assert len(loaded.trace) > 0
         assert all(isinstance(launch, ColumnarLaunchTrace)
                    for launch in loaded.trace)
+
+
+class TestPinnedFormat:
+    """``save_run`` bytes are pinned: a container written by an earlier
+    build of schema v3 loads and re-saves to the same bytes.  Together
+    these runs cover multi-launch, store-heavy and ``.v2``/``.v4``
+    vector traces."""
+
+    #: sha256 of ``save_run`` output at scale 0.05, seed 1
+    DIGESTS = {
+        "bfs": "44f0e00114891acfc084efa396d44a17"
+               "6be6eca617f8c7c9936c7221594e4e21",
+        "spmv": "bfb5889b542cda8aa51b0b5e7a87f856"
+                "b72a610c5b45f1dace2bad6dd8a8bafe",
+        "lu": "90595f93fe155ea03722b43b99d86014"
+              "d09b8bdd5a0f06f37d6f19055858a88a",
+        "2mm": "d1fcc0a8deb8c118188dc5a8e38f668e"
+               "3e98899a270807c950e252dccf8a4493",
+    }
+
+    @pytest.mark.parametrize("app", sorted(DIGESTS))
+    def test_bytes_match_the_pinned_digest(self, app, tmp_path):
+        from repro.workloads import get_workload
+
+        path = tmp_path / "run.trace"
+        save_run(get_workload(app, scale=0.05, seed=1).run(), str(path))
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.DIGESTS[app])
+        again = tmp_path / "again.trace"
+        save_run(load_run(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestTruncation:

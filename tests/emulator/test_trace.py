@@ -1,5 +1,6 @@
 """Unit tests for trace containers."""
 
+from repro.emulator.columnar import SPACE_CODES
 from repro.emulator.grid import make_launch
 from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
@@ -58,13 +59,14 @@ class TestLaunchAggregates:
         assert launch.dynamic_counts_by_pc() == {8: 4}
 
     def test_memory_table_space_filter(self):
+        """The launch's kind column tells its global and shared memory
+        ops apart."""
         ops = [TraceOp(make_load(1), 1, ((0, 128),)),
                TraceOp(make_load(2, Space.SHARED), 1, ((0, 0),))]
         launch = launch_with_ops(ops)
-        glob = launch.memory_table(space=Space.GLOBAL)
-        shared = launch.memory_table(space=Space.SHARED)
-        assert len(glob["pc"]) == 4
-        assert len(shared["pc"]) == 4
+        space = launch.kind >> 2
+        assert int((space == SPACE_CODES["global"]).sum()) == 4
+        assert int((space == SPACE_CODES["shared"]).sum()) == 4
 
 
 class TestApplicationTrace:

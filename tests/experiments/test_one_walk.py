@@ -1,9 +1,9 @@
 """One walk of each launch per job stage.
 
 The runner's ``profile`` stage builds the locality report, the heat map
-and the request histograms from one memory table and one coalesced
-table per launch; the metrics bridge and the advisor read them from the
-result and walk the trace no more.  The timing model makes one more
+and the request histograms from one coalesced table per launch; the
+metrics bridge and the advisor read them from the result and walk the
+trace no more.  The timing model makes one more
 walk of each launch it replays: its memory plan, one coalesced table
 over the launch's own columns.
 """
@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.emulator.columnar import ColumnarLaunchTrace, ColumnarWarpTrace
+from repro.emulator.columnar import ColumnarWarpTrace
 from repro.sim import coalescer
 from repro.sim.config import TINY
 from repro.sim.gpu import GPU
@@ -20,11 +20,10 @@ from repro.sim.gpu import GPU
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts of memory-table, coalesced-table and chunk walks, patched
-    wherever a module holds a reference to the original function, and
-    of replayed launches."""
-    counts = {"memory_table": 0, "coalesce_table": 0, "iter_chunks": 0,
-              "run_launch": 0}
+    """Counts of coalesced-table and chunk walks, patched wherever a
+    module holds a reference to the original function, and of replayed
+    launches."""
+    counts = {"coalesce_table": 0, "iter_chunks": 0, "run_launch": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -32,8 +31,7 @@ def walks(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((ColumnarLaunchTrace, "memory_table"),
-                        (ColumnarWarpTrace, "iter_chunks"),
+    for owner, name in ((ColumnarWarpTrace, "iter_chunks"),
                         (GPU, "run_launch")):
         monkeypatch.setattr(owner, name,
                             counting(name, getattr(owner, name)))
@@ -53,8 +51,7 @@ class TestOneWalkPerJob:
         launches = len(result.run.trace)
         assert launches > 1
         # the profile's walk plus the simulation's memory plan
-        assert walks == {"memory_table": launches,
-                         "coalesce_table": 2 * launches, "iter_chunks": 0,
+        assert walks == {"coalesce_table": 2 * launches, "iter_chunks": 0,
                          "run_launch": launches}
 
     def test_advise_reads_the_result(self, walks):
@@ -69,6 +66,6 @@ class TestOneWalkPerJob:
         # each replayed launch plans its memory ops; nothing profiles
         replays = walks["run_launch"]
         assert replays > 0
-        assert walks == {"memory_table": 0, "coalesce_table": replays,
-                         "iter_chunks": 0, "run_launch": replays}
+        assert walks == {"coalesce_table": replays, "iter_chunks": 0,
+                         "run_launch": replays}
         assert report.heatmap is result.heatmap

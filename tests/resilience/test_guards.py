@@ -1,5 +1,5 @@
-"""Resource guards: budget parsing, the RSS watchdog, chunk-cap
-clamping, and the runner's isolation of budget overruns."""
+"""Resource guards: budget parsing, the RSS watchdog, chunk-size
+invariance, and the runner's isolation of budget overruns."""
 
 import pytest
 
@@ -8,11 +8,9 @@ from repro.experiments.runner import ExperimentRunner
 from repro.obs.metrics import isolated_registry
 from repro.resilience.errors import EngineFailure
 from repro.resilience.guards import (
-    ENV_CHUNK_OPS,
     ENV_MAX_RSS,
     MemoryBudgetError,
     check_memory_budget,
-    columnar_chunk_ops,
     current_rss_mb,
     memory_budget_mb,
 )
@@ -67,31 +65,11 @@ class TestWatchdog:
 
 
 class TestChunkCap:
-    def test_unset_keeps_the_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_CHUNK_OPS, raising=False)
-        assert columnar_chunk_ops(4096) == 4096
-
-    def test_can_lower_never_raise(self, monkeypatch):
-        monkeypatch.setenv(ENV_CHUNK_OPS, "64")
-        assert columnar_chunk_ops(4096) == 64
-        monkeypatch.setenv(ENV_CHUNK_OPS, "1000000")
-        assert columnar_chunk_ops(4096) == 4096
-
-    def test_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv(ENV_CHUNK_OPS, "0")
-        assert columnar_chunk_ops(4096) == 1
-
-    def test_garbage_is_an_error(self, monkeypatch):
-        monkeypatch.setenv(ENV_CHUNK_OPS, "tiny")
-        with pytest.raises(ValueError, match=ENV_CHUNK_OPS):
-            columnar_chunk_ops(4096)
-
     def test_tiny_chunks_produce_identical_traces(self, monkeypatch,
                                                   tmp_path):
-        """The cap bounds staging memory, never results."""
-        monkeypatch.delenv(ENV_CHUNK_OPS, raising=False)
+        """The chunk size bounds staging memory, never results."""
         baseline = get_workload("2mm", scale=SCALE).run(verify=False)
-        monkeypatch.setenv(ENV_CHUNK_OPS, "7")
+        monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 7)
         tiny = get_workload("2mm", scale=SCALE).run(verify=False)
         save_run(baseline, tmp_path / "baseline.trace")
         save_run(tiny, tmp_path / "tiny.trace")

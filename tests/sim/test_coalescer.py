@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.emulator.columnar import KIND_NONE
 from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.profiling.irregularity import measure_irregularity
 from repro.profiling.trace_profile import profile_trace
@@ -110,8 +111,7 @@ class TestOneCoalescingRule:
         launch = build_launch([(0, 0, [
             TraceOp(insts[v], (1 << len(addrs)) - 1, tuple(enumerate(addrs)))
             for v, addrs in ops])])
-        got = coalesce_table(launch.memory_table(), launch.access_bytes,
-                             line_size=line_size)
+        got = coalesce_table(launch, launch.kind != KIND_NONE, line_size)
         assert got.rows.tolist() == list(range(len(ops)))
         for i, (v, addrs) in enumerate(ops):
             want = [block // line_size for block in coalesce_addresses(

@@ -115,7 +115,7 @@ class TestWorkloads:
             plan = MemoryPlan(launch, TINY)
             row = 0
             for warp in launch.warps:
-                assert plan.base[warp] == row
+                assert warp.base == row
                 for op in warp.ops:
                     assert plan.lanes[row] == len(op.addresses or ())
                     row += 1
@@ -227,7 +227,7 @@ class TestHandBuilt:
         inst = ld(Space.GLOBAL)
         launch = build_launch([(0, 0, [TraceOp(inst, 1)])])
         plan = MemoryPlan(launch, TINY)
-        assert plan.base[launch.warps[0]] == 0
+        assert launch.warps[0].base == 0
         assert plan.requests(0) == []
         assert plan.lanes[0] == 0
         assert plan.port[0] == 1

@@ -38,5 +38,5 @@ def build_launch(warps, config=None, kernel_name="k", shared_size=0,
         warp = launch.new_warp(cta, warp_id)
         for op in ops:
             warp.append(op.inst, op.active_mask, op.addresses, op.values)
-        launch.warps.append(warp.seal())
-    return launch
+        launch.warps.append(warp)
+    return launch.seal()
