@@ -352,7 +352,9 @@ class ColumnarLaunchTrace:
         self.config = config
         self.shared_size = shared_size
         self.warps: List[ColumnarWarpTrace] = []
-        insts = list(instructions)
+        # the kernel's own list, shared by every launch of the kernel
+        insts = (instructions if isinstance(instructions, list)
+                 else list(instructions))
         for i, inst in enumerate(insts):
             if inst.pc != i * PC_STRIDE:
                 raise ValueError(
@@ -393,6 +395,8 @@ class ColumnarLaunchTrace:
 
     @property
     def instructions(self):
+        """The kernel's instruction list; every launch of one kernel
+        object shares it."""
         return self._insts
 
     def new_warp(self, cta_id, warp_id):

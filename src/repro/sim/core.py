@@ -18,17 +18,26 @@ cycle-level model of one streaming multiprocessor:
 * a private L1 data cache (tags + MSHRs, write-through / write-evict),
 * CTA slots with ``bar.sync`` barrier tracking.
 
-The issue stage works on integers.  Each kernel is decoded once per
-launch into an :class:`IssueTable`: per instruction, its issue kind and
-its register hazards (reads and writes) and writes as bitmasks.  A
-warp's scoreboard is one int mask of pending destination registers, and
-write-back clears an instruction's write mask from it.  The scheduler
-scans only its *candidates*, an int mask over :attr:`SMCore.warps`: a
-warp leaves it when it drains its trace, arrives at a barrier or fails
-the scoreboard check, and the barrier release or the write-back that
-clears its hazard puts it back.  The candidates still standing after a
-cycle that issued nothing, and the scoreboard-waiting and live warps
-behind them, give that cycle's stall reason.
+The issue stage works on integers.  Each kernel is decoded once into an
+:class:`IssueTable`: per instruction, its issue kind and its register
+hazards (reads and writes) and writes as bitmasks.  A warp's scoreboard
+is one int mask of pending destination registers, and write-back clears
+an instruction's write mask from it.  The scheduler keeps int masks over
+:attr:`SMCore.warps`.  The *candidates* are the live warps neither at a
+barrier nor waiting on the scoreboard, and every candidate is
+scoreboard-ready: hazards are marked eagerly, when a warp's next
+instruction becomes current (after it issues, or when a barrier
+releases it), and the write-back that clears the hazard makes the warp
+a candidate again.  A warp at a barrier is marked only at its release:
+a write-back would otherwise hand it back to the scheduler.  One mask
+per issue kind holds the live warps whose current instruction is of
+that kind, so an issue pass takes the candidates, drops the SP or SFU
+warps while that pipe is busy and the memory warps while the LD/ST
+queue is full, and issues the first warp of what is left in scheduler
+order: one bit pick per issued instruction, no scan.  After a cycle
+that issued nothing, the candidates left (all blocked on a unit), the
+scoreboard-waiting warps and the live warps give that cycle's stall
+reason.
 
 The GPU ticks an SM only when it is due (:attr:`SMCore.wake_at`).  After
 a cycle in which the SM popped no event, issued nothing, ran no prefetch
@@ -168,19 +177,19 @@ class IssueTable:
 class _WarpRun:
     """One resident warp replaying its trace.
 
-    The warp's pc column is replayed straight off its trace;
-    :attr:`entry` caches the :class:`IssueTable` entry at the issue
-    pointer, and the op at trace position ``i`` is row ``base + i`` of
-    the launch's :class:`MemoryPlan`.  ``pending_regs`` is the
-    scoreboard: a bitmask of the destination registers of issued, not
-    yet written-back instructions.  ``waiting`` marks a warp that failed
-    the scoreboard check and waits for a write-back; ``bit`` is its
-    place in the SM's warp masks.
+    The warp's pc column (:attr:`pcs`) is replayed straight off its
+    trace; :attr:`entry` caches the :class:`IssueTable` entry at the
+    issue pointer, and the op at trace position ``i`` is row
+    ``base + i`` of the launch's :class:`MemoryPlan`.  ``pending_regs``
+    is the scoreboard: a bitmask of the destination registers of issued,
+    not yet written-back instructions.  ``waiting`` marks a warp whose
+    current instruction has a pending register and that waits for a
+    write-back; ``bit`` is its place in the SM's warp masks.
     """
 
     __slots__ = ("trace", "ptr", "n", "pending_regs", "at_barrier",
                  "cta", "trace_done", "entry", "waiting", "bit",
-                 "base", "_entries", "_pc")
+                 "base", "pcs")
 
     def __init__(self, trace, cta, table):
         self.trace = trace
@@ -190,17 +199,13 @@ class _WarpRun:
         self.waiting = False
         self.bit = 0
         self.cta = cta
-        self._entries = table.entries
         # memoryviews index to plain ints, cheaper than numpy scalars
-        self._pc = memoryview(trace.pc)
+        self.pcs = memoryview(trace.pc)
         self.base = trace.base
         self.n = len(trace.pc)
         self.trace_done = not self.n
-        self.entry = self.entry_at(0) if self.n else None
-
-    def entry_at(self, idx):
-        """The issue-table entry of the op at trace position ``idx``."""
-        return self._entries[self._pc[idx] >> _PC_SHIFT]
+        self.entry = (table.entries[self.pcs[0] >> _PC_SHIFT]
+                      if self.n else None)
 
 
 class _CTASlot:
@@ -258,13 +263,16 @@ class SMCore:
         self._rr = 0
         self._gto = config.warp_scheduler == "gto"
         self._greedy: Optional[_WarpRun] = None  # gto scheduler state
-        # warp masks, bit i standing for self.warps[i]: the scan's
-        # candidates, the warps waiting on the scoreboard and the warps
-        # whose trace is not done; rebuilt from the warps' flags when
-        # self.warps changes (``_dirty``) and kept up to date in between
+        # warp masks, bit i standing for self.warps[i]: the candidates
+        # (all scoreboard-ready), the warps waiting on the scoreboard,
+        # the warps whose trace is not done and, per issue kind, the
+        # live warps whose current instruction is of that kind; rebuilt
+        # from the warps' flags when self.warps changes (``_dirty``) and
+        # kept up to date in between
         self._ready = 0
         self._waiting = 0
         self._live = 0
+        self._kinds = [0] * (ISSUE_MEMORY + 1)
         self._dirty = False
         # per pipeline (indexed by ISSUE_SP / ISSUE_SFU): the cycle it
         # accepts its next instruction, and its (initiation interval,
@@ -274,6 +282,8 @@ class SMCore:
                         "sp"),
                        (config.sfu_initiation_interval, config.sfu_latency,
                         "sfu"))
+        # (time, seq, kind, payload, writes): an SP/SFU write-back
+        # ("wb") carries its warp and written registers flat
         self._events: List = []
         self._seq = count()
         #: the next cycle this SM must tick; ``inf`` while nothing but an
@@ -489,21 +499,31 @@ class SMCore:
                 "warps": warps}
 
     def _pop_events(self, now):
-        while self._events and self._events[0][0] <= now:
-            _t, _s, kind, payload = heapq.heappop(self._events)
+        events = self._events
+        while events and events[0][0] <= now:
+            _t, _s, kind, payload, writes = heapq.heappop(events)
             if kind == "wb":
-                warp, dests = payload
-                self._writeback(warp, dests)
-                warp.cta.outstanding -= 1
-                if warp.cta.finished:
-                    self._retire_cta(warp.cta)
+                # an SP/SFU result: :meth:`_writeback` inlined, since
+                # this is the most frequent event
+                warp = payload
+                pending = warp.pending_regs & ~writes
+                warp.pending_regs = pending
+                if warp.waiting and not pending & warp.entry[1]:
+                    warp.waiting = False
+                    self._waiting ^= warp.bit
+                    self._ready |= warp.bit
+                cta = warp.cta
+                cta.outstanding -= 1
+                if not cta.outstanding and not cta.warps_not_done:
+                    self._retire_cta(cta)
             elif kind == "hit":
                 self._complete_request(payload, now)
             elif kind == "fixed":
                 self._finish_inflight(payload, now)
 
     def _schedule(self, time, kind, payload):
-        heapq.heappush(self._events, (time, next(self._seq), kind, payload))
+        heapq.heappush(self._events,
+                       (time, next(self._seq), kind, payload, 0))
 
     # -- LD/ST unit ---------------------------------------------------------------------
 
@@ -585,17 +605,20 @@ class SMCore:
         """Recompute the warp masks from the warps' flags after
         :attr:`warps` changed."""
         ready = waiting = live = 0
+        kinds = [0] * len(self._kinds)
         bit = 1
         for warp in self.warps:
             warp.bit = bit
             if not warp.trace_done:
                 live |= bit
+                kinds[warp.entry[0]] |= bit
                 if warp.waiting:
                     waiting |= bit
                 elif not warp.at_barrier:
                     ready |= bit
             bit <<= 1
         self._ready, self._waiting, self._live = ready, waiting, live
+        self._kinds = kinds
         self._dirty = False
 
     def _writeback(self, warp, writes):
@@ -609,92 +632,111 @@ class SMCore:
             self._ready |= warp.bit
 
     def _wake(self, released):
-        """Barrier-released warps are candidates again."""
+        """Barrier-released warps are candidates again, or wait on the
+        scoreboard when their current instruction has a hazard."""
         for warp in released:
-            if not warp.trace_done:
+            if warp.trace_done:
+                continue
+            if warp.pending_regs & warp.entry[1]:
+                warp.waiting = True
+                self._waiting |= warp.bit
+            else:
                 self._ready |= warp.bit
 
     def _issue(self, now):
         """Issue up to ``issue_width`` instructions; returns whether any
         issued.
 
-        Each pass visits the candidates in scheduler order — ``lrr``
-        (the paper's baseline) from the warp after the last issuer,
-        ``gto`` the greedy warp first and then the oldest (:attr:`warps`
-        is in age order) — and issues the first one its scoreboard and
-        functional unit allow.  A warp that fails the scoreboard leaves
-        the candidates; one whose unit is busy is only skipped.
+        Every candidate is scoreboard-ready, so a pass only drops the
+        warps whose unit cannot take their instruction this cycle — the
+        SP or SFU warps while that pipe is busy, the memory warps while
+        the LD/ST queue is full — and issues the first warp left in
+        scheduler order: ``lrr`` (the paper's baseline) from the warp
+        after the last issuer, ``gto`` the greedy warp first and then the
+        oldest (:attr:`warps` is in age order).  The issuer's next
+        instruction then becomes current, moving the warp between the
+        per-kind masks and, when a register it names is pending, from
+        the candidates to the scoreboard-waiting warps.
         """
         if not self.warps or not (self._ready or self._dirty):
             return False   # no warp can issue: skip the pass
+        config = self.config
+        busy_until = self._busy_until
         issued = 0
-        while issued < self.config.issue_width:
+        while issued < config.issue_width:
             if self._dirty:
                 self._rebuild_masks()
-            warps = self.warps
+            kinds = self._kinds
             cand = self._ready
+            if busy_until[ISSUE_SP] > now:
+                cand &= ~kinds[ISSUE_SP]
+            if busy_until[ISSUE_SFU] > now:
+                cand &= ~kinds[ISSUE_SFU]
+            if len(self.ldst_queue) >= config.ldst_queue_size:
+                cand &= ~kinds[ISSUE_MEMORY]
+            if not cand:
+                break   # this pass has nothing to issue
+            warps = self.warps
             if self._gto:
-                start, first = 0, self._greedy
-            else:
-                start, first = self._rr % len(warps), None
-            while cand:
-                if first is not None:
-                    warp, bit, first = first, first.bit, None
-                    if not cand & bit:
-                        continue
+                warp = self._greedy
+                if warp is not None and cand & warp.bit:
+                    bit = warp.bit
                 else:
-                    high = cand >> start
-                    bit = (high & -high) << start if high else cand & -cand
-                    warp = warps[bit.bit_length() - 1]
-                cand ^= bit
-                kind, hazard, writes, inst = warp.entry
-                if warp.pending_regs & hazard:
-                    warp.waiting = True
-                    self._ready ^= bit
-                    self._waiting |= bit
-                    continue
-                if kind <= ISSUE_SFU:
-                    busy_until = self._busy_until
-                    if busy_until[kind] > now:
-                        continue
-                    interval, latency, unit = self._pipes[kind]
-                    busy_until[kind] = now + interval
-                    self.stats.unit_busy[unit] += interval
-                    if writes:
-                        # the result's registers are pending until then
-                        warp.pending_regs |= writes
-                        warp.cta.outstanding += 1
-                        self._schedule(now + latency, "wb", (warp, writes))
-                elif kind == ISSUE_MEMORY:
-                    if not self._issue_memory(warp, inst, writes, now):
-                        continue
-                elif kind == ISSUE_BARRIER:
-                    warp.at_barrier = True
-                    self._ready ^= bit
-                    self._wake(warp.cta.check_barrier_release())
-                break
+                    bit = cand & -cand
+                    warp = self._greedy = warps[bit.bit_length() - 1]
             else:
-                return issued > 0  # a whole pass found nothing to issue
-            issued += 1
-            if self._gto:
-                self._greedy = warp
-            else:
+                start = self._rr % len(warps)
+                high = cand >> start
+                bit = (high & -high) << start if high else cand & -cand
+                warp = warps[bit.bit_length() - 1]
                 # loose round-robin: restart after the issued warp
                 self._rr = bit.bit_length() % len(warps)
-            self._advance(warp)
-            if not self.warps:
-                break
+            issued += 1
+            kind, _hazard, writes, inst = warp.entry
+            if kind <= ISSUE_SFU:
+                interval, latency, unit = self._pipes[kind]
+                busy_until[kind] = now + interval
+                self.stats.unit_busy[unit] += interval
+                if writes:
+                    # the result's registers are pending until then
+                    warp.pending_regs |= writes
+                    warp.cta.outstanding += 1
+                    heapq.heappush(self._events, (
+                        now + latency, next(self._seq), "wb", warp, writes))
+            elif kind == ISSUE_MEMORY:
+                self._issue_memory(warp, inst, writes, now)
+            elif kind == ISSUE_BARRIER:
+                warp.at_barrier = True
+                self._ready ^= bit
+                self._wake(warp.cta.check_barrier_release())
+            ptr = warp.ptr = warp.ptr + 1
+            if ptr == warp.n:
+                self._trace_done(warp, kind)
+                if not self.warps:
+                    break
+                continue
+            entry = warp.entry = \
+                self.issue_table.entries[warp.pcs[ptr] >> _PC_SHIFT]
+            if entry[0] != kind:
+                kinds[kind] ^= bit
+                kinds[entry[0]] |= bit
+            if warp.pending_regs & entry[1] and not warp.at_barrier:
+                # mark the hazard now, so every candidate is ready
+                warp.waiting = True
+                self._ready ^= bit
+                self._waiting |= bit
+        if not issued:
+            return False
+        self.stats.issued_warp_insts += issued
         return True
 
-    def _advance(self, warp):
-        warp.ptr += 1
-        self.stats.issued_warp_insts += 1
-        if warp.ptr < warp.n:
-            warp.entry = warp.entry_at(warp.ptr)
-            return
+    def _trace_done(self, warp, kind):
+        """``warp`` issued its last instruction, of issue ``kind``."""
         warp.trace_done = True
-        self._ready &= ~warp.bit
-        self._live &= ~warp.bit
+        bit = warp.bit
+        self._ready &= ~bit
+        self._live ^= bit
+        self._kinds[kind] ^= bit
         cta = warp.cta
         cta.warps_not_done -= 1
         self._wake(cta.check_barrier_release())
@@ -702,8 +744,8 @@ class SMCore:
             self._retire_cta(cta)
 
     def _issue_memory(self, warp, inst, writes, now):
-        if len(self.ldst_queue) >= self.config.ldst_queue_size:
-            return False
+        """Queue the memory instruction ``warp`` issues at the LD/ST unit
+        (the issue stage checked that the queue has room)."""
         plan = self.memory_plan
         row = warp.base + warp.ptr
         space = inst.space
@@ -755,7 +797,6 @@ class SMCore:
         warp.pending_regs |= inflight.dests
         warp.cta.outstanding += 1
         self.ldst_queue.append(inflight)
-        return True
 
     # -- prefetcher (Section X.A extension) --------------------------------
 
@@ -785,7 +826,7 @@ class SMCore:
                 warp.ptr + 1 + self.config.prefetch_lookahead, warp.n)):
             if plan.kind[warp.base + idx] == KIND_NONE:
                 continue
-            future = warp.entry_at(idx)[3]
+            future = self.issue_table.entries[warp.pcs[idx] >> _PC_SHIFT][3]
             if future.is_global_load \
                     and self.pc_classes.get(future.pc) == "N":
                 for block in plan.requests(warp.base + idx):

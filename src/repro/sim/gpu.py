@@ -33,7 +33,7 @@ change again: the loop raises a deadlock :class:`SimulationError`.
 from __future__ import annotations
 
 from math import inf
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..obs import tracing
 from .coalescer import MemoryPlan, pc_class_map
@@ -120,6 +120,9 @@ class GPU:
                            partition_map=self.partition_of)
                     for i in range(config.num_sms)]
         self._scheduler = None
+        #: ``id(instructions) -> (instructions, IssueTable)``: one decode
+        #: per kernel; holding the list keeps its id from being reused
+        self._issue_tables: Dict[int, Tuple[list, IssueTable]] = {}
         #: CTAs of the running launch not yet finished, resident or not
         self._ctas_left = 0
         self._cta_traces: Dict[int, List] = {}
@@ -158,7 +161,12 @@ class GPU:
             tallied under the ``"other"`` class.
         """
         pc_classes = pc_class_map(classification)
-        issue_table = IssueTable(launch_trace.instructions)
+        insts = launch_trace.instructions
+        cached = self._issue_tables.get(id(insts))
+        if cached is None:
+            cached = self._issue_tables[id(insts)] = (
+                insts, IssueTable(insts))
+        issue_table = cached[1]
         memory_plan = MemoryPlan(launch_trace, self.config)
         for sm in self.sms:
             sm.kernel_name = launch_trace.kernel_name

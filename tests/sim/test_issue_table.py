@@ -4,8 +4,10 @@ workload."""
 
 import pytest
 
+from repro.emulator.columnar import ColumnarLaunchTrace
 from repro.ptx import parse_module
 from repro.ptx.isa import PC_STRIDE, Unit
+from repro.sim import GPU, TINY
 from repro.sim.core import (
     ISSUE_BARRIER, ISSUE_CTRL, ISSUE_MEMORY, ISSUE_SFU, ISSUE_SP, IssueTable)
 from repro.workloads import get_workload, workload_names
@@ -46,3 +48,22 @@ def test_names_lists_bits_in_order():
     every = (1 << len(table.reg_names)) - 1
     assert table.names(every) == table.reg_names
     assert table.names(0) == []
+
+
+def test_gpu_decodes_each_kernel_once():
+    """Launches of one kernel share its instruction list and so one
+    table; an equal list that is another object gets its own."""
+    run = get_workload("lu", scale=0.05).run(verify=False)
+    gpu = GPU(TINY)
+    tables = {}
+    for launch in run.trace:
+        gpu.run_launch(launch, run.classifications[launch.kernel_name])
+        tables.setdefault(launch.kernel_name, set()).add(
+            id(gpu.sms[0].issue_table))
+    assert len(tables) > 1
+    assert all(len(ids) == 1 for ids in tables.values())
+    launch = next(iter(run.trace))
+    copy = ColumnarLaunchTrace(launch.kernel_name, launch.config,
+                               tuple(launch.instructions))
+    gpu.run_launch(copy.seal())
+    assert id(gpu.sms[0].issue_table) not in tables[launch.kernel_name]

@@ -52,14 +52,12 @@ def replay(launches, config, monkeypatch, classifications=None):
 
     def issue_spy(sm, warp, inst, writes, now):
         before = len(recorded)
-        if not issue(sm, warp, inst, writes, now):
-            return False
+        issue(sm, warp, inst, writes, now)
         inflight = sm.ldst_queue[-1]
         issued.append((warp.trace.ops[warp.ptr],
                        [req.block_addr for req in inflight.pending],
                        recorded[-1] if len(recorded) > before else None,
                        inflight.port_cycles))
-        return True
 
     monkeypatch.setattr(SMCore, "_issue_memory", issue_spy)
     monkeypatch.setattr(SimStats, "record_coalescing", record_spy)
