@@ -30,6 +30,12 @@ from ..ptx.module import Kernel
 from .defuse import ENTRY, ReachingDefs
 from .provenance import LoadClass, Provenance
 
+_BOTTOM = int(Provenance.BOTTOM)
+_PARAM = int(Provenance.PARAM)
+_DATA = int(Provenance.DATA)
+_ENTRY = int(Provenance.ENTRY)
+_NO_TAINT: FrozenSet[int] = frozenset()
+
 
 @dataclass(frozen=True)
 class ClassifiedLoad:
@@ -102,40 +108,41 @@ class LoadClassifier:
         self.kernel = kernel
         self.cfg = cfg if cfg is not None else CFG(kernel)
         self.defuse = ReachingDefs(kernel, self.cfg)
-        self._def_prov: List[Provenance] = []
+        self._def_prov: List[int] = []
         self._def_taint: List[FrozenSet[int]] = []
         self._solved = False
 
     # -- provenance fixpoint --------------------------------------------------
 
     def _initial_def_provenance(self, inst):
-        """Provenance of the value defined by ``inst`` if it is a root,
-        else :attr:`Provenance.BOTTOM` (to be computed from sources)."""
+        """Provenance bits of the value defined by ``inst`` if it is a
+        root, else :attr:`Provenance.BOTTOM` (computed from sources)."""
         if inst.is_load:
             if inst.space in (Space.PARAM, Space.CONST):
-                return Provenance.PARAM
-            return Provenance.DATA
+                return _PARAM
+            return _DATA
         if inst.is_atomic:
-            return Provenance.DATA
-        return Provenance.BOTTOM
+            return _DATA
+        return _BOTTOM
 
     def _operand_provenance(self, inst_index, operand):
-        """Provenance + taint sources contributed by one source operand."""
-        if isinstance(operand, (Imm, Sym)):
-            return Provenance.PARAM, frozenset()
-        if isinstance(operand, SReg):
-            return Provenance.PARAM, frozenset()
+        """Provenance bits + taint sources contributed by one source
+        operand.  Bits are joined as plain ints (a bitwise OR)."""
+        if isinstance(operand, (Imm, Sym, SReg)):
+            return _PARAM, _NO_TAINT
         if isinstance(operand, MemRef):
             return self._operand_provenance(inst_index, operand.base)
         # a general-purpose register: join over reaching definitions
-        prov = Provenance.BOTTOM
-        taint: FrozenSet[int] = frozenset()
+        prov = _BOTTOM
+        taint = _NO_TAINT
+        def_prov, def_taint = self._def_prov, self._def_taint
         for def_index in self.defuse.reaching(inst_index, operand):
             if def_index == ENTRY:
-                prov = prov.join(Provenance.ENTRY)
+                prov |= _ENTRY
             else:
-                prov = prov.join(self._def_prov[def_index])
-                taint = taint | self._def_taint[def_index]
+                prov |= def_prov[def_index]
+                if def_taint[def_index]:
+                    taint = taint | def_taint[def_index]
         return prov, taint
 
     def _solve(self):
@@ -144,27 +151,27 @@ class LoadClassifier:
         insts = self.kernel.instructions
         self._def_prov = [self._initial_def_provenance(i) for i in insts]
         self._def_taint = [
-            frozenset((idx,)) if self._def_prov[idx] is Provenance.DATA
-            else frozenset()
+            frozenset((idx,)) if self._def_prov[idx] == _DATA
+            else _NO_TAINT
             for idx in range(len(insts))
         ]
-        roots = {idx for idx in range(len(insts))
-                 if self._def_prov[idx] is not Provenance.BOTTOM}
+        # the definitions that are not roots: each joins its sources
+        derived = [(idx, inst) for idx, inst in enumerate(insts)
+                   if self._def_prov[idx] == _BOTTOM
+                   and inst.write_reg_names]
 
         changed = True
         while changed:
             changed = False
-            for idx, inst in enumerate(insts):
-                if idx in roots or not inst.writes():
-                    continue
-                prov = Provenance.BOTTOM
-                taint: FrozenSet[int] = frozenset()
+            for idx, inst in derived:
+                prov = _BOTTOM
+                taint = _NO_TAINT
                 for src in inst.srcs:
                     p, t = self._operand_provenance(idx, src)
-                    prov = prov.join(p)
+                    prov |= p
                     taint = taint | t
                 if not inst.srcs:
-                    prov = Provenance.PARAM
+                    prov = _PARAM
                 if prov != self._def_prov[idx] or taint != self._def_taint[idx]:
                     self._def_prov[idx] = prov
                     self._def_taint[idx] = taint
@@ -182,7 +189,8 @@ class LoadClassifier:
         if ref is None:
             raise ValueError("instruction at index %d is not a memory op"
                              % inst_index)
-        return self._operand_provenance(inst_index, ref.base)
+        prov, taint = self._operand_provenance(inst_index, ref.base)
+        return Provenance(prov), taint
 
     def classify(self):
         """Classify every global load; returns a :class:`ClassificationResult`."""

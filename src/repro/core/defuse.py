@@ -37,20 +37,21 @@ class ReachingDefs:
         self.cfg = cfg if cfg is not None else CFG(kernel)
         self._block_in: List[Dict[str, FrozenSet[int]]] = []
         self._solve()
-        # per-instruction cache filled lazily by :meth:`reaching`
+        # per-instruction states, filled a whole block at a time by
+        # :meth:`reaching`
         self._cache: Dict[int, Dict[str, FrozenSet[int]]] = {}
 
     # -- dataflow ------------------------------------------------------------
 
     def _apply(self, state, inst, index):
         """Apply one instruction's definitions to a mutable state dict."""
-        for reg in inst.writes():
+        for name in inst.write_reg_names:
             if inst.pred is None:
-                state[reg.name] = frozenset((index,))
+                state[name] = frozenset((index,))
             else:
                 # a predicated write may not execute: old defs survive
-                old = state.get(reg.name, _ENTRY_SET)
-                state[reg.name] = old | frozenset((index,))
+                old = state.get(name, _ENTRY_SET)
+                state[name] = old | frozenset((index,))
 
     def _transfer_block(self, in_state, block):
         state = dict(in_state)
@@ -62,11 +63,8 @@ class ReachingDefs:
         """Every register name the kernel mentions."""
         names = set()
         for inst in self.kernel.instructions:
-            for reg in inst.writes():
-                names.add(reg.name)
-            for reg in inst.reads():
-                if isinstance(reg, Reg):
-                    names.add(reg.name)
+            names.update(inst.write_reg_names)
+            names.update(inst.read_reg_names)
         return names
 
     def _solve(self):
@@ -84,17 +82,18 @@ class ReachingDefs:
         while changed:
             changed = False
             for block in blocks:
+                preds = [out_state[p] for p in block.predecessors]
                 if block.index == 0:
-                    merged = dict(entry_in)
                     # a loop back to the entry block also merges its preds
-                    for p in block.predecessors:
-                        for key, defs in out_state[p].items():
-                            merged[key] = merged.get(key, frozenset()) | defs
-                else:
-                    merged = {}
-                    for p in block.predecessors:
-                        for key, defs in out_state[p].items():
-                            merged[key] = merged.get(key, frozenset()) | defs
+                    preds.insert(0, entry_in)
+                merged = dict(preds[0]) if preds else {}
+                for pred in preds[1:]:
+                    for key, defs in pred.items():
+                        old = merged.get(key)
+                        if old is None:
+                            merged[key] = defs
+                        elif old is not defs:
+                            merged[key] = old | defs
                 in_state[block.index] = merged
                 new_out = self._transfer_block(merged, block)
                 if new_out != out_state[block.index]:
@@ -113,14 +112,23 @@ class ReachingDefs:
         name = reg.name if isinstance(reg, Reg) else reg
         state = self._cache.get(inst_index)
         if state is None:
-            block = self.cfg.block_of(inst_index)
-            state = dict(self._block_in[block.index])
-            for i in range(block.start, inst_index):
-                self._apply(state, self.kernel.instructions[i], i)
-            self._cache[inst_index] = state
+            self._cache_block(self.cfg.block_of(inst_index))
+            state = self._cache[inst_index]
         return state.get(name, _ENTRY_SET)
+
+    def _cache_block(self, block):
+        """Record the state before each instruction of ``block`` in one
+        forward pass.  Instructions share one state until one of them
+        defines a register; a cached state is never mutated."""
+        insts = self.kernel.instructions
+        state = self._block_in[block.index]
+        for i in range(block.start, block.end):
+            self._cache[i] = state
+            if insts[i].write_reg_names:
+                state = dict(state)
+                self._apply(state, insts[i], i)
 
     def definitions_of(self, reg_name):
         """All instruction indices that write ``reg_name``."""
         return [i for i, inst in enumerate(self.kernel.instructions)
-                if any(w.name == reg_name for w in inst.writes())]
+                if reg_name in inst.write_reg_names]

@@ -1,8 +1,8 @@
 """Functional SIMT emulator: executes PTX-subset kernels, produces traces.
 
 The emulator plays the role of "running the application": it executes every
-thread of a kernel launch functionally (verified against numpy/networkx
-references in the tests) and records warp-level traces with per-lane memory
+thread of a kernel launch functionally (verified against host reference
+implementations) and records warp-level traces with per-lane memory
 addresses.  Those traces feed the timing simulator (:mod:`repro.sim`) and
 the trace-level locality analyses (:mod:`repro.profiling`).
 """

@@ -12,7 +12,7 @@ Executes a kernel launch the way an SM would, minus timing:
   with per-lane effective addresses for memory operations.
 
 The emulator is *functionally correct* — workload tests compare its memory
-state against numpy/networkx reference implementations — and its traces
+state against host reference implementations — and its traces
 drive the timing simulator in :mod:`repro.sim`.
 """
 

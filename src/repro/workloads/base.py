@@ -6,7 +6,7 @@ bundles:
 * PTX-subset source for its kernels,
 * host-side orchestration (input generation, launches, readback — the
   part a CUDA application runs on the CPU),
-* a functional verifier against a numpy/networkx reference, and
+* a functional verifier against a host (numpy or CSR) reference, and
 * Table I metadata (category, data-set description).
 
 ``Workload.run()`` produces a :class:`WorkloadRun`: the parsed module,
@@ -131,7 +131,7 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def verify(self, mem):
         """Assert functional correctness of the final memory state
-        against a numpy / networkx reference implementation."""
+        against a host (numpy or CSR) reference implementation."""
 
     # -- driver --------------------------------------------------------------
 

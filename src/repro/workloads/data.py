@@ -168,18 +168,6 @@ class CSRGraph:
     def degree(self, v):
         return int(self.row_ptr[v + 1] - self.row_ptr[v])
 
-    def to_networkx(self):
-        """Convert to a networkx DiGraph for reference algorithms."""
-        import networkx as nx
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.num_nodes))
-        for v in range(self.num_nodes):
-            lo, hi = self.row_ptr[v], self.row_ptr[v + 1]
-            for j in range(lo, hi):
-                g.add_edge(v, int(self.col_idx[j]),
-                           weight=int(self.weights[j]))
-        return g
-
 
 def rmat_edges(num_nodes, num_edges, seed=7,
                a=0.45, b=0.22, c=0.22):

@@ -5,7 +5,7 @@ kernel the paper's introduction motivates.  Each vertex pulls
 ``rank[u] / degree[u]`` from its in-neighbours — both indexed through
 the loaded edge array, so like bfs the hot loads are non-deterministic.
 The host iterates a fixed number of power-method steps with ping-pong
-rank buffers and verifies against networkx.
+rank buffers and verifies against :func:`pagerank_reference`.
 """
 
 from __future__ import annotations

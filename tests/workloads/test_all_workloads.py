@@ -1,5 +1,5 @@
 """Integration tests: every Table I application runs, verifies against
-its numpy/networkx reference, and classifies as the paper expects."""
+its host reference, and classifies as the paper expects."""
 
 import pytest
 

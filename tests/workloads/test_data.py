@@ -127,12 +127,6 @@ class TestGraphs:
         degrees = np.diff(g.row_ptr)
         assert degrees.max() > 4 * max(1, int(degrees.mean()))
 
-    def test_to_networkx(self):
-        g = rmat_graph(32, avg_degree=3)
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 32
-        assert nxg.number_of_edges() == g.num_edges
-
     @given(st.integers(8, 128), st.integers(1, 8), st.integers(0, 50))
     @settings(max_examples=15, deadline=None)
     def test_rmat_invariants_property(self, nodes, degree, seed):
