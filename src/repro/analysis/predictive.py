@@ -27,11 +27,13 @@ Ordering model (DESIGN.md §14):
   (``st data; membar; atom flag`` → ``atom flag; membar; ld data``)
   therefore stops being a false positive.
 
-The detector consumes each warp's trace chunk-by-chunk via
-``iter_chunks`` — it never materializes the legacy record view — and
-keeps per-element state bounded by (element × interval × warp), so it
-runs inside the ``REPRO_MAX_RSS_MB`` budget on traces whose record
-form would not fit.
+The detector reads each warp's rows straight from the launch columns
+through the walk it shares with the baseline
+(:class:`~repro.analysis.races._LaunchWalk`: barrier intervals, live
+masks, divergent and mismatched barriers, inter-CTA store conflicts).
+It never materializes the legacy record view, keeps per-element state
+bounded by (element × interval × warp), and checks the
+``REPRO_MAX_RSS_MB`` budget once per warp.
 
 Soundness limits: warps are replayed in warp-id order (the emulator's
 deterministic CTA schedule), so release/acquire edges only flow from
@@ -48,23 +50,16 @@ from typing import Dict, List
 
 import numpy as np
 
-from .._bits import lanes_of
-from ..emulator.columnar import (
-    _PC_SHIFT,
-    KIND_NONE,
-    SPACE_CODES,
-    decode_value,
-)
+from ..emulator.columnar import SPACE_CODES, decode_value
 from ..obs import tracing
 from ..obs.metrics import get_registry
 from ..resilience.guards import check_memory_budget
 from .races import (
     RaceKind,
     RaceReport,
-    _check_barrier_mismatch,
-    _elements_per_lane,
     _FindingSink,
     _fmt_value,
+    _LaunchWalk,
     _value_key,
 )
 
@@ -107,7 +102,7 @@ class _CtaState:
     """Accumulated per-CTA detector state (cleared between CTAs)."""
 
     __slots__ = ("cta_id", "elems", "locks", "first_write", "own_write",
-                 "uninit", "bar_counts")
+                 "uninit")
 
     def __init__(self, cta_id):
         self.cta_id = cta_id
@@ -118,7 +113,6 @@ class _CtaState:
         self.first_write: Dict[int, int] = {}     # shared addr -> interval
         self.own_write: Dict[tuple, int] = {}     # (warp, addr) -> order
         self.uninit: List[tuple] = []             # read candidates
-        self.bar_counts: Dict[int, tuple] = {}    # warp -> (bars, last pc)
 
     def note_write(self, addr, interval, warp, order):
         """A shared store/atomic initializes its element."""
@@ -130,27 +124,11 @@ class _CtaState:
             self.own_write[key] = order
 
 
-class _LaunchScan:
-    """Streams one launch through the predictive detector."""
+class _LaunchScan(_LaunchWalk):
+    """Runs one launch through the predictive detector."""
 
     def __init__(self, launch, launch_index, sink):
-        self.launch = launch
-        self.launch_index = launch_index
-        self.sink = sink
-        self.kernel = launch.kernel_name
-        insts = launch.instructions
-        self.insts = insts
-        self.is_exit = np.asarray(
-            [i.is_exit for i in insts] or [False], dtype=np.bool_)
-        self.is_bar = np.asarray(
-            [i.is_barrier for i in insts] or [False], dtype=np.bool_)
-        self.is_fence = np.asarray(
-            [i.opcode == "membar" for i in insts] or [False], dtype=np.bool_)
-        self.vec = np.asarray(
-            [max(i.vector, 1) for i in insts] or [1], dtype=np.int64)
-        # global element -> {value_key: (cta, (warp, lane, vkey, pc))}
-        self.gvalues: Dict[int, dict] = {}
-        self.mem_ops = 0
+        super().__init__(launch, launch_index, sink)
         self.sync_edges = 0
         self.suppressed = 0
 
@@ -232,134 +210,58 @@ class _LaunchScan:
                       "element (atomics only order against other atomics)"
                       % space_name)
 
-    def _intercta_store(self, cta_id, addr, raw, dtype, pc, warp, lane):
-        """The interval detector's differing-value inter-CTA check, fed
-        store-by-store in the same replay order."""
-        vkey = (_value_key(decode_value(raw, dtype), dtype)
-                if raw is not None else None)
-        values = self.gvalues.setdefault(addr, {})
-        for seen_vkey, (seen_cta, seen) in values.items():
-            if seen_vkey == vkey or seen_cta == cta_id:
-                continue
-            self.sink.add(
-                RaceKind.GLOBAL_WRITE_CONFLICT, self.kernel, pc, seen[3],
-                self.launch_index, cta_id, addr,
-                ((seen[0], seen[1]), (warp, lane)), None,
-                "CTAs %d and %d store different values (%s vs %s) to "
-                "one global element"
-                % (seen_cta, cta_id, _fmt_value(seen_vkey),
-                   _fmt_value(vkey)))
-            break
-        if vkey not in values:
-            values[vkey] = (cta_id, (warp, lane, vkey, pc))
+    # -- per-warp scan -----------------------------------------------------
 
-    # -- per-warp streaming ------------------------------------------------
-
-    def _scan_warp(self, warp, cta):
+    def _scan_warp(self, walk, cta):
+        check_memory_budget("predictive race analysis")
+        warp = walk.warp
         u = warp.warp_id
-        live0 = 0
-        for chunk in warp.iter_chunks():
-            if len(chunk[1]):
-                live0 |= int(np.bitwise_or.reduce(chunk[1]))
-        live0 = np.uint32(live0)
+        kinds = warp.kind
+        fence = self.membar[walk.idx]
+        space_of = kinds >> 2  # KIND_NONE lands at 0x3f, outside every code
+        track = (space_of == _SHARED) | (space_of == _GLOBAL)
+        rows = np.flatnonzero(walk.barrier | fence | track)
+        if not len(rows):
+            return
+        vstart = warp.vstart
         # vector clocks: producer warp -> exclusive released order bound
         pending: Dict[int, int] = {}   # acquired, not yet fenced
         eff: Dict[int, int] = {}       # fenced — usable for suppression
         own_release = 0                # orders < this publish at release
-        order_base = 0
-        interval_base = 0
-        carry_exited = np.uint32(0)
-        bars = 0
-        last_bar_pc = None
-        sink = self.sink
-        for pcs, masks, kinds, acounts, lanes, addrs, vals in \
-                warp.iter_chunks():
-            check_memory_budget("predictive race analysis")
-            n = len(pcs)
-            if not n:
+        for i in rows.tolist():
+            if walk.barrier[i]:
+                # the barrier orders everything before it for every
+                # thread; conflicts never span intervals, so the
+                # fine-grained clocks reset
+                pending.clear()
+                eff.clear()
+                own_release = 0
                 continue
-            idx = pcs >> _PC_SHIFT
-            row_exit = self.is_exit[idx]
-            row_bar = self.is_bar[idx]
-            row_fence = self.is_fence[idx]
-            exited = np.where(row_exit, masks, np.uint32(0))
-            np.bitwise_or.accumulate(exited, out=exited)
-            exited_before = np.empty_like(exited)
-            exited_before[0] = carry_exited
-            exited_before[1:] = exited[:-1] | carry_exited
-            carry_exited = carry_exited | exited[-1]
-            live_at = live0 & ~exited_before
-            interval_of = interval_base + np.cumsum(row_bar) - row_bar
-            mem = kinds != KIND_NONE
-            self.mem_ops += int(mem.sum())
-            space_of = kinds >> 2
-            track = mem & ((space_of == _SHARED) | (space_of == _GLOBAL))
-            rows = np.flatnonzero(row_bar | row_fence | track)
-            if len(rows):
-                astart = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(acounts, out=astart[1:])
-                vcounts = np.where((kinds & 3) == _KIND_ST,
-                                   acounts.astype(np.int64)
-                                   * self.vec[idx], 0)
-                vstart = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(vcounts, out=vstart[1:])
-            for i in rows.tolist():
-                o = order_base + i
-                if row_bar[i]:
-                    bars += 1
-                    pc = int(pcs[i])
-                    last_bar_pc = pc
-                    mask = int(masks[i])
-                    live = int(live_at[i])
-                    if mask != live:
-                        sink.add(
-                            RaceKind.DIVERGENT_BARRIER, self.kernel, pc,
-                            None, self.launch_index, cta.cta_id, None,
-                            _mask_lanes(u, live & ~mask),
-                            int(interval_of[i]),
-                            "bar.sync mask %#010x but %d live lane(s) "
-                            "(%#010x) bypassed it"
-                            % (mask, bin(live & ~mask).count("1"), live))
-                    # the barrier orders everything before it for every
-                    # thread; conflicts never span intervals, so the
-                    # fine-grained clocks reset
-                    pending.clear()
-                    eff.clear()
-                    own_release = 0
-                    continue
-                if row_fence[i]:
-                    for w, b in pending.items():
-                        if eff.get(w, 0) < b:
-                            eff[w] = b
-                    own_release = o
-                    continue
-                k = int(kinds[i])
-                kc = k & 3
-                sp = k >> 2
-                inst = self.insts[int(idx[i])]
-                dtype = inst.dtype
-                width = dtype.nbytes
-                epl = _elements_per_lane(inst)
-                interval = int(interval_of[i])
-                pc = int(pcs[i])
-                lo, hi = int(astart[i]), int(astart[i + 1])
-                row_lanes = lanes[lo:hi].tolist()
-                row_addrs = addrs[lo:hi].tolist()
-                if kc == _KIND_AT:
-                    self._atomic_row(cta, u, o, pc, sp, interval,
-                                     row_lanes, row_addrs, pending, eff,
-                                     own_release)
-                elif kc == _KIND_ST:
-                    bits = vals[int(vstart[i]):int(vstart[i + 1])].tolist()
-                    self._store_row(cta, u, o, pc, sp, interval, width,
-                                    epl, row_lanes, row_addrs, bits,
-                                    dtype, eff)
-                else:
-                    self._load_row(cta, u, o, pc, sp, interval, width,
-                                   epl, row_lanes, row_addrs, eff)
-            order_base += n
-            interval_base += int(row_bar.sum())
-        cta.bar_counts[u] = (bars, last_bar_pc)
+            if fence[i]:
+                for w, b in pending.items():
+                    if eff.get(w, 0) < b:
+                        eff[w] = b
+                own_release = i
+                continue
+            k = int(kinds[i])
+            kc = k & 3
+            sp = k >> 2
+            inst_idx = int(walk.idx[i])
+            dtype = self.insts[inst_idx].dtype
+            width = dtype.nbytes
+            epl = self.elems[inst_idx]
+            pc, interval, row_lanes, row_addrs = walk.row(i)
+            if kc == _KIND_AT:
+                self._atomic_row(cta, u, i, pc, sp, interval,
+                                 row_lanes, row_addrs, pending, eff,
+                                 own_release)
+            elif kc == _KIND_ST:
+                bits = warp.vals[int(vstart[i]):int(vstart[i + 1])].tolist()
+                self._store_row(cta, u, i, pc, sp, interval, width,
+                                epl, row_lanes, row_addrs, bits, dtype, eff)
+            else:
+                self._load_row(cta, u, i, pc, sp, interval, width,
+                               epl, row_lanes, row_addrs, eff)
 
     # -- row handlers -------------------------------------------------------
 
@@ -429,9 +331,6 @@ class _LaunchScan:
                 _update(elem.writes, elem.w_alt, u, cur)
                 if sp == _SHARED:
                     cta.note_write(ea, interval, u, o)
-                else:
-                    self._intercta_store(cta.cta_id, ea, raw, dtype, pc,
-                                         u, lane)
 
     def _load_row(self, cta, u, o, pc, sp, interval, width, epl,
                   row_lanes, row_addrs, eff):
@@ -477,15 +376,10 @@ class _LaunchScan:
     # -- launch driver -------------------------------------------------------
 
     def run(self):
-        by_cta: Dict[int, list] = {}
-        for warp in self.launch.warps:
-            by_cta.setdefault(warp.cta_id, []).append(warp)
-        for cta_id, warps in sorted(by_cta.items()):
+        for cta_id, walks in self.ctas():
             cta = _CtaState(cta_id)
-            for warp in sorted(warps, key=lambda w: w.warp_id):
-                self._scan_warp(warp, cta)
-            _check_barrier_mismatch(self.kernel, self.launch_index,
-                                    cta_id, cta.bar_counts, self.sink)
+            for walk in walks:
+                self._scan_warp(walk, cta)
             # confirm uninit-read candidates against the CTA-complete
             # first-write map (a later warp can initialize earlier
             # intervals than the reader saw mid-stream)
@@ -498,10 +392,6 @@ class _LaunchScan:
                     self.launch_index, cta_id, ea, ((w, lane),), interval,
                     "shared element read before any happens-before-"
                     "ordered write")
-
-
-def _mask_lanes(warp_id, mask, limit=4):
-    return tuple((warp_id, lane) for lane in lanes_of(mask)[:limit])
 
 
 def _fmt_bits(raw, dtype):

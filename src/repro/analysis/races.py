@@ -269,95 +269,161 @@ _GLOBAL_CODE = SPACE_CODES["global"]
 _KIND_ST = 1
 
 
-def _replay_warp(warp, sink, kernel_name, launch_index, shared_accesses,
-                 global_stores, insts):
-    """Walk one warp's ops: barrier intervals, live mask, accesses.
+class _WarpWalk:
+    """One warp's rows as both detectors see them.
 
-    Appends shared-space element accesses to ``shared_accesses`` and
-    plain global stores to ``global_stores``; reports divergent
-    barriers directly.  Returns the warp's barrier count, the pc of its
-    last barrier (for mismatch attribution) and its memory-op count.
-
-    Barrier intervals, the live mask, and the interesting-row
-    selections are vectorized over the warp's columns; Python touches
-    only shared accesses, global stores, and flagged barriers — never
-    the (dominant) compute ops.
+    ``idx`` is each row's instruction index, ``barrier`` flags its
+    ``bar.sync`` rows and ``interval_of`` holds its barrier interval
+    (the barriers strictly before it); ``astart`` indexes the warp's
+    ``lanes``/``addrs`` by row.  ``bars`` and ``last_bar_pc`` feed the
+    barrier-mismatch check.  Divergent barriers are reported while
+    walking; everything is vectorized over the warp's columns.
     """
-    masks = warp.mask
-    n = len(masks)
-    if not n:
-        return 0, None, 0
-    idx = warp.pc >> _PC_SHIFT
-    is_exit = np.asarray([i.is_exit for i in insts], dtype=np.bool_)[idx]
-    is_bar = np.asarray([i.is_barrier for i in insts], dtype=np.bool_)[idx]
-    live0 = np.bitwise_or.reduce(masks)
-    # lanes exited strictly before each row; live-at-row follows
-    exited = np.where(is_exit, masks, np.uint32(0))
-    np.bitwise_or.accumulate(exited, out=exited)
-    exited_before = np.empty_like(exited)
-    exited_before[0] = 0
-    exited_before[1:] = exited[:-1]
-    live_at = live0 & ~exited_before
-    # interval = number of barriers strictly before the row
-    interval_of = np.cumsum(is_bar) - is_bar
-    bar_rows = np.flatnonzero(is_bar)
-    bars = len(bar_rows)
-    last_bar_pc = int(warp.pc[bar_rows[-1]]) if bars else None
-    for i in np.flatnonzero(is_bar & (masks != live_at)).tolist():
-        live = int(live_at[i])
-        mask = int(masks[i])
-        sink.add(
-            RaceKind.DIVERGENT_BARRIER, kernel_name, int(warp.pc[i]), None,
-            launch_index, warp.cta_id,
-            None, _mask_lanes(warp.warp_id, live & ~mask),
-            int(interval_of[i]),
-            "bar.sync mask %#010x but %d live lane(s) (%#010x) "
-            "bypassed it" % (mask, bin(live & ~mask).count("1"), live))
 
-    kinds = warp.kind
-    mem_ops = int((kinds != KIND_NONE).sum())
-    space_of = kinds >> 2  # KIND_NONE lands at 0x3f, outside every code
-    astart = warp.astart
-    warp_id = warp.warp_id
-    for i in np.flatnonzero(space_of == _SHARED_CODE).tolist():
-        inst = insts[int(idx[i])]
+    __slots__ = ("warp", "idx", "barrier", "interval_of", "astart",
+                 "bars", "last_bar_pc")
+
+    def __init__(self, warp, launch_walk):
+        self.warp = warp
+        idx = self.idx = warp.pc >> _PC_SHIFT
+        barrier = self.barrier = launch_walk.is_barrier[idx]
+        self.interval_of = np.cumsum(barrier) - barrier
+        self.astart = warp.astart
+        bar_rows = np.flatnonzero(barrier)
+        self.bars = len(bar_rows)
+        self.last_bar_pc = (int(warp.pc[bar_rows[-1]]) if self.bars
+                            else None)
+        if not self.bars:
+            return
+        masks = warp.mask
+        # exited[r]: the lanes that exited strictly before row r
+        exited = np.zeros(len(masks) + 1, dtype=np.uint32)
+        np.bitwise_or.accumulate(
+            np.where(launch_walk.is_exit[idx], masks, np.uint32(0)),
+            out=exited[1:])
+        live_at = np.bitwise_or.reduce(masks) & ~exited[bar_rows]
+        for interval, (row, mask, live) in enumerate(zip(
+                bar_rows.tolist(), masks[bar_rows].tolist(),
+                live_at.tolist())):
+            if mask != live:
+                launch_walk.sink.add(
+                    RaceKind.DIVERGENT_BARRIER, launch_walk.kernel,
+                    int(warp.pc[row]), None, launch_walk.launch_index,
+                    warp.cta_id, None,
+                    _mask_lanes(warp.warp_id, live & ~mask), interval,
+                    "bar.sync mask %#010x but %d live lane(s) (%#010x) "
+                    "bypassed it"
+                    % (mask, bin(live & ~mask).count("1"), live))
+
+    def row(self, i):
+        """``(pc, interval, lanes, addrs)`` of row ``i``, as Python
+        values."""
+        warp = self.warp
+        lo, hi = int(self.astart[i]), int(self.astart[i + 1])
+        return (int(warp.pc[i]), int(self.interval_of[i]),
+                warp.lanes[lo:hi].tolist(), warp.addrs[lo:hi].tolist())
+
+
+class _LaunchWalk:
+    """The part of one launch's analysis both detector modes share.
+
+    Holds the per-instruction flags (indexed by ``pc >> _PC_SHIFT``):
+    ``is_exit``, ``is_barrier``, ``membar`` and ``elems``, the elements
+    one lane moves.  :meth:`ctas` walks every warp once and runs the
+    barrier-mismatch and inter-CTA store checks; ``mem_ops`` counts the
+    rows that recorded accesses.
+    """
+
+    def __init__(self, launch, launch_index, sink):
+        self.launch = launch
+        self.launch_index = launch_index
+        self.sink = sink
+        self.kernel = launch.kernel_name
+        insts = self.insts = launch.instructions
+        self.is_exit = _flags(insts, lambda i: i.is_exit)
+        self.is_barrier = _flags(insts, lambda i: i.is_barrier)
+        self.membar = _flags(insts, lambda i: i.opcode == "membar")
+        self.elems = [_elements_per_lane(inst) for inst in insts]
+        self.mem_ops = 0
+
+    def ctas(self):
+        """Yield ``(cta_id, walks)`` per CTA in id order, one
+        :class:`_WarpWalk` per warp in warp-id order.  Once the caller
+        is done with a CTA its barrier counts are checked; after the
+        last CTA, the launch's plain global stores."""
+        by_cta: Dict[int, list] = {}
+        for warp in self.launch.warps:
+            by_cta.setdefault(warp.cta_id, []).append(warp)
+        stores: List[tuple] = []
+        for cta_id, warps in sorted(by_cta.items()):
+            walks = [_WarpWalk(warp, self)
+                     for warp in sorted(warps, key=lambda w: w.warp_id)]
+            for walk in walks:
+                self.mem_ops += int((walk.warp.kind != KIND_NONE).sum())
+            yield cta_id, walks
+            _check_barrier_mismatch(
+                self.kernel, self.launch_index, cta_id,
+                {w.warp.warp_id: (w.bars, w.last_bar_pc) for w in walks},
+                self.sink)
+            for walk in walks:
+                stores.extend((cta_id, acc)
+                              for acc in self._global_stores(walk))
+        _check_global_conflicts(self.kernel, self.launch_index, stores,
+                                self.sink)
+
+    def _global_stores(self, walk):
+        """The warp's plain global stores, one :class:`_Access` per
+        element, in row order."""
+        warp = walk.warp
+        kinds = warp.kind
+        rows = np.flatnonzero(((kinds >> 2) == _GLOBAL_CODE)
+                              & ((kinds & 3) == _KIND_ST))
+        if not len(rows):
+            return []
+        vstart = warp.vstart
+        out = []
+        for i in rows.tolist():
+            inst_idx = int(walk.idx[i])
+            dtype = self.insts[inst_idx].dtype
+            width = dtype.nbytes
+            elems = self.elems[inst_idx]
+            pc, interval, lanes, addrs = walk.row(i)
+            bits = warp.vals[int(vstart[i]):int(vstart[i + 1])].tolist()
+            for j, (lane, addr) in enumerate(zip(lanes, addrs)):
+                for k in range(elems):
+                    vidx = j * elems + k
+                    vkey = (_value_key(decode_value(bits[vidx], dtype),
+                                       dtype)
+                            if vidx < len(bits) else None)
+                    out.append(_Access(addr + k * width, interval,
+                                       warp.warp_id, lane, pc, "st", i,
+                                       vkey))
+        return out
+
+
+def _flags(insts, test):
+    return np.asarray([test(inst) for inst in insts] or [False],
+                      dtype=np.bool_)
+
+
+def _shared_accesses(walk, launch_walk):
+    """The warp's shared-space element accesses, in row order (the
+    interval detector's input)."""
+    warp = walk.warp
+    out = []
+    for i in np.flatnonzero((warp.kind >> 2) == _SHARED_CODE).tolist():
+        inst_idx = int(walk.idx[i])
+        inst = launch_walk.insts[inst_idx]
         kind = ("st" if inst.is_store
                 else "at" if inst.is_atomic else "ld")
         width = inst.dtype.nbytes
-        elems = _elements_per_lane(inst)
-        interval = int(interval_of[i])
-        pc = int(warp.pc[i])
-        lo, hi = int(astart[i]), int(astart[i + 1])
-        lanes = warp.lanes[lo:hi].tolist()
-        addrs = warp.addrs[lo:hi].tolist()
+        elems = launch_walk.elems[inst_idx]
+        pc, interval, lanes, addrs = walk.row(i)
         for lane, addr in zip(lanes, addrs):
             for k in range(elems):
-                shared_accesses.append(_Access(
-                    addr + k * width, interval, warp_id, lane,
-                    pc, kind, i, None))
-    store_rows = np.flatnonzero((space_of == _GLOBAL_CODE)
-                                & ((kinds & 3) == _KIND_ST))
-    vstart = warp.vstart
-    for i in store_rows.tolist():
-        inst = insts[int(idx[i])]
-        dtype = inst.dtype
-        width = dtype.nbytes
-        elems = _elements_per_lane(inst)
-        interval = int(interval_of[i])
-        pc = int(warp.pc[i])
-        lo, hi = int(astart[i]), int(astart[i + 1])
-        lanes = warp.lanes[lo:hi].tolist()
-        addrs = warp.addrs[lo:hi].tolist()
-        bits = warp.vals[int(vstart[i]):int(vstart[i + 1])].tolist()
-        for j, (lane, addr) in enumerate(zip(lanes, addrs)):
-            for k in range(elems):
-                vidx = j * elems + k
-                vkey = (_value_key(decode_value(bits[vidx], dtype), dtype)
-                        if vidx < len(bits) else None)
-                global_stores.append(_Access(
-                    addr + k * width, interval, warp_id, lane,
-                    pc, "st", i, vkey))
-    return bars, last_bar_pc, mem_ops
+                out.append(_Access(addr + k * width, interval,
+                                   warp.warp_id, lane, pc, kind, i, None))
+    return out
 
 
 def _check_shared_races(kernel_name, launch_index, cta_id, accesses, sink):
@@ -485,31 +551,16 @@ def _fmt_value(value_key):
 def analyze_launch(launch, launch_index, sink):
     """Analyze one :class:`~repro.emulator.columnar.ColumnarLaunchTrace`;
     returns ops examined."""
-    kernel_name = launch.kernel_name
-    by_cta: Dict[int, list] = {}
-    for warp in launch.warps:
-        by_cta.setdefault(warp.cta_id, []).append(warp)
-    ops_checked = 0
-    launch_stores: List[tuple] = []
-    for cta_id, warps in sorted(by_cta.items()):
-        shared_accesses: List[_Access] = []
-        bar_counts: Dict[int, tuple] = {}
-        for warp in sorted(warps, key=lambda w: w.warp_id):
-            global_stores: List[_Access] = []
-            bars, last_bar_pc, mem_ops = _replay_warp(
-                warp, sink, kernel_name, launch_index, shared_accesses,
-                global_stores, launch.instructions)
-            bar_counts[warp.warp_id] = (bars, last_bar_pc)
-            ops_checked += mem_ops
-            launch_stores.extend((cta_id, acc) for acc in global_stores)
-        _check_barrier_mismatch(kernel_name, launch_index, cta_id,
-                                bar_counts, sink)
-        _check_shared_races(kernel_name, launch_index, cta_id,
-                            shared_accesses, sink)
-        _check_uninit_reads(kernel_name, launch_index, cta_id,
-                            shared_accesses, sink)
-    _check_global_conflicts(kernel_name, launch_index, launch_stores, sink)
-    return ops_checked
+    walk = _LaunchWalk(launch, launch_index, sink)
+    for cta_id, warps in walk.ctas():
+        accesses: List[_Access] = []
+        for warp in warps:
+            accesses.extend(_shared_accesses(warp, walk))
+        _check_shared_races(walk.kernel, launch_index, cta_id, accesses,
+                            sink)
+        _check_uninit_reads(walk.kernel, launch_index, cta_id, accesses,
+                            sink)
+    return walk.mem_ops
 
 
 def analyze_trace(trace, classifications=None, app=None, mode="interval"):

@@ -24,12 +24,11 @@ The sealed :class:`ColumnarLaunchTrace` owns one set of these columns,
 its warps' rows one after another in (CTA, warp) order; the on-disk
 container (:mod:`repro.emulator.serialize`) stores exactly these
 arrays.  While a warp runs, its :class:`ColumnarWarpTrace` appends into
-fixed-size producer chunks (:data:`CHUNK_OPS` ops per chunk), so peak
-Python-list overhead is bounded.
-:meth:`ColumnarLaunchTrace.seal` moves every warp's chunks into the
-launch columns, checks the schema invariants once, and gives each warp
-its rows as views with per-warp offsets.  A loaded or rewritten launch
-hands its ready columns to the same ``seal``.
+Python staging lists.  :meth:`ColumnarLaunchTrace.seal` turns every
+warp's lists into arrays, copies those into the launch columns, checks
+the schema invariants once, and gives each warp its rows as views with
+per-warp offsets.  A loaded or rewritten launch hands its ready columns
+to the same ``seal``.
 
 The read-only record view (:attr:`ColumnarWarpTrace.ops`) lazily
 materializes :class:`~repro.emulator.trace.TraceOp` objects from the
@@ -56,11 +55,6 @@ from ..resilience.errors import TraceIntegrityError
 from ..resilience.guards import check_memory_budget
 from .grid import LaunchConfig
 from .trace import TraceOp
-
-#: Ops accumulated per producer chunk before conversion to NumPy
-#: arrays; also the most ops :meth:`ColumnarWarpTrace.iter_chunks`
-#: yields at once.
-CHUNK_OPS = 65536
 
 #: ``kind`` column sentinel for ops that recorded no addresses.
 KIND_NONE = 0xFF
@@ -137,8 +131,8 @@ def take_ragged(flat, starts, counts):
 
 
 class ColumnarWarpTrace:
-    """One warp's ops: a chunked producer while the warp runs, then its
-    rows of the sealed launch's columns, with a lazy record view.
+    """One warp's ops: staging lists while the warp runs, then its rows
+    of the sealed launch's columns, with a lazy record view.
 
     After :meth:`ColumnarLaunchTrace.seal`, ``pc`` ... ``vals`` are
     views of the launch columns, ``base`` is the launch row of the
@@ -148,7 +142,7 @@ class ColumnarWarpTrace:
 
     __slots__ = ("cta_id", "warp_id", "_launch",
                  "_b_pc", "_b_mask", "_b_kind", "_b_acount",
-                 "_b_lane", "_b_addr", "_b_val", "_chunks",
+                 "_b_lane", "_b_addr", "_b_val",
                  "base", "pc", "mask", "kind", "acount",
                  "lanes", "addrs", "vals", "_ops")
 
@@ -163,7 +157,6 @@ class ColumnarWarpTrace:
         self._b_lane: List[int] = []
         self._b_addr: List[int] = []
         self._b_val: List[int] = []
-        self._chunks: List[tuple] = []
         self.base = None  # sealed state (None while building)
         self.pc = None
         self.mask = None
@@ -201,8 +194,6 @@ class ColumnarWarpTrace:
                 else:
                     for v in values:
                         vals.append(int(v) & _U64_MASK)
-        if len(self._b_pc) >= self._launch._chunk_ops:
-            self._flush()
 
     def append_run(self, pcs, active_mask):
         """Append consecutive address-less ops sharing one mask (the
@@ -212,8 +203,6 @@ class ColumnarWarpTrace:
         self._b_mask.extend([active_mask] * n)
         self._b_kind.extend([KIND_NONE] * n)
         self._b_acount.extend([0] * n)
-        if len(self._b_pc) >= self._launch._chunk_ops:
-            self._flush()
 
     def append_memory(self, pc, active_mask, kind, lanes, addrs,
                       enc_values=None):
@@ -227,12 +216,12 @@ class ColumnarWarpTrace:
         self._b_addr.extend(addrs)
         if enc_values is not None:
             self._b_val.extend(enc_values)
-        if len(self._b_pc) >= self._launch._chunk_ops:
-            self._flush()
 
-    def _flush(self):
+    def _take_staged(self):
+        """The staging lists as the seven column arrays; the lists are
+        cleared."""
         check_memory_budget("columnar trace production")
-        self._chunks.append((
+        arrays = (
             np.asarray(self._b_pc, dtype=np.uint32),
             np.asarray(self._b_mask, dtype=np.uint32),
             np.asarray(self._b_kind, dtype=np.uint8),
@@ -240,7 +229,7 @@ class ColumnarWarpTrace:
             np.asarray(self._b_lane, dtype=np.uint8),
             np.asarray(self._b_addr, dtype=np.uint64),
             np.asarray(self._b_val, dtype=np.uint64),
-        ))
+        )
         del self._b_pc[:]
         del self._b_mask[:]
         del self._b_kind[:]
@@ -248,6 +237,7 @@ class ColumnarWarpTrace:
         del self._b_lane[:]
         del self._b_addr[:]
         del self._b_val[:]
+        return arrays
 
     # -- consumer side -----------------------------------------------------
 
@@ -261,21 +251,6 @@ class ColumnarWarpTrace:
     def vstart(self):
         """Per-op offsets into :attr:`vals` (length ``len(pc) + 1``)."""
         return _rebased(self._launch.vstart, self.base, len(self.pc))
-
-    def iter_chunks(self):
-        """Yield ``(pc, mask, kind, acount, lanes, addrs, vals)`` views
-        in op order, each covering at most :data:`CHUNK_OPS` ops — the
-        streaming consumer contract."""
-        launch = self._launch
-        astart, vstart = launch.astart, launch.vstart
-        end = self.base + len(self.pc)
-        for lo in range(self.base, end, launch._chunk_ops):
-            hi = min(lo + launch._chunk_ops, end)
-            alo, ahi = int(astart[lo]), int(astart[hi])
-            vlo, vhi = int(vstart[lo]), int(vstart[hi])
-            yield (launch.pc[lo:hi], launch.mask[lo:hi], launch.kind[lo:hi],
-                   launch.acount[lo:hi], launch.lanes[alo:ahi],
-                   launch.addrs[alo:ahi], launch.vals[vlo:vhi])
 
     @property
     def ops(self):
@@ -315,8 +290,7 @@ class ColumnarWarpTrace:
     def __len__(self):
         if self.pc is not None:
             return len(self.pc)
-        return (len(self._b_pc)
-                + sum(len(c[0]) for c in self._chunks))
+        return len(self._b_pc)
 
     def __iter__(self):
         return iter(self.ops)
@@ -361,7 +335,6 @@ class ColumnarLaunchTrace:
                     "instruction table violates the pc-stride invariant "
                     "at index %d (pc %#x)" % (i, inst.pc))
         self._insts = insts
-        self._chunk_ops = CHUNK_OPS
         self._kind_of = [op_kind(inst) if inst.is_memory else KIND_NONE
                          for inst in insts]
         self._isfloat_of = [bool(inst.dtype is not None
@@ -400,16 +373,16 @@ class ColumnarLaunchTrace:
         return self._insts
 
     def new_warp(self, cta_id, warp_id):
-        """A fresh warp builder (the caller decides whether it joins
-        :attr:`warps` — mirrors how the emulator honours
-        ``record_trace=False``)."""
-        return ColumnarWarpTrace(self, cta_id, warp_id)
+        """A fresh warp builder, appended to :attr:`warps`."""
+        warp = ColumnarWarpTrace(self, cta_id, warp_id)
+        self.warps.append(warp)
+        return warp
 
     def seal(self, columns=None, layout=None):
         """Make the launch the owner of its columns; idempotent.
 
-        Without arguments the recorded warps' producer chunks are copied
-        into the launch columns, each chunk dropped once copied.  A
+        Without arguments the recorded warps' staging lists are copied
+        into the launch columns (see :meth:`_drain_warps`).  A
         loader or a trace rewrite instead passes ``columns``, the seven
         arrays in :data:`COLUMNS` order, and ``layout``, one
         ``(cta_id, warp_id, ops)`` per warp, which replaces
@@ -420,7 +393,7 @@ class ColumnarLaunchTrace:
             return self
         if columns is None:
             counts = [len(w) for w in self.warps]
-            columns = self._drain_chunks()
+            columns = self._drain_warps()
         else:
             self.warps = [ColumnarWarpTrace(self, int(cta), int(warp))
                           for cta, warp, _ops in layout]
@@ -467,22 +440,18 @@ class ColumnarLaunchTrace:
             warp.vals = self.vals[v[i]:v[i + 1]]
         return self
 
-    def _drain_chunks(self):
-        """The seven launch columns, filled from every warp's producer
-        chunks in warp order; each chunk is dropped once copied, so the
-        copy needs at most one chunk beyond the columns."""
-        chunks = []
-        for warp in self.warps:
-            if warp._b_pc:
-                warp._flush()
-            chunks += warp._chunks
-            warp._chunks = []
-        chunks.reverse()  # popped from the end, in production order
-        columns = [np.empty(sum(len(c[i]) for c in chunks), dtype=dt)
+    def _drain_warps(self):
+        """The seven launch columns, filled from every warp's staging
+        lists in warp order.  Each warp's lists become arrays (and are
+        cleared) first, then each warp's arrays are dropped once copied,
+        so the lists and the columns are never alive together."""
+        parts = [warp._take_staged() for warp in self.warps]
+        parts.reverse()  # popped from the end, in warp order
+        columns = [np.empty(sum(len(p[i]) for p in parts), dtype=dt)
                    for i, (_name, dt) in enumerate(COLUMNS)]
         pos = [0] * len(COLUMNS)
-        while chunks:
-            for i, arr in enumerate(chunks.pop()):
+        while parts:
+            for i, arr in enumerate(parts.pop()):
                 columns[i][pos[i]:pos[i] + len(arr)] = arr
                 pos[i] += len(arr)
         return columns

@@ -216,7 +216,7 @@ class CompiledEngine:
                 for k in ck.sreg_names}
         insts = ck.insts
         stack = warp.stack
-        record = warp.trace if emu.record_trace else None
+        record = warp.trace
         budget = emu.max_warp_insts
         by_pc = ck.by_pc
         # executed-count bookkeeping stays in a local inside the hot
@@ -290,8 +290,7 @@ class CompiledEngine:
                 if inst.pred is not None:
                     preg, negated = inst.pred
                     exec_mask = self.pred_mask(warp, preg, negated, live)
-                if record is not None:
-                    record.append(inst, exec_mask)
+                record.append(inst, exec_mask)
                 if inst.is_branch:
                     taken = exec_mask
                     not_taken = live & ~exec_mask
@@ -604,9 +603,7 @@ class _SegmentCompiler:
         if loop:
             out.append("for l in lanes:")
             out.extend("    " + line for line in loop)
-        if appends:
-            out.append("if record is not None:")
-            out.extend("    " + line for line in appends)
+        out.extend(appends)
         for n in wrote:
             self.reg_kind[n] = kinds.get(n, _UNKNOWN)
         return out
@@ -1107,8 +1104,7 @@ class _SegmentCompiler:
             out.append("        e.lane = %s[len(%s) - 1]" % (ln, ad))
         out.append("    e._idx = %d" % idx)
         out.append("    raise")
-        out.append("if record is not None:")
-        out.append("    record.append_memory(%d, %s, %d, %s, %s%s)"
+        out.append("record.append_memory(%d, %s, %d, %s, %s%s)"
                    % (inst.pc, mask_expr, op_kind(inst), ln, ad,
                       (", " + vals) if is_store else ""))
         if aexpr is not None and inst.dests and not is_store:

@@ -263,12 +263,10 @@ class Emulator:
     produce identical traces and memory state.
     """
 
-    def __init__(self, memory, max_warp_insts=None, record_trace=True,
-                 engine=None):
+    def __init__(self, memory, max_warp_insts=None, engine=None):
         self.memory = memory
         self.max_warp_insts = (max_warp_insts if max_warp_insts is not None
                                else _default_max_warp_insts())
-        self.record_trace = record_trace
         self.engine = engine if engine is not None else DEFAULT_ENGINE
         self._engine = _make_engine(self.engine)
         self._executed = 0
@@ -342,8 +340,6 @@ class Emulator:
                 sregs[lane_idx] = self._make_sregs(tid, ctaid, config,
                                                    lane_idx, w)
             trace = launch_trace.new_warp(cta_linear, w)
-            if self.record_trace:
-                launch_trace.warps.append(trace)
             warps.append(self._engine.make_warp(w, mask, sregs, trace))
 
         # run warps round-robin, releasing barriers when every live warp
@@ -473,8 +469,7 @@ class Emulator:
             stack[-1][1] = pc + 1
 
     def _trace(self, warp, inst, exec_mask, addresses=None, values=None):
-        if self.record_trace:
-            warp.trace.append(inst, exec_mask, addresses, values)
+        warp.trace.append(inst, exec_mask, addresses, values)
 
     # ------------------------------------------------------------------ memory
 

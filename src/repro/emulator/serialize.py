@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 from dataclasses import dataclass
 from typing import Dict
 
@@ -59,10 +58,6 @@ FORMAT_VERSION = 3
 
 MAGIC = b"REPROTRC"
 ALIGN = 64
-
-#: Set to ``0`` to skip load-time column checksum verification (one
-#: extra hash pass over the mapped file; on by default).
-ENV_TRACE_VERIFY = "REPRO_TRACE_VERIFY"
 
 
 def _align(n):
@@ -189,8 +184,7 @@ def load_run(path):
         fh.seek(0)
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
-    if os.environ.get(ENV_TRACE_VERIFY, "1") != "0":
-        _verify_container(buf, payload, hlen, path)
+    _verify_container(buf, payload, hlen, path)
 
     module = parse_module(payload["ptx"])
     _restamp_lines(module, payload)

@@ -13,12 +13,9 @@ defenses:
   hostile tests) is detected on load instead of producing wrong
   numbers.
 
-The digest algorithm is ``xxh64`` when the optional :mod:`xxhash`
-package is importable (fast, non-cryptographic — these are integrity
-checks, not signatures) and ``sha256`` otherwise; loaders accept both,
-so caches written on one machine verify on another.  Unknown algorithm
-names are *skipped*, not rejected: a future writer must not brick an
-old reader.
+The digest algorithm is ``sha256``.  Records name their algorithm,
+and loaders *skip* unknown names rather than reject them: a future
+writer must not brick an old reader.
 """
 
 from __future__ import annotations
@@ -28,11 +25,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-
-try:  # optional accelerator; sha256 is the always-available baseline
-    import xxhash as _xxhash
-except ImportError:
-    _xxhash = None
 
 #: JSON key under which payload self-checksums are stored.
 CHECKSUM_KEY = "checksum"
@@ -51,23 +43,13 @@ class ChecksumError(ValueError):
             % (path, algo, actual, expected))
 
 
-def preferred_algo():
-    """Digest algorithm new artifacts are written with."""
-    return "xxh64" if _xxhash is not None else "sha256"
-
-
 def _hasher(algo):
-    if algo == "sha256":
-        return hashlib.sha256()
-    if algo == "xxh64" and _xxhash is not None:
-        return _xxhash.xxh64()
-    return None
+    return hashlib.sha256() if algo == "sha256" else None
 
 
-def compute_checksum(data, algo=None):
+def compute_checksum(data, algo="sha256"):
     """``{"algo", "hex"}`` record for ``data`` (bytes or an iterable of
     byte chunks)."""
-    algo = algo or preferred_algo()
     h = _hasher(algo)
     if h is None:
         raise ValueError("unsupported checksum algorithm %r" % (algo,))
@@ -106,13 +88,13 @@ def canonical_json_bytes(payload):
                       sort_keys=True, default=str).encode("utf-8")
 
 
-def checksum_payload(payload, algo=None):
+def checksum_payload(payload, algo="sha256"):
     """Digest of a JSON payload, excluding its own checksum field."""
     body = {k: v for k, v in payload.items() if k != CHECKSUM_KEY}
     return compute_checksum(canonical_json_bytes(body), algo)
 
 
-def attach_checksum(payload, algo=None):
+def attach_checksum(payload, algo="sha256"):
     """Return ``payload`` with its self-checksum stamped in."""
     payload[CHECKSUM_KEY] = checksum_payload(payload, algo)
     return payload

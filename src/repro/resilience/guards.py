@@ -8,11 +8,10 @@ with it.  These guards fail *first*, inside Python, with a
 other per-application failure.
 
 ``REPRO_MAX_RSS_MB`` sets a resident-set budget.  The emulator checks it
-at CTA boundaries and the columnar trace builders at chunk boundaries
-(both are outside the per-instruction hot loops; a chunk is
-:data:`~repro.emulator.columnar.CHUNK_OPS` ops, so a warp's Python-list
-staging buffers stay bounded).  The predictive race detector checks it
-per streamed chunk, and the trace profile
+at CTA boundaries and the columnar trace builders when a launch is
+sealed, once per warp as its staging lists become arrays (both are
+outside the per-instruction hot loops).  The predictive race detector
+checks it once per warp, and the trace profile
 (:mod:`repro.profiling.trace_profile`) once per launch, before it
 coalesces that launch's global loads.
 
@@ -84,7 +83,7 @@ def check_memory_budget(context=None):
     """Raise :class:`MemoryBudgetError` when over budget.
 
     One env lookup when unguarded, so the check is safe at production
-    choke points (CTA boundaries, columnar chunk flushes, pipeline
+    choke points (CTA boundaries, per-warp trace sealing, pipeline
     stage transitions).
     """
     budget = memory_budget_mb()

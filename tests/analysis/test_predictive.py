@@ -1,10 +1,10 @@
 """Predictive happens-before detector: recall, streaming, telemetry.
 
 Recall is pc-exact against the per-mode expectations of every corpus
-case; the streaming contract is enforced directly (the detector must
-consume columnar chunks, never the materialized record view, and its
-findings must be invariant to the chunk size); the ``races.predictive``
-counters are checked through an isolated registry.
+case; the columnar contract is enforced directly (the detector reads
+the launch columns, never the materialized record view, and checks the
+memory budget once per warp); the ``races.predictive`` counters are
+checked through an isolated registry.
 """
 
 import pytest
@@ -90,34 +90,17 @@ class TestStreaming:
         report = analyze_trace(app, app=case.name, mode="predictive")
         assert report.by_kind(RaceKind.ATOMIC_PLAIN_RACE)
 
-    @pytest.mark.parametrize("chunk_ops", [1, 3, 17])
-    def test_findings_invariant_under_chunk_size(self, chunk_ops):
-        """Chunk boundaries carry no meaning: barrier intervals, vector
-        clocks and element state must survive splits at every row."""
-        for name in ("race_rw_missing_bar", "clean_membar_handoff",
-                     "race_unfenced_handoff",
-                     "benign_fenced_shared_handoff"):
-            case = get_planted(name)
-            app = emulate(case)
-            baseline = analyze_trace(app, app=name, mode="predictive")
-            for launch in app:
-                launch._chunk_ops = chunk_ops
-            rechunked = analyze_trace(app, app=name, mode="predictive")
-            assert ({(f.kind, f.pc, f.other_pc)
-                     for f in rechunked.findings}
-                    == {(f.kind, f.pc, f.other_pc)
-                        for f in baseline.findings}), name
-
-    def test_memory_budget_guard_runs_per_chunk(self, monkeypatch):
+    def test_memory_budget_guard_runs_per_warp(self, monkeypatch):
         import repro.analysis.predictive as predictive
 
         calls = []
         monkeypatch.setattr(predictive, "check_memory_budget",
                             lambda context=None: calls.append(context))
         case = get_planted("race_ww_shared")
-        analyze_trace(emulate(case), app=case.name, mode="predictive")
-        assert calls
-        assert all("predictive" in c for c in calls)
+        app = emulate(case)
+        analyze_trace(app, app=case.name, mode="predictive")
+        assert calls == ["predictive race analysis"] * sum(
+            len(launch.warps) for launch in app)
 
 
 class TestObservability:

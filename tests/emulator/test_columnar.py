@@ -5,9 +5,8 @@ Appending ops, sealing, and reading them back through the read-only
 (instruction identity, active mask, per-lane addresses, stored values —
 byte-exact, including negative signed values, float bit patterns, and
 ``.v2``/``.v4`` vector stores).  A sealed launch owns the columns and
-each warp's columns are its rows of them.  Chunked production must be
-invisible to consumers, and ``coalesce_table`` over a kind-column row
-mask must agree with the record view.
+each warp's columns are its rows of them, and ``coalesce_table`` over a
+kind-column row mask must agree with the record view.
 """
 
 import math
@@ -20,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.emulator import MemoryImage, Emulator
 from repro.emulator.columnar import (
-    CHUNK_OPS,
     COLUMNS,
     KIND_NONE,
     SPACE_CODES,
@@ -162,6 +160,14 @@ class TestRoundTrip:
                 by_pc[op.pc] = by_pc.get(op.pc, 0) + 1
         assert col.dynamic_counts_by_pc() == by_pc
 
+    def test_seal_moves_every_warp_into_the_launch(self):
+        """Sealing copies each warp's staging lists into the launch
+        columns and keeps none of them."""
+        col = _emulated_launch()
+        assert all(not w._b_pc for w in col.warps)
+        assert len(col.pc) == sum(len(w) for w in col.warps) > 0
+        _assert_warps_are_launch_rows(col)
+
 
 # hypothesis-driven append -> seal -> ops property round-trip: random
 # masks, ragged lane/address sets, and stored values across dtypes.
@@ -210,50 +216,6 @@ class TestPropertyRoundTrip:
                            instructions=insts)
         for (_cta, _warp, ops), warp in zip(warps, col.warps):
             _assert_ops_equal(ops, list(warp.ops))
-
-
-class TestChunking:
-    def test_chunked_production_is_invisible(self, monkeypatch):
-        """Crossing chunk boundaries changes neither the sealed columns
-        nor the record view."""
-        monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 7)
-        small = _emulated_launch()
-        monkeypatch.undo()
-        big = _emulated_launch()
-        _assert_launches_equal(big, small)
-
-    def test_seal_moves_every_chunk_into_the_launch(self, monkeypatch):
-        """Sealing copies each warp's chunks into the launch columns and
-        keeps none of them."""
-        monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 3)
-        col = _emulated_launch()
-        assert all(not w._chunks and not w._b_pc for w in col.warps)
-        assert len(col.pc) == sum(len(w) for w in col.warps) > 3
-        _assert_warps_are_launch_rows(col)
-
-    def test_iter_chunks_streams_all_ops(self, monkeypatch):
-        monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 5)
-        col = _emulated_launch()
-        for warp in col.warps:
-            total = 0
-            addr_total = 0
-            for pc, mask, kind, acount, lanes, addrs, vals in \
-                    warp.iter_chunks():
-                assert len(pc) <= 5
-                assert len(pc) == len(mask) == len(kind) == len(acount)
-                assert len(lanes) == len(addrs) == int(acount.sum())
-                total += len(pc)
-                addr_total += len(addrs)
-            assert total == len(warp.pc)
-            assert addr_total == len(warp.addrs)
-
-    def test_iter_chunks_after_seal_matches_builder_stream(self):
-        col = _emulated_launch()
-        streamed = [[np.concatenate(arrs) for arrs in zip(*w.iter_chunks())]
-                    for w in col.seal().warps if len(w.pc)]
-        for w, cols in zip([w for w in col.warps if len(w.pc)], streamed):
-            for (name, _dt), got in zip(COLUMNS, cols):
-                np.testing.assert_array_equal(got, getattr(w, name))
 
 
 class TestMemoryTable:
@@ -338,5 +300,5 @@ def test_take_ragged_gathers_row_slices():
     assert len(take_ragged(flat, starts[:0], counts[:0])) == 0
 
 
-def test_chunk_ops_constant_sane():
-    assert CHUNK_OPS > 0 and KIND_NONE == 0xFF
+def test_kind_none_sentinel():
+    assert KIND_NONE == 0xFF

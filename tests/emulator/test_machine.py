@@ -388,14 +388,3 @@ class TestTraceRecording:
         addrs = [a for _l, a in ops[0].addresses]
         assert addrs == sorted(addrs)
         assert addrs[1] - addrs[0] == 4
-
-    def test_record_trace_disabled(self):
-        mem = MemoryImage()
-        data = np.zeros(32, dtype=np.uint32)
-        mem.alloc_array("data", data)
-        emu = Emulator(mem, record_trace=False)
-        trace = emu.launch(parse_kernel(INCR), 1, 32,
-                           {"data": mem.base_of("data"), "n": 32})
-        assert trace.total_warp_instructions() == 0
-        # the kernel still executed functionally
-        assert mem.read_array("data", np.uint32).sum() == 32

@@ -205,11 +205,7 @@ class TestTruncation:
         with pytest.raises(EOFError, match="short header"):
             load_run(path)
 
-    @pytest.mark.parametrize("verify", ["1", "0"])
-    def test_column_beyond_eof(self, bfs_run, tmp_path, monkeypatch,
-                               verify):
-        from repro.emulator.serialize import ENV_TRACE_VERIFY
-        monkeypatch.setenv(ENV_TRACE_VERIFY, verify)
+    def test_column_beyond_eof(self, bfs_run, tmp_path):
         saved = self._saved(bfs_run, tmp_path)
         path = self._cut(saved, saved.stat().st_size - 8)
         with pytest.raises(EOFError, match="beyond EOF"):
@@ -235,19 +231,6 @@ class TestChecksum:
         path = self._flip_last_byte(bfs_run, tmp_path)
         with pytest.raises(ChecksumError):
             load_run(path)
-
-    def test_verification_can_be_disabled(self, bfs_run, tmp_path,
-                                          monkeypatch):
-        from repro.emulator.serialize import ENV_TRACE_VERIFY
-        path = self._flip_last_byte(bfs_run, tmp_path)
-        monkeypatch.setenv(ENV_TRACE_VERIFY, "0")
-        loaded = load_run(path)
-        orig = [(op.pc, op.addresses, op.values)
-                for launch in bfs_run.trace for w in launch for op in w.ops]
-        new = [(op.pc, op.addresses, op.values)
-               for launch in loaded.trace for w in launch for op in w.ops]
-        assert len(orig) == len(new)
-        assert sum(a != b for a, b in zip(orig, new)) == 1
 
 
 class TestSchemaV3Integrity:

@@ -12,7 +12,6 @@ import sys
 
 import pytest
 
-from repro.emulator.columnar import ColumnarWarpTrace
 from repro.sim import coalescer
 from repro.sim.config import TINY
 from repro.sim.gpu import GPU
@@ -20,10 +19,9 @@ from repro.sim.gpu import GPU
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts of coalesced-table and chunk walks, patched wherever a
-    module holds a reference to the original function, and of replayed
-    launches."""
-    counts = {"coalesce_table": 0, "iter_chunks": 0, "run_launch": 0}
+    """Counts of coalesced-table walks, patched wherever a module holds
+    a reference to the original function, and of replayed launches."""
+    counts = {"coalesce_table": 0, "run_launch": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -31,10 +29,8 @@ def walks(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((ColumnarWarpTrace, "iter_chunks"),
-                        (GPU, "run_launch")):
-        monkeypatch.setattr(owner, name,
-                            counting(name, getattr(owner, name)))
+    monkeypatch.setattr(GPU, "run_launch",
+                        counting("run_launch", GPU.run_launch))
     original = coalescer.coalesce_table
     wrapped = counting("coalesce_table", original)
     for module in list(sys.modules.values()):
@@ -51,7 +47,7 @@ class TestOneWalkPerJob:
         launches = len(result.run.trace)
         assert launches > 1
         # the profile's walk plus the simulation's memory plan
-        assert walks == {"coalesce_table": 2 * launches, "iter_chunks": 0,
+        assert walks == {"coalesce_table": 2 * launches,
                          "run_launch": launches}
 
     def test_advise_reads_the_result(self, walks):
@@ -66,6 +62,6 @@ class TestOneWalkPerJob:
         # each replayed launch plans its memory ops; nothing profiles
         replays = walks["run_launch"]
         assert replays > 0
-        assert walks == {"coalesce_table": replays, "iter_chunks": 0,
+        assert walks == {"coalesce_table": replays,
                          "run_launch": replays}
         assert report.heatmap is result.heatmap

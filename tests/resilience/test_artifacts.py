@@ -14,7 +14,6 @@ from repro.resilience.artifacts import (
     attach_checksum,
     checksum_payload,
     compute_checksum,
-    preferred_algo,
     verify_checksum,
     verify_payload_checksum,
 )
@@ -25,7 +24,7 @@ class TestComputeVerify:
         whole = compute_checksum(b"abcdef")
         chunked = compute_checksum(iter([b"ab", b"cd", b"ef"]))
         assert whole == chunked
-        assert whole["algo"] == preferred_algo()
+        assert whole["algo"] == "sha256"
 
     def test_verify_match(self):
         record = compute_checksum(b"payload")

@@ -1,9 +1,8 @@
-"""Resource guards: budget parsing, the RSS watchdog, chunk-size
-invariance, and the runner's isolation of budget overruns."""
+"""Resource guards: budget parsing, the RSS watchdog, and the runner's
+isolation of budget overruns."""
 
 import pytest
 
-from repro.emulator.serialize import save_run
 from repro.experiments.runner import ExperimentRunner
 from repro.obs.metrics import isolated_registry
 from repro.resilience.errors import EngineFailure
@@ -16,7 +15,6 @@ from repro.resilience.guards import (
 )
 from repro.sim.config import TINY
 from repro.testing.faults import injected
-from repro.workloads import get_workload
 
 SCALE = 0.1
 
@@ -62,19 +60,6 @@ class TestWatchdog:
         # retrying on a simpler engine cannot shrink the working set,
         # so the fallback chain must never swallow budget overruns
         assert not issubclass(MemoryBudgetError, EngineFailure)
-
-
-class TestChunkCap:
-    def test_tiny_chunks_produce_identical_traces(self, monkeypatch,
-                                                  tmp_path):
-        """The chunk size bounds staging memory, never results."""
-        baseline = get_workload("2mm", scale=SCALE).run(verify=False)
-        monkeypatch.setattr("repro.emulator.columnar.CHUNK_OPS", 7)
-        tiny = get_workload("2mm", scale=SCALE).run(verify=False)
-        save_run(baseline, tmp_path / "baseline.trace")
-        save_run(tiny, tmp_path / "tiny.trace")
-        assert (tmp_path / "tiny.trace").read_bytes() == \
-            (tmp_path / "baseline.trace").read_bytes()
 
 
 class TestRunnerIsolation:
