@@ -4,6 +4,7 @@ import pytest
 
 from repro.ptx.errors import PTXValidationError, UnknownOpcodeError
 from repro.ptx.isa import (
+    OPCODES,
     PC_STRIDE,
     SPECIAL_REGISTERS,
     DType,
@@ -58,6 +59,26 @@ class TestDType:
         with pytest.raises(PTXValidationError):
             dtype_from_name("u128")
 
+    def test_every_member_fact(self):
+        # name: (nbytes, bits, is_float, is_signed, is_integer)
+        expected = {
+            "U8": (1, 8, False, False, True),
+            "S8": (1, 8, False, True, True),
+            "U16": (2, 16, False, False, True),
+            "S16": (2, 16, False, True, True),
+            "U32": (4, 32, False, False, True),
+            "S32": (4, 32, False, True, True),
+            "U64": (8, 64, False, False, True),
+            "S64": (8, 64, False, True, True),
+            "B32": (4, 32, False, False, True),
+            "B64": (8, 64, False, False, True),
+            "F32": (4, 32, True, False, False),
+            "F64": (8, 64, True, False, False),
+            "PRED": (1, 8, False, False, False),
+        }
+        assert {t.name: (t.nbytes, t.bits, t.is_float, t.is_signed,
+                         t.is_integer) for t in DType} == expected
+
 
 class TestSpace:
     def test_lookup(self):
@@ -75,6 +96,11 @@ class TestSpace:
         assert Space.TEX.is_data_load_space
         assert not Space.PARAM.is_data_load_space
         assert not Space.CONST.is_data_load_space
+
+    def test_every_member_fact(self):
+        assert {s.name: s.is_data_load_space for s in Space} == {
+            "GLOBAL": True, "SHARED": True, "LOCAL": True,
+            "PARAM": False, "CONST": False, "TEX": True}
 
 
 class TestOperands:
@@ -195,3 +221,56 @@ class TestInstruction:
 
     def test_pc_stride_is_8_bytes(self):
         assert PC_STRIDE == 8
+
+
+#: unit -> the opcodes that issue to it.
+_UNIT_OPCODES = {
+    Unit.SP: "mov cvt cvta add sub mul mad fma min max abs neg and or "
+             "xor not shl shr setp selp",
+    Unit.SFU: "div rem rcp sqrt rsqrt sin cos ex2 lg2",
+    Unit.LDST: "ld st atom red",
+    Unit.CTRL: "bra bar membar exit ret",
+}
+
+#: opcode -> the boolean opcode flags that are true for it (all others
+#: are false).
+_OPCODE_FLAGS = {
+    "ld": {"is_load", "is_memory"},
+    "st": {"is_store", "is_memory"},
+    "atom": {"is_atomic", "is_memory"},
+    "red": {"is_atomic", "is_memory"},
+    "bra": {"is_branch"},
+    "bar": {"is_barrier"},
+    "exit": {"is_exit"},
+    "ret": {"is_exit"},
+}
+
+_FLAGS = ("is_load", "is_store", "is_atomic", "is_memory", "is_branch",
+          "is_barrier", "is_exit")
+
+
+class TestOpcodeFlags:
+    def test_table_covers_every_opcode(self):
+        listed = sorted(op for ops in _UNIT_OPCODES.values()
+                        for op in ops.split())
+        assert listed == sorted(OPCODES)
+
+    @pytest.mark.parametrize("opcode", sorted(OPCODES))
+    def test_flags_of_built_instruction(self, opcode):
+        inst = Instruction(opcode=opcode)
+        unit, = [u for u, ops in _UNIT_OPCODES.items()
+                 if opcode in ops.split()]
+        assert inst.unit is unit
+        assert {f for f in _FLAGS if getattr(inst, f)} == \
+            _OPCODE_FLAGS.get(opcode, set())
+        # every flag is a plain bool, read twice with the same answer
+        for flag in _FLAGS:
+            assert getattr(inst, flag) is getattr(inst, flag)
+            assert type(getattr(inst, flag)) is bool
+
+    def test_unknown_opcode_unit_raises(self):
+        inst = Instruction(opcode="vadd4")
+        with pytest.raises(UnknownOpcodeError):
+            inst.unit
+        with pytest.raises(UnknownOpcodeError):
+            inst.unit
