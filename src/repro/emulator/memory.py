@@ -64,19 +64,17 @@ class MemoryError_(Exception):
 
 
 class Allocation:
-    """One contiguous named device buffer."""
+    """One contiguous named device buffer (``end`` is one past its last
+    byte; no field is rebound after construction)."""
 
-    __slots__ = ("name", "base", "size", "data")
+    __slots__ = ("name", "base", "size", "end", "data")
 
     def __init__(self, name, base, size):
         self.name = name
         self.base = base
         self.size = size
+        self.end = base + size
         self.data = bytearray(size)
-
-    @property
-    def end(self):
-        return self.base + self.size
 
     def __repr__(self):
         return "Allocation(%r, base=%#x, size=%d)" % (
@@ -91,6 +89,9 @@ class MemoryImage:
         self._allocs: List[Allocation] = []
         self._bases: List[int] = []
         self._by_name: Dict[str, Allocation] = {}
+        #: the allocation the last :meth:`load`/:meth:`store` hit
+        #: (accesses are strongly clustered per buffer); empty at first.
+        self._last = Allocation("", 0, 0)
 
     # -- allocation -------------------------------------------------------
 
@@ -150,7 +151,9 @@ class MemoryImage:
 
     def load(self, addr, dtype):
         """Read one scalar of ``dtype`` at absolute address ``addr``."""
-        alloc = self._find(addr)
+        alloc = self._last
+        if not alloc.base <= addr < alloc.end:
+            alloc = self._last = self._find(addr)
         size = dtype.nbytes
         if addr % size:
             raise MemoryError_("misaligned %d-byte load at %#x"
@@ -163,7 +166,9 @@ class MemoryImage:
 
     def store(self, addr, dtype, value):
         """Write one scalar of ``dtype`` at absolute address ``addr``."""
-        alloc = self._find(addr)
+        alloc = self._last
+        if not alloc.base <= addr < alloc.end:
+            alloc = self._last = self._find(addr)
         size = dtype.nbytes
         if addr % size:
             raise MemoryError_("misaligned %d-byte store at %#x"
@@ -232,7 +237,7 @@ class MemoryImage:
                         return slow(addr, dtype, value)  # raises
                     alloc = allocs[i]
                     base = alloc.base
-                    end = base + alloc.size
+                    end = alloc.end
                     if not base <= addr < end:
                         return slow(addr, dtype, value)  # raises
                     data = alloc.data
@@ -255,7 +260,7 @@ class MemoryImage:
                     return slow(addr, dtype)  # raises
                 alloc = allocs[i]
                 base = alloc.base
-                end = base + alloc.size
+                end = alloc.end
                 if not base <= addr < end:
                     return slow(addr, dtype)  # raises
                 data = alloc.data

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from .errors import PTXValidationError, UnknownOpcodeError
@@ -31,8 +32,23 @@ from .errors import PTXValidationError, UnknownOpcodeError
 # ---------------------------------------------------------------------------
 
 
+#: PTX type suffix -> size of a value in bytes (predicates count as 1).
+_DTYPE_SIZES = {
+    "u8": 1, "s8": 1,
+    "u16": 2, "s16": 2,
+    "u32": 4, "s32": 4, "b32": 4, "f32": 4,
+    "u64": 8, "s64": 8, "b64": 8, "f64": 8,
+    "pred": 1,
+}
+
+
 class DType(enum.Enum):
-    """Scalar PTX data types supported by the subset."""
+    """Scalar PTX data types supported by the subset.
+
+    Members hash by identity (they key the emulator's per-lane codec
+    tables), and every fact below is a plain attribute, set once per
+    member.
+    """
 
     U8 = "u8"
     S8 = "s8"
@@ -48,43 +64,16 @@ class DType(enum.Enum):
     F64 = "f64"
     PRED = "pred"
 
-    @property
-    def nbytes(self):
-        """Size of a value of this type in bytes (predicates count as 1)."""
-        return _DTYPE_SIZES[self]
+    __hash__ = object.__hash__
 
-    @property
-    def is_float(self):
-        return self in (DType.F32, DType.F64)
+    def __init__(self, value):
+        #: size of a value of this type in bytes (predicates count as 1)
+        self.nbytes = _DTYPE_SIZES[value]
+        self.bits = self.nbytes * 8
+        self.is_float = value in ("f32", "f64")
+        self.is_signed = value in ("s8", "s16", "s32", "s64")
+        self.is_integer = not self.is_float and value != "pred"
 
-    @property
-    def is_signed(self):
-        return self in (DType.S8, DType.S16, DType.S32, DType.S64)
-
-    @property
-    def is_integer(self):
-        return not self.is_float and self is not DType.PRED
-
-    @property
-    def bits(self):
-        return self.nbytes * 8
-
-
-_DTYPE_SIZES = {
-    DType.U8: 1,
-    DType.S8: 1,
-    DType.U16: 2,
-    DType.S16: 2,
-    DType.U32: 4,
-    DType.S32: 4,
-    DType.U64: 8,
-    DType.S64: 8,
-    DType.B32: 4,
-    DType.B64: 8,
-    DType.F32: 4,
-    DType.F64: 8,
-    DType.PRED: 1,
-}
 
 _DTYPE_BY_NAME = {t.value: t for t in DType}
 
@@ -103,7 +92,11 @@ def dtype_from_name(name):
 
 
 class Space(enum.Enum):
-    """PTX state spaces relevant to load/store classification."""
+    """PTX state spaces relevant to load/store classification.
+
+    Members hash by identity and carry their one fact as an attribute,
+    as :class:`DType` does.
+    """
 
     GLOBAL = "global"
     SHARED = "shared"
@@ -112,17 +105,17 @@ class Space(enum.Enum):
     CONST = "const"
     TEX = "tex"
 
-    @property
-    def is_data_load_space(self):
-        """Spaces whose loads make a dependent address *non-deterministic*.
+    __hash__ = object.__hash__
 
-        Per the paper (Section V): a load whose source register is defined
-        from prior ``ld.global``, ``ld.local``, ``ld.shared`` or ``ld.tex``
-        instructions is non-deterministic.  ``ld.param`` and ``ld.const``
-        read launch-time parameters, which the paper treats as deterministic
-        roots.
-        """
-        return self in (Space.GLOBAL, Space.SHARED, Space.LOCAL, Space.TEX)
+    def __init__(self, value):
+        #: Spaces whose loads make a dependent address *non-deterministic*.
+        #: Per the paper (Section V): a load whose source register is
+        #: defined from prior ``ld.global``, ``ld.local``, ``ld.shared`` or
+        #: ``ld.tex`` instructions is non-deterministic.  ``ld.param`` and
+        #: ``ld.const`` read launch-time parameters, which the paper treats
+        #: as deterministic roots.
+        self.is_data_load_space = value in ("global", "shared", "local",
+                                            "tex")
 
 
 _SPACE_BY_NAME = {s.value: s for s in Space}
@@ -382,26 +375,31 @@ class Instruction:
         default=None, repr=False, compare=False)
 
     # -- classification helpers -------------------------------------------
+    #
+    # Flags that depend only on ``opcode`` are computed on first read and
+    # kept (nothing rebinds ``opcode``).  The parser sets ``space`` and
+    # ``srcs`` after construction, so flags that read them stay plain
+    # properties.
 
-    @property
+    @cached_property
     def unit(self):
         return unit_for(self.opcode)
 
-    @property
+    @cached_property
     def is_load(self):
         return self.opcode == "ld"
 
-    @property
+    @cached_property
     def is_store(self):
         return self.opcode == "st"
 
-    @property
+    @cached_property
     def is_atomic(self):
         """``atom`` and ``red`` (a reduction is an atomic read-modify-
         write whose old value is discarded)."""
         return self.opcode in ("atom", "red")
 
-    @property
+    @cached_property
     def is_memory(self):
         return self.opcode in ("ld", "st", "atom", "red")
 
@@ -417,15 +415,15 @@ class Instruction:
     def is_param_load(self):
         return self.is_load and self.space is Space.PARAM
 
-    @property
+    @cached_property
     def is_branch(self):
         return self.opcode == "bra"
 
-    @property
+    @cached_property
     def is_barrier(self):
         return self.opcode == "bar"
 
-    @property
+    @cached_property
     def is_exit(self):
         return self.opcode in ("exit", "ret")
 

@@ -1,5 +1,7 @@
 """Unit tests for the PTX-subset ISA definitions."""
 
+import pickle
+
 import pytest
 
 from repro.ptx.errors import PTXValidationError, UnknownOpcodeError
@@ -101,6 +103,20 @@ class TestSpace:
         assert {s.name: s.is_data_load_space for s in Space} == {
             "GLOBAL": True, "SHARED": True, "LOCAL": True,
             "PARAM": False, "CONST": False, "TEX": True}
+
+
+@pytest.mark.parametrize("member", list(DType) + list(Space),
+                         ids=lambda m: "%s.%s" % (type(m).__name__, m.name))
+class TestEnumIdentity:
+    """The hot-path ISA enums hash by identity and survive pickling as
+    the same member (worker processes send them back)."""
+
+    def test_identity_hash(self, member):
+        assert hash(member) == object.__hash__(member)
+
+    def test_pickle_round_trip_is_same_member(self, member):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
 
 
 class TestOperands:
