@@ -376,32 +376,29 @@ class Instruction:
 
     # -- classification helpers -------------------------------------------
     #
-    # Flags that depend only on ``opcode`` are computed on first read and
-    # kept (nothing rebinds ``opcode``).  The parser sets ``space`` and
-    # ``srcs`` after construction, so flags that read them stay plain
-    # properties.
+    # Flags that depend only on ``opcode`` are plain attributes, set once
+    # here (nothing rebinds ``opcode``), in one order so every instance
+    # keeps sharing the class's attribute-key table.  The parser sets
+    # ``space`` and ``srcs`` after construction, so flags that read them
+    # stay properties.
+
+    def __post_init__(self):
+        op = self.opcode
+        self.is_load = op == "ld"
+        self.is_store = op == "st"
+        #: ``atom`` and ``red`` (a reduction is an atomic read-modify-
+        #: write whose old value is discarded)
+        self.is_atomic = op in ("atom", "red")
+        self.is_memory = op in ("ld", "st", "atom", "red")
+        self.is_branch = op == "bra"
+        self.is_barrier = op == "bar"
+        self.is_exit = op in ("exit", "ret")
 
     @cached_property
     def unit(self):
+        """The functional unit (computed on first read, because an
+        opcode outside the subset raises :class:`UnknownOpcodeError`)."""
         return unit_for(self.opcode)
-
-    @cached_property
-    def is_load(self):
-        return self.opcode == "ld"
-
-    @cached_property
-    def is_store(self):
-        return self.opcode == "st"
-
-    @cached_property
-    def is_atomic(self):
-        """``atom`` and ``red`` (a reduction is an atomic read-modify-
-        write whose old value is discarded)."""
-        return self.opcode in ("atom", "red")
-
-    @cached_property
-    def is_memory(self):
-        return self.opcode in ("ld", "st", "atom", "red")
 
     @property
     def is_global_load(self):
@@ -414,18 +411,6 @@ class Instruction:
     @property
     def is_param_load(self):
         return self.is_load and self.space is Space.PARAM
-
-    @cached_property
-    def is_branch(self):
-        return self.opcode == "bra"
-
-    @cached_property
-    def is_barrier(self):
-        return self.opcode == "bar"
-
-    @cached_property
-    def is_exit(self):
-        return self.opcode in ("exit", "ret")
 
     @property
     def memref(self):
