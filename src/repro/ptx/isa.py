@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from .errors import PTXValidationError, UnknownOpcodeError
@@ -380,7 +379,9 @@ class Instruction:
     # here (nothing rebinds ``opcode``), in one order so every instance
     # keeps sharing the class's attribute-key table.  The parser sets
     # ``space`` and ``srcs`` after construction, so flags that read them
-    # stay properties.
+    # stay properties, as does ``unit``: only the simulator's decode reads
+    # it, once per instruction, and an opcode outside the subset must
+    # raise when it is read, not when it is built.
 
     def __post_init__(self):
         op = self.opcode
@@ -394,10 +395,8 @@ class Instruction:
         self.is_barrier = op == "bar"
         self.is_exit = op in ("exit", "ret")
 
-    @cached_property
+    @property
     def unit(self):
-        """The functional unit (computed on first read, because an
-        opcode outside the subset raises :class:`UnknownOpcodeError`)."""
         return unit_for(self.opcode)
 
     @property
