@@ -9,17 +9,25 @@ mismatch.
 import numpy as np
 
 from repro.emulator import Emulator, MemoryImage
+from repro.emulator.machine import ENGINES
 from repro.ptx import parse_kernel
 
 
 def run(ptx, n_threads=32, extra_params=None):
-    mem = MemoryImage()
-    out = mem.alloc("out", n_threads * 4)
-    params = {"out": out}
-    params.update(extra_params or {})
-    emu = Emulator(mem)
-    emu.launch(parse_kernel(ptx), 1, n_threads, params)
-    return mem.read_array("out", np.uint32, n_threads)
+    """Run the kernel on every engine; they must agree lane for lane."""
+    outs = {}
+    for engine in ENGINES:
+        mem = MemoryImage()
+        out = mem.alloc("out", n_threads * 4)
+        params = {"out": out}
+        params.update(extra_params or {})
+        emu = Emulator(mem, engine=engine)
+        emu.launch(parse_kernel(ptx), 1, n_threads, params)
+        outs[engine] = mem.read_array("out", np.uint32, n_threads)
+    first = outs[ENGINES[0]]
+    for engine, out in outs.items():
+        assert (out == first).all(), engine
+    return first
 
 
 class TestNestedDivergence:

@@ -10,10 +10,8 @@ from repro.emulator import (
     MemoryImage,
     WatchdogError,
 )
-from repro.emulator.machine import DEFAULT_MAX_WARP_INSTS
+from repro.emulator.machine import DEFAULT_MAX_WARP_INSTS, ENGINES
 from repro.ptx import parse_module
-
-ENGINES = ("scalar", "vectorized")
 
 
 def _kernel(body, params=".param .u64 a"):
@@ -31,6 +29,25 @@ OOB_STORE = """
         mul.wide.u32 %rd2, %r1, 4;
         add.u64 %rd3, %rd1, %rd2;
         st.global.u32 [%rd3], %r1;
+        exit;
+"""
+
+
+#: A divergent branch guards the store, so the fault lands in the middle
+#: of a straight-line run, in a warp and CTA other than the first.
+DIVERGENT_OOB_STORE = """
+        ld.param.u64 %rd1, [a];
+        mov.u32 %r1, %tid.x;
+        mov.u32 %r2, %ctaid.x;
+        and.b32 %r3, %r1, 1;
+        setp.eq.u32 %p1, %r3, 0;
+        @%p1 bra DONE;
+        mad.lo.u32 %r4, %r2, 64, %r1;
+        mul.wide.u32 %rd2, %r4, 4;
+        add.u64 %rd3, %rd1, %rd2;
+        st.global.u32 [%rd3], %r4;
+        add.u32 %r5, %r4, 1;
+    DONE:
         exit;
 """
 
@@ -88,6 +105,21 @@ class TestMemoryFault:
         assert info.value.space == "shared"
         assert info.value.lane == 4  # 16 bytes -> lanes 0-3 fit
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_divergent_fault_names_cta_warp_and_lane(self, engine):
+        mem = MemoryImage()
+        base = mem.alloc("buf", 100 * 4)
+        emu = Emulator(mem, engine=engine)
+        with pytest.raises(MemoryFaultError) as info:
+            emu.launch(_kernel(DIVERGENT_OOB_STORE), grid=2, block=64,
+                       params={"a": base})
+        exc = info.value
+        # odd threads store element 64 * ctaid + tid; the first past
+        # the 100-element buffer is 101, thread 37 of CTA 1
+        assert (exc.pc, exc.cta, exc.warp, exc.lane) == (0x48, 1, 1, 5)
+        assert exc.address == base + 101 * 4
+        assert exc.space == "global"
+
 
 class TestWatchdog:
     LOOP = """
@@ -108,6 +140,47 @@ class TestWatchdog:
         assert exc.budget == 1000
         assert exc.kernel == "k"
         assert exc.cta == 0 and exc.warp == 0
+
+    #: Divergent loop whose warps meet at a barrier every iteration, so
+    #: the budget runs out in either warp and at any point of a run.
+    DIVERGENT_LOOP = """
+        mov.u32 %r1, %tid.x;
+        mov.u32 %r2, 0;
+    TOP:
+        bar.sync 0;
+        add.u32 %r2, %r2, 1;
+        and.b32 %r3, %r1, 1;
+        setp.eq.u32 %p1, %r3, 0;
+        @%p1 bra SKIP;
+        add.u32 %r4, %r4, %r2;
+        mul.lo.u32 %r5, %r4, 3;
+        xor.b32 %r4, %r5, %r1;
+    SKIP:
+        xor.b32 %r6, %r2, %r1;
+        shl.b32 %r7, %r6, 2;
+        bra TOP;
+        exit;
+    """
+
+    #: budget -> (pc, warp) of the instruction that exceeds it (CTA 0)
+    TRIPS = {1: (0x08, 0), 2: (0x10, 0), 3: (0x00, 1), 4: (0x08, 1),
+             5: (0x10, 1), 6: (0x18, 0), 7: (0x20, 0), 8: (0x28, 0),
+             9: (0x30, 0), 10: (0x50, 0), 11: (0x58, 0), 12: (0x60, 0),
+             997: (0x10, 1), 998: (0x18, 0), 999: (0x20, 0),
+             1000: (0x28, 0), 1001: (0x30, 0), 1002: (0x50, 0),
+             1003: (0x58, 0)}
+
+    @pytest.mark.parametrize("budget", sorted(TRIPS))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_budget_trips_at_the_same_instruction(self, engine, budget):
+        emu = Emulator(MemoryImage(), max_warp_insts=budget, engine=engine)
+        with pytest.raises(WatchdogError) as info:
+            emu.launch(_kernel(self.DIVERGENT_LOOP, params=""), grid=2,
+                       block=64, params={})
+        exc = info.value
+        assert exc.budget == budget
+        pc, warp = self.TRIPS[budget]
+        assert (exc.pc, exc.cta, exc.warp) == (pc, 0, warp)
 
     def test_env_knob_sets_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EMULATOR_MAX_WARP_INSTS", "500")
@@ -169,7 +242,9 @@ class TestBarrierDeadlock:
 
 
 class TestUnsupportedOperands:
-    @pytest.mark.parametrize("engine", ENGINES)
+    # the compiled engine rejects this kernel at code generation with a
+    # CodegenError, which the fallback chain retries on another engine
+    @pytest.mark.parametrize("engine", ("scalar", "vectorized"))
     def test_unsupported_source_operand(self, engine):
         from repro.ptx import KernelBuilder, MemRef, Reg
 
