@@ -2,10 +2,12 @@
 
 ``REPRO_ENGINE=compiled`` (or ``Emulator(engine="compiled")``) selects
 this engine.  Instead of interpreting one instruction at a time, it
-lazily *generates and compiles* straight-line Python for each basic
-segment of the kernel — maximal runs of non-control instructions that
-do not cross a SIMT reconvergence point — and drives those segments
-with the same reconvergence-stack loop the scalar engine uses.
+lazily *generates and compiles* straight-line Python for each run the
+SIMT driver (:meth:`repro.emulator.machine.Emulator._run_warp`) hands it
+— maximal runs of non-control instructions that do not cross a
+reconvergence point, shortened where the watchdog budget runs out — and
+caches the code per ``(start, end)``.  Branches, ``exit``, barriers, the
+reconvergence stack and fault attribution stay in the driver.
 
 Why this is fast where the vectorized engine is not: on branchy,
 data-dependent kernels (bfs, ccl, grm) warps run with a handful of
@@ -43,12 +45,9 @@ from .._bits import lanes_of as _lanes_of
 from ..ptx.isa import Imm, MemRef, Reg, Space, SReg, dtype_from_name
 from ..resilience.errors import CodegenError
 from .columnar import op_kind
-from .grid import FULL_MASK, WARP_SIZE
+from .grid import WARP_SIZE
 from .machine import (
-    _NEVER,
     EmulationError,
-    MemoryFaultError,
-    WatchdogError,
     _atom_result,
     _coerce_store,
     _trunc_div,
@@ -129,53 +128,26 @@ def _infer_entry_kinds(insts, reg_names):
     return {name: kinds.get(name, ("int", 0)) for name in reg_names}
 
 
-def _is_control(inst):
-    return (inst.is_branch or inst.is_exit or inst.is_barrier
-            or inst.opcode == "membar")
-
-
 def _san(name):
     return name.lstrip("%").replace(".", "_")
 
 
-class _CWarpState:
-    """Register-major warp state (``regs[name][lane]``)."""
-
-    __slots__ = ("warp_id", "regs", "sregs", "_raw_sregs", "stack",
-                 "done_mask", "at_barrier", "trace", "init_mask")
-
-    def __init__(self, warp_id, init_mask, sregs, trace):
-        self.warp_id = warp_id
-        self.regs = None    # filled on first run_warp (per-kernel names)
-        self.sregs = None   # transposed lazily for the used keys only
-        self._raw_sregs = sregs
-        self.stack = [[_NEVER, 0, init_mask]]
-        self.done_mask = FULL_MASK & ~init_mask
-        self.at_barrier = False
-        self.trace = trace
-        self.init_mask = init_mask
-
-    @property
-    def finished(self):
-        return not self.stack
-
-
 class CompiledEngine:
-    """Engine facade: generated segments + the scalar driver loop."""
+    """Engine facade: generated straight-line segments per kernel."""
 
     name = "compiled"
 
     def __init__(self):
         self._kernels = {}
 
-    def describe(self):
-        """Engine identity for manifests and span attributes (never for
-        metrics — snapshots must be engine-invariant)."""
-        return {"engine": self.name,
-                "strategy": "per-kernel generated Python segments"}
-
-    def make_warp(self, warp_id, init_mask, sregs, trace):
-        return _CWarpState(warp_id, init_mask, sregs, trace)
+    def make_registers(self, kernel, sregs):
+        """Register-major files (``regs[name][lane]``) for the kernel's
+        registers, and its used special registers transposed the same
+        way."""
+        ck = self._compiled_kernel(kernel)
+        return ({name: [0] * WARP_SIZE for name in ck.reg_names},
+                {k: [(s[k] if s is not None else 0) for s in sregs]
+                 for k in ck.sreg_names})
 
     def pred_mask(self, warp, preg, negated, live):
         P = warp.regs.get(preg.name)
@@ -187,7 +159,7 @@ class CompiledEngine:
                 pmask |= 1 << lane
         return pmask
 
-    def _compiled_kernel(self, kernel, cfg):
+    def _compiled_kernel(self, kernel):
         entry = self._kernels.get(id(kernel))
         if entry is not None and entry.kernel is kernel:
             return entry
@@ -196,7 +168,7 @@ class CompiledEngine:
         # scalar oracle would run the same kernel fine.  Typed as
         # CodegenError so the fallback chain can downgrade the engine.
         try:
-            entry = _CompiledKernel(kernel, cfg)
+            entry = _CompiledKernel(kernel)
         except Exception as exc:
             raise CodegenError(
                 "kernel analysis failed: %s" % (exc,),
@@ -204,137 +176,30 @@ class CompiledEngine:
         self._kernels[id(kernel)] = entry
         return entry
 
-    def run_warp(self, emu, kernel, cfg, warp, shared, params):
-        """Execute ``warp`` until it finishes or consumes a barrier —
-        the compiled counterpart of ``Emulator._run_warp``."""
-        ck = self._compiled_kernel(kernel, cfg)
-        if warp.regs is None:
-            warp.regs = {name: [0] * WARP_SIZE for name in ck.reg_names}
-            raw = warp._raw_sregs
-            warp.sregs = {
-                k: [(s[k] if s is not None else 0) for s in raw]
-                for k in ck.sreg_names}
-        insts = ck.insts
-        stack = warp.stack
-        record = warp.trace
-        budget = emu.max_warp_insts
-        by_pc = ck.by_pc
-        # executed-count bookkeeping stays in a local inside the hot
-        # loop; the finally block keeps the emulator's view exact on
-        # every exit path (barrier return, faults, watchdog)
-        executed = emu._executed
-        try:
-            while stack:
-                entry = stack[-1]
-                rpc = entry[0]
-                pc = entry[1]
-                live = entry[2] & ~warp.done_mask
-                if live == 0 or pc == rpc:
-                    stack.pop()
-                    continue
-                seg = by_pc[pc]
-                if seg is None:
-                    try:
-                        seg = ck.segment(pc, emu)
-                    except CodegenError:
-                        raise
-                    except Exception as exc:
-                        raise CodegenError(
-                            "segment compilation failed at pc %#x: %s"
-                            % (insts[pc].pc, exc),
-                            kernel=kernel.name) from exc
-                if seg is not False:
-                    fn, n = seg
-                    if executed + n > budget:
-                        left = budget - executed
-                        if left <= 0:
-                            executed += 1
-                            raise WatchdogError(
-                                budget, kernel=kernel.name, pc=insts[pc].pc,
-                                cta=warp.trace.cta_id, warp=warp.warp_id)
-                        # run a truncated segment so the watchdog trips
-                        # at the same instruction as the scalar engine
-                        try:
-                            fn, n = ck.segment(pc, emu, limit=left)
-                        except CodegenError:
-                            raise
-                        except Exception as exc:
-                            raise CodegenError(
-                                "segment compilation failed at pc %#x: %s"
-                                % (insts[pc].pc, exc),
-                                kernel=kernel.name) from exc
-                    executed += n
-                    try:
-                        fn(warp, live, _lanes_of(live), shared, params,
-                           record)
-                    except MemoryError_ as exc:
-                        inst = insts[getattr(exc, "_idx", pc)]
-                        raise MemoryFaultError(
-                            str(exc), kernel=kernel.name, pc=inst.pc,
-                            cta=warp.trace.cta_id, warp=warp.warp_id,
-                            lane=exc.lane, address=exc.addr,
-                            space=(inst.space.name.lower()
-                                   if inst.space is not None else None)
-                        ) from exc
-                    entry[1] = pc + n
-                    continue
-                # control instruction: branch / exit / barrier / membar
-                executed += 1
-                if executed > budget:
-                    raise WatchdogError(budget, kernel=kernel.name,
-                                        pc=insts[pc].pc,
-                                        cta=warp.trace.cta_id,
-                                        warp=warp.warp_id)
-                inst = insts[pc]
-                exec_mask = live
-                if inst.pred is not None:
-                    preg, negated = inst.pred
-                    exec_mask = self.pred_mask(warp, preg, negated, live)
-                record.append(inst, exec_mask)
-                if inst.is_branch:
-                    taken = exec_mask
-                    not_taken = live & ~exec_mask
-                    target = kernel.target_index(inst)
-                    if taken == 0:
-                        entry[1] = pc + 1
-                    elif not_taken == 0:
-                        entry[1] = target
-                    else:
-                        reconv = cfg.reconvergence_index(pc)
-                        rpc_idx = reconv if reconv is not None else _NEVER
-                        entry[1] = rpc_idx
-                        stack.append([rpc_idx, pc + 1, not_taken])
-                        stack.append([rpc_idx, target, taken])
-                    continue
-                if inst.is_exit:
-                    warp.done_mask |= exec_mask
-                    entry[1] = pc + 1
-                    continue
-                if inst.is_barrier:
-                    entry[1] = pc + 1
-                    warp.at_barrier = True
-                    return
-                entry[1] = pc + 1  # membar
-        finally:
-            emu._executed = executed
+    def run(self, emu, kernel, warp, start, end, live, shared, params):
+        """Execute instructions ``[start, end)`` for the ``live`` lanes
+        of ``warp`` through their generated segment."""
+        ck = self._compiled_kernel(kernel)
+        fn = ck.segments.get((start, end))
+        if fn is None:
+            try:
+                fn = _SegmentCompiler(ck, start, end, emu).compile()
+            except Exception as exc:
+                raise CodegenError(
+                    "segment compilation failed at pc %#x: %s"
+                    % (ck.insts[start].pc, exc),
+                    kernel=kernel.name) from exc
+            ck.segments[(start, end)] = fn
+        fn(warp, live, _lanes_of(live), shared, params, warp.trace)
 
 
 class _CompiledKernel:
-    """Per-kernel compilation state: segment boundaries + code cache."""
+    """Per-kernel compilation state: register names, value kinds and the
+    segment cache."""
 
-    def __init__(self, kernel, cfg):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.cfg = cfg
         self.insts = kernel.instructions
-        # segments must never run across a possible reconvergence
-        # index: the driver checks ``pc == rpc`` between segments
-        stop = set()
-        for i, inst in enumerate(self.insts):
-            if inst.is_branch:
-                r = cfg.reconvergence_index(i)
-                if r is not None:
-                    stop.add(r)
-        self.stop = stop
         names = set()
         snames = set()
         for inst in self.insts:
@@ -361,35 +226,8 @@ class _CompiledKernel:
         #: starts with is value-equivalent to 0.0 in every coerced use,
         #: so all-float-written registers still count as "float".)
         self.entry_kind = _infer_entry_kinds(self.insts, self.reg_names)
-        #: per-pc dispatch cache: ``None`` = not yet classified,
-        #: ``False`` = control instruction, else ``(fn, n_insts)``
-        self.by_pc = [None] * len(self.insts)
-        self._segs = {}
-
-    def segment(self, start, emu, limit=None):
-        """``(fn, n_insts)`` for the segment at instruction index
-        ``start``, or ``False`` when a control instruction sits there.
-        Compiled lazily, cached per ``(start, limit)``."""
-        key = (start, limit)
-        try:
-            return self._segs[key]
-        except KeyError:
-            pass
-        insts = self.insts
-        if _is_control(insts[start]):
-            self._segs[key] = False
-            self.by_pc[start] = False
-            return False
-        cap = len(insts) if limit is None else min(len(insts), start + limit)
-        end = start + 1
-        while (end < cap and end not in self.stop
-               and not _is_control(insts[end])):
-            end += 1
-        fn = _compile_segment(self, start, end, emu)
-        result = self._segs[key] = (fn, end - start)
-        if limit is None:
-            self.by_pc[start] = result
-        return result
+        #: ``(start, end) -> fn``, compiled on first use
+        self.segments = {}
 
 
 # ---------------------------------------------------------------------------
@@ -1121,7 +959,3 @@ class _SegmentCompiler:
                 else:
                     self.reg_kind[d.name] = nk
         return out
-
-
-def _compile_segment(ck, start, end, emu):
-    return _SegmentCompiler(ck, start, end, emu).compile()

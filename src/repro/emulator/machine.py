@@ -11,6 +11,11 @@ Executes a kernel launch the way an SM would, minus timing:
   :class:`~repro.emulator.columnar.ColumnarWarpTrace`,
   with per-lane effective addresses for memory operations.
 
+:class:`Emulator` is the only SIMT driver: it owns the reconvergence
+stack, branches, ``exit``, ``bar.sync``, ``membar``, the watchdog and
+fault attribution.  An engine is a data plane that runs one straight-line
+run of non-control instructions at a time (see :class:`_ScalarEngine`).
+
 The emulator is *functionally correct* — workload tests compare its memory
 state against host reference implementations — and its traces
 drive the timing simulator in :mod:`repro.sim`.
@@ -20,7 +25,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List
+
+import numpy as np
 
 from .._bits import lanes_of as _lanes_of
 from ..obs import tracing
@@ -183,16 +189,44 @@ def _trunc_rem(a, b):
     return a - b * _trunc_div(a, b)
 
 
-class _WarpState:
-    """Execution state of one warp: register files + SIMT stack."""
+def _is_control(inst):
+    """Instructions the driver executes itself: they change the SIMT
+    stack, the warp's live lanes or its barrier state."""
+    return (inst.is_branch or inst.is_exit or inst.is_barrier
+            or inst.opcode == "membar")
+
+
+def _run_ends(insts, cfg):
+    """``ends[i]``: one past the last instruction of the straight-line
+    run that starts at index ``i``.
+
+    A run stops before any control instruction and before any branch's
+    reconvergence index, so the driver sees every point where the SIMT
+    stack can change; ``ends[i] == i`` for a control instruction.
+    """
+    stops = {cfg.reconvergence_index(i)
+             for i, inst in enumerate(insts) if inst.is_branch}
+    ends = [0] * len(insts)
+    nxt = len(insts)
+    for i in range(len(insts) - 1, -1, -1):
+        control = _is_control(insts[i])
+        ends[i] = i if control else nxt
+        if control or i in stops:
+            nxt = i
+    return ends
+
+
+class WarpState:
+    """Execution state of one warp: the engine's register files plus the
+    driver's SIMT stack and barrier flag."""
 
     __slots__ = ("warp_id", "regs", "sregs", "stack", "done_mask",
                  "at_barrier", "trace", "init_mask")
 
-    def __init__(self, warp_id, init_mask, sregs, trace):
+    def __init__(self, warp_id, init_mask, regs, sregs, trace):
         self.warp_id = warp_id
-        self.regs: List[Dict[str, object]] = [dict() for _ in range(WARP_SIZE)]
-        self.sregs = sregs                     # per-lane special-register dicts
+        self.regs = regs                       # engine-specific layout
+        self.sregs = sregs                     # engine-specific layout
         self.stack = [[_NEVER, 0, init_mask]]  # [reconv_idx, pc_idx, mask]
         self.done_mask = FULL_MASK & ~init_mask
         self.at_barrier = False
@@ -208,21 +242,22 @@ class _ScalarEngine:
     """The reference per-lane interpreter (the differential-test oracle).
 
     Executes every instruction with Python loops over the live lanes of
-    the warp — simple, obviously correct, and slow.  The vectorized
-    engine (:mod:`repro.emulator.vector`) must produce byte-identical
+    the warp — simple, obviously correct, and slow.  Registers are one
+    ``dict`` per lane.  The other engines must produce byte-identical
     serialized traces; ``tests/emulator/test_engine_differential.py``
     enforces that over the whole workload suite.
+
+    An engine is a data plane: ``make_registers`` lays out a warp's
+    register files, ``pred_mask`` evaluates a guard predicate, and
+    ``run`` executes one straight-line run for fixed live lanes.
     """
 
     name = "scalar"
 
-    def describe(self):
-        """Engine identity for manifests and span attributes (never for
-        metrics — snapshots must be engine-invariant)."""
-        return {"engine": self.name, "strategy": "per-lane interpreter"}
-
-    def make_warp(self, warp_id, init_mask, sregs, trace):
-        return _WarpState(warp_id, init_mask, sregs, trace)
+    def make_registers(self, kernel, sregs):
+        """``(regs, sregs)`` for a new warp, from per-lane special-register
+        dicts (``None`` for lanes past the end of the CTA)."""
+        return [dict() for _ in range(WARP_SIZE)], sregs
 
     def pred_mask(self, warp, preg, negated, live):
         pmask = 0
@@ -232,11 +267,137 @@ class _ScalarEngine:
                 pmask |= 1 << lane
         return pmask
 
-    def exec_alu(self, emu, warp, inst, exec_mask):
-        emu._exec_alu(warp, inst, exec_mask)
+    def run(self, emu, kernel, warp, start, end, live, shared, params):
+        """Execute instructions ``[start, end)`` of ``kernel`` — none of
+        them control instructions — for the ``live`` lanes of ``warp``.
+        A memory fault leaves with the faulting index stamped as
+        ``_idx``."""
+        insts = kernel.instructions
+        pc = start
+        try:
+            for pc in range(start, end):
+                inst = insts[pc]
+                exec_mask = live
+                if inst.pred is not None:
+                    preg, negated = inst.pred
+                    exec_mask = self.pred_mask(warp, preg, negated, live)
+                if inst.is_memory:
+                    self.exec_memory(emu, warp, inst, exec_mask, shared,
+                                     params)
+                else:
+                    self.exec_alu(warp, inst, exec_mask)
+        except MemoryError_ as exc:
+            exc._idx = pc
+            raise
+
+    # ------------------------------------------------------------------ memory
+
+    @staticmethod
+    def _address(warp, lane, memref):
+        base = memref.base
+        if isinstance(base, Reg):
+            value = warp.regs[lane].get(base.name, 0)
+        elif isinstance(base, Imm):
+            value = base.value
+        elif isinstance(base, SReg):
+            value = warp.sregs[lane][base.name]
+        else:
+            raise EmulationError("cannot address through %r" % (base,))
+        return int(value) + memref.offset
 
     def exec_memory(self, emu, warp, inst, exec_mask, shared, params):
-        emu._exec_memory(warp, inst, exec_mask, shared, params)
+        space = inst.space
+        if space is Space.PARAM:
+            # parameter read: value comes from the launch parameters
+            value = params[inst.memref.base.name]
+            for lane in _lanes_of(exec_mask):
+                warp.regs[lane][inst.dests[0].name] = value
+            warp.trace.append(inst, exec_mask)
+            return
+
+        addresses = []
+        values = []
+        target = shared if space is Space.SHARED else emu.memory
+        try:
+            self._exec_memory_lanes(warp, inst, exec_mask, target, addresses,
+                                    values)
+        except MemoryError_ as exc:
+            # the address was appended just before the faulting access
+            if exc.lane is None and addresses:
+                exc.lane = addresses[-1][0]
+            raise
+        warp.trace.append(inst, exec_mask, tuple(addresses),
+                          tuple(values) if inst.is_store else None)
+
+    def _exec_memory_lanes(self, warp, inst, exec_mask, target, addresses,
+                           values):
+        memref = inst.memref
+        dtype = inst.dtype
+        width = dtype.nbytes
+        if inst.is_load:
+            dest_names = [d.name for d in inst.dests]
+            for lane in _lanes_of(exec_mask):
+                addr = self._address(warp, lane, memref)
+                addresses.append((lane, addr))
+                # vector loads move `vector` consecutive elements per lane
+                for k, name in enumerate(dest_names):
+                    warp.regs[lane][name] = target.load(addr + k * width,
+                                                        dtype)
+        elif inst.is_store:
+            value_ops = inst.srcs[1:]
+            for lane in _lanes_of(exec_mask):
+                addr = self._address(warp, lane, memref)
+                addresses.append((lane, addr))
+                for k, value_op in enumerate(value_ops):
+                    value = _coerce_store(
+                        self._value(warp, lane, value_op), dtype)
+                    values.append(value)
+                    target.store(addr + k * width, dtype, value)
+        elif inst.is_atomic:
+            # ``red`` is an atomic with no destination: the old value is
+            # computed for the read-modify-write but never written back
+            dest = inst.dests[0].name if inst.dests else None
+            for lane in _lanes_of(exec_mask):
+                addr = self._address(warp, lane, memref)
+                addresses.append((lane, addr))
+                old = target.load(addr, dtype)
+                operand = self._value(warp, lane, inst.srcs[1])
+                operand2 = (self._value(warp, lane, inst.srcs[2])
+                            if len(inst.srcs) > 2 else None)
+                if dtype.is_signed:
+                    # register values are unsigned bit patterns; signed
+                    # atomics (e.g. atom.min.s32) must compare as signed
+                    operand = _sx(int(operand), dtype.bits)
+                    if operand2 is not None:
+                        operand2 = _sx(int(operand2), dtype.bits)
+                new = _atom_result(inst.atom_op, old, operand, operand2,
+                                   dtype)
+                target.store(addr, dtype, _coerce_store(new, dtype))
+                if dest is not None:
+                    warp.regs[lane][dest] = old
+
+    # -------------------------------------------------------------------- ALU
+
+    @staticmethod
+    def _value(warp, lane, op):
+        if isinstance(op, Imm):
+            return op.value
+        if isinstance(op, Reg):
+            return warp.regs[lane].get(op.name, 0)
+        if isinstance(op, SReg):
+            return warp.sregs[lane][op.name]
+        raise EmulationError("unsupported source operand %r" % (op,))
+
+    def exec_alu(self, warp, inst, exec_mask):
+        warp.trace.append(inst, exec_mask)
+        if not inst.dests:
+            return
+        dest = inst.dests[0].name
+        op = inst.opcode
+        dtype = inst.dtype
+        for lane in _lanes_of(exec_mask):
+            srcs = [self._value(warp, lane, s) for s in inst.srcs]
+            warp.regs[lane][dest] = _evaluate(inst, op, dtype, srcs)
 
 
 def _make_engine(name):
@@ -256,11 +417,15 @@ def _make_engine(name):
 class Emulator:
     """Functionally executes kernel launches against a :class:`MemoryImage`.
 
-    ``engine`` selects the warp-execution strategy: ``"vectorized"``
-    (default) runs ALU/compare/select/address work for all active lanes
-    with masked NumPy operations over structure-of-arrays register
-    files; ``"scalar"`` is the per-lane reference interpreter.  Both
-    produce identical traces and memory state.
+    The emulator is the SIMT driver for every engine.  It keeps each
+    warp's reconvergence stack, executes branches, ``exit``,
+    ``bar.sync`` and ``membar`` itself, counts the watchdog budget and
+    attributes memory faults.  ``engine`` (one of :data:`ENGINES`)
+    selects only how straight-line runs of other instructions execute:
+    ``"vectorized"`` (default) with masked NumPy operations over
+    structure-of-arrays register files, ``"scalar"`` with the per-lane
+    reference interpreter, ``"compiled"`` with generated Python per run.
+    All produce identical traces and memory state.
     """
 
     def __init__(self, memory, max_warp_insts=None, engine=None):
@@ -297,17 +462,22 @@ class Emulator:
             instructions=kernel.instructions,
             shared_size=kernel.shared_size)
         self._executed = 0
+        self._run_ends = _run_ends(kernel.instructions, cfg)
         with tracing.span("emulate.launch", kernel=kernel.name,
                           engine=self.engine, ctas=config.num_ctas,
                           threads_per_cta=config.threads_per_cta) as sp:
-            for cta_linear in range(config.num_ctas):
-                check_memory_budget("emulation of kernel %s" % kernel.name)
-                self._run_cta(kernel, cfg, config, cta_linear, params,
-                              launch_trace)
+            # no engine's values depend on NumPy's floating-point warning
+            # state, so it is set once per launch rather than per op
+            with np.errstate(all="ignore"):
+                for cta_linear in range(config.num_ctas):
+                    check_memory_budget("emulation of kernel %s"
+                                        % kernel.name)
+                    self._run_cta(kernel, cfg, config, cta_linear, params,
+                                  launch_trace)
             sp.set(warp_insts=self._executed)
         launch_trace.seal()
         # engine-invariant launch telemetry: counts come from the shared
-        # driver, so scalar and vectorized runs publish identical series
+        # driver, so every engine publishes identical series
         registry = get_registry()
         registry.counter(
             "emulator.launches",
@@ -339,8 +509,9 @@ class Emulator:
                 tid = config.thread_coords(linear_tid)
                 sregs[lane_idx] = self._make_sregs(tid, ctaid, config,
                                                    lane_idx, w)
-            trace = launch_trace.new_warp(cta_linear, w)
-            warps.append(self._engine.make_warp(w, mask, sregs, trace))
+            regs, sregs = self._engine.make_registers(kernel, sregs)
+            warps.append(WarpState(w, mask, regs, sregs,
+                                   launch_trace.new_warp(cta_linear, w)))
 
         # run warps round-robin, releasing barriers when every live warp
         # has arrived
@@ -389,201 +560,77 @@ class Emulator:
     # ------------------------------------------------------------------- warp
 
     def _run_warp(self, kernel, cfg, warp, shared, params):
-        """Execute ``warp`` until it finishes or consumes a barrier."""
-        run_warp = getattr(self._engine, "run_warp", None)
-        if run_warp is not None:
-            # engines with their own dispatch loop (the compiled engine)
-            # take over the whole warp; semantics stay pinned by the
-            # engine differential tests
-            return run_warp(self, kernel, cfg, warp, shared, params)
+        """Execute ``warp`` until it finishes or consumes a barrier.
+
+        Straight-line runs (see :func:`_run_ends`) go to the engine, cut
+        short where the watchdog budget runs out; control instructions
+        execute here.
+        """
         insts = kernel.instructions
+        ends = self._run_ends
+        engine = self._engine
+        budget = self.max_warp_insts
         stack = warp.stack
         while stack:
-            rpc, pc, mask = stack[-1]
+            entry = stack[-1]
+            rpc, pc, mask = entry
             live = mask & ~warp.done_mask
             if live == 0 or pc == rpc:
                 stack.pop()
                 continue
-            self._executed += 1
-            if self._executed > self.max_warp_insts:
-                raise WatchdogError(
-                    self.max_warp_insts, kernel=kernel.name, pc=insts[pc].pc,
-                    cta=warp.trace.cta_id, warp=warp.warp_id)
-            inst = insts[pc]
-
-            exec_mask = live
-            if inst.pred is not None:
-                preg, negated = inst.pred
-                exec_mask = self._engine.pred_mask(warp, preg, negated, live)
-
-            if inst.is_branch:
-                self._trace(warp, inst, exec_mask)
-                taken = exec_mask
-                not_taken = live & ~exec_mask
-                target = kernel.target_index(inst)
-                entry = stack[-1]
-                if taken == 0:
-                    entry[1] = pc + 1
-                elif not_taken == 0:
-                    entry[1] = target
-                else:
-                    reconv = cfg.reconvergence_index(pc)
-                    rpc_idx = reconv if reconv is not None else _NEVER
-                    entry[1] = rpc_idx
-                    # push fall-through below taken so one path runs first;
-                    # order does not affect functional results
-                    stack.append([rpc_idx, pc + 1, not_taken])
-                    stack.append([rpc_idx, target, taken])
-                continue
-
-            if inst.is_exit:
-                self._trace(warp, inst, exec_mask)
-                warp.done_mask |= exec_mask
-                stack[-1][1] = pc + 1
-                continue
-
-            if inst.is_barrier:
-                self._trace(warp, inst, exec_mask)
-                stack[-1][1] = pc + 1
-                warp.at_barrier = True
-                return
-
-            if inst.opcode == "membar":
-                self._trace(warp, inst, exec_mask)
-                stack[-1][1] = pc + 1
-                continue
-
-            if inst.is_memory:
+            end = ends[pc]
+            if self._executed + end - pc > budget:
+                end = pc + budget - self._executed
+            if end > pc:
+                self._executed += end - pc
                 try:
-                    self._engine.exec_memory(self, warp, inst, exec_mask,
-                                             shared, params)
+                    engine.run(self, kernel, warp, pc, end, live, shared,
+                               params)
                 except MemoryError_ as exc:
+                    inst = insts[exc._idx]
                     raise MemoryFaultError(
                         str(exc), kernel=kernel.name, pc=inst.pc,
                         cta=warp.trace.cta_id, warp=warp.warp_id,
                         lane=exc.lane, address=exc.addr,
                         space=(inst.space.name.lower()
                                if inst.space is not None else None)) from exc
-            else:
-                self._engine.exec_alu(self, warp, inst, exec_mask)
-            stack[-1][1] = pc + 1
+                entry[1] = end
+                continue
 
-    def _trace(self, warp, inst, exec_mask, addresses=None, values=None):
-        warp.trace.append(inst, exec_mask, addresses, values)
-
-    # ------------------------------------------------------------------ memory
-
-    def _address(self, warp, lane, memref):
-        base = memref.base
-        if isinstance(base, Reg):
-            value = warp.regs[lane].get(base.name, 0)
-        elif isinstance(base, Imm):
-            value = base.value
-        elif isinstance(base, SReg):
-            value = warp.sregs[lane][base.name]
-        else:
-            raise EmulationError("cannot address through %r" % (base,))
-        return int(value) + memref.offset
-
-    def _exec_memory(self, warp, inst, exec_mask, shared, params):
-        space = inst.space
-        memref = inst.memref
-        dtype = inst.dtype
-
-        if space is Space.PARAM:
-            # parameter read: value comes from the launch parameters
-            name = memref.base.name
-            value = params[name]
-            for lane in _lanes_of(exec_mask):
-                warp.regs[lane][inst.dests[0].name] = value
-            self._trace(warp, inst, exec_mask)
-            return
-
-        addresses = []
-        values = []
-        width = dtype.nbytes
-        try:
-            self._exec_memory_lanes(warp, inst, exec_mask, shared, addresses,
-                                    width, values)
-        except MemoryError_ as exc:
-            # the address was appended just before the faulting access
-            if exc.lane is None and addresses:
-                exc.lane = addresses[-1][0]
-            raise
-        self._trace(warp, inst, exec_mask, tuple(addresses),
-                    tuple(values) if inst.is_store else None)
-
-    def _exec_memory_lanes(self, warp, inst, exec_mask, shared, addresses,
-                           width, values):
-        space = inst.space
-        memref = inst.memref
-        dtype = inst.dtype
-        if inst.is_load:
-            dest_names = [d.name for d in inst.dests]
-            target = shared if space is Space.SHARED else self.memory
-            for lane in _lanes_of(exec_mask):
-                addr = self._address(warp, lane, memref)
-                addresses.append((lane, addr))
-                # vector loads move `vector` consecutive elements per lane
-                for k, name in enumerate(dest_names):
-                    warp.regs[lane][name] = target.load(addr + k * width,
-                                                        dtype)
-        elif inst.is_store:
-            value_ops = inst.srcs[1:]
-            target = shared if space is Space.SHARED else self.memory
-            for lane in _lanes_of(exec_mask):
-                addr = self._address(warp, lane, memref)
-                addresses.append((lane, addr))
-                for k, value_op in enumerate(value_ops):
-                    value = _coerce_store(
-                        self._value(warp, lane, value_op), dtype)
-                    values.append(value)
-                    target.store(addr + k * width, dtype, value)
-        elif inst.is_atomic:
-            # ``red`` is an atomic with no destination: the old value is
-            # computed for the read-modify-write but never written back
-            dest = inst.dests[0].name if inst.dests else None
-            target = shared if space is Space.SHARED else self.memory
-            for lane in _lanes_of(exec_mask):
-                addr = self._address(warp, lane, memref)
-                addresses.append((lane, addr))
-                old = target.load(addr, dtype)
-                operand = self._value(warp, lane, inst.srcs[1])
-                operand2 = (self._value(warp, lane, inst.srcs[2])
-                            if len(inst.srcs) > 2 else None)
-                if dtype.is_signed:
-                    # register values are unsigned bit patterns; signed
-                    # atomics (e.g. atom.min.s32) must compare as signed
-                    operand = _sx(int(operand), dtype.bits)
-                    if operand2 is not None:
-                        operand2 = _sx(int(operand2), dtype.bits)
-                new = _atom_result(inst.atom_op, old, operand, operand2,
-                                   dtype)
-                target.store(addr, dtype, _coerce_store(new, dtype))
-                if dest is not None:
-                    warp.regs[lane][dest] = old
-
-    # -------------------------------------------------------------------- ALU
-
-    def _value(self, warp, lane, op):
-        if isinstance(op, Imm):
-            return op.value
-        if isinstance(op, Reg):
-            return warp.regs[lane].get(op.name, 0)
-        if isinstance(op, SReg):
-            return warp.sregs[lane][op.name]
-        raise EmulationError("unsupported source operand %r" % (op,))
-
-    def _exec_alu(self, warp, inst, exec_mask):
-        self._trace(warp, inst, exec_mask)
-        if not inst.dests:
-            return
-        dest = inst.dests[0].name
-        op = inst.opcode
-        dtype = inst.dtype
-        for lane in _lanes_of(exec_mask):
-            srcs = [self._value(warp, lane, s) for s in inst.srcs]
-            warp.regs[lane][dest] = _evaluate(inst, op, dtype, srcs)
+            # a control instruction, or a run the spent budget cut to nothing
+            self._executed += 1
+            if self._executed > budget:
+                raise WatchdogError(
+                    budget, kernel=kernel.name, pc=insts[pc].pc,
+                    cta=warp.trace.cta_id, warp=warp.warp_id)
+            inst = insts[pc]
+            exec_mask = live
+            if inst.pred is not None:
+                preg, negated = inst.pred
+                exec_mask = engine.pred_mask(warp, preg, negated, live)
+            warp.trace.append(inst, exec_mask)
+            entry[1] = pc + 1
+            if inst.is_branch:
+                taken = exec_mask
+                not_taken = live & ~exec_mask
+                target = kernel.target_index(inst)
+                if taken == 0:
+                    continue
+                if not_taken == 0:
+                    entry[1] = target
+                    continue
+                reconv = cfg.reconvergence_index(pc)
+                rpc_idx = reconv if reconv is not None else _NEVER
+                entry[1] = rpc_idx
+                # push fall-through below taken so one path runs first;
+                # order does not affect functional results
+                stack.append([rpc_idx, pc + 1, not_taken])
+                stack.append([rpc_idx, target, taken])
+            elif inst.is_exit:
+                warp.done_mask |= exec_mask
+            elif inst.is_barrier:
+                warp.at_barrier = True
+                return
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ structure-of-arrays state:
 * ALU / compare / select / memory-address operations executed for all
   active lanes at once with masked NumPy ops.
 
-The *control* plane — the SIMT reconvergence stack, ``bar.sync``
-round-robin and the warp scheduler loop — is untouched: it lives in
-:meth:`repro.emulator.machine.Emulator._run_warp` and is shared with the
-scalar engine.
+The *control* plane — the SIMT reconvergence stack, branches, ``exit``,
+``bar.sync`` and the warp scheduler loop — is not here: it lives in
+:meth:`repro.emulator.machine.Emulator._run_warp`, which hands this engine
+straight-line runs.  The loop over a run is the scalar engine's ``run``.
 
 Equivalence contract: for every workload, the vectorized engine must
 produce byte-identical serialized traces and identical final memory to
@@ -37,21 +37,19 @@ Three deliberate mechanisms keep that true:
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from .._bits import lanes_of, popcount
 from ..ptx.isa import Imm, Reg, Space, SReg, dtype_from_name
 from ..resilience.errors import TraceIntegrityError
-from .grid import FULL_MASK, WARP_SIZE
+from .grid import WARP_SIZE
 from .machine import (
     EmulationError,
-    _NEVER,
     _atom_result,
     _coerce_store,
     _evaluate,
     _fault_lane,
+    _ScalarEngine,
     _sx,
 )
 from .memory import MemoryError_
@@ -80,32 +78,9 @@ def _mask_from_bools(arr):
         np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-class VectorWarpState:
-    """Execution state of one warp in structure-of-arrays form."""
-
-    __slots__ = ("warp_id", "regs", "sregs", "stack", "done_mask",
-                 "at_barrier", "trace", "init_mask")
-
-    def __init__(self, warp_id, init_mask, sregs_dicts, trace):
-        self.warp_id = warp_id
-        #: ``{register name: (32,) array}`` — uint64 patterns, float64
-        #: values or bools; missing registers read as zero.
-        self.regs: Dict[str, np.ndarray] = {}
-        self.sregs = _sreg_arrays(sregs_dicts)
-        self.stack = [[_NEVER, 0, init_mask]]
-        self.done_mask = FULL_MASK & ~init_mask
-        self.at_barrier = False
-        self.trace = trace
-        self.init_mask = init_mask
-
-    @property
-    def finished(self):
-        return not self.stack
-
-
 def _sreg_arrays(sregs_dicts):
     """Per-lane special-register dicts -> ``{name: uint64 array}``."""
-    arrays: Dict[str, np.ndarray] = {}
+    arrays = {}
     names = next(d for d in sregs_dicts if d is not None).keys()
     for name in names:
         arrays[name] = np.array(
@@ -195,15 +170,14 @@ class VectorEngine:
 
     name = "vectorized"
 
-    def describe(self):
-        """Engine identity for manifests and span attributes (never for
-        metrics — snapshots must be engine-invariant)."""
-        return {"engine": self.name,
-                "strategy": "masked NumPy structure-of-arrays",
-                "sparse_lanes": SPARSE_LANES}
+    #: the same instruction loop as the scalar oracle, over this
+    #: engine's ``pred_mask``, ``exec_alu`` and ``exec_memory``
+    run = _ScalarEngine.run
 
-    def make_warp(self, warp_id, init_mask, sregs, trace):
-        return VectorWarpState(warp_id, init_mask, sregs, trace)
+    def make_registers(self, kernel, sregs):
+        """``{register name: (32,) array}`` — uint64 patterns, float64
+        values or bools; missing registers read as zero."""
+        return {}, _sreg_arrays(sregs)
 
     # -- operand access ----------------------------------------------------
 
@@ -288,8 +262,8 @@ class VectorEngine:
 
     # -- ALU ---------------------------------------------------------------
 
-    def exec_alu(self, emu, warp, inst, exec_mask):
-        emu._trace(warp, inst, exec_mask)
+    def exec_alu(self, warp, inst, exec_mask):
+        warp.trace.append(inst, exec_mask)
         if not inst.dests:
             return
         dest = inst.dests[0].name
@@ -297,8 +271,7 @@ class VectorEngine:
             self._exec_alu_lanes(warp, inst, exec_mask, dest)
             return
         srcs = [self._src(warp, s) for s in inst.srcs]
-        with np.errstate(all="ignore"):
-            result = _evaluate_vec(inst, inst.opcode, inst.dtype, srcs)
+        result = _evaluate_vec(inst, inst.opcode, inst.dtype, srcs)
         if result is None:
             self._exec_alu_lanes(warp, inst, exec_mask, dest)
             return
@@ -351,7 +324,7 @@ class VectorEngine:
                 warp, inst.dests[0].name, result,
                 _bools_from_mask(exec_mask), exec_mask,
                 warp.init_mask & ~warp.done_mask)
-            emu._trace(warp, inst, exec_mask)
+            warp.trace.append(inst, exec_mask)
             return
 
         active = lanes_of(exec_mask)
@@ -379,8 +352,8 @@ class VectorEngine:
                 "store at pc %#x of warp (%d, %d) produced %d values for "
                 "%d accesses" % (inst.pc, warp.trace.cta_id, warp.warp_id,
                                  len(stored), len(addresses)))
-        emu._trace(warp, inst, exec_mask, tuple(addresses),
-                   tuple(stored) if inst.is_store else None)
+        warp.trace.append(inst, exec_mask, tuple(addresses),
+                          tuple(stored) if inst.is_store else None)
 
     def _exec_memory_lanes(self, warp, inst, addresses, width, target,
                            active, exec_mask, stored):
