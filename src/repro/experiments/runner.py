@@ -37,6 +37,7 @@ from ..ptx import parse_module, print_module
 from ..sim.coalescer import CoalescingSummary
 from ..sim.config import GPUConfig, TESLA_C2050
 from ..sim.gpu import GPU
+from ..resilience.errors import error_context
 from ..resilience.guards import check_memory_budget
 from ..sim.stats import SimStats
 from ..testing.faults import check_fault
@@ -61,14 +62,6 @@ BENCH_CONFIG = TESLA_C2050.scaled(
 
 #: default input scale for the benchmark harness.
 BENCH_SCALE = 0.5
-
-#: exception attributes copied into :attr:`AppFailure.context` when
-#: present (the structured fields of MemoryFaultError, WatchdogError,
-#: BarrierDeadlockError, SimulationError, MemoryBudgetError and
-#: ConvergenceError).
-_CONTEXT_FIELDS = ("kernel", "pc", "cta", "warp", "lane", "address",
-                   "space", "budget", "warp_status", "rss_mb", "budget_mb",
-                   "round", "steps")
 
 
 @dataclass
@@ -134,11 +127,9 @@ class AppFailure:
 
 
 def _failure_from(name, stage, exc):
-    context = {}
-    for attr in _CONTEXT_FIELDS:
-        value = getattr(exc, attr, None)
-        if value is not None:
-            context[attr] = value
+    context = error_context(exc)
+    # an injected fault's own stage is the record's ``stage`` field
+    context.pop("stage", None)
     return AppFailure(name=name, stage=stage,
                       error=type(exc).__name__,
                       message=str(exc), context=context)

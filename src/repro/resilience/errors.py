@@ -61,3 +61,23 @@ class TraceIntegrityError(EngineFailure, ValueError):
     """
 
     reason = "trace_integrity"
+
+
+#: exception attributes a failure record copies when present: the
+#: structured fields of MemoryFaultError, WatchdogError,
+#: BarrierDeadlockError, SimulationError, MemoryBudgetError,
+#: ConvergenceError and injected faults.
+CONTEXT_FIELDS = ("kernel", "pc", "cta", "warp", "lane", "address",
+                  "space", "budget", "warp_status", "rss_mb", "budget_mb",
+                  "round", "steps", "stage")
+
+
+def error_context(exc):
+    """``{field: value}`` for every :data:`CONTEXT_FIELDS` attribute of
+    ``exc`` that is set, so a failure record says *where* it failed."""
+    context = {}
+    for attr in CONTEXT_FIELDS:
+        value = getattr(exc, attr, None)
+        if value is not None:
+            context[attr] = value
+    return context

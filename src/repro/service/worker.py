@@ -21,35 +21,21 @@ exactly-once under crashes:
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List
 
 from ..obs.metrics import get_registry
 from ..resilience.artifacts import attach_checksum
+from ..resilience.errors import error_context
 from .pipeline import execute_job
 
 #: store namespace content-addressed results live under.
 RESULTS_PREFIX = "results/"
-
-#: exception attributes copied into a failed job's ``error_context``
-#: (mirrors the figure runner's AppFailure context fields).
-_CONTEXT_FIELDS = ("kernel", "pc", "cta", "warp", "lane", "address",
-                   "space", "budget", "warp_status", "rss_mb", "budget_mb",
-                   "stage")
 
 
 def result_key_for(request):
     """The artifact-store key of a request's (content-addressed)
     result payload."""
     return RESULTS_PREFIX + request.key() + ".json"
-
-
-def _error_context(exc):
-    context = {}
-    for attr in _CONTEXT_FIELDS:
-        value = getattr(exc, attr, None)
-        if value is not None:
-            context[attr] = value
-    return context or None
 
 
 class WorkerPool:
@@ -126,7 +112,7 @@ class WorkerPool:
                 1, error=type(exc).__name__)
             self.queue.fail(
                 record.id, "%s: %s" % (type(exc).__name__, exc),
-                context=_error_context(exc))
+                context=error_context(exc))
             return record.id
 
 

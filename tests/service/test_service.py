@@ -93,6 +93,16 @@ class TestFacade:
         assert failed.status == STATUS_FAILED
         assert failed.error_context is not None
 
+    def test_convergence_failure_keeps_round_and_steps(self, service):
+        # this input's Boruvka round 3 never converges (tests/workloads/
+        # test_mst.py pins the same failure through the figure runner)
+        record = service.submit({"app": "mst", "scale": 0.25, "seed": 2009})
+        service.drain()
+        failed = service.queue.get(record.id)
+        assert failed.status == STATUS_FAILED
+        assert failed.error.startswith("ConvergenceError")
+        assert failed.error_context == {"round": 3, "steps": 257}
+
     def test_stats_shape(self, service):
         service.submit(dict(BODY))
         stats = service.stats()
