@@ -247,35 +247,6 @@ class SimStats:
                if key[0] == kernel_name and key[1] == pc]
         return sorted(out, key=lambda item: item[0])
 
-    def merge(self, other):
-        """Accumulate another stats object into this one (per-app runs)."""
-        for label in CLASS_LABELS:
-            self.classes[label].merge(other.classes[label])
-        for o in Outcome:
-            self.l1_cycles[o] += other.l1_cycles[o]
-            for label in CLASS_LABELS:
-                self.l1_cycles_by_class[label][o] += \
-                    other.l1_cycles_by_class[label][o]
-        for u in self.unit_busy:
-            self.unit_busy[u] += other.unit_busy[u]
-        self.active_sm_cycles += other.active_sm_cycles
-        self.cycles += other.cycles
-        for key, bucket in other.pc_buckets.items():
-            mine = self.pc_buckets.get(key)
-            if mine is None:
-                mine = self.pc_buckets[key] = PCBucket()
-            for attr in ("count", "turnaround_sum", "wait_first_sum",
-                         "gap_l1d_sum", "gap_icnt_l2_sum", "gap_l2_icnt_sum"):
-                setattr(mine, attr, getattr(mine, attr) + getattr(bucket, attr))
-        for attr in ("issued_warp_insts", "shared_load_insts",
-                     "global_load_insts", "global_store_insts",
-                     "icnt_injected", "icnt_queue_delay", "l2_stall_cycles",
-                     "dram_reads", "dram_writes", "prefetch_issued",
-                     "prefetch_dropped", "shared_bank_conflict_cycles"):
-            setattr(self, attr, getattr(self, attr) + getattr(other, attr))
-        for reason in self.issue_stall:
-            self.issue_stall[reason] += other.issue_stall.get(reason, 0)
-
     def issue_stall_fractions(self):
         """{reason: fraction of SM-active cycles stalled for it}, plus
         "issued" for the remainder."""

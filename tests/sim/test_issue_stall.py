@@ -49,13 +49,3 @@ class TestIssueStall:
     def test_empty_stats(self):
         from repro.sim.stats import SimStats
         assert SimStats().issue_stall_fractions() == {}
-
-    def test_merge_accumulates(self):
-        from repro.sim.stats import SimStats
-        a, b = SimStats(), SimStats()
-        a.issue_stall["scoreboard"] = 5
-        b.issue_stall["scoreboard"] = 7
-        b.issue_stall["barrier"] = 2
-        a.merge(b)
-        assert a.issue_stall["scoreboard"] == 12
-        assert a.issue_stall["barrier"] == 2

@@ -114,14 +114,3 @@ class TestSimStats:
         stats.record_load_completion("k", 8, "N", 7, 1, 0, 0, 0, 0)
         stats.record_load_completion("k", 8, "N", 2, 1, 0, 0, 0, 0)
         assert [n for n, _b in stats.pc_series("k", 8)] == [2, 7]
-
-    def test_merge(self):
-        a, b = SimStats(), SimStats()
-        a.record_l1_cycle(Outcome.HIT, "D")
-        b.record_l1_cycle(Outcome.HIT, "D")
-        b.record_load_completion("k", 8, "D", 1, 10, 0, 0, 0, 0)
-        b.cycles = 100
-        a.merge(b)
-        assert a.l1_cycles[Outcome.HIT] == 2
-        assert a.cycles == 100
-        assert a.pc_buckets[("k", 8, 1)].count == 1
