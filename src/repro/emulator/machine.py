@@ -273,7 +273,6 @@ class _ScalarEngine:
         A memory fault leaves with the faulting index stamped as
         ``_idx``."""
         insts = kernel.instructions
-        pc = start
         try:
             for pc in range(start, end):
                 inst = insts[pc]
