@@ -398,7 +398,7 @@ class SMCore:
         if self._slept_from is not None:
             self.settle(now)
         events = self._events
-        popped = bool(events) and events[0][0] <= now
+        popped = events and events[0][0] <= now
         if popped:
             self._pop_events(now)
         head = self._ldst_cycle(now) if self.ldst_queue else None
@@ -406,7 +406,9 @@ class SMCore:
         if head is None and self._pf_queue:
             # the L1 port is free this cycle: spend it on a prefetch
             prefetched = self._prefetch_cycle(now)
-        issued = self._issue(now)
+        # no candidate and no mask rebuild due: the pass would issue
+        # nothing
+        issued = (self._ready or self._dirty) and self._issue(now)
         reason = None
         if self.warps:
             self.stats.active_sm_cycles += 1

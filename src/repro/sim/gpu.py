@@ -7,13 +7,18 @@ application's kernel launches (:meth:`GPU.run_application`).
 
 The main loop is driven by per-component wake times, and each of its
 iterations costs only the work that is due.  Every SM and every memory
-partition carries the next cycle it must tick (``wake_at``); an
-iteration jumps the clock to the earliest of those and of both
-networks' head deliveries (one inline scan, no per-iteration list),
-lets a network deliver only when its head is due, and ticks only the
-components that are due.  The launch ends when its last CTA finishes
-(a count the CTA-finished callback keeps).  The result is the same as
-ticking every component on every cycle:
+partition carries the next cycle it must tick (``wake_at``).  A launch
+lists its live SMs once, after the initial CTA fill: those with a
+resident CTA, a wake time or an L1 miss in flight.  No other SM can get
+work later in the launch, so no other SM is scanned or ticked.  The
+loop keeps the earliest wake of the partitions and of the live SMs,
+which only a delivery or the group's own ticks can move; an iteration
+jumps the clock to the earlier of the two or to a network's head
+delivery, lets a network deliver only when its head is due, and walks
+a group only when its earliest wake is due, ticking the due members
+and recomputing the group's wake in that one pass.  The launch ends
+when its last CTA finishes (a count the CTA-finished callback keeps).
+The result is the same as ticking every component on every cycle:
 
 * a partition is a no-op between its internal events, except for
   responses waiting on a network credit, and a returning credit wakes
@@ -229,13 +234,20 @@ class GPU:
     def _run_until_drained(self):
         """Run until every CTA of the launch has finished.
 
-        Each iteration costs only its due work: the next wake is the
-        earliest component ``wake_at`` or network head, found inline;
-        a network delivers only when its head is due; only the due
-        components tick.
+        Only the launch's live SMs are scanned or ticked:
+        :meth:`_cta_finished` refills only the SM that retired a CTA, so
+        an SM that after the initial fill holds no CTA, has no wake and
+        no L1 miss in flight stays idle to the end of the launch.  (A
+        miss in flight keeps an SM live because its response wakes the
+        SM for one tick.)  ``part_wake`` and ``sm_wake`` hold the
+        earliest ``wake_at`` of the partitions and of the live SMs: a
+        delivery can only lower them, and the walk over a due group
+        ticks its due members in index order and recomputes the
+        group's wake.
         """
         sms, partitions = self.sms, self.partitions
-        components = sms + partitions
+        live = [sm for sm in sms
+                if sm.ctas or sm.wake_at < inf or sm.l1.mshr.occupancy]
         req_icnt, resp_icnt = self.req_icnt, self.resp_icnt
         req_pending, resp_pending = req_icnt.pending, resp_icnt.pending
         now = self.now
@@ -244,11 +256,10 @@ class GPU:
         # resident plus unassigned; _cta_finished counts it down
         self._ctas_left = sum(len(sm.ctas) for sm in sms) + (
             scheduler.remaining if scheduler is not None else 0)
+        part_wake = min(p.wake_at for p in partitions)
+        sm_wake = min([sm.wake_at for sm in live], default=inf)
         while self._ctas_left:
-            wake = inf
-            for component in components:
-                if component.wake_at < wake:
-                    wake = component.wake_at
+            wake = part_wake if part_wake < sm_wake else sm_wake
             if req_pending and req_pending[0][0] < wake:
                 wake = req_pending[0][0]
             if resp_pending and resp_pending[0][0] < wake:
@@ -265,18 +276,38 @@ class GPU:
                     state=self.debug_state())
             if req_pending and req_pending[0][0] <= now:
                 for req, dst in req_icnt.deliver_ready(now):
-                    partitions[dst].receive(req, now)
-                    sms[req.sm_id].credit_returned(now)
+                    partition = partitions[dst]
+                    partition.receive(req, now)
+                    if partition.wake_at < part_wake:
+                        part_wake = partition.wake_at
+                    sm = sms[req.sm_id]
+                    sm.credit_returned(now)
+                    if sm.wake_at < sm_wake:
+                        sm_wake = sm.wake_at
             if resp_pending and resp_pending[0][0] <= now:
                 for req, dst in resp_icnt.deliver_ready(now):
-                    sms[dst].receive_response(req, now)
-                    partitions[req.partition].credit_returned(now)
-            for partition in partitions:
-                if partition.wake_at <= now:
-                    partition.cycle(now, resp_icnt)
-            for sm in sms:
-                if sm.wake_at <= now:
-                    sm.cycle(now)
+                    sm = sms[dst]
+                    sm.receive_response(req, now)
+                    if sm.wake_at < sm_wake:
+                        sm_wake = sm.wake_at
+                    partition = partitions[req.partition]
+                    partition.credit_returned(now)
+                    if partition.wake_at < part_wake:
+                        part_wake = partition.wake_at
+            if part_wake <= now:
+                part_wake = inf
+                for partition in partitions:
+                    if partition.wake_at <= now:
+                        partition.cycle(now, resp_icnt)
+                    if partition.wake_at < part_wake:
+                        part_wake = partition.wake_at
+            if sm_wake <= now:
+                sm_wake = inf
+                for sm in live:
+                    if sm.wake_at <= now:
+                        sm.cycle(now)
+                    if sm.wake_at < sm_wake:
+                        sm_wake = sm.wake_at
         self._drained()
 
     def _drained(self):
