@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Tuple
 
-from ..ptx.cfg import CFG
 from ..ptx.isa import Imm, Instruction, MemRef, Space, SReg, Sym
 from ..ptx.module import Kernel
 from .defuse import ENTRY, ReachingDefs
@@ -106,7 +105,7 @@ class LoadClassifier:
 
     def __init__(self, kernel, cfg=None):
         self.kernel = kernel
-        self.cfg = cfg if cfg is not None else CFG(kernel)
+        self.cfg = cfg if cfg is not None else kernel.cfg
         self.defuse = ReachingDefs(kernel, self.cfg)
         self._def_prov: List[int] = []
         self._def_taint: List[FrozenSet[int]] = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List
 
-from ..ptx.cfg import CFG
 from ..ptx.isa import Reg
 
 #: Pseudo definition site: the register was never written on some path.
@@ -34,7 +33,7 @@ class ReachingDefs:
 
     def __init__(self, kernel, cfg=None):
         self.kernel = kernel
-        self.cfg = cfg if cfg is not None else CFG(kernel)
+        self.cfg = cfg if cfg is not None else kernel.cfg
         self._block_in: List[Dict[str, FrozenSet[int]]] = []
         self._solve()
         # per-instruction states, filled a whole block at a time by

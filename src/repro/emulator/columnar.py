@@ -309,6 +309,51 @@ def _rebased(offsets, lo, n):
     return window - window[0]
 
 
+class InstructionTable:
+    """The per-instruction facts a launch's columns are read through,
+    indexed by ``pc >> _PC_SHIFT``.  They depend on the kernel alone,
+    so :func:`kernel_table` builds them once per kernel and every
+    launch of it shares them."""
+
+    __slots__ = ("insts", "kind_of", "isfloat_of", "vec_by_idx",
+                 "access_bytes", "is_global_load", "is_shared_load")
+
+    def __init__(self, instructions):
+        insts = (instructions if isinstance(instructions, list)
+                 else list(instructions))
+        for i, inst in enumerate(insts):
+            if inst.pc != i * PC_STRIDE:
+                raise ValueError(
+                    "instruction table violates the pc-stride invariant "
+                    "at index %d (pc %#x)" % (i, inst.pc))
+        self.insts = insts
+        self.kind_of = [op_kind(inst) if inst.is_memory else KIND_NONE
+                        for inst in insts]
+        self.isfloat_of = [bool(inst.dtype is not None
+                                and inst.dtype.is_float) for inst in insts]
+        self.vec_by_idx = np.asarray(
+            [max(inst.vector, 1) for inst in insts] or [1], dtype=np.uint8)
+        self.access_bytes = np.asarray(
+            [inst.access_bytes if inst.is_memory else 0 for inst in insts]
+            or [0], dtype=np.int64)
+        self.is_global_load = np.asarray(
+            [inst.is_global_load for inst in insts] or [False],
+            dtype=np.bool_)
+        self.is_shared_load = np.asarray(
+            [inst.is_shared_load for inst in insts] or [False],
+            dtype=np.bool_)
+
+
+def _table_of(kernel):
+    return InstructionTable(kernel.instructions)
+
+
+def kernel_table(kernel):
+    """``kernel``'s :class:`InstructionTable`, built on first use and
+    held by the kernel (:meth:`~repro.ptx.module.Kernel.fact`)."""
+    return kernel.fact(_table_of)
+
+
 class ColumnarLaunchTrace:
     """The complete trace of one kernel launch, stored as columns.
 
@@ -326,32 +371,20 @@ class ColumnarLaunchTrace:
         self.config = config
         self.shared_size = shared_size
         self.warps: List[ColumnarWarpTrace] = []
-        # the kernel's own list, shared by every launch of the kernel
-        insts = (instructions if isinstance(instructions, list)
-                 else list(instructions))
-        for i, inst in enumerate(insts):
-            if inst.pc != i * PC_STRIDE:
-                raise ValueError(
-                    "instruction table violates the pc-stride invariant "
-                    "at index %d (pc %#x)" % (i, inst.pc))
-        self._insts = insts
-        self._kind_of = [op_kind(inst) if inst.is_memory else KIND_NONE
-                         for inst in insts]
-        self._isfloat_of = [bool(inst.dtype is not None
-                                 and inst.dtype.is_float) for inst in insts]
-        self._vec_by_idx = np.asarray(
-            [max(inst.vector, 1) for inst in insts] or [1], dtype=np.uint8)
+        # ``instructions`` is a kernel's shared InstructionTable
+        # (:func:`kernel_table`) or a plain instruction list
+        table = (instructions if isinstance(instructions, InstructionTable)
+                 else InstructionTable(instructions))
+        self._table = table
+        self._insts = table.insts
+        self._kind_of = table.kind_of
+        self._isfloat_of = table.isfloat_of
+        self._vec_by_idx = table.vec_by_idx
         #: bytes each lane of an instruction moves, indexed by
         #: ``pc >> _PC_SHIFT`` (0 for non-memory instructions).
-        self.access_bytes = np.asarray(
-            [inst.access_bytes if inst.is_memory else 0 for inst in insts]
-            or [0], dtype=np.int64)
-        self._is_global_load = np.asarray(
-            [inst.is_global_load for inst in insts] or [False],
-            dtype=np.bool_)
-        self._is_shared_load = np.asarray(
-            [inst.is_shared_load for inst in insts] or [False],
-            dtype=np.bool_)
+        self.access_bytes = table.access_bytes
+        self._is_global_load = table.is_global_load
+        self._is_shared_load = table.is_shared_load
         self.pc = None  # sealed columns (None while building)
         self.mask = None
         self.kind = None
@@ -558,8 +591,8 @@ def rewrite_global_loads(launch, pcs, rewrite):
                 addrs.append(addr)
     # each warp's new op count: its rows' output rows
     ops = np.diff(_exclusive_offsets(per_row)[launch.op_start]).tolist()
-    out = ColumnarLaunchTrace(launch.kernel_name, launch.config, insts,
-                              shared_size=launch.shared_size)
+    out = ColumnarLaunchTrace(launch.kernel_name, launch.config,
+                              launch._table, shared_size=launch.shared_size)
     return out.seal(
         _splice_rows(launch, rows, per_row, masks, acounts, lanes, addrs),
         [(w.cta_id, w.warp_id, n) for w, n in zip(launch.warps, ops)])

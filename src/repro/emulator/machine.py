@@ -31,10 +31,9 @@ import numpy as np
 from .._bits import lanes_of as _lanes_of
 from ..obs import tracing
 from ..obs.metrics import get_registry
-from ..ptx.cfg import CFG
 from ..ptx.isa import Imm, Reg, Space, SReg
 from ..resilience.guards import check_memory_budget
-from .columnar import ColumnarLaunchTrace
+from .columnar import ColumnarLaunchTrace, kernel_table
 from .grid import FULL_MASK, WARP_SIZE, LaunchConfig, as_dim3
 from .memory import MemoryError_, SharedMemory
 
@@ -196,14 +195,17 @@ def _is_control(inst):
             or inst.opcode == "membar")
 
 
-def _run_ends(insts, cfg):
+def _run_ends(kernel):
     """``ends[i]``: one past the last instruction of the straight-line
-    run that starts at index ``i``.
+    run that starts at index ``i`` of ``kernel``.
 
     A run stops before any control instruction and before any branch's
     reconvergence index, so the driver sees every point where the SIMT
-    stack can change; ``ends[i] == i`` for a control instruction.
+    stack can change; ``ends[i] == i`` for a control instruction.  A
+    fact of the kernel (:meth:`~repro.ptx.module.Kernel.fact`): built
+    once, shared by every launch.
     """
+    insts, cfg = kernel.instructions, kernel.cfg
     stops = {cfg.reconvergence_index(i)
              for i, inst in enumerate(insts) if inst.is_branch}
     ends = [0] * len(insts)
@@ -455,13 +457,13 @@ class Emulator:
         if missing:
             raise EmulationError("launch of %r missing params: %s"
                                  % (kernel.name, ", ".join(missing)))
-        cfg = CFG(kernel)
+        cfg = kernel.cfg
         launch_trace = ColumnarLaunchTrace(
             kernel_name=kernel.name, config=config,
-            instructions=kernel.instructions,
+            instructions=kernel_table(kernel),
             shared_size=kernel.shared_size)
         self._executed = 0
-        self._run_ends = _run_ends(kernel.instructions, cfg)
+        self._run_ends = kernel.fact(_run_ends)
         with tracing.span("emulate.launch", kernel=kernel.name,
                           engine=self.engine, ctas=config.num_ctas,
                           threads_per_cta=config.threads_per_cta) as sp:

@@ -25,7 +25,8 @@ copies; a 100×-scale trace opens in milliseconds.  The kernels travel
 along as printed PTX-subset text (the printer/parser roundtrip is
 classification-preserving, see ``tests/ptx/test_printer.py``), so a
 loaded file is fully self-contained: kernels, classifications and
-traces.
+traces.  A caller that already holds the kernels (the trace cache's)
+passes them in and the stored text is only compared, not parsed.
 
 v3 is the only format: a file that does not start with the magic and
 a v3 header is rejected as corrupt (the trace cache quarantines it and
@@ -48,7 +49,7 @@ import numpy as np
 from ..core import ClassificationResult, classify_kernel
 from ..ptx import Module, parse_module, print_module
 from ..resilience.artifacts import compute_checksum, verify_checksum
-from .columnar import COLUMNS, ColumnarLaunchTrace
+from .columnar import COLUMNS, ColumnarLaunchTrace, kernel_table
 from .grid import Dim3, LaunchConfig
 from .trace import ApplicationTrace
 
@@ -109,8 +110,12 @@ def _restamp_lines(module, payload):
             inst.line = int(line)
 
 
-def save_run(run, path):
-    """Serialize a run's kernels and traces to ``path`` (schema v3)."""
+def save_run(run, path, ptx=None):
+    """Serialize a run's kernels and traces to ``path`` (schema v3).
+
+    ``ptx`` is ``print_module(run.module)`` when the caller already
+    has it (the trace cache does: the text is part of its key).
+    """
     module = run.module
     launches = []
     blobs = []
@@ -124,7 +129,7 @@ def save_run(run, path):
     payload = {
         "version": FORMAT_VERSION,
         "name": run.trace.name,
-        "ptx": print_module(module),
+        "ptx": print_module(module) if ptx is None else ptx,
         "lines": _source_lines(module),
         "launches": launches,
         # digest of the column payload (blob bytes in canonical order,
@@ -156,8 +161,15 @@ class LoadedRun:
     classifications: Dict[str, ClassificationResult]
 
 
-def load_run(path):
-    """Load a file written by :func:`save_run`."""
+def load_run(path, module=None, ptx=None):
+    """Load a file written by :func:`save_run`.
+
+    Without ``module`` the stored PTX is parsed and its saved source
+    lines restored.  A caller that already parsed the kernels passes
+    the :class:`Module` and its printed text ``ptx``; the loaded run
+    then shares that module (and its source lines), and a file whose
+    stored text differs from ``ptx`` is rejected as corrupt.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
         if len(head) < len(MAGIC):
@@ -181,13 +193,17 @@ def load_run(path):
         if payload.get("version") != FORMAT_VERSION:
             raise ValueError("unsupported trace-file version: %r"
                              % payload.get("version"))
+        if module is not None and payload.get("ptx") != (
+                print_module(module) if ptx is None else ptx):
+            raise ValueError("stored PTX differs from the caller's module")
         fh.seek(0)
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
     _verify_container(buf, payload, hlen, path)
 
-    module = parse_module(payload["ptx"])
-    _restamp_lines(module, payload)
+    if module is None:
+        module = parse_module(payload["ptx"])
+        _restamp_lines(module, payload)
     classifications = {k.name: classify_kernel(k) for k in module}
     app = ApplicationTrace(name=payload["name"])
     pos = len(MAGIC) + 4 + hlen
@@ -197,7 +213,7 @@ def load_run(path):
                               block=Dim3(*launch_data["block"]))
         launch = ColumnarLaunchTrace(
             kernel_name=kernel.name, config=config,
-            instructions=kernel.instructions,
+            instructions=kernel_table(kernel),
             shared_size=launch_data["shared_size"])
         columns = []
         counts = launch_data["columns"]

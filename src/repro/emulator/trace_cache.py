@@ -17,6 +17,13 @@ The serialization format version is *not* part of the key: a format
 bump leaves keys alone, and an entry the current loader cannot read is
 handled like any other damaged entry (quarantined, then regenerated).
 
+A job parses and prints its PTX once.  The caller makes the key from
+that printed text, then hands the parsed module and the text to
+:func:`lookup` and the text to :func:`store`: a hit loads the trace
+onto the caller's kernels instead of parsing the entry's copy, and a
+write does not print again.  An entry whose stored text is not the
+caller's is treated as damaged.
+
 Entries live in a :class:`~repro.service.store.LocalDirStore` under
 ``<key>.trace`` names (the exact :func:`save_run` byte format, so a
 cache entry is also a normal trace file, memory-mapped on load).  The
@@ -140,15 +147,21 @@ def entry_path(key) -> Path:
     return cache_store().path_of(key + _SUFFIX)
 
 
-def lookup(key):
+def lookup(key, module=None, ptx=None):
     """Load the cached :class:`LoadedRun` for ``key``, or ``None``.
+
+    ``module`` and its printed text ``ptx`` (the text ``key`` was made
+    from) let the hit share the caller's parsed kernels instead of
+    parsing the entry's copy; an entry whose stored text differs is
+    corrupt (see :func:`~.serialize.load_run`).
 
     A cache problem is never fatal: transient I/O errors (``OSError``,
     truncated reads, ``BufferError`` from a dying mmap) are retried
     once after a short delay, then treated as a miss; corrupt entries
     (persistently truncated streams, bad JSON, a foreign or outdated
-    format, column checksum mismatches, unparsable PTX) are quarantined
-    so the next store can heal the cache while the evidence survives.
+    format, column checksum mismatches, unparsable or foreign PTX) are
+    quarantined so the next store can heal the cache while the
+    evidence survives.
     """
     if not cache_enabled():
         return None
@@ -160,7 +173,7 @@ def lookup(key):
             if not path.is_file():
                 _count("miss")
                 return None
-            run = load_run(path)
+            run = load_run(path, module=module, ptx=ptx)
             _count("hit")
             return run
         except (OSError, EOFError, BufferError) as exc:
@@ -187,8 +200,11 @@ def lookup(key):
     return None
 
 
-def store(key, run):
+def store(key, run, ptx=None):
     """Serialize ``run`` into the cache under ``key`` (atomic).
+
+    ``ptx`` is the printed text of ``run.module`` when the caller has
+    it (it made ``key`` from it), so the write does not print again.
 
     Returns the entry path, or ``None`` when the cache is disabled or
     the directory is unwritable (caching is best-effort; emulation
@@ -200,7 +216,8 @@ def store(key, run):
     name = key + _SUFFIX
     for delay in _RETRY_DELAYS + (None,):
         try:
-            path = backend.put_file(name, lambda tmp: save_run(run, tmp))
+            path = backend.put_file(
+                name, lambda tmp: save_run(run, tmp, ptx=ptx))
         except OSError:
             if delay is not None:
                 time.sleep(delay)

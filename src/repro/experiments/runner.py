@@ -33,7 +33,7 @@ from ..obs.metrics import get_registry
 from ..profiling.heatmap import HeatMapReport
 from ..profiling.locality import LocalityReport
 from ..profiling.trace_profile import profile_trace
-from ..ptx import parse_module, print_module
+from ..ptx import print_module
 from ..sim.coalescer import CoalescingSummary
 from ..sim.config import GPUConfig, TESLA_C2050
 from ..sim.gpu import GPU
@@ -183,13 +183,16 @@ class ExperimentRunner:
             workload = get_workload(name, scale=self.scale, seed=self.seed)
         else:
             workload = get_workload(name, scale=self.scale)
+        # the job's one parse and print: the trace key, the cache load,
+        # emulation and the cache write all share them
+        module = workload.parse()
         key = None
         cache_status = None
         if self.use_trace_cache and trace_cache.cache_enabled():
-            ptx = print_module(parse_module(workload.ptx()))
+            ptx = print_module(module)
             key = trace_cache.trace_key(
                 name, ptx, workload.seed, workload.scale)
-            loaded = trace_cache.lookup(key)
+            loaded = trace_cache.lookup(key, module=module, ptx=ptx)
             if loaded is not None:
                 # Re-run input generation only: some Table I metadata
                 # (data-set descriptions) is computed in setup().  The
@@ -204,9 +207,10 @@ class ExperimentRunner:
                     classifications=loaded.classifications,
                 ), "hit"
             cache_status = "miss"
-        run = workload.run(verify=self.verify, engine=self.engine)
+        run = workload.run(verify=self.verify, engine=self.engine,
+                           module=module)
         if key is not None:
-            trace_cache.store(key, run)
+            trace_cache.store(key, run, ptx=ptx)
         return workload, run, cache_status
 
     def workload_run(self, name):

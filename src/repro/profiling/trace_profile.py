@@ -2,11 +2,12 @@
 
 The paper's Figure 6 request histograms, its Figures 10-12 locality
 results and the advisor's heat map are views of one data set: the
-distinct (op, line) pairs of each launch's global loads.  For every
-launch, :class:`TraceProfiler` makes one
-:func:`~repro.sim.coalescer.coalesce_table` call over the sealed
-launch's columns, its global-load rows picked by the ``kind`` column,
-and builds all three reports from it:
+distinct (op, line) pairs of an application's global loads.
+:func:`profile_trace` makes one :meth:`TraceProfiler.fold` over the
+whole application: the global-load rows of every sealed launch, picked
+by the ``kind`` column, are joined in launch order, coalesced by one
+:func:`~repro.sim.coalescer.coalesce_accesses` call, and all three
+reports are built from that one table:
 
 * the :class:`~repro.profiling.locality.LocalityReport` (cold misses,
   inter-CTA sharing, CTA distances by load class);
@@ -15,13 +16,15 @@ and builds all three reports from it:
 * the :class:`~repro.sim.coalescer.CoalescingSummary` (memory requests
   per warp load, by class).
 
-Each line's pairs are taken in op order; an access's *tick* is its
-index in the stream of coalesced accesses over every launch, which is
-the clock of the heat map's reuse intervals.  Per-line state (access
-count, CTA set, last CTA, last tick, per-PC counts) lives in one
-:class:`~repro.profiling.heatmap.LineHeat` and carries across launches.
-Python touches each launch's unique lines and unique (line, PC) pairs;
-everything per access is vectorized.
+Each line's pairs are taken in (launch, op) order; an access's *tick*
+is its index in the stream of coalesced accesses over every launch,
+which is the clock of the heat map's reuse intervals.  Per-line state
+(access count, CTA set, last CTA, last tick, per-PC counts) lives in
+one :class:`~repro.profiling.heatmap.LineHeat` and carries from one
+fold to the next, so :meth:`TraceProfiler.analyze_launch`, a fold of
+one launch, called launch by launch ends in the same state as one fold
+of them all.  Python touches each fold's unique lines and unique
+(line, PC) pairs; everything per access is vectorized.
 :meth:`TraceProfiler._analyze_record_warp` is the one-op-at-a-time
 reference over the record view that the pass is tested against.
 """
@@ -38,7 +41,7 @@ from ..emulator.columnar import _KIND_LOAD, _PC_SHIFT, SPACE_CODES
 from ..ptx.isa import Space
 from ..resilience.guards import check_memory_budget
 from ..sim.coalescer import (
-    CoalescingSummary, class_codes, coalesce_addresses, coalesce_table)
+    CoalescingSummary, class_codes, coalesce_accesses, coalesce_addresses)
 from ..sim.config import LINE_BYTES
 from ..sim.stats import CLASS_LABELS
 from .heatmap import HeatMapReport, LineHeat, PCHeat, reuse_bucket
@@ -58,7 +61,7 @@ class TraceProfile:
 
 
 class TraceProfiler:
-    """Accumulates :class:`TraceProfile` state launch by launch."""
+    """Accumulates :class:`TraceProfile` state over folds of launches."""
 
     def __init__(self, line_bytes=LINE_BYTES):
         self.line_bytes = line_bytes
@@ -77,54 +80,93 @@ class TraceProfiler:
         return heat
 
     def analyze_launch(self, launch, classification=None):
-        """Fold one launch's coalesced global loads into the state.
+        """Fold one launch's coalesced global loads into the state: the
+        one-launch case of :meth:`fold`.
 
         ``classification`` is anything
         :func:`~repro.sim.coalescer.pc_class_map` accepts; it buckets
         the request histograms and CTA distances by load class.
         """
+        self.fold([launch], {launch.kernel_name: classification})
+
+    def fold(self, launches, classifications=None):
+        """Fold the coalesced global loads of ``launches``, in order,
+        into the state, in one vectorized pass over all of them.
+
+        Each launch contributes its global-load rows, picked by the
+        ``kind`` column; one :func:`~repro.sim.coalescer.coalesce_accesses`
+        call and one set of array operations then cover every launch.
+        ``classifications`` maps kernel name to anything
+        :func:`~repro.sim.coalescer.pc_class_map` accepts.
+        """
         check_memory_budget("trace profile")
-        keep = launch.seal().kind == _GLOBAL_LOAD
-        if not keep.any():
+        classifications = classifications or {}
+        kernels = {}  # kernel name -> index
+        codes = {}  # (kernel name, instruction list) -> class codes
+        parts = []
+        for index, launch in enumerate(launches):
+            keep = launch.seal().kind == _GLOBAL_LOAD
+            rows = np.flatnonzero(keep)
+            if not len(rows):
+                continue
+            name = launch.kernel_name
+            kernel = kernels.setdefault(name, len(kernels))
+            key = (name, id(launch.instructions))
+            if key not in codes:
+                codes[key] = class_codes(launch, classifications.get(name))
+            pc = launch.pc[rows]
+            warp_cta = np.asarray([w.cta_id for w in launch.warps],
+                                  dtype=np.int64)
+            parts.append((
+                index, kernel, launch.acount[rows].astype(np.int64),
+                launch.addrs[np.repeat(keep, launch.acount)],
+                launch.access_bytes[pc >> _PC_SHIFT], pc,
+                codes[key][pc >> _PC_SHIFT],
+                warp_cta[np.searchsorted(launch.op_start, rows,
+                                         side="right") - 1]))
+        if not parts:
             return
-        ops = coalesce_table(launch, keep, self.line_bytes)
-        op_pc = launch.pc[ops.rows]
-        op_code = class_codes(launch, classification)[op_pc >> _PC_SHIFT]
-        cta_of_row = np.repeat(
-            np.asarray([w.cta_id for w in launch.warps], dtype=np.int64),
-            np.diff(launch.op_start))
-        op_cta = cta_of_row[ops.rows]
+        (launch_of, kernel_of, op_lanes, addrs, width, op_pc, op_code,
+         op_cta) = _concat(parts)
+        op_lines, pair_ops, pair_lines = coalesce_accesses(
+            op_lanes, addrs, width, self.line_bytes)
 
         # keys pack a count with a class code (0-2) as count * 4 + code
-        issued = ops.lines > 0
+        issued = op_lines > 0
         hist = self.coalescing.histogram
-        for key, count in _counts(ops.lines[issued] * 4 + op_code[issued]):
+        for key, count in _counts(op_lines[issued] * 4 + op_code[issued]):
             hist[CLASS_LABELS[key & 3]][key >> 2] += count
 
-        # per-PC op counts; zero-line ops count as executed
-        kernel = launch.kernel_name
-        upc, op_pci = np.unique(op_pc, return_inverse=True)
-        most = np.zeros(len(upc), dtype=np.int64)
-        np.maximum.at(most, op_pci, ops.lines)
-        heats = [self._pc_heat(kernel, pc) for pc in upc.tolist()]
+        # per-PC op counts; zero-line ops count as executed.  A PC's
+        # heat is created at its first launch, in PC order
+        ukey, first, op_pci = np.unique(
+            kernel_of << 32 | op_pc.astype(np.int64), return_index=True,
+            return_inverse=True)
+        names = list(kernels)
+        heats = [None] * len(ukey)
+        for i in np.lexsort((ukey, launch_of[first])).tolist():
+            key = int(ukey[i])
+            heats[i] = self._pc_heat(names[key >> 32], key & 0xFFFFFFFF)
+        most = np.zeros(len(ukey), dtype=np.int64)
+        np.maximum.at(most, op_pci, op_lines)
         for heat, n_ops, lanes, touches, peak in zip(
                 heats, np.bincount(op_pci).tolist(),
-                np.bincount(op_pci, ops.lanes).astype(np.int64).tolist(),
-                np.bincount(op_pci, ops.lines).astype(np.int64).tolist(),
+                np.bincount(op_pci, op_lanes).astype(np.int64).tolist(),
+                np.bincount(op_pci, op_lines).astype(np.int64).tolist(),
                 most.tolist()):
             heat.warp_ops += n_ops
             heat.lane_accesses += lanes
             heat.line_touches += touches
             heat.max_lines_per_op = max(heat.max_lines_per_op, peak)
 
-        n = len(ops.pair_ops)
+        n = len(pair_ops)
         if not n:
             return
         # each line's pairs in op order, ticked in (op, line) order
-        order = np.argsort(ops.pair_lines, kind="stable")
-        line = ops.pair_lines[order]
+        order = np.argsort(pair_lines, kind="stable")
+        line = pair_lines[order]
         tick = order + self.tick
-        pair_op = ops.pair_ops[order]
+        pair_op = pair_ops[order]
         cta = op_cta[pair_op]
         pci = op_pci[pair_op]
         first = np.empty(n, dtype=bool)
@@ -171,7 +213,8 @@ class TraceProfiler:
         group = np.cumsum(first) - 1
         for key, count in _counts(group * n_pcs + pci):
             pcs = objs[key // n_pcs].pcs
-            pc_key = (kernel, heats[key % n_pcs].pc)
+            heat = heats[key % n_pcs]
+            pc_key = (heat.kernel, heat.pc)
             pcs[pc_key] = pcs.get(pc_key, 0) + count
 
         locality = self.locality
@@ -277,13 +320,24 @@ def _counts(values):
     return zip(values.tolist(), counts.tolist())
 
 
+def _concat(parts):
+    """The per-launch arrays of :meth:`TraceProfiler.fold` joined in
+    launch order: per op its launch and kernel index, lane accesses,
+    access width, pc, class code and CTA, and every access's address."""
+    launch, kernel, lanes, addrs, width, pc, code, cta = zip(*parts)
+    sizes = [len(p) for p in pc]
+    return (np.repeat(launch, sizes), np.repeat(kernel, sizes),
+            np.concatenate(lanes), np.concatenate(addrs),
+            np.concatenate(width), np.concatenate(pc),
+            np.concatenate(code), np.concatenate(cta))
+
+
 def profile_trace(app_trace, classifications=None, line_bytes=LINE_BYTES):
-    """The :class:`TraceProfile` of an application trace, one pass per
-    launch.  ``classifications`` maps kernel name to its
+    """The :class:`TraceProfile` of an application trace: one
+    :meth:`TraceProfiler.fold` over all its launches.
+    ``classifications`` maps kernel name to its
     :class:`~repro.core.classifier.ClassificationResult` (or a plain
     ``{pc: class}`` dict); loads without one land in ``"other"``."""
     profiler = TraceProfiler(line_bytes)
-    for launch in app_trace:
-        profiler.analyze_launch(
-            launch, (classifications or {}).get(launch.kernel_name))
+    profiler.fold(app_trace, classifications)
     return profiler.report(classifications)

@@ -4,6 +4,12 @@ A :class:`Kernel` is a finalized, flat instruction list with labels resolved
 to instruction indices and byte PCs assigned.  It is the unit both the
 dataflow classifier (:mod:`repro.core`) and the functional emulator
 (:mod:`repro.emulator`) consume.
+
+A finalized kernel does not change, so whatever is derived from it
+alone (its CFG, the emulator's straight-line runs, the trace columns'
+per-instruction tables) is built once, on first use, and held by the
+kernel itself (:meth:`Kernel.fact`): every launch, the classifier and
+the emulator share one copy.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from .cfg import CFG
 from .errors import PTXValidationError
 from .isa import PC_STRIDE, DType, Instruction, Sym
 
@@ -57,6 +64,7 @@ class Kernel:
         self._assign_pcs()
         self._validate()
         self._pc_index = {inst.pc: i for i, inst in enumerate(self.instructions)}
+        self._facts = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -89,6 +97,27 @@ class Kernel:
         if not self.instructions[-1].is_exit:
             raise PTXValidationError(
                 "kernel %r must end with exit/ret" % self.name)
+
+    # -- derived facts -------------------------------------------------------
+
+    def fact(self, build):
+        """``build(self)``, computed on the first call and then returned
+        from the kernel for every later call with the same ``build``.
+
+        ``build`` must be a module-level function (or class) of the
+        kernel alone; the kernel keeps the result as long as it lives.
+        """
+        facts = self._facts
+        try:
+            return facts[build]
+        except KeyError:
+            value = facts[build] = build(self)
+            return value
+
+    @property
+    def cfg(self):
+        """The kernel's :class:`~repro.ptx.cfg.CFG`, built once."""
+        return self.fact(CFG)
 
     # -- queries -------------------------------------------------------------
 

@@ -66,6 +66,10 @@ _GUARD_RE = re.compile(r"^@(!?)(%p\w+)\s+(.*)$")
 _MEMREF_RE = re.compile(r"^\[\s*([^\]\s+]+)\s*(?:\+\s*(-?(?:0x[0-9a-fA-F]+|\d+)))?\s*\]$")
 _INT_RE = re.compile(r"^-?(?:0x[0-9a-fA-F]+|\d+)$")
 _FLOAT_RE = re.compile(r"^-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?$")
+#: the characters the splitters act on; everything between is skipped
+_OPERAND_MARK = re.compile(r"[\[\]{},]")
+_PARENS = re.compile(r"[()]")
+_BRACES = re.compile(r"[{}]")
 
 
 def _strip_comments(text):
@@ -75,21 +79,22 @@ def _strip_comments(text):
 
 def _split_operands(text):
     """Split an operand list on commas that are not inside brackets or
-    vector braces."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "[{":
+    vector braces.  Empty pieces are kept except a trailing one."""
+    parts, depth, start = [], 0, 0
+    for m in _OPERAND_MARK.finditer(text):
+        ch = m.group()
+        if ch == ",":
+            if depth == 0:
+                parts.append(text[start:m.start()])
+                start = m.end()
+        elif ch in "[{":
             depth += 1
-        elif ch in "]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
         else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
+            depth -= 1
+    parts.append(text[start:])
+    parts = [part.strip() for part in parts]
+    if not parts[-1]:
+        parts.pop()
     return parts
 
 
@@ -103,41 +108,46 @@ class _KernelText:
         self.line_no = line_no
 
 
+def _close_of(text, pos, marks):
+    """The index just past the close that balances an open bracket
+    before ``pos``, or -1; ``marks`` matches the open and close
+    bracket of one kind."""
+    depth = 1
+    for m in marks.finditer(text, pos):
+        if m.group() in "({":
+            depth += 1
+        else:
+            depth -= 1
+            if not depth:
+                return m.end()
+    return -1
+
+
 def _split_kernels(text):
     """Find every ``.entry name ( ... ) { ... }`` region in the module text."""
     kernels = []
     pos = 0
+    line_no, counted = 1, 0
     while True:
         m = _ENTRY_RE.search(text, pos)
         if not m:
             break
         name = m.group(1)
         # signature: up to the matching close paren
-        depth, i = 1, m.end()
-        while i < len(text) and depth:
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-            i += 1
-        if depth:
+        i = _close_of(text, m.end(), _PARENS)
+        if i < 0:
             raise PTXSyntaxError("unterminated parameter list for %r" % name)
         param_text = text[m.end():i - 1]
         # body: next '{' to its matching '}'
         open_idx = text.find("{", i)
         if open_idx < 0:
             raise PTXSyntaxError("missing body for kernel %r" % name)
-        depth, j = 1, open_idx + 1
-        while j < len(text) and depth:
-            if text[j] == "{":
-                depth += 1
-            elif text[j] == "}":
-                depth -= 1
-            j += 1
-        if depth:
+        j = _close_of(text, open_idx + 1, _BRACES)
+        if j < 0:
             raise PTXSyntaxError("unterminated body for kernel %r" % name)
         body = text[open_idx + 1:j - 1]
-        line_no = text.count("\n", 0, m.start()) + 1
+        line_no += text.count("\n", counted, m.start())
+        counted = m.start()
         kernels.append(_KernelText(name, param_text, body, line_no))
         pos = j
     return kernels

@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Set
 
-from .cfg import CFG, EXIT_BLOCK
+from .cfg import EXIT_BLOCK
 from .errors import PTXVerificationError
 from .isa import (
     ATOM_OPS,
@@ -151,7 +151,7 @@ class _KernelVerifier:
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self.cfg = CFG(kernel)
+        self.cfg = kernel.cfg
         self.diags: List[Diagnostic] = []
 
     def run(self):

@@ -96,14 +96,24 @@ def coalesce_table(launch, keep, line_size=LINE_BYTES):
     """
     counts = launch.acount
     rows = np.flatnonzero(keep)
-    addrs = launch.addrs[np.repeat(keep, counts)]
     lanes = counts[rows].astype(np.int64)
-    op = np.repeat(np.arange(len(rows), dtype=np.int64), lanes)
+    width = launch.access_bytes[launch.pc[rows] >> _PC_SHIFT]
+    return CoalescedOps(rows, lanes, *coalesce_accesses(
+        lanes, launch.addrs[np.repeat(keep, counts)], width, line_size))
+
+
+def coalesce_accesses(lanes, addrs, width, line_size=LINE_BYTES):
+    """The core of :func:`coalesce_table` over a table of ops given as
+    arrays: per op its recorded lane accesses ``lanes`` and its
+    accesses' byte ``width``, and every access's address ``addrs`` in
+    op order.  Returns the :class:`CoalescedOps` fields ``(lines,
+    pair_ops, pair_lines)``."""
+    n_ops = len(lanes)
+    op = np.repeat(np.arange(n_ops, dtype=np.int64), lanes)
     line = addrs // line_size
     # only an access that starts less than the widest width before its
     # line's end can cross it; those few are checked against their width
-    width = launch.access_bytes[launch.pc[rows] >> _PC_SHIFT].astype(
-        np.uint64)
+    width = width.astype(np.uint64)
     offset = addrs % line_size
     near = np.flatnonzero(offset + int(width.max(initial=0)) > line_size)
     near_width = width[op[near]]
@@ -113,9 +123,8 @@ def coalesce_table(launch, keep, line_size=LINE_BYTES):
         last = (addrs[cross] + near_width[crosses] - 1) // line_size
         op = np.concatenate([op, op[cross]])
         line = np.concatenate([line, last])
-    op, line = _distinct(op, line, len(rows))
-    return CoalescedOps(rows, lanes, np.bincount(op, minlength=len(rows)),
-                        op, line)
+    op, line = _distinct(op, line, n_ops)
+    return np.bincount(op, minlength=n_ops), op, line
 
 
 def _distinct(op, value, n_ops):

@@ -53,8 +53,9 @@ class WorkloadRun:
     trace: ApplicationTrace
     classifications: Dict[str, ClassificationResult]
     #: wall seconds per pipeline phase (``parse``, ``classify``,
-    #: ``setup``, ``emulate``, ``verify``) — lets benchmarks separate
-    #: engine time from input generation.
+    #: ``setup``, ``emulate``, ``verify``; ``parse`` only when the run
+    #: parsed its own PTX) — lets benchmarks separate engine time from
+    #: input generation.
     timings: Dict[str, float] = field(default_factory=dict)
     #: the engine that actually produced the trace (after any
     #: fallbacks; ``""`` only on hand-built runs).
@@ -135,8 +136,19 @@ class Workload(abc.ABC):
 
     # -- driver --------------------------------------------------------------
 
-    def run(self, verify=True, max_warp_insts=None, engine=None):
+    def parse(self):
+        """The app's kernels: :meth:`ptx` parsed into a :class:`Module`,
+        inside a ``parse`` span."""
+        with tracing.span("parse", app=self.name):
+            return parse_module(self.ptx())
+
+    def run(self, verify=True, max_warp_insts=None, engine=None,
+            module=None):
         """Execute the full application; returns a :class:`WorkloadRun`.
+
+        ``module`` is the app's already parsed kernels (:meth:`parse`),
+        for a caller that needed them first; without it the PTX is
+        parsed here.
 
         ``engine`` selects the emulator's warp-execution engine
         (``"vectorized"``, ``"scalar"`` or ``"compiled"``; ``None`` =
@@ -156,10 +168,10 @@ class Workload(abc.ABC):
         check_fault(self.name, "emulate")
         timings = {}
         clock = time.perf_counter
-        t0 = clock()
-        with tracing.span("parse", app=self.name):
-            module = parse_module(self.ptx())
-        timings["parse"] = clock() - t0
+        if module is None:
+            t0 = clock()
+            module = self.parse()
+            timings["parse"] = clock() - t0
         t0 = clock()
         with tracing.span("classify", app=self.name,
                           kernels=len(list(module))):

@@ -241,11 +241,11 @@ class TestTransientIO:
         real_load = trace_cache.load_run
         calls = []
 
-        def flaky(path):
+        def flaky(path, **front):
             calls.append(path)
             if len(calls) == 1:
                 raise OSError("stale NFS handle")
-            return real_load(path)
+            return real_load(path, **front)
 
         monkeypatch.setattr(trace_cache, "load_run", flaky)
         loaded = trace_cache.lookup(key)
@@ -261,7 +261,7 @@ class TestTransientIO:
         key = _key(workload, ptx)
         trace_cache.store(key, run)
 
-        def broken(path):
+        def broken(path, **front):
             raise OSError("permission denied")
 
         monkeypatch.setattr(trace_cache, "load_run", broken)
@@ -287,11 +287,11 @@ class TestTransientIO:
         real_save = trace_cache.save_run
         calls = []
 
-        def flaky(run_, path):
+        def flaky(run_, path, **front):
             calls.append(path)
             if len(calls) == 1:
                 raise OSError("disk briefly full")
-            return real_save(run_, path)
+            return real_save(run_, path, **front)
 
         monkeypatch.setattr(trace_cache, "save_run", flaky)
         path = trace_cache.store(key, run)
@@ -303,7 +303,7 @@ class TestTransientIO:
         workload, run, ptx = bfs_small
         key = _key(workload, ptx)
 
-        def broken(run_, path):
+        def broken(run_, path, **front):
             raise OSError("read-only filesystem")
 
         monkeypatch.setattr(trace_cache, "save_run", broken)

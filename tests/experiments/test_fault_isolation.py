@@ -97,7 +97,8 @@ class TestSerialIsolation:
         from repro.emulator import MemoryFaultError
         from repro.workloads.base import Workload
 
-        def boom(self, verify=True, max_warp_insts=None, engine=None):
+        def boom(self, verify=True, max_warp_insts=None, engine=None,
+                 module=None):
             raise MemoryFaultError("invalid global access",
                                    kernel="mm2_k1", pc=0x20, cta=1,
                                    warp=2, lane=3, address=0xdead0,

@@ -37,10 +37,8 @@ def _watched():
         classifier.classify_kernel: "classify_kernel",
         cfg.CFG.__init__: "cfg",
         TraceProfiler.analyze_launch: "profile_pass",
+        TraceProfiler.fold: "profile_pass",
     }
-    fold = getattr(TraceProfiler, "fold", None)
-    if fold is not None:
-        kinds[fold] = "profile_pass"
     return {fn.__code__: kind for fn, kind in kinds.items()}
 
 

@@ -1,11 +1,12 @@
 """One walk of each launch per job stage.
 
 The runner's ``profile`` stage builds the locality report, the heat map
-and the request histograms from one coalesced table per launch; the
-metrics bridge and the advisor read them from the result and walk the
-trace no more.  The timing model makes one more
-walk of each launch it replays: its memory plan, one coalesced table
-over the launch's own columns.
+and the request histograms from one coalesced table over every launch
+of the application; the metrics bridge and the advisor read them from
+the result and walk the trace no more.  The timing model makes one
+more walk of each launch it replays: its memory plan, one coalesced
+table over the launch's own columns.  Both coalesce through
+:func:`~repro.sim.coalescer.coalesce_accesses`.
 """
 
 import sys
@@ -21,7 +22,7 @@ from repro.sim.gpu import GPU
 def walks(monkeypatch):
     """Counts of coalesced-table walks, patched wherever a module holds
     a reference to the original function, and of replayed launches."""
-    counts = {"coalesce_table": 0, "run_launch": 0}
+    counts = {"coalesce_table": 0, "coalesce_accesses": 0, "run_launch": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -31,11 +32,12 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(GPU, "run_launch",
                         counting("run_launch", GPU.run_launch))
-    original = coalescer.coalesce_table
-    wrapped = counting("coalesce_table", original)
-    for module in list(sys.modules.values()):
-        if getattr(module, "coalesce_table", None) is original:
-            monkeypatch.setattr(module, "coalesce_table", wrapped)
+    for name in ("coalesce_table", "coalesce_accesses"):
+        original = getattr(coalescer, name)
+        wrapped = counting(name, original)
+        for module in list(sys.modules.values()):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
     return counts
 
 
@@ -46,8 +48,10 @@ class TestOneWalkPerJob:
         result = ExperimentRunner(scale=0.05, config=TINY).result("bfs")
         launches = len(result.run.trace)
         assert launches > 1
-        # the profile's walk plus the simulation's memory plan
-        assert walks == {"coalesce_table": 2 * launches,
+        # one memory plan per simulated launch, and one profile walk
+        # of the whole application
+        assert walks == {"coalesce_table": launches,
+                         "coalesce_accesses": launches + 1,
                          "run_launch": launches}
 
     def test_advise_reads_the_result(self, walks):
@@ -63,5 +67,6 @@ class TestOneWalkPerJob:
         replays = walks["run_launch"]
         assert replays > 0
         assert walks == {"coalesce_table": replays,
+                         "coalesce_accesses": replays,
                          "run_launch": replays}
         assert report.heatmap is result.heatmap

@@ -1,13 +1,15 @@
 """The one trace-profile pass against its one-op-at-a-time reference.
 
-:meth:`TraceProfiler.analyze_launch` (one memory table, one coalesced
-table and vectorized bookkeeping per launch) must leave exactly the
-state :meth:`TraceProfiler._analyze_record_warp` leaves when it walks
-the same launch's record view op by op: per-line access counts, CTA
-sets, last CTA and tick, per-(line, PC) counts, per-PC aggregates,
-reuse buckets, CTA distances by class and the request histograms.
-The comparison runs after every launch, so the state carried from one
-launch into the next is checked too.
+:meth:`TraceProfiler.fold` (one coalesced table and one set of
+vectorized bookkeeping over any number of launches) must leave exactly
+the state :meth:`TraceProfiler._analyze_record_warp` leaves when it
+walks the same launches' record views op by op: per-line access
+counts, CTA sets, last CTA and tick, per-(line, PC) counts, per-PC
+aggregates, reuse buckets, CTA distances by class and the request
+histograms.  The comparison runs after every launch folded alone
+(:meth:`TraceProfiler.analyze_launch`), so the state carried from one
+launch into the next is checked too, and again after one fold of the
+whole application, and of the application in two parts.
 """
 
 import dataclasses
@@ -60,6 +62,14 @@ def assert_pass_matches_reference(app_trace, classifications, line_bytes=128):
             ref._analyze_record_warp(launch.kernel_name, warp,
                                      pc_class_map(result))
         assert state(fast) == state(ref)
+    whole = TraceProfiler(line_bytes)
+    whole.fold(app_trace, classifications)
+    assert state(whole) == state(ref)
+    launches = list(app_trace)
+    halves = TraceProfiler(line_bytes)
+    halves.fold(launches[:len(launches) // 2], classifications)
+    halves.fold(launches[len(launches) // 2:], classifications)
+    assert state(halves) == state(ref)
     got, want = fast.report(classifications), ref.report(classifications)
     assert dataclasses.asdict(got.locality) == \
         dataclasses.asdict(want.locality)
@@ -80,6 +90,20 @@ class TestWorkloadsAgainstReference:
         assert len(run.trace) >= 2
         got = assert_pass_matches_reference(run.trace, run.classifications)
         assert got.locality.total_accesses > 0
+
+    def test_profile_trace_is_one_fold(self, twomm_run):
+        """``profile_trace`` is one pass over the whole application and
+        reports what launch-by-launch folding reports."""
+        run = twomm_run
+        profile = profile_trace(run.trace, run.classifications)
+        stepwise = TraceProfiler()
+        for launch in run.trace:
+            stepwise.analyze_launch(
+                launch, run.classifications.get(launch.kernel_name))
+        want = stepwise.report(run.classifications)
+        assert profile.heatmap.to_json() == want.heatmap.to_json()
+        assert profile.locality == want.locality
+        assert profile.coalescing == want.coalescing
 
     def test_three_reports_count_the_same_accesses(self, bfs_run):
         profile = profile_trace(bfs_run.trace, bfs_run.classifications)

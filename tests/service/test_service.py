@@ -151,7 +151,12 @@ class _Client:
                 return resp.status, resp.read().decode(), dict(
                     resp.headers)
         except urllib.error.HTTPError as err:
-            return err.code, err.read().decode(), dict(err.headers)
+            # the error carries the response; close it like the success
+            # path's ``with`` does
+            try:
+                return err.code, err.read().decode(), dict(err.headers)
+            finally:
+                err.close()
 
 
 @pytest.fixture
@@ -199,6 +204,7 @@ class TestHttp:
             client.base + "/kernels", data=b"not json", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
+        err.value.close()
         assert err.value.code == 400
         # 404s
         assert client.request("GET", "/jobs/j999999")[0] == 404
