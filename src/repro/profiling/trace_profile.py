@@ -4,8 +4,10 @@ The paper's Figure 6 request histograms, its Figures 10-12 locality
 results and the advisor's heat map are views of one data set: the
 distinct (op, line) pairs of an application's global loads.
 :func:`profile_trace` makes one :meth:`TraceProfiler.fold` over the
-whole application: the global-load rows of every sealed launch, picked
-by the ``kind`` column, are joined in launch order, coalesced by one
+whole application, or over batches of launches when they record more
+than :data:`FOLD_ACCESSES` accesses: the global-load rows of every
+sealed launch of a fold, picked by the ``kind`` column, are joined in
+launch order, coalesced by one
 :func:`~repro.sim.coalescer.coalesce_accesses` call, and all three
 reports are built from that one table:
 
@@ -118,15 +120,15 @@ class TraceProfiler:
             warp_cta = np.asarray([w.cta_id for w in launch.warps],
                                   dtype=np.int64)
             parts.append((
-                index, kernel, launch.acount[rows].astype(np.int64),
+                index, kernel, pc, launch.acount[rows].astype(np.int64),
                 launch.addrs[np.repeat(keep, launch.acount)],
-                launch.access_bytes[pc >> _PC_SHIFT], pc,
+                launch.access_bytes[pc >> _PC_SHIFT],
                 codes[key][pc >> _PC_SHIFT],
                 warp_cta[np.searchsorted(launch.op_start, rows,
                                          side="right") - 1]))
         if not parts:
             return
-        (launch_of, kernel_of, op_lanes, addrs, width, op_pc, op_code,
+        (launch_of, kernel_of, op_pc, op_lanes, addrs, width, op_code,
          op_cta) = _concat(parts)
         op_lines, pair_ops, pair_lines = coalesce_accesses(
             op_lanes, addrs, width, self.line_bytes)
@@ -181,10 +183,11 @@ class TraceProfiler:
         prev_tick = np.empty(n, dtype=np.int64)
         prev_tick[1:] = tick[:-1]
         lines = self.lines
-        cta_list, tick_list = cta.tolist(), tick.tolist()
+        cta_list = cta.tolist()
         objs, entry_cta, entry_tick = [], [], []
-        for line_id, lo, hi in zip(line[starts].tolist(), starts.tolist(),
-                                   ends.tolist()):
+        for line_id, lo, hi, last_tick in zip(
+                line[starts].tolist(), starts.tolist(), ends.tolist(),
+                tick[ends - 1].tolist()):
             info = lines.get(line_id)
             if info is None:
                 info = lines[line_id] = LineHeat()
@@ -192,7 +195,7 @@ class TraceProfiler:
             entry_tick.append(info.last_idx)
             info.accesses += hi - lo
             info.last_cta = cta_list[hi - 1]
-            info.last_idx = tick_list[hi - 1]
+            info.last_idx = last_tick
             info.ctas.update(cta_list[lo:hi])
             objs.append(info)
         prev_cta[starts] = entry_cta
@@ -322,22 +325,40 @@ def _counts(values):
 
 def _concat(parts):
     """The per-launch arrays of :meth:`TraceProfiler.fold` joined in
-    launch order: per op its launch and kernel index, lane accesses,
-    access width, pc, class code and CTA, and every access's address."""
-    launch, kernel, lanes, addrs, width, pc, code, cta = zip(*parts)
-    sizes = [len(p) for p in pc]
+    launch order: per op its launch and kernel index, pc, lane accesses,
+    every access's address, and per op its access width, class code and
+    CTA.  A single launch's arrays are used as they are."""
+    launch, kernel, *columns = zip(*parts)
+    sizes = [len(pc) for pc in columns[0]]
     return (np.repeat(launch, sizes), np.repeat(kernel, sizes),
-            np.concatenate(lanes), np.concatenate(addrs),
-            np.concatenate(width), np.concatenate(pc),
-            np.concatenate(code), np.concatenate(cta))
+            *(arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+              for arrays in columns))
+
+
+#: :func:`profile_trace` folds launches in batches of at least this many
+#: recorded accesses.  A fold's temporaries take 55-110 bytes per access
+#: (coalesced dense loads to scattered graph loads), so a batch's stay
+#: near those of one large launch, while an application of many small
+#: launches is folded in one pass.
+FOLD_ACCESSES = 1 << 14
 
 
 def profile_trace(app_trace, classifications=None, line_bytes=LINE_BYTES):
     """The :class:`TraceProfile` of an application trace: one
-    :meth:`TraceProfiler.fold` over all its launches.
+    :meth:`TraceProfiler.fold` per batch of launches
+    (:data:`FOLD_ACCESSES`), one for the whole application unless its
+    launches record more accesses than that.
     ``classifications`` maps kernel name to its
     :class:`~repro.core.classifier.ClassificationResult` (or a plain
     ``{pc: class}`` dict); loads without one land in ``"other"``."""
     profiler = TraceProfiler(line_bytes)
-    profiler.fold(app_trace, classifications)
+    batch, accesses = [], 0
+    for launch in app_trace:
+        batch.append(launch)
+        accesses += len(launch.seal().addrs)
+        if accesses >= FOLD_ACCESSES:
+            profiler.fold(batch, classifications)
+            batch, accesses = [], 0
+    if batch:
+        profiler.fold(batch, classifications)
     return profiler.report(classifications)

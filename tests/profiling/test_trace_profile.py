@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.emulator.grid import make_launch
 from repro.emulator.trace import ApplicationTrace, TraceOp
+from repro.profiling import trace_profile
 from repro.profiling.trace_profile import TraceProfiler, profile_trace
 from repro.ptx.isa import PC_STRIDE, DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import pc_class_map
@@ -91,11 +92,32 @@ class TestWorkloadsAgainstReference:
         got = assert_pass_matches_reference(run.trace, run.classifications)
         assert got.locality.total_accesses > 0
 
-    def test_profile_trace_is_one_fold(self, twomm_run):
-        """``profile_trace`` is one pass over the whole application and
-        reports what launch-by-launch folding reports."""
-        run = twomm_run
+    @pytest.mark.parametrize("batch", [1, 4096, 1 << 30])
+    def test_profile_trace_batches_fold_alike(self, bfs_run, batch,
+                                              monkeypatch):
+        """``profile_trace`` folds launches in batches of
+        ``FOLD_ACCESSES`` recorded accesses (one launch per batch, a
+        few, or the whole application) and reports what launch-by-launch
+        folding reports."""
+        monkeypatch.setattr(trace_profile, "FOLD_ACCESSES", batch)
+        folds = []
+        fold = TraceProfiler.fold
+
+        def counting(self, launches, classifications=None):
+            folds.append(len(launches))
+            return fold(self, launches, classifications)
+
+        monkeypatch.setattr(TraceProfiler, "fold", counting)
+        run = bfs_run
         profile = profile_trace(run.trace, run.classifications)
+        launches = len(run.trace.launches)
+        assert sum(folds) == launches
+        if batch == 1:
+            assert len(folds) == launches
+        elif batch == 4096:
+            assert 1 < len(folds) < launches
+        else:
+            assert folds == [launches]
         stepwise = TraceProfiler()
         for launch in run.trace:
             stepwise.analyze_launch(
