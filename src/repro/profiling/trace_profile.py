@@ -3,11 +3,13 @@
 The paper's Figure 6 request histograms, its Figures 10-12 locality
 results and the advisor's heat map are views of one data set: the
 distinct (op, line) pairs of an application's global loads.
-:func:`profile_trace` makes one :meth:`TraceProfiler.fold` over the
-whole application, or over batches of launches when they record more
-than :data:`FOLD_ACCESSES` accesses: the global-load rows of every
-sealed launch of a fold, picked by the ``kind`` column, are joined in
-launch order, coalesced by one
+:func:`profile_trace` folds the application's launches in batches of
+consecutive launches (:meth:`TraceProfiler.fold`), each batch no larger
+in recorded accesses than the largest launch or
+:data:`FOLD_ACCESSES`, so an application of many small launches makes
+one pass or a few while a fold's memory stays that of one launch: the
+global-load rows of every sealed launch of a fold, picked by the
+``kind`` column, are joined in launch order, coalesced by one
 :func:`~repro.sim.coalescer.coalesce_accesses` call, and all three
 reports are built from that one table:
 
@@ -335,30 +337,33 @@ def _concat(parts):
               for arrays in columns))
 
 
-#: :func:`profile_trace` folds launches in batches of at least this many
-#: recorded accesses.  A fold's temporaries take 55-110 bytes per access
-#: (coalesced dense loads to scattered graph loads), so a batch's stay
-#: near those of one large launch, while an application of many small
-#: launches is folded in one pass.
-FOLD_ACCESSES = 1 << 14
+#: The fewest recorded accesses :func:`profile_trace` lets one fold
+#: hold.  A fold's temporaries take 55-110 bytes per access (coalesced
+#: dense loads to scattered graph loads), so a batch is kept no larger
+#: than the application's largest launch, whose own fold the profile
+#: cannot avoid, or than this floor, which lets an application of many
+#: small launches fold in one pass or a few.
+FOLD_ACCESSES = 1 << 12
 
 
 def profile_trace(app_trace, classifications=None, line_bytes=LINE_BYTES):
     """The :class:`TraceProfile` of an application trace: one
-    :meth:`TraceProfiler.fold` per batch of launches
-    (:data:`FOLD_ACCESSES`), one for the whole application unless its
-    launches record more accesses than that.
+    :meth:`TraceProfiler.fold` per batch of consecutive launches, each
+    batch recording no more accesses than the largest launch or
+    :data:`FOLD_ACCESSES`, whichever is more.
     ``classifications`` maps kernel name to its
     :class:`~repro.core.classifier.ClassificationResult` (or a plain
     ``{pc: class}`` dict); loads without one land in ``"other"``."""
     profiler = TraceProfiler(line_bytes)
+    launches = list(app_trace)
+    sizes = [len(launch.seal().addrs) for launch in launches]
+    limit = max(sizes + [FOLD_ACCESSES])
     batch, accesses = [], 0
-    for launch in app_trace:
-        batch.append(launch)
-        accesses += len(launch.seal().addrs)
-        if accesses >= FOLD_ACCESSES:
+    for launch, size in zip(launches, sizes):
+        if accesses + size > limit:
             profiler.fold(batch, classifications)
             batch, accesses = [], 0
-    if batch:
-        profiler.fold(batch, classifications)
+        batch.append(launch)
+        accesses += size
+    profiler.fold(batch, classifications)
     return profiler.report(classifications)

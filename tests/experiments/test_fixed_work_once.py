@@ -5,8 +5,10 @@ not change from launch to launch, so one application job needs them
 once: one parse and one print of its PTX (shared by the trace-cache
 key, emulation, the cache write and the cache load), one
 classification and one CFG per kernel, and one profile pass over the
-whole application.  These tests count the calls of one gaus job (14
-launches of 2 kernels), once as a trace-cache miss and once as a hit.
+whole application (gaus's launches record fewer accesses than one
+profile batch, ``FOLD_ACCESSES``).  These tests count the calls of one
+gaus job (14 launches of 2 kernels), once as a trace-cache miss and
+once as a hit.
 
 A call is counted only when its caller is not itself a call of the
 same kind, so a wrapper and the work it delegates to count once.

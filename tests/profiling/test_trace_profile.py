@@ -92,34 +92,36 @@ class TestWorkloadsAgainstReference:
         got = assert_pass_matches_reference(run.trace, run.classifications)
         assert got.locality.total_accesses > 0
 
-    @pytest.mark.parametrize("batch", [1, 4096, 1 << 30])
-    def test_profile_trace_batches_fold_alike(self, bfs_run, batch,
+    @pytest.mark.parametrize("floor", [1, 4096, 1 << 30])
+    def test_profile_trace_batches_fold_alike(self, bfs_run, floor,
                                               monkeypatch):
-        """``profile_trace`` folds launches in batches of
-        ``FOLD_ACCESSES`` recorded accesses (one launch per batch, a
-        few, or the whole application) and reports what launch-by-launch
-        folding reports."""
-        monkeypatch.setattr(trace_profile, "FOLD_ACCESSES", batch)
+        """``profile_trace`` folds consecutive launches in batches that
+        record no more accesses than the largest launch or
+        ``FOLD_ACCESSES``, and reports what launch-by-launch folding
+        reports."""
+        monkeypatch.setattr(trace_profile, "FOLD_ACCESSES", floor)
         folds = []
         fold = TraceProfiler.fold
 
         def counting(self, launches, classifications=None):
-            folds.append(len(launches))
+            folds.append(list(launches))
             return fold(self, launches, classifications)
 
         monkeypatch.setattr(TraceProfiler, "fold", counting)
         run = bfs_run
         profile = profile_trace(run.trace, run.classifications)
-        launches = len(run.trace.launches)
-        assert sum(folds) == launches
-        if batch == 1:
-            assert len(folds) == launches
-        elif batch == 4096:
-            assert 1 < len(folds) < launches
+        launches = list(run.trace)
+        sizes = [len(launch.addrs) for launch in launches]
+        limit = max(sizes + [floor])
+        assert [launch for batch in folds for launch in batch] == launches
+        assert all(sum(len(launch.addrs) for launch in batch) <= limit
+                   for batch in folds)
+        if floor == 1 << 30:
+            assert len(folds) == 1
         else:
-            assert folds == [launches]
+            assert 1 < len(folds) < len(launches)
         stepwise = TraceProfiler()
-        for launch in run.trace:
+        for launch in launches:
             stepwise.analyze_launch(
                 launch, run.classifications.get(launch.kernel_name))
         want = stepwise.report(run.classifications)
