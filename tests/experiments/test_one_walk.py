@@ -3,10 +3,10 @@
 The runner's ``profile`` stage builds the locality report, the heat map
 and the request histograms from coalesced tables that each cover a
 batch of launches, every launch in one batch; the metrics bridge and
-the advisor read them from the result and walk the trace no more.  The timing model makes one
-more walk of each launch it replays: its memory plan, one coalesced
-table over the launch's own columns.  Both coalesce through
-:func:`~repro.sim.coalescer.coalesce_accesses`.
+the advisor read them from the result and walk the trace no more.
+The timing model makes one more walk of each launch it replays: its
+memory plan, one coalesced table over the launch's own columns.  Both
+coalesce through :func:`~repro.sim.coalescer.coalesce_accesses`.
 """
 
 import sys
