@@ -165,6 +165,36 @@ class TestRobustness:
             assert corrupt is not None and corrupt.total() == 1
         assert not path.exists()
 
+    def test_hit_shares_the_callers_module(self, bfs_small):
+        """A lookup given the caller's parsed module and its printed
+        text loads the trace onto that module instead of parsing the
+        entry's copy."""
+        workload, run, ptx = bfs_small
+        key = _key(workload, ptx)
+        trace_cache.store(key, run, ptx=ptx)
+        module = parse_module(workload.ptx())
+        loaded = trace_cache.lookup(key, module=module, ptx=ptx)
+        assert loaded is not None and loaded.module is module
+        assert all(launch.instructions
+                   is module[launch.kernel_name].instructions
+                   for launch in loaded.trace)
+        assert loaded.trace.total_warp_instructions() \
+            == run.trace.total_warp_instructions()
+
+    def test_foreign_stored_ptx_is_corrupt(self, bfs_small):
+        """An entry whose stored text is not the caller's is damaged:
+        quarantined and reported as a miss, like unparsable PTX."""
+        from repro.obs.metrics import isolated_registry
+        workload, run, ptx = bfs_small
+        key = _key(workload, ptx)
+        trace_cache.store(key, run, ptx=ptx)
+        other = parse_module(get_workload("spmv", scale=SCALE).ptx())
+        with isolated_registry() as reg:
+            assert trace_cache.lookup(key, module=other,
+                                      ptx=print_module(other)) is None
+            assert reg.get("trace_cache.corrupt").total() == 1
+        assert not trace_cache.entry_path(key).exists()
+
     def test_plain_miss_does_not_count_as_corrupt(self, bfs_small):
         from repro.obs.metrics import isolated_registry
         workload, _, ptx = bfs_small
