@@ -219,6 +219,29 @@ class TestHandBuilt:
         gpu.run_launch(launch, dict.fromkeys((0, p, 2 * p), "N"))
         assert pushed == [0x2000, 0x2000]
 
+    @pytest.mark.parametrize("space,want", [
+        # the third and fourth loads repeat the stride of one block
+        (Space.GLOBAL, [0x1180, 0x1200]),
+        # the same pattern through .local or .tex trains nothing
+        (Space.LOCAL, []),
+        (Space.TEX, []),
+    ])
+    def test_stride_prefetcher_trains_on_global_loads_only(
+            self, space, want, monkeypatch):
+        load = ld(space)
+        launch = build_launch([(0, 0, [
+            TraceOp(load, 1, ((0, 0x1000 + 0x80 * i),))
+            for i in range(4)])])
+        pushed = []
+        push = SMCore._pf_push
+        monkeypatch.setattr(SMCore, "_pf_push", lambda sm, block: (
+            pushed.append(block), push(sm, block)))
+        gpu = GPU(TINY.scaled(prefetcher="stride"))
+        gpu.run_launch(launch)
+        assert pushed == want
+        assert gpu.stats.prefetch_issued == len(want)
+        assert gpu.stats.issued_warp_insts == 4
+
     def test_access_without_a_record_is_an_empty_row(self):
         # a hand-built global load with no recorded addresses (what a
         # parameter read records): no request, no lane

@@ -50,7 +50,7 @@ SIM_CASES = tuple(
 ISSUE_VARIANTS = {
     "tiny_iw%d_%s" % (width, scheduler):
         {"issue_width": width, "warp_scheduler": scheduler}
-    for width in (1, 2) for scheduler in ("lrr", "gto")}
+    for width in (1, 2, 3) for scheduler in ("lrr", "gto")}
 
 ISSUE_CASES = tuple((app, variant) for app in VARIANT_APPS
                     for variant in ISSUE_VARIANTS)
