@@ -18,24 +18,37 @@ cycle-level model of one streaming multiprocessor:
 * a private L1 data cache (tags + MSHRs, write-through / write-evict),
 * CTA slots with ``bar.sync`` barrier tracking.
 
+One tick is one pass of :meth:`SMCore.cycle`: it pops the due events
+(an SP/SFU write-back is cleared inline), presents the LD/ST head to
+the L1 or spends the free port on a prefetch, issues, and accounts the
+cycle.  What the issue passes of a tick share is read once per tick:
+whether the SP and the SFU are busy (an issue to that pipe makes it
+so), the LD/ST queue's room (a memory issue takes one slot), the issue
+width, the event heap and the entry table.
+
 The issue stage works on integers.  Each kernel is decoded once into an
 :class:`IssueTable`: per instruction, its issue kind and its register
-hazards (reads and writes) and writes as bitmasks.  A warp's scoreboard
-is one int mask of pending destination registers, and write-back clears
-an instruction's write mask from it.  The scheduler keeps int masks over
-:attr:`SMCore.warps`.  The *candidates* are the live warps neither at a
-barrier nor waiting on the scoreboard, and every candidate is
-scoreboard-ready: hazards are marked eagerly, when a warp's next
-instruction becomes current (after it issues, or when a barrier
-releases it), and the write-back that clears the hazard makes the warp
-a candidate again.  A warp at a barrier is marked only at its release:
-a write-back would otherwise hand it back to the scheduler.  One mask
-per issue kind holds the live warps whose current instruction is of
-that kind, so an issue pass takes the candidates, drops the SP or SFU
-warps while that pipe is busy and the memory warps while the LD/ST
-queue is full, and issues the first warp of what is left in scheduler
-order: one bit pick per issued instruction, no scan.  After a cycle
-that issued nothing, the candidates left (all blocked on a unit), the
+hazards (reads and writes) and writes as bitmasks, indexed by raw pc
+so that no tick shifts a pc.  Each launch resolves, once for all SMs,
+what issuing each memory pc needs (:func:`memory_facts`): its fixed
+latency or the L1 path, its load/store/atomic flags, its load class
+and whether it trains the prefetcher (``.global`` loads only).  A
+warp's scoreboard is one int mask of pending destination registers,
+and write-back clears an instruction's write mask from it.  The
+scheduler keeps int masks over :attr:`SMCore.warps`.  The *candidates*
+are the live warps neither at a barrier nor waiting on the scoreboard,
+and every candidate is scoreboard-ready: hazards are marked eagerly,
+when a warp's next instruction becomes current (after it issues, or
+when a barrier releases it), and the write-back that clears the hazard
+makes the warp a candidate again.  A warp at a barrier is marked only
+at its release: a write-back would otherwise hand it back to the
+scheduler.  One mask per issue kind holds the live warps whose current
+instruction is of that kind, so an issue pass takes the candidates,
+drops the SP or SFU warps while that pipe is busy and the memory warps
+while the LD/ST queue is full, and issues the first warp of what is
+left in scheduler order: one bit pick per issued instruction, no scan.
+A warp may issue again in the same tick.  After a tick that issued
+nothing, the candidates left (all blocked on a unit), the
 scoreboard-waiting warps and the live warps give that cycle's stall
 reason.
 
@@ -53,14 +66,14 @@ interconnect credit, so their only reservation-failure mode is
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from itertools import count
 from math import inf
 from typing import Dict, List, Optional, Tuple
 
-from ..emulator.columnar import _PC_SHIFT, KIND_NONE
-from ..ptx.isa import Space, Unit
+from ..emulator.columnar import KIND_NONE
+from ..ptx.isa import PC_STRIDE, Space, Unit
 from .cache import Cache, Outcome
 from .coalescer import MemoryPlan
 from .request import MemRequest
@@ -128,6 +141,10 @@ class InflightMemInst:
 #: issue kinds of a decoded instruction (the two pipelines first)
 ISSUE_SP, ISSUE_SFU, ISSUE_CTRL, ISSUE_BARRIER, ISSUE_MEMORY = range(5)
 
+#: event codes of an L1 hit and of a fixed-latency access (an SP/SFU
+#: write-back's code is its nonzero write mask)
+_HIT, _FIXED = 0, -1
+
 
 def issue_kind(inst):
     """The issue-stage kind of one instruction."""
@@ -144,13 +161,16 @@ def issue_kind(inst):
 class IssueTable:
     """One kernel's instructions, decoded once for the issue stage.
 
-    ``entries[pc >> _PC_SHIFT]`` is ``(kind, hazard, writes, inst)``:
-    the :func:`issue_kind`, the registers the instruction reads or
-    writes, and the registers it writes, both as bitmasks over
-    :attr:`reg_names`.
+    ``entries[i]`` is instruction ``i``'s ``(kind, hazard, writes,
+    inst)``: the :func:`issue_kind`, the registers the instruction reads
+    or writes, and the registers it writes, both as bitmasks over
+    :attr:`reg_names`.  ``by_pc`` holds the same entries at their raw pc
+    (``None`` in the ``PC_STRIDE`` holes between them), so the issue
+    stage indexes it straight off a trace's pc column, and ``memory``
+    lists the memory instructions.
     """
 
-    __slots__ = ("entries", "reg_names")
+    __slots__ = ("entries", "by_pc", "memory", "reg_names")
 
     def __init__(self, instructions):
         bits: Dict[str, int] = {}
@@ -166,12 +186,48 @@ class IssueTable:
             writes = mask(inst.write_reg_names)
             hazard = mask(inst.read_reg_names) | writes
             self.entries.append((issue_kind(inst), hazard, writes, inst))
+        self.by_pc = [None] * (len(self.entries) * PC_STRIDE)
+        self.by_pc[::PC_STRIDE] = self.entries
+        self.memory = [inst for inst in instructions if inst.is_memory]
         self.reg_names = list(bits)
 
     def names(self, regs):
         """The register names of the bitmask ``regs``, in bit order."""
         return [name for i, name in enumerate(self.reg_names)
                 if regs >> i & 1]
+
+
+def memory_facts(issue_table, pc_classes, config):
+    """What issuing each memory instruction of one launch needs, resolved
+    once per launch and shared by every SM: a list indexed by raw pc.
+
+    A memory pc's entry is ``(latency, load_class, is_load, is_store,
+    is_atomic, tallied, prefetch)``.  ``latency`` is the fixed latency
+    of a shared, constant or parameter access and ``None`` for the L1
+    path (``.global``, ``.tex``, ``.local``).  ``load_class`` is the
+    class an L1-path read's requests carry (from ``pc_classes``), and
+    ``is_load`` whether the in-flight instruction counts as a load (on
+    the L1 path an atomic does).  ``tallied`` marks the ``ld`` whose
+    issue the statistics count: every L1-path ``ld`` and a shared one.
+    ``prefetch`` marks a ``.global`` ``ld`` under an active prefetcher.
+    """
+    facts = [None] * len(issue_table.by_pc)
+    prefetcher = config.prefetcher != "none"
+    for inst in issue_table.memory:
+        space = inst.space
+        reads = inst.is_load or inst.is_atomic
+        if space is Space.GLOBAL or space is Space.TEX \
+                or space is Space.LOCAL:
+            facts[inst.pc] = (
+                None, pc_classes.get(inst.pc) if reads else None, reads,
+                inst.is_store, inst.is_atomic, inst.is_load,
+                prefetcher and inst.is_load and space is Space.GLOBAL)
+        else:
+            latency = (config.shared_latency if space is Space.SHARED
+                       else config.const_latency)
+            facts[inst.pc] = (latency, None, inst.is_load, inst.is_store,
+                              inst.is_atomic, inst.is_shared_load, False)
+    return facts
 
 
 class _WarpRun:
@@ -204,8 +260,7 @@ class _WarpRun:
         self.base = trace.base
         self.n = len(trace.pc)
         self.trace_done = not self.n
-        self.entry = (table.entries[self.pcs[0] >> _PC_SHIFT]
-                      if self.n else None)
+        self.entry = table.by_pc[self.pcs[0]] if self.n else None
 
 
 class _CTASlot:
@@ -260,6 +315,8 @@ class SMCore:
         #: CTA's warps keeps
         self.warps: List[_WarpRun] = []
         self.ctas: Dict[int, _CTASlot] = {}
+        #: where the ``lrr`` scan starts: the warp after the last
+        #: issuer, ``len(warps)`` standing for the oldest warp
         self._rr = 0
         self._gto = config.warp_scheduler == "gto"
         self._greedy: Optional[_WarpRun] = None  # gto scheduler state
@@ -282,8 +339,15 @@ class SMCore:
                         "sp"),
                        (config.sfu_initiation_interval, config.sfu_latency,
                         "sfu"))
-        # (time, seq, kind, payload, writes): an SP/SFU write-back
-        # ("wb") carries its warp and written registers flat
+        # per-config constants of the tick
+        self._issue_width = config.issue_width
+        self._ldst_queue_size = config.ldst_queue_size
+        self._l1_hit_latency = config.l1_hit_latency
+        self._prefetcher = config.prefetcher
+        # (time, seq, payload, code): an SP/SFU write-back carries its
+        # warp and its written registers (> 0) as the code, an L1 hit
+        # its request and _HIT, a fixed-latency access its in-flight
+        # instruction and _FIXED
         self._events: List = []
         self._seq = count()
         #: the next cycle this SM must tick; ``inf`` while nothing but an
@@ -303,6 +367,8 @@ class SMCore:
         self.pc_classes: Dict[int, str] = {}
         self.issue_table: Optional[IssueTable] = None
         self.memory_plan: Optional[MemoryPlan] = None
+        #: the launch's :func:`memory_facts`
+        self.mem_facts: List = []
 
     # -- occupancy -----------------------------------------------------------
 
@@ -313,6 +379,8 @@ class SMCore:
     def assign_cta(self, cta_id, warp_traces):
         """Make a CTA resident; its warps join the scheduling pool."""
         slot = _CTASlot(cta_id)
+        if self._rr == len(self.warps):
+            self._rr = 0    # the scan restarts at the oldest warp
         for trace in warp_traces:
             run = _WarpRun(trace, slot, self.issue_table)
             slot.warps.append(run)
@@ -329,9 +397,10 @@ class SMCore:
     def _retire_cta(self, slot):
         del self.ctas[slot.cta_id]
         keep = [w for w in self.warps if w.cta is not slot]
+        rr = self._rr if self._rr < len(self.warps) else 0
+        self._rr = rr % len(keep) if keep else 0
         self.warps = keep
         self._dirty = True
-        self._rr = 0 if not keep else self._rr % len(keep)
         if self._greedy is not None and self._greedy.cta is slot:
             self._greedy = None
         self.on_cta_finished(self.sm_id, slot.cta_id)
@@ -393,27 +462,145 @@ class SMCore:
     def cycle(self, now):
         """Advance one cycle; returns True when the SM did any work.
 
+        The SM's one pass per tick: pop the due events, present the
+        LD/ST head to the L1 (or spend a free port on a prefetch), issue
+        up to ``issue_width`` instructions and account the cycle.
+
+        Every candidate is scoreboard-ready, so an issue pass only drops
+        the warps whose unit cannot take their instruction this cycle —
+        the SP or SFU warps while that pipe is busy, the memory warps
+        while the LD/ST queue is full — and issues the first warp left
+        in scheduler order: ``lrr`` (the paper's baseline) from the warp
+        after the last issuer, ``gto`` the greedy warp first and then
+        the oldest (:attr:`warps` is in age order).  The issuer's next
+        instruction then becomes current, moving the warp between the
+        per-kind masks and, when a register it names is pending, from
+        the candidates to the scoreboard-waiting warps.
+
         Afterwards :attr:`wake_at` is the next cycle the SM must tick.
         """
         if self._slept_from is not None:
             self.settle(now)
         events = self._events
         popped = events and events[0][0] <= now
-        if popped:
-            self._pop_events(now)
+        while popped:
+            _t, _s, payload, writes = heappop(events)
+            if writes > 0:
+                # an SP/SFU result: :meth:`_writeback` inlined, since
+                # this is the most frequent event
+                warp = payload
+                pending = warp.pending_regs & ~writes
+                warp.pending_regs = pending
+                if warp.waiting and not pending & warp.entry[1]:
+                    warp.waiting = False
+                    self._waiting ^= warp.bit
+                    self._ready |= warp.bit
+                cta = warp.cta
+                cta.outstanding -= 1
+                if not cta.outstanding and not cta.warps_not_done:
+                    self._retire_cta(cta)
+            elif writes == _HIT:
+                self._complete_request(payload, now)
+            else:
+                self._finish_inflight(payload, now)
+            if not events or events[0][0] > now:
+                break
         head = self._ldst_cycle(now) if self.ldst_queue else None
         prefetched = False
         if head is None and self._pf_queue:
             # the L1 port is free this cycle: spend it on a prefetch
             prefetched = self._prefetch_cycle(now)
-        # no candidate and no mask rebuild due: the pass would issue
-        # nothing
-        issued = (self._ready or self._dirty) and self._issue(now)
+        issued = 0
+        # no candidate and no mask rebuild due: a pass would issue nothing
+        if (self._ready or self._dirty) and self.warps:
+            if self._dirty:
+                self._rebuild_masks()
+            warps = self.warps
+            kinds = self._kinds
+            by_pc = self.issue_table.by_pc
+            pipes = self._pipes
+            busy_until = self._busy_until
+            sp_busy = busy_until[ISSUE_SP] > now
+            sfu_busy = busy_until[ISSUE_SFU] > now
+            room = self._ldst_queue_size - len(self.ldst_queue)
+            width = self._issue_width
+            gto = self._gto
+            while True:
+                cand = self._ready
+                if sp_busy:
+                    cand &= ~kinds[ISSUE_SP]
+                if sfu_busy:
+                    cand &= ~kinds[ISSUE_SFU]
+                if room <= 0:
+                    cand &= ~kinds[ISSUE_MEMORY]
+                if not cand:
+                    break   # this pass has nothing to issue
+                if gto:
+                    warp = self._greedy
+                    if warp is not None and cand & warp.bit:
+                        bit = warp.bit
+                    else:
+                        bit = cand & -cand
+                        warp = self._greedy = warps[bit.bit_length() - 1]
+                else:
+                    start = self._rr
+                    high = cand >> start
+                    bit = (high & -high) << start if high else cand & -cand
+                    index = bit.bit_length()
+                    warp = warps[index - 1]
+                    # loose round-robin: restart after the issued warp
+                    self._rr = index
+                issued += 1
+                kind, _hazard, writes, inst = warp.entry
+                if kind <= ISSUE_SFU:
+                    interval, latency, unit = pipes[kind]
+                    busy_until[kind] = now + interval
+                    if kind == ISSUE_SP:
+                        sp_busy = interval > 0
+                    else:
+                        sfu_busy = interval > 0
+                    self.stats.unit_busy[unit] += interval
+                    if writes:
+                        # the result's registers are pending until then
+                        warp.pending_regs |= writes
+                        warp.cta.outstanding += 1
+                        heappush(events, (now + latency, next(self._seq),
+                                          warp, writes))
+                elif kind == ISSUE_MEMORY:
+                    self._issue_memory(warp, inst, writes, now)
+                    room -= 1
+                elif kind == ISSUE_BARRIER:
+                    warp.at_barrier = True
+                    self._ready ^= bit
+                    self._wake(warp.cta.check_barrier_release())
+                ptr = warp.ptr = warp.ptr + 1
+                if ptr == warp.n:
+                    self._trace_done(warp, kind)
+                    if not self.warps or issued == width:
+                        break
+                    if self._dirty:
+                        self._rebuild_masks()
+                        warps = self.warps
+                        kinds = self._kinds
+                    continue
+                entry = warp.entry = by_pc[warp.pcs[ptr]]
+                if entry[0] != kind:
+                    kinds[kind] ^= bit
+                    kinds[entry[0]] |= bit
+                if warp.pending_regs & entry[1] and not warp.at_barrier:
+                    # mark the hazard now, so every candidate is ready
+                    warp.waiting = True
+                    self._ready ^= bit
+                    self._waiting |= bit
+                if issued == width:
+                    break
+            if issued:
+                self.stats.issued_warp_insts += issued
         reason = None
         if self.warps:
             self.stats.active_sm_cycles += 1
             if not issued:
-                # the scan that issued nothing left only scoreboard-ready
+                # the pass that issued nothing left only scoreboard-ready
                 # warps (blocked on a unit) among the candidates
                 if self._ready:
                     reason = "unit_busy"
@@ -500,32 +687,8 @@ class SMCore:
                 "l1_mshr": self.l1.mshr.debug_state(),
                 "warps": warps}
 
-    def _pop_events(self, now):
-        events = self._events
-        while events and events[0][0] <= now:
-            _t, _s, kind, payload, writes = heapq.heappop(events)
-            if kind == "wb":
-                # an SP/SFU result: :meth:`_writeback` inlined, since
-                # this is the most frequent event
-                warp = payload
-                pending = warp.pending_regs & ~writes
-                warp.pending_regs = pending
-                if warp.waiting and not pending & warp.entry[1]:
-                    warp.waiting = False
-                    self._waiting ^= warp.bit
-                    self._ready |= warp.bit
-                cta = warp.cta
-                cta.outstanding -= 1
-                if not cta.outstanding and not cta.warps_not_done:
-                    self._retire_cta(cta)
-            elif kind == "hit":
-                self._complete_request(payload, now)
-            elif kind == "fixed":
-                self._finish_inflight(payload, now)
-
-    def _schedule(self, time, kind, payload):
-        heapq.heappush(self._events,
-                       (time, next(self._seq), kind, payload, 0))
+    def _schedule(self, time, payload, code):
+        heappush(self._events, (time, next(self._seq), payload, code))
 
     # -- LD/ST unit ---------------------------------------------------------------------
 
@@ -546,7 +709,7 @@ class SMCore:
                 return True
             self.ldst_queue.popleft()
             if head.dests:
-                self._schedule(now + head.fixed_latency, "fixed", head)
+                self._schedule(now + head.fixed_latency, head, _FIXED)
             else:
                 head.warp.cta.outstanding -= 1
                 if head.warp.cta.finished:
@@ -588,7 +751,7 @@ class SMCore:
         outcome = self.l1.lookup(req.block_addr)
         if outcome is Outcome.HIT:
             self.l1.commit_hit(req.block_addr)
-            self._schedule(now + self.config.l1_hit_latency, "hit", req)
+            self._schedule(now + self._l1_hit_latency, req, _HIT)
             return outcome
         if outcome is Outcome.HIT_RESERVED:
             self.l1.commit_hit_reserved(req.block_addr, req)
@@ -645,93 +808,6 @@ class SMCore:
             else:
                 self._ready |= warp.bit
 
-    def _issue(self, now):
-        """Issue up to ``issue_width`` instructions; returns whether any
-        issued.
-
-        Every candidate is scoreboard-ready, so a pass only drops the
-        warps whose unit cannot take their instruction this cycle — the
-        SP or SFU warps while that pipe is busy, the memory warps while
-        the LD/ST queue is full — and issues the first warp left in
-        scheduler order: ``lrr`` (the paper's baseline) from the warp
-        after the last issuer, ``gto`` the greedy warp first and then the
-        oldest (:attr:`warps` is in age order).  The issuer's next
-        instruction then becomes current, moving the warp between the
-        per-kind masks and, when a register it names is pending, from
-        the candidates to the scoreboard-waiting warps.
-        """
-        if not self.warps or not (self._ready or self._dirty):
-            return False   # no warp can issue: skip the pass
-        config = self.config
-        busy_until = self._busy_until
-        issued = 0
-        while issued < config.issue_width:
-            if self._dirty:
-                self._rebuild_masks()
-            kinds = self._kinds
-            cand = self._ready
-            if busy_until[ISSUE_SP] > now:
-                cand &= ~kinds[ISSUE_SP]
-            if busy_until[ISSUE_SFU] > now:
-                cand &= ~kinds[ISSUE_SFU]
-            if len(self.ldst_queue) >= config.ldst_queue_size:
-                cand &= ~kinds[ISSUE_MEMORY]
-            if not cand:
-                break   # this pass has nothing to issue
-            warps = self.warps
-            if self._gto:
-                warp = self._greedy
-                if warp is not None and cand & warp.bit:
-                    bit = warp.bit
-                else:
-                    bit = cand & -cand
-                    warp = self._greedy = warps[bit.bit_length() - 1]
-            else:
-                start = self._rr % len(warps)
-                high = cand >> start
-                bit = (high & -high) << start if high else cand & -cand
-                warp = warps[bit.bit_length() - 1]
-                # loose round-robin: restart after the issued warp
-                self._rr = bit.bit_length() % len(warps)
-            issued += 1
-            kind, _hazard, writes, inst = warp.entry
-            if kind <= ISSUE_SFU:
-                interval, latency, unit = self._pipes[kind]
-                busy_until[kind] = now + interval
-                self.stats.unit_busy[unit] += interval
-                if writes:
-                    # the result's registers are pending until then
-                    warp.pending_regs |= writes
-                    warp.cta.outstanding += 1
-                    heapq.heappush(self._events, (
-                        now + latency, next(self._seq), "wb", warp, writes))
-            elif kind == ISSUE_MEMORY:
-                self._issue_memory(warp, inst, writes, now)
-            elif kind == ISSUE_BARRIER:
-                warp.at_barrier = True
-                self._ready ^= bit
-                self._wake(warp.cta.check_barrier_release())
-            ptr = warp.ptr = warp.ptr + 1
-            if ptr == warp.n:
-                self._trace_done(warp, kind)
-                if not self.warps:
-                    break
-                continue
-            entry = warp.entry = \
-                self.issue_table.entries[warp.pcs[ptr] >> _PC_SHIFT]
-            if entry[0] != kind:
-                kinds[kind] ^= bit
-                kinds[entry[0]] |= bit
-            if warp.pending_regs & entry[1] and not warp.at_barrier:
-                # mark the hazard now, so every candidate is ready
-                warp.waiting = True
-                self._ready ^= bit
-                self._waiting |= bit
-        if not issued:
-            return False
-        self.stats.issued_warp_insts += issued
-        return True
-
     def _trace_done(self, warp, kind):
         """``warp`` issued its last instruction, of issue ``kind``."""
         warp.trace_done = True
@@ -747,52 +823,46 @@ class SMCore:
 
     def _issue_memory(self, warp, inst, writes, now):
         """Queue the memory instruction ``warp`` issues at the LD/ST unit
-        (the issue stage checked that the queue has room)."""
+        (the issue stage checked that the queue has room), as the
+        launch's :func:`memory_facts` say."""
+        latency, load_class, is_load, is_store, is_atomic, tallied, \
+            prefetch = self.mem_facts[inst.pc]
         plan = self.memory_plan
         row = warp.base + warp.ptr
-        space = inst.space
-
-        if space is Space.GLOBAL or space is Space.TEX or space is Space.LOCAL:
-            load_class = (self.pc_classes.get(inst.pc)
-                          if inst.is_load or inst.is_atomic else None)
-            inflight = InflightMemInst(
-                warp, writes, inst.pc, self.kernel_name, load_class,
-                is_load=inst.is_load or inst.is_atomic,
-                is_store=inst.is_store, t_issue=now)
+        pc = inst.pc
+        if latency is None:
+            inflight = InflightMemInst(warp, writes, pc, self.kernel_name,
+                                       load_class, is_load, is_store, now)
             blocks = plan.requests(row)
-            if not blocks:
+            if blocks:
+                sm_id = self.sm_id
+                partition_map = self.partition_map
+                pending = inflight.pending
+                for block in blocks:
+                    req = MemRequest(block, pc, load_class, is_store,
+                                     is_atomic, sm_id, inflight)
+                    req.partition = partition_map(sm_id, block)
+                    pending.append(req)
+            else:
                 # all lanes predicated off: trivial completion
                 inflight.fixed_latency = 1
-            for block in blocks:
-                req = MemRequest(
-                    block_addr=block, pc=inst.pc, load_class=load_class,
-                    is_write=inst.is_store, is_atomic=inst.is_atomic,
-                    sm_id=self.sm_id, inflight=inflight)
-                req.partition = self.partition_map(self.sm_id, block)
-                inflight.pending.append(req)
             inflight.n_requests = len(blocks)
-            inflight.outstanding = 0 if inst.is_store else len(blocks)
-            if inst.is_load:
+            inflight.outstanding = 0 if is_store else len(blocks)
+            if tallied:
                 self.stats.global_load_insts += 1
                 self.stats.record_coalescing(load_class, len(blocks),
                                              plan.lanes[row])
-                if space is Space.GLOBAL and self.config.prefetcher != "none":
+                if prefetch:
                     self._generate_prefetches(warp, inst, blocks)
-            elif inst.is_store:
+            elif is_store:
                 self.stats.global_store_insts += 1
         else:
-            # shared / const / param: fixed-latency path, no L1 traffic
-            if space is Space.SHARED:
-                latency = self.config.shared_latency
-                if inst.is_shared_load:
-                    self.stats.shared_load_insts += 1
-            else:
-                latency = self.config.const_latency
+            # shared / const / param: fixed latency, no L1 traffic
+            if tallied:
+                self.stats.shared_load_insts += 1
             inflight = InflightMemInst(
-                warp, writes if inst.is_load or inst.is_atomic else 0,
-                inst.pc, self.kernel_name, None,
-                is_load=inst.is_load, is_store=inst.is_store,
-                t_issue=now, fixed_latency=latency)
+                warp, writes if is_load or is_atomic else 0, pc,
+                self.kernel_name, None, is_load, is_store, now, latency)
             # bank-conflicted shared accesses hold the port longer
             inflight.port_cycles = plan.port[row]
 
@@ -810,7 +880,7 @@ class SMCore:
 
     def _generate_prefetches(self, warp, inst, blocks):
         """Prefetch for a global load that just issued ``blocks``."""
-        if self.config.prefetcher == "stride":
+        if self._prefetcher == "stride":
             # classic per-PC stride prediction on the load's first block
             if blocks:
                 first = blocks[0]
@@ -828,7 +898,7 @@ class SMCore:
                 warp.ptr + 1 + self.config.prefetch_lookahead, warp.n)):
             if plan.kind[warp.base + idx] == KIND_NONE:
                 continue
-            future = self.issue_table.entries[warp.pcs[idx] >> _PC_SHIFT][3]
+            future = self.issue_table.by_pc[warp.pcs[idx]][3]
             if future.is_global_load \
                     and self.pc_classes.get(future.pc) == "N":
                 for block in plan.requests(warp.base + idx):

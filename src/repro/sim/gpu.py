@@ -43,7 +43,7 @@ from typing import Dict, List, Tuple
 from ..obs import tracing
 from .coalescer import MemoryPlan, pc_class_map
 from .config import TESLA_C2050
-from .core import IssueTable, SMCore
+from .core import IssueTable, SMCore, memory_facts
 from .cta_scheduler import make_scheduler
 from .icnt import Interconnect
 from .memory_partition import MemoryPartition
@@ -153,6 +153,26 @@ class GPU:
 
     # -- launch replay ----------------------------------------------------------
 
+    def _load_launch(self, launch_trace, classification=None):
+        """Resolve one launch's facts once and hand them to every SM:
+        the kernel's :class:`IssueTable` (decoded once per kernel), the
+        launch's :class:`MemoryPlan` and its :func:`memory_facts`."""
+        pc_classes = pc_class_map(classification)
+        insts = launch_trace.instructions
+        cached = self._issue_tables.get(id(insts))
+        if cached is None:
+            cached = self._issue_tables[id(insts)] = (
+                insts, IssueTable(insts))
+        issue_table = cached[1]
+        memory_plan = MemoryPlan(launch_trace, self.config)
+        mem_facts = memory_facts(issue_table, pc_classes, self.config)
+        for sm in self.sms:
+            sm.kernel_name = launch_trace.kernel_name
+            sm.pc_classes = pc_classes
+            sm.issue_table = issue_table
+            sm.memory_plan = memory_plan
+            sm.mem_facts = mem_facts
+
     def run_launch(self, launch_trace, classification=None):
         """Replay one kernel launch to completion.
 
@@ -165,20 +185,7 @@ class GPU:
             ``{pc: "D"/"N"}`` mapping); loads without a classification are
             tallied under the ``"other"`` class.
         """
-        pc_classes = pc_class_map(classification)
-        insts = launch_trace.instructions
-        cached = self._issue_tables.get(id(insts))
-        if cached is None:
-            cached = self._issue_tables[id(insts)] = (
-                insts, IssueTable(insts))
-        issue_table = cached[1]
-        memory_plan = MemoryPlan(launch_trace, self.config)
-        for sm in self.sms:
-            sm.kernel_name = launch_trace.kernel_name
-            sm.pc_classes = pc_classes
-            sm.issue_table = issue_table
-            sm.memory_plan = memory_plan
-
+        self._load_launch(launch_trace, classification)
         by_cta: Dict[int, List] = {}
         for warp in launch_trace.warps:
             by_cta.setdefault(warp.cta_id, []).append(warp)
