@@ -161,16 +161,16 @@ def issue_kind(inst):
 class IssueTable:
     """One kernel's instructions, decoded once for the issue stage.
 
-    ``entries[i]`` is instruction ``i``'s ``(kind, hazard, writes,
-    inst)``: the :func:`issue_kind`, the registers the instruction reads
-    or writes, and the registers it writes, both as bitmasks over
-    :attr:`reg_names`.  ``by_pc`` holds the same entries at their raw pc
-    (``None`` in the ``PC_STRIDE`` holes between them), so the issue
-    stage indexes it straight off a trace's pc column, and ``memory``
-    lists the memory instructions.
+    ``entries[pc]`` is ``(kind, hazard, writes, inst)`` for the
+    instruction at raw pc ``pc``: the :func:`issue_kind`, the registers
+    the instruction reads or writes, and the registers it writes, both
+    as bitmasks over :attr:`reg_names`.  The list is indexed by raw pc,
+    ``None`` in the ``PC_STRIDE`` holes between instructions, so the
+    issue stage indexes it straight off a trace's pc column.
+    ``memory`` lists the memory instructions.
     """
 
-    __slots__ = ("entries", "by_pc", "memory", "reg_names")
+    __slots__ = ("entries", "memory", "reg_names")
 
     def __init__(self, instructions):
         bits: Dict[str, int] = {}
@@ -181,13 +181,11 @@ class IssueTable:
                 m |= 1 << bits.setdefault(name, len(bits))
             return m
 
-        self.entries = []
+        self.entries = [None] * (len(instructions) * PC_STRIDE)
         for inst in instructions:
             writes = mask(inst.write_reg_names)
             hazard = mask(inst.read_reg_names) | writes
-            self.entries.append((issue_kind(inst), hazard, writes, inst))
-        self.by_pc = [None] * (len(self.entries) * PC_STRIDE)
-        self.by_pc[::PC_STRIDE] = self.entries
+            self.entries[inst.pc] = (issue_kind(inst), hazard, writes, inst)
         self.memory = [inst for inst in instructions if inst.is_memory]
         self.reg_names = list(bits)
 
@@ -211,7 +209,7 @@ def memory_facts(issue_table, pc_classes, config):
     issue the statistics count: every L1-path ``ld`` and a shared one.
     ``prefetch`` marks a ``.global`` ``ld`` under an active prefetcher.
     """
-    facts = [None] * len(issue_table.by_pc)
+    facts = [None] * len(issue_table.entries)
     prefetcher = config.prefetcher != "none"
     for inst in issue_table.memory:
         space = inst.space
@@ -260,7 +258,7 @@ class _WarpRun:
         self.base = trace.base
         self.n = len(trace.pc)
         self.trace_done = not self.n
-        self.entry = table.by_pc[self.pcs[0]] if self.n else None
+        self.entry = table.entries[self.pcs[0]] if self.n else None
 
 
 class _CTASlot:
@@ -517,7 +515,7 @@ class SMCore:
                 self._rebuild_masks()
             warps = self.warps
             kinds = self._kinds
-            by_pc = self.issue_table.by_pc
+            entries = self.issue_table.entries
             pipes = self._pipes
             busy_until = self._busy_until
             sp_busy = busy_until[ISSUE_SP] > now
@@ -583,7 +581,7 @@ class SMCore:
                         warps = self.warps
                         kinds = self._kinds
                     continue
-                entry = warp.entry = by_pc[warp.pcs[ptr]]
+                entry = warp.entry = entries[warp.pcs[ptr]]
                 if entry[0] != kind:
                     kinds[kind] ^= bit
                     kinds[entry[0]] |= bit
@@ -898,7 +896,7 @@ class SMCore:
                 warp.ptr + 1 + self.config.prefetch_lookahead, warp.n)):
             if plan.kind[warp.base + idx] == KIND_NONE:
                 continue
-            future = self.issue_table.by_pc[warp.pcs[idx]][3]
+            future = self.issue_table.entries[warp.pcs[idx]][3]
             if future.is_global_load \
                     and self.pc_classes.get(future.pc) == "N":
                 for block in plan.requests(warp.base + idx):

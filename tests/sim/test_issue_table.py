@@ -22,10 +22,13 @@ def kernels():
 @pytest.mark.parametrize("kernel", kernels())
 def test_table_decodes_back_to_the_instructions(kernel):
     table = IssueTable(kernel.instructions)
-    assert len(table.entries) == len(kernel.instructions)
+    # indexed by raw pc, with holes between the instructions
+    assert len(table.entries) == len(kernel.instructions) * PC_STRIDE
+    assert sum(entry is not None for entry in table.entries) == len(
+        kernel.instructions)
     assert len(set(table.reg_names)) == len(table.reg_names)
     for inst in kernel.instructions:
-        kind, hazard, writes, decoded = table.entries[inst.pc // PC_STRIDE]
+        kind, hazard, writes, decoded = table.entries[inst.pc]
         assert decoded is inst
         assert set(table.names(hazard)) == (
             set(inst.read_reg_names) | set(inst.write_reg_names))
