@@ -362,7 +362,6 @@ class SMCore:
         self._pf_stride: Dict[int, Tuple[int, int]] = {}
         #: per-launch context, set by the GPU before simulation
         self.kernel_name = ""
-        self.pc_classes: Dict[int, str] = {}
         self.issue_table: Optional[IssueTable] = None
         self.memory_plan: Optional[MemoryPlan] = None
         #: the launch's :func:`memory_facts`
@@ -898,7 +897,7 @@ class SMCore:
                 continue
             future = self.issue_table.entries[warp.pcs[idx]][3]
             if future.is_global_load \
-                    and self.pc_classes.get(future.pc) == "N":
+                    and self.mem_facts[future.pc][1] == "N":
                 for block in plan.requests(warp.base + idx):
                     self._pf_push(block)
                 break

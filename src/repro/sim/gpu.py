@@ -168,7 +168,6 @@ class GPU:
         mem_facts = memory_facts(issue_table, pc_classes, self.config)
         for sm in self.sms:
             sm.kernel_name = launch_trace.kernel_name
-            sm.pc_classes = pc_classes
             sm.issue_table = issue_table
             sm.memory_plan = memory_plan
             sm.mem_facts = mem_facts
