@@ -12,18 +12,21 @@ needs only once per job, per kernel or per application:
 * ``tables``: builds of a launch's per-instruction tables
   (``InstructionTable``; in checkouts without it, every
   ``ColumnarLaunchTrace`` built its own, so its constructor counts);
-* ``profile_pass``: trace-profile passes (``TraceProfiler.fold`` and
-  ``TraceProfiler.analyze_launch``).
+* ``profile_pass``: trace-profile passes (``TraceProfiler.fold``; in
+  older checkouts also ``TraceProfiler.analyze_launch``);
+* ``coalesce``: coalescing passes, the calls of
+  ``repro.sim.coalescer._coalesce`` (each coalesces the launches that
+  hold no coalesced table yet; older checkouts coalesced through
+  ``coalesce_table`` and ``coalesce_accesses`` instead).
 
 A call counts only when its caller is not a call of the same kind, so
 a wrapper and the work it delegates to count once.
 
-The jobs run as the benchmark runs them, with two differences that
-leave these counts alone: the in-process workloads' jobs simulate
-nothing (the simulator makes none of these calls), and ``service-mix``
-requests go to the service's ``execute_job`` in-process instead of
-over HTTP.  Those requests do simulate, because the advisor's
-transforms rewrite launches of the trace they verify.  ``sim-*`` passes
+The jobs run as the benchmark runs them (the ``sim-*`` jobs simulate
+on ``BENCH_CONFIG``, and each memory plan may coalesce), with one
+difference that leaves these counts alone: ``service-mix`` requests go
+to the service's ``execute_job`` in-process instead of over HTTP.
+Those requests simulate too.  ``sim-*`` passes
 start from a filled trace cache (every job a hit), the others from an
 empty one (every job a miss).  No wall-clock time is taken, so two
 runs give the same numbers.  Run it against any checkout by putting
@@ -46,15 +49,17 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(HERE, os.pardir, "bench_pipeline")
 
 KINDS = ("parse_module", "print_module", "classify_kernel", "cfg",
-         "run_ends", "tables", "profile_pass")
+         "run_ends", "tables", "profile_pass", "coalesce")
 
 
 def _watched():
-    """code object -> kind, for this checkout's functions."""
+    """code object -> kind, for this checkout's functions (looked up by
+    name, so older checkouts count too)."""
     from repro.core import classifier
     from repro.emulator import columnar, machine
     from repro.profiling.trace_profile import TraceProfiler
     from repro.ptx import cfg, parser, printer
+    from repro.sim import coalescer
 
     table = getattr(columnar, "InstructionTable",
                     columnar.ColumnarLaunchTrace)
@@ -65,12 +70,13 @@ def _watched():
         (cfg.CFG.__init__, "cfg"),
         (machine._run_ends, "run_ends"),
         (table.__init__, "tables"),
-        (TraceProfiler.analyze_launch, "profile_pass"),
+        (getattr(TraceProfiler, "fold", None), "profile_pass"),
+        (getattr(TraceProfiler, "analyze_launch", None), "profile_pass"),
+        (getattr(coalescer, "_coalesce", None), "coalesce"),
+        (getattr(coalescer, "coalesce_table", None), "coalesce"),
+        (getattr(coalescer, "coalesce_accesses", None), "coalesce"),
     ]
-    fold = getattr(TraceProfiler, "fold", None)
-    if fold is not None:
-        kinds.append((fold, "profile_pass"))
-    return {fn.__code__: kind for fn, kind in kinds}
+    return {fn.__code__: kind for fn, kind in kinds if fn is not None}
 
 
 def counted(fn, *args, **kwargs):
@@ -99,10 +105,14 @@ def counted(fn, *args, **kwargs):
 
 
 def _local_job(workload, app, seed):
-    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.runner import BENCH_CONFIG, ExperimentRunner
 
-    runner = ExperimentRunner(scale=workload.scale, seed=seed,
-                              simulate=False, use_trace_cache=True)
+    if workload.kind == "sim":
+        runner = ExperimentRunner(scale=workload.scale, config=BENCH_CONFIG,
+                                  seed=seed, use_trace_cache=True)
+    else:
+        runner = ExperimentRunner(scale=workload.scale, seed=seed,
+                                  simulate=False, use_trace_cache=True)
     return runner.result(app)
 
 

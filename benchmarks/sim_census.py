@@ -64,10 +64,12 @@ CLASSES = {
     "memory_facts": "sm_issue", "InflightMemInst": "ldst_l1",
     # the requests, their coalescing, and the L1's outcomes
     "MemRequest": "ldst_l1", "Outcome": "ldst_l1", "MemoryPlan": "ldst_l1",
-    "CoalescedOps": "ldst_l1", "coalesce_table": "ldst_l1",
-    "coalesce_accesses": "ldst_l1", "coalesce_addresses": "ldst_l1",
+    "CoalescedOps": "ldst_l1", "coalesced": "ldst_l1",
+    "_coalesce": "ldst_l1", "coalesce_addresses": "ldst_l1",
     "coalescing_degree": "ldst_l1", "_distinct": "ldst_l1",
     "class_codes": "ldst_l1", "CoalescingSummary": "stats",
+    # older checkouts' coalescing functions
+    "coalesce_table": "ldst_l1", "coalesce_accesses": "ldst_l1",
     "Interconnect": "interconnect",
     "MemoryPartition": "l2_dram",
     "SimStats": "stats", "ClassStats": "stats", "PCBucket": "stats",

@@ -395,6 +395,10 @@ class ColumnarLaunchTrace:
         self.op_start = None
         self.astart = None
         self.vstart = None
+        #: line size -> the sealed launch's
+        #: :class:`~repro.sim.coalescer.CoalescedOps`, built by
+        #: :func:`~repro.sim.coalescer.coalesced` on first use.
+        self.coalesced_ops = {}
 
     def instruction_at(self, pc):
         return self._insts[pc >> _PC_SHIFT]

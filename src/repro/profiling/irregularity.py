@@ -28,7 +28,7 @@ import numpy as np
 
 from ..emulator.columnar import _KIND_ATOMIC, _PC_SHIFT, SPACE_CODES
 from ..emulator.grid import WARP_SIZE
-from ..sim.coalescer import coalesce_table
+from ..sim.coalescer import coalesced
 from ..sim.config import LINE_BYTES
 
 
@@ -61,8 +61,9 @@ def measure_irregularity(app_trace, line_size=LINE_BYTES):
         total_active += launch.total_thread_instructions()
         # global loads and stores that issued at least one request
         kind = launch.kind
-        ops = coalesce_table(launch, ((kind >> 2) == SPACE_CODES["global"])
-                             & ((kind & 3) != _KIND_ATOMIC), line_size)
+        ops = coalesced([launch], line_size)[0].where(
+            ((kind >> 2) == SPACE_CODES["global"])
+            & ((kind & 3) != _KIND_ATOMIC))
         issued = ops.lines > 0
         rows = ops.rows[issued]
         footprint = (ops.lanes[issued]

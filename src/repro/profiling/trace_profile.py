@@ -9,9 +9,10 @@ in recorded accesses than the largest launch or
 :data:`FOLD_ACCESSES`, so an application of many small launches makes
 one pass or a few while a fold's memory stays that of one launch: the
 global-load rows of every sealed launch of a fold, picked by the
-``kind`` column, are joined in launch order, coalesced by one
-:func:`~repro.sim.coalescer.coalesce_accesses` call, and all three
-reports are built from that one table:
+``kind`` column from the launch's one coalesced table
+(:func:`~repro.sim.coalescer.coalesced`, which the timing model's
+memory plan has built already when the job simulated), are joined in
+launch order, and all three reports are built from that one table:
 
 * the :class:`~repro.profiling.locality.LocalityReport` (cold misses,
   inter-CTA sharing, CTA distances by load class);
@@ -25,12 +26,9 @@ is its index in the stream of coalesced accesses over every launch,
 which is the clock of the heat map's reuse intervals.  Per-line state
 (access count, CTA set, last CTA, last tick, per-PC counts) lives in
 one :class:`~repro.profiling.heatmap.LineHeat` and carries from one
-fold to the next, so :meth:`TraceProfiler.analyze_launch`, a fold of
-one launch, called launch by launch ends in the same state as one fold
-of them all.  Python touches each fold's unique lines and unique
-(line, PC) pairs; everything per access is vectorized.
-:meth:`TraceProfiler._analyze_record_warp` is the one-op-at-a-time
-reference over the record view that the pass is tested against.
+fold to the next, so launches folded one by one end in the same state
+as one fold of them all.  Python touches each fold's unique lines and
+unique (line, PC) pairs; everything per access is vectorized.
 """
 
 from __future__ import annotations
@@ -42,13 +40,11 @@ import numpy as np
 
 from ..core.classifier import ClassificationResult
 from ..emulator.columnar import _KIND_LOAD, _PC_SHIFT, SPACE_CODES
-from ..ptx.isa import Space
 from ..resilience.guards import check_memory_budget
-from ..sim.coalescer import (
-    CoalescingSummary, class_codes, coalesce_accesses, coalesce_addresses)
+from ..sim.coalescer import CoalescingSummary, class_codes, coalesced
 from ..sim.config import LINE_BYTES
 from ..sim.stats import CLASS_LABELS
-from .heatmap import HeatMapReport, LineHeat, PCHeat, reuse_bucket
+from .heatmap import HeatMapReport, LineHeat, PCHeat
 from .locality import LocalityReport
 
 #: the ``kind`` code of a global load
@@ -83,34 +79,27 @@ class TraceProfiler:
             heat = self.pcs[key] = PCHeat(kernel=kernel, pc=pc)
         return heat
 
-    def analyze_launch(self, launch, classification=None):
-        """Fold one launch's coalesced global loads into the state: the
-        one-launch case of :meth:`fold`.
-
-        ``classification`` is anything
-        :func:`~repro.sim.coalescer.pc_class_map` accepts; it buckets
-        the request histograms and CTA distances by load class.
-        """
-        self.fold([launch], {launch.kernel_name: classification})
-
     def fold(self, launches, classifications=None):
         """Fold the coalesced global loads of ``launches``, in order,
         into the state, in one vectorized pass over all of them.
 
-        Each launch contributes its global-load rows, picked by the
-        ``kind`` column; one :func:`~repro.sim.coalescer.coalesce_accesses`
-        call and one set of array operations then cover every launch.
+        Each launch's global-load rows, picked by the ``kind`` column,
+        come from its :func:`~repro.sim.coalescer.coalesced` table
+        (coalesced here, all launches that hold none in one call), and
+        one set of array operations then covers every launch.
         ``classifications`` maps kernel name to anything
         :func:`~repro.sim.coalescer.pc_class_map` accepts.
         """
         check_memory_budget("trace profile")
+        launches = list(launches)
         classifications = classifications or {}
         kernels = {}  # kernel name -> index
         codes = {}  # (kernel name, instruction list) -> class codes
         parts = []
-        for index, launch in enumerate(launches):
-            keep = launch.seal().kind == _GLOBAL_LOAD
-            rows = np.flatnonzero(keep)
+        for index, (launch, ops) in enumerate(zip(
+                launches, coalesced(launches, self.line_bytes))):
+            ops = ops.where(launch.kind == _GLOBAL_LOAD)
+            rows = ops.rows
             if not len(rows):
                 continue
             name = launch.kernel_name
@@ -122,18 +111,15 @@ class TraceProfiler:
             warp_cta = np.asarray([w.cta_id for w in launch.warps],
                                   dtype=np.int64)
             parts.append((
-                index, kernel, pc, launch.acount[rows].astype(np.int64),
-                launch.addrs[np.repeat(keep, launch.acount)],
-                launch.access_bytes[pc >> _PC_SHIFT],
+                index, kernel, pc, ops.lanes, ops.lines,
                 codes[key][pc >> _PC_SHIFT],
                 warp_cta[np.searchsorted(launch.op_start, rows,
-                                         side="right") - 1]))
+                                         side="right") - 1],
+                ops.pair_ops, ops.pair_lines))
         if not parts:
             return
-        (launch_of, kernel_of, op_pc, op_lanes, addrs, width, op_code,
-         op_cta) = _concat(parts)
-        op_lines, pair_ops, pair_lines = coalesce_accesses(
-            op_lanes, addrs, width, self.line_bytes)
+        (launch_of, kernel_of, op_pc, op_lanes, op_lines, op_code, op_cta,
+         pair_ops, pair_lines) = _concat(parts)
 
         # keys pack a count with a class code (0-2) as count * 4 + code
         issued = op_lines > 0
@@ -233,54 +219,6 @@ class TraceProfiler:
             if key & 3 < 2:
                 by_class[CLASS_LABELS[key & 3]][key >> 2] += count
 
-    def _analyze_record_warp(self, kernel, warp, classes):
-        """Reference implementation of :meth:`analyze_launch` for one
-        warp, over its record view, one op and one line at a time.
-        ``classes`` maps pc to ``"D"``/``"N"``
-        (:func:`~repro.sim.coalescer.pc_class_map`)."""
-        cta = warp.cta_id
-        locality = self.locality
-        for op in warp.ops:
-            inst = op.inst
-            if (op.addresses is None or inst.space is not Space.GLOBAL
-                    or inst.is_store or inst.is_atomic):
-                continue
-            touched = [block // self.line_bytes for block in
-                       coalesce_addresses(op.addresses, self.line_bytes,
-                                          inst.access_bytes)]
-            label = classes.get(op.pc)
-            if touched:
-                self.coalescing.record(label, len(touched))
-            heat = self._pc_heat(kernel, op.pc)
-            heat.warp_ops += 1
-            heat.lane_accesses += len(op.addresses)
-            heat.line_touches += len(touched)
-            heat.max_lines_per_op = max(heat.max_lines_per_op, len(touched))
-            for line_id in touched:
-                info = self.lines.get(line_id)
-                if info is None:
-                    info = self.lines[line_id] = LineHeat()
-                    heat.cold_misses += 1
-                    locality.cold_misses += 1
-                else:
-                    bucket = reuse_bucket(self.tick - info.last_idx)
-                    self.reuse[bucket] += 1
-                    heat.reuse_hist[bucket] += 1
-                    if info.last_cta != cta:
-                        distance = abs(cta - info.last_cta)
-                        locality.distance_hist[distance] += 1
-                        if label in ("D", "N"):
-                            locality.distance_hist_by_class[label][
-                                distance] += 1
-                info.accesses += 1
-                info.last_idx = self.tick
-                info.last_cta = cta
-                info.ctas.add(cta)
-                info.pcs[heat.kernel, heat.pc] = \
-                    info.pcs.get((heat.kernel, heat.pc), 0) + 1
-                locality.total_accesses += 1
-                self.tick += 1
-
     def report(self, classifications=None):
         """Finalize the per-line aggregates into a
         :class:`TraceProfile`; ``classifications`` (kernel name ->
@@ -328,13 +266,17 @@ def _counts(values):
 def _concat(parts):
     """The per-launch arrays of :meth:`TraceProfiler.fold` joined in
     launch order: per op its launch and kernel index, pc, lane accesses,
-    every access's address, and per op its access width, class code and
-    CTA.  A single launch's arrays are used as they are."""
-    launch, kernel, *columns = zip(*parts)
+    lines, class code and CTA, then the (op, line) pairs, each pair's op
+    offset by the ops of the launches before.  A single launch's arrays
+    are used as they are."""
+    launch, kernel, *columns, pair_ops, pair_lines = zip(*parts)
     sizes = [len(pc) for pc in columns[0]]
+    if len(parts) > 1:
+        pair_ops = [ops + offset for ops, offset in
+                    zip(pair_ops, np.cumsum([0] + sizes[:-1]).tolist())]
     return (np.repeat(launch, sizes), np.repeat(kernel, sizes),
             *(arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-              for arrays in columns))
+              for arrays in (*columns, pair_ops, pair_lines)))
 
 
 #: The fewest recorded accesses :func:`profile_trace` lets one fold

@@ -11,16 +11,17 @@ becomes one :class:`~repro.sim.request.MemRequest`.  A perfectly coalesced
 warp (32 consecutive 4 B words) yields a single request; a fully scattered
 warp yields up to 32.
 
-:func:`coalesce_table` applies the rule at once to the memory ops of
-a whole launch, read straight off the sealed launch's columns and
-picked by a row mask over its ``kind`` column.  It is the one
-coalescing pass: the timing model reads each launch's
-:class:`MemoryPlan`, built by one such pass before the launch replays,
-and every trace profile builds on it (the request histograms of
-:class:`CoalescingSummary`, the locality report and heat map of
-:mod:`repro.profiling.trace_profile`, and the irregularity metrics).
-:func:`coalesce_addresses` is the same rule for one op at a time, the
-reference the pass is tested against.
+:func:`coalesced` applies the rule at once to the L1-path ops (global,
+local and tex loads, stores and atomics) of sealed launches, read
+straight off their columns.  It is the one coalescing pass: each launch
+keeps its :class:`CoalescedOps` per line size, so a launch is coalesced
+once per job.  The timing model reads it through the launch's
+:class:`MemoryPlan`, built before the launch replays, and every trace
+profile picks its rows from the same table (:meth:`CoalescedOps.where`):
+the request histograms of :class:`CoalescingSummary`, the locality
+report and heat map of :mod:`repro.profiling.trace_profile`, and the
+irregularity metrics.  :func:`coalesce_addresses` is the same rule for
+one op at a time, the reference the pass is tested against.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def coalesce_addresses(addresses, line_size=LINE_BYTES, access_size=4):
     """The sorted distinct ``line_size`` block base addresses, one per
     memory request, of one op's ``(lane, byte_address)`` pairs; an
     ``access_size``-byte access that straddles a block boundary touches
-    both blocks.  The one-op reference for :func:`coalesce_table`."""
+    both blocks.  The one-op reference for :func:`coalesced`."""
     blocks = set()
     for _lane, addr in addresses:
         first = addr // line_size
@@ -67,9 +68,9 @@ def coalescing_degree(addresses, line_size=LINE_BYTES, access_size=4):
 
 class CoalescedOps(NamedTuple):
     """The coalesced accesses of a table of memory ops
-    (:func:`coalesce_table`)."""
+    (:func:`coalesced`)."""
 
-    #: table rows of the counted ops, in op order.
+    #: launch rows of the counted ops, in op order.
     rows: np.ndarray
     #: per counted op: its recorded lane accesses.
     lanes: np.ndarray
@@ -82,32 +83,53 @@ class CoalescedOps(NamedTuple):
     #: ... and the line (byte address // line size).
     pair_lines: np.ndarray
 
+    def where(self, row_mask):
+        """The table of the ops whose launch rows the boolean mask
+        ``row_mask`` selects, their pairs' ops renumbered."""
+        keep = row_mask[self.rows]
+        if keep.all():
+            return self
+        lines = self.lines[keep]
+        return CoalescedOps(
+            self.rows[keep], self.lanes[keep], lines,
+            np.repeat(np.arange(len(lines), dtype=np.int64), lines),
+            self.pair_lines[np.repeat(keep, self.lines)])
 
-def coalesce_table(launch, keep, line_size=LINE_BYTES):
-    """Coalesce the memory ops of a sealed launch: the one (op, line)
-    pass behind every trace profile and the timing model.
 
-    ``launch`` is a
-    :class:`~repro.emulator.columnar.ColumnarLaunchTrace`; the ops
-    counted are the rows of its columns that the boolean row mask
-    ``keep`` selects, each access ``launch.access_bytes`` wide for its
-    instruction.  Like :func:`coalesce_addresses`, an access that
-    crosses a line boundary touches both lines.
+def coalesced(launches, line_size=LINE_BYTES):
+    """Each launch's :class:`CoalescedOps` over its L1-path rows.
+
+    ``launches`` are
+    :class:`~repro.emulator.columnar.ColumnarLaunchTrace` objects; each
+    keeps its table per line size (``coalesced_ops``), and those that
+    hold none yet are sealed and coalesced together in one pass.  Each
+    access is ``launch.access_bytes`` wide for its instruction; like
+    :func:`coalesce_addresses`, an access that crosses a line boundary
+    touches both lines.
     """
-    counts = launch.acount
-    rows = np.flatnonzero(keep)
-    lanes = counts[rows].astype(np.int64)
-    width = launch.access_bytes[launch.pc[rows] >> _PC_SHIFT]
-    return CoalescedOps(rows, lanes, *coalesce_accesses(
-        lanes, launch.addrs[np.repeat(keep, counts)], width, line_size))
+    fresh = [launch.seal() for launch in launches
+             if line_size not in launch.coalesced_ops]
+    if fresh:
+        _coalesce(fresh, line_size)
+    return [launch.coalesced_ops[line_size] for launch in launches]
 
 
-def coalesce_accesses(lanes, addrs, width, line_size=LINE_BYTES):
-    """The core of :func:`coalesce_table` over a table of ops given as
-    arrays: per op its recorded lane accesses ``lanes`` and its
-    accesses' byte ``width``, and every access's address ``addrs`` in
-    op order.  Returns the :class:`CoalescedOps` fields ``(lines,
-    pair_ops, pair_lines)``."""
+def _coalesce(launches, line_size):
+    """One coalescing pass over the L1-path rows of ``launches``; each
+    launch keeps its slice of the result."""
+    parts = []
+    for launch in launches:
+        counts, addrs = launch.acount, launch.addrs
+        keep = _L1_KINDS[launch.kind]
+        rows = np.flatnonzero(keep)
+        lanes = counts[rows].astype(np.int64)
+        if int(lanes.sum()) != len(addrs):  # some accesses miss the L1
+            addrs = addrs[np.repeat(keep, counts)]
+        parts.append((rows, lanes, addrs,
+                      launch.access_bytes[launch.pc[rows] >> _PC_SHIFT]))
+    lanes, addrs, width = (arrays[0] if len(arrays) == 1
+                           else np.concatenate(arrays)
+                           for arrays in list(zip(*parts))[1:])
     n_ops = len(lanes)
     op = np.repeat(np.arange(n_ops, dtype=np.int64), lanes)
     line = addrs // line_size
@@ -124,23 +146,37 @@ def coalesce_accesses(lanes, addrs, width, line_size=LINE_BYTES):
         op = np.concatenate([op, op[cross]])
         line = np.concatenate([line, last])
     op, line = _distinct(op, line, n_ops)
-    return np.bincount(op, minlength=n_ops), op, line
+    lines = np.bincount(op, minlength=n_ops)
+    # each launch's ops, then its pairs, follow the previous launch's
+    op_end = np.cumsum([len(part[0]) for part in parts]).tolist()
+    pair_end = np.searchsorted(op, op_end).tolist()
+    lo = pair_lo = 0
+    for launch, (rows, op_lanes, _addrs, _width), hi, pair_hi in zip(
+            launches, parts, op_end, pair_end):
+        launch.coalesced_ops[line_size] = CoalescedOps(
+            rows, op_lanes, lines[lo:hi], op[pair_lo:pair_hi] - lo,
+            line[pair_lo:pair_hi])
+        lo, pair_lo = hi, pair_hi
 
 
 def _distinct(op, value, n_ops):
     """The distinct ``(op, value)`` pairs of two integer arrays (ops
     below ``n_ops``), grouped by op in op order, values ascending."""
-    # pack each pair into one int64 key: one sort orders the pairs and a
-    # comparison with the neighbour finds the distinct ones
+    # pack each pair into one int64 key, the op above the value's bits:
+    # one sort orders the pairs (a stable sort runs fastest over keys
+    # already grouped by op) and a comparison with the neighbour finds
+    # the distinct ones
     lo = int(value.min()) if len(value) else 0
-    span = int(value.max()) - lo + 1 if len(value) else 1
-    if n_ops * span < 1 << 63:
-        key = np.sort(op * span + (value - lo).astype(np.int64))
+    bits = (int(value.max()) - lo).bit_length() if len(value) else 0
+    if n_ops << bits < 1 << 63:
+        key = op << bits
+        key |= (value - lo).view(np.int64)  # below 2**bits: same bits
+        key.sort(kind="stable")
         fresh = np.empty(len(key), dtype=bool)
         fresh[:1] = True
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
-        op, value = np.divmod(key[fresh], span)
-        return op, value + lo
+        key = key[fresh]
+        return key >> bits, (key & ((1 << bits) - 1)) + lo
     # values too far apart to share an int64 key with their op
     return np.unique(np.stack([op, value.astype(np.int64)]), axis=1)
 
@@ -158,10 +194,9 @@ class MemoryPlan:
     __slots__ = ("kind", "lanes", "port", "_start", "_blocks")
 
     def __init__(self, launch, config):
-        launch.seal()
+        ops = coalesced([launch], config.l1_line_size)[0]  # seals it
         kind, counts, addrs = launch.kind, launch.acount, launch.addrs
         n = len(kind)
-        ops = coalesce_table(launch, _L1_KINDS[kind], config.l1_line_size)
         start = np.zeros(n + 1, dtype=np.int64)
         start[ops.rows + 1] = ops.lines
         self._start = memoryview(np.cumsum(start, out=start))

@@ -5,8 +5,8 @@ Appending ops, sealing, and reading them back through the read-only
 (instruction identity, active mask, per-lane addresses, stored values —
 byte-exact, including negative signed values, float bit patterns, and
 ``.v2``/``.v4`` vector stores).  A sealed launch owns the columns and
-each warp's columns are its rows of them, and ``coalesce_table`` over a
-kind-column row mask must agree with the record view.
+each warp's columns are its rows of them, and the launch's coalesced
+table picked by a kind-column row mask must agree with the record view.
 """
 
 import math
@@ -32,7 +32,7 @@ from repro.emulator.serialize import load_run, save_run
 from repro.emulator.trace import ApplicationTrace, TraceOp
 from repro.ptx.builder import KernelBuilder
 from repro.ptx.isa import Space
-from repro.sim.coalescer import coalesce_addresses, coalesce_table
+from repro.sim.coalescer import coalesce_addresses, coalesced
 
 from tests.traces import build_launch
 
@@ -219,12 +219,15 @@ class TestPropertyRoundTrip:
 
 
 class TestMemoryTable:
-    """The launch's memory ops, picked by a row mask over its ``kind``
-    column, coalesce like the record view's ops one at a time."""
+    """The launch's L1-path ops (global, local and tex), picked from its
+    coalesced table by a row mask over its ``kind`` column, coalesce
+    like the record view's ops one at a time; no other op is in it."""
 
     def test_matches_record_iterator(self):
         col = _emulated_launch()
         kind = col.kind
+        (table,) = coalesced([col])
+        on_l1 = (Space.GLOBAL, Space.LOCAL, Space.TEX)
         for space, loads_only in ((None, False), (Space.GLOBAL, False),
                                   (Space.GLOBAL, True),
                                   (Space.SHARED, False)):
@@ -233,14 +236,17 @@ class TestMemoryTable:
                 keep &= (kind & 3) == 0
             if space is not None:
                 keep &= (kind >> 2) == SPACE_CODES[space.value]
-            expected = [(w_idx, op)
+            recorded = [(w_idx, op)
                         for w_idx, w in enumerate(col.warps)
                         for op in w.ops
                         if op.addresses is not None
                         and (not loads_only or op.inst.is_load)
                         and (space is None or op.inst.space is space)]
-            assert expected
-            ops = coalesce_table(col, keep)
+            assert recorded
+            expected = [(w_idx, op) for w_idx, op in recorded
+                        if op.inst.space in on_l1]
+            assert expected or space is Space.SHARED
+            ops = table.where(keep)
             assert len(ops.rows) == len(expected)
             for i, (w_idx, op) in enumerate(expected):
                 row = int(ops.rows[i])
@@ -257,7 +263,7 @@ class TestMemoryTable:
                               block=as_dim3((32, 1, 1)))
         col = ColumnarLaunchTrace("empty", config, []).seal()
         assert len(col.pc) == 0 and col.op_start.tolist() == [0]
-        ops = coalesce_table(col, col.kind != KIND_NONE)
+        (ops,) = coalesced([col])
         assert len(ops.rows) == len(ops.pair_ops) == 0
 
 

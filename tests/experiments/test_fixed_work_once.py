@@ -38,7 +38,6 @@ def _watched():
         printer.print_module: "print_module",
         classifier.classify_kernel: "classify_kernel",
         cfg.CFG.__init__: "cfg",
-        TraceProfiler.analyze_launch: "profile_pass",
         TraceProfiler.fold: "profile_pass",
     }
     return {fn.__code__: kind for fn, kind in kinds.items()}

@@ -8,6 +8,7 @@ from repro.profiling.heatmap import HeatMapReport, reuse_bucket
 from repro.profiling.trace_profile import TraceProfiler, profile_trace
 from repro.ptx.isa import DType, Instruction, MemRef, Reg, Space
 
+from tests.profiling.reference import analyze_record_warp
 from tests.traces import build_launch
 
 
@@ -37,7 +38,7 @@ def launch_from_accesses(accesses):
 
 def heatmap(launch, line_bytes=128):
     profiler = TraceProfiler(line_bytes)
-    profiler.analyze_launch(launch)
+    profiler.fold([launch])
     return profiler.report().heatmap
 
 
@@ -122,13 +123,12 @@ class TestColumnarParity:
     def test_columnar_matches_record_path(self, bfs_run):
         launch = bfs_run.trace.launches[0]
         col = TraceProfiler()
-        col._analyze_record_warp = None  # fail loudly if it were used
-        col.analyze_launch(launch)
+        col.fold([launch])
         col_report = col.report().heatmap
 
         record = TraceProfiler()
         for warp in launch.warps:
-            record._analyze_record_warp(launch.kernel_name, warp, {})
+            analyze_record_warp(record, launch.kernel_name, warp, {})
         rec_report = record.report().heatmap
 
         assert col_report.total_touches == rec_report.total_touches

@@ -37,7 +37,7 @@ def launch_from_accesses(accesses):
 
 def locality(launch, pc_classes=None):
     profiler = TraceProfiler()
-    profiler.analyze_launch(launch, pc_classes)
+    profiler.fold([launch], {launch.kernel_name: pc_classes})
     return profiler.report().locality
 
 

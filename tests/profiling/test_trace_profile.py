@@ -2,14 +2,14 @@
 
 :meth:`TraceProfiler.fold` (one coalesced table and one set of
 vectorized bookkeeping over any number of launches) must leave exactly
-the state :meth:`TraceProfiler._analyze_record_warp` leaves when it
-walks the same launches' record views op by op: per-line access
-counts, CTA sets, last CTA and tick, per-(line, PC) counts, per-PC
-aggregates, reuse buckets, CTA distances by class and the request
-histograms.  The comparison runs after every launch folded alone
-(:meth:`TraceProfiler.analyze_launch`), so the state carried from one
-launch into the next is checked too, and again after one fold of the
-whole application, and of the application in two parts.
+the state the reference :func:`~tests.profiling.reference.analyze_record_warp`
+leaves when it walks the same launches' record views op by op:
+per-line access counts, CTA sets, last CTA and tick, per-(line, PC)
+counts, per-PC aggregates, reuse buckets, CTA distances by class and
+the request histograms.  The comparison runs after every launch folded
+alone, so the state carried from one launch into the next is checked
+too, and again after one fold of the whole application, and of the
+application in two parts.
 """
 
 import dataclasses
@@ -25,6 +25,7 @@ from repro.ptx.isa import PC_STRIDE, DType, Instruction, MemRef, Reg, Space
 from repro.sim.coalescer import pc_class_map
 from repro.workloads import get_workload
 
+from tests.profiling.reference import analyze_record_warp
 from tests.traces import build_launch
 
 
@@ -58,10 +59,10 @@ def assert_pass_matches_reference(app_trace, classifications, line_bytes=128):
     fast, ref = TraceProfiler(line_bytes), TraceProfiler(line_bytes)
     for launch in app_trace:
         result = classifications.get(launch.kernel_name)
-        fast.analyze_launch(launch, result)
+        fast.fold([launch], {launch.kernel_name: result})
         for warp in launch.warps:
-            ref._analyze_record_warp(launch.kernel_name, warp,
-                                     pc_class_map(result))
+            analyze_record_warp(ref, launch.kernel_name, warp,
+                                pc_class_map(result))
         assert state(fast) == state(ref)
     whole = TraceProfiler(line_bytes)
     whole.fold(app_trace, classifications)
@@ -122,8 +123,9 @@ class TestWorkloadsAgainstReference:
             assert 1 < len(folds) < len(launches)
         stepwise = TraceProfiler()
         for launch in launches:
-            stepwise.analyze_launch(
-                launch, run.classifications.get(launch.kernel_name))
+            stepwise.fold([launch], {
+                launch.kernel_name:
+                    run.classifications.get(launch.kernel_name)})
         want = stepwise.report(run.classifications)
         assert profile.heatmap.to_json() == want.heatmap.to_json()
         assert profile.locality == want.locality

@@ -60,7 +60,7 @@ class TestPropagation:
             launch = build_launch([(0, 0, [load_op(self.ADDRS)])],
                                   config=make_launch(8, 32))
             profiler = TraceProfiler(block_size)
-            profiler.analyze_launch(launch)
+            profiler.fold([launch])
             return profiler.report().locality.num_blocks
 
         assert count_blocks(LINE_BYTES) == 1
@@ -70,7 +70,7 @@ class TestPropagation:
         launch = build_launch([(0, 0, [load_op(self.ADDRS)])],
                               config=make_launch(8, 32))
         narrow = TraceProfiler(line_bytes=32)
-        narrow.analyze_launch(launch)
+        narrow.fold([launch])
         assert narrow.report().heatmap.num_lines == 4
 
     def test_split_op_honors_line_bytes(self):
